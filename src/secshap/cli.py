@@ -109,6 +109,9 @@ class ExperimentConfig:
             errors.append("grid_bits: must be in [1, frac_bits]")
         if self.prime.bit_length() < 2 * self.frac_bits + 9:
             errors.append("prime: too small for frac_bits (products would wrap)")
+        if "secsv" in self.protocols and self.prime.bit_length() < 3 * self.frac_bits + 9:
+            errors.append("frac_bits: too large for secsv, which decodes at 3 * frac_bits "
+                          "(needs 3 * frac_bits + 9 prime bits)")
         for proto in self.protocols:
             if proto not in KNOWN_PROTOCOLS:
                 errors.append(f"protocols: unknown protocol {proto!r}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -104,10 +104,6 @@ class CipherVector:
     @property
     def width(self) -> int:
         return int(self.slots.size)
-
-    @property
-    def is_integer(self) -> bool:
-        return self.slots.dtype == object
 
 
 def ciphertext_bytes(params: HEParams) -> int:
@@ -251,18 +247,21 @@ class HEContext:
 
     # -- encryption -----------------------------------------------------
 
+    def _slot_vector(self, chunk: np.ndarray, integer: bool) -> np.ndarray:
+        if integer:
+            slots = np.zeros(self.params.slot_count, dtype=object)
+            slots[:] = 0
+        else:
+            slots = np.zeros(self.params.slot_count, dtype=np.float64)
+        slots[: chunk.size] = chunk
+        return slots
+
     def _pack(self, flat: np.ndarray, key: PublicKey, integer: bool) -> list[CipherVector]:
         n = self.params.slot_count
         count = max(1, -(-flat.size // n))
         out = []
         for i in range(count):
-            chunk = flat[i * n : (i + 1) * n]
-            if integer:
-                slots = np.zeros(n, dtype=object)
-                slots[:] = 0
-            else:
-                slots = np.zeros(n, dtype=np.float64)
-            slots[: chunk.size] = chunk
+            slots = self._slot_vector(flat[i * n : (i + 1) * n], integer)
             self.meter.enc += 1
             out.append(CipherVector(self._noisy(slots) if not integer else slots, key.key_id))
         return out
@@ -288,6 +287,23 @@ class HEContext:
                 f"{flat.size} values exceed {self.params.slot_count} slots"
             )
         return self._pack(flat, key, integer=True)[0]
+
+    def fold_int_slots(self, values, key: PublicKey, terms: int, copies: int) -> CipherVector:
+        """Ciphertext of a plaintext-weighted sum of ``terms`` integer ciphertexts.
+
+        ``values`` are the already-folded slot values, computed once by
+        the caller.  Metered as ``copies`` parties each doing the fold:
+        copies*terms c2p multiplications and copies*(terms-1) additions,
+        and no encryption.
+        """
+        flat = np.asarray(values, dtype=object).reshape(-1)
+        if flat.size > self.params.slot_count:
+            raise BackendError(
+                f"{flat.size} values exceed {self.params.slot_count} slots"
+            )
+        self.meter.hmult_c2p += copies * terms
+        self.meter.hadd += copies * (terms - 1)
+        return CipherVector(self._slot_vector(flat, integer=True), key.key_id)
 
     # -- decryption -----------------------------------------------------
 
@@ -366,11 +382,3 @@ class HEContext:
         """Cyclic left rotation: result slot i holds input slot (i + steps) mod N."""
         self.meter.hrot += 1
         return CipherVector(self._noisy(np.roll(a.slots, -steps)), a.key_id)
-
-    def he_sum(self, cts: Iterable[CipherVector]) -> CipherVector:
-        """Fold a non-empty sequence with he_add (len-1 metered additions)."""
-        it = iter(cts)
-        acc = next(it)
-        for ct in it:
-            acc = self.he_add(acc, ct)
-        return acc

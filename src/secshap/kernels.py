@@ -117,16 +117,6 @@ class MatMulPlan:
             return self.d_in
         return self.j_blocks * self.k_blocks * self.d_out_block
 
-    def model_ciphertext_count(self) -> int:
-        if self.method == "reducing":
-            return self.d_in
-        return self.j_blocks * self.k_blocks * self.d_out_block
-
-    def batch_ciphertext_count(self) -> int:
-        if self.method == "reducing":
-            return self.d_in
-        return self.k_blocks * self.d_out_block
-
 
 def plan_squaring(d_out: int, d_in: int, m: int, slot_count: int) -> MatMulPlan:
     if min(d_out, d_in, m) < 1:

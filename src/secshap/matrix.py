@@ -9,7 +9,6 @@ matmul kernels are built on.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -93,40 +92,6 @@ class Matrix:
         if tol == 0.0:
             return bool(np.array_equal(self.data, other.data))
         return bool(np.allclose(self.data, other.data, rtol=0.0, atol=tol))
-
-    def save(self, path) -> None:
-        """Write as text: a 'rows cols' header line then one row per line."""
-        with open(path, "w") as fh:
-            fh.write(f"{self.rows} {self.cols}\n")
-            for row in self.data:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-    @staticmethod
-    def load(path) -> "Matrix":
-        with open(path) as fh:
-            header = fh.readline().split()
-            rows, cols = int(header[0]), int(header[1])
-            values = []
-            for line in fh:
-                values.extend(float(tok) for tok in line.split())
-        if len(values) != rows * cols:
-            raise ShapeError(
-                f"expected {rows * cols} entries in {path}, found {len(values)}"
-            )
-        return Matrix.from_flat(values, rows, cols)
-
-    def save_binary(self, path) -> None:
-        """Write as binary: two uint32 dims then float64 row-major payload."""
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<II", self.rows, self.cols))
-            fh.write(self.data.astype("<f8").tobytes())
-
-    @staticmethod
-    def load_binary(path) -> "Matrix":
-        with open(path, "rb") as fh:
-            rows, cols = struct.unpack("<II", fh.read(8))
-            payload = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
-        return Matrix(payload.reshape(rows, cols))
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 client-assignment rules for layer decryption.
 
 Parties are in-process actors; the router delivers payloads directly
-but sizes every message so per-pair traffic is exact.  Servers never
-hold the HE private key, which makes role violations raise instead of
-silently succeeding.
+but sizes every message so per-pair traffic is exact.  Servers are
+never sent the HE private key; every decryption or reconstruction is
+logged with its actor, so an audit can check that only clients did it.
 """
 
 from __future__ import annotations
@@ -42,15 +42,8 @@ def client_name(i: int) -> str:
 class Party:
     name: str
     role: str  # "client" or "server"
-    he_public: PublicKey | None = None
-    he_private: PrivateKey | None = None
     bytes_in: int = 0
     bytes_out: int = 0
-
-    def require_private_key(self) -> PrivateKey:
-        if self.he_private is None:
-            raise PermissionError(f"{self.name} ({self.role}) holds no private key")
-        return self.he_private
 
 
 def payload_bytes(payload, he_params: HEParams, field: FieldParams | None = None) -> int:
@@ -103,10 +96,6 @@ class Router:
         self.parties[sender].bytes_out += nbytes
         self.parties[receiver].bytes_in += nbytes
         return payload
-
-    def broadcast(self, sender: str, receivers, payload) -> None:
-        for receiver in receivers:
-            self.send(sender, receiver, payload)
 
 
 class AssignmentError(RuntimeError):

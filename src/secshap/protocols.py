@@ -14,7 +14,9 @@
 Linear layers are evaluated wherever the protocol dictates; activation
 functions and label extraction always happen at an assigned client on
 decrypted (or reconstructed) values, with the assignment rules of
-``parties`` enforced throughout.
+``parties`` enforced throughout.  ``run_secsv`` and ``run_secretsv``
+share one two-server round and differ only in how they aggregate a
+subset model and compute a linear layer.
 
 Rounds are independent: each runs with its own meter, router, and
 noise stream seeded by the round index, so a worker pool of any size
@@ -24,6 +26,7 @@ barrier in round order.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random as _random
 import time
@@ -34,7 +37,6 @@ import numpy as np
 
 from .federation import ClientDataset, RoundModels
 from .hebackend import (
-    CipherVector,
     CostMeter,
     CostWeights,
     HEContext,
@@ -53,8 +55,8 @@ from .kernels import (
     squaring_prepare_batch,
     squaring_prepare_model,
 )
-from .matrix import LabelVector, Matrix, argmax_columns, quantize
-from .models import ACTIVATIONS, Model, forward, with_ones_row
+from .matrix import Matrix, argmax_columns
+from .models import apply_activation, evaluate_model, with_ones_row
 from .parties import (
     SERVER_A,
     SERVER_P,
@@ -109,16 +111,6 @@ def _common_architecture(rounds: list[RoundModels]):
     return arch
 
 
-def _activation(arch, layer_index: int, grid_bits):
-    fn = ACTIVATIONS[arch[layer_index].activation]
-
-    def apply(z: np.ndarray) -> np.ndarray:
-        out = fn(z)
-        return quantize(out, grid_bits) if grid_bits is not None else out
-
-    return apply
-
-
 @dataclass(frozen=True)
 class _Batch:
     columns: tuple[int, ...]  # positions into the collective column order
@@ -166,6 +158,17 @@ def _new_router(meter: CostMeter, he_params: HEParams, field, clients,
     for i in clients:
         router.register(Party(client_name(i), "client"))
     return router
+
+
+def _distribute_keys(router: Router, tag: str, leader: int, clients, servers):
+    """The leader makes the key pair, hands it to every client, the public key to servers."""
+    keys = generate_keypair(tag)
+    for i in clients:
+        if i != leader:
+            router.send(client_name(leader), client_name(i), [keys.public, keys.private])
+    for server in servers:
+        router.send(client_name(leader), server, keys.public)
+    return keys
 
 
 def _run_rounds(round_fn, rounds, workers: int):
@@ -256,14 +259,10 @@ def run_nssv(
         round_router = _new_router(meter, HEParams(), None, clients, two_servers=False)
         for i in record.selected:
             round_router.send(client_name(i), SERVER_P, list(record.local_models[i].params))
-        utilities = {}
-        for subset in subsets_ascending(record.selected):
-            model = record.aggregated(subset)
-            correct = 0
-            for ds in test_sets:
-                pred = argmax_columns(forward(model, ds.features))
-                correct += int(np.sum(np.abs(pred.labels - ds.labels.labels) < TOLERANCE))
-            utilities[subset] = correct / total
+        utilities = {
+            subset: evaluate_model(record.aggregated(subset), test_sets)[1]
+            for subset in subsets_ascending(record.selected)
+        }
         return _round_report(record, utilities), meter, []
 
     results = _run_rounds(eval_round, rounds, workers)
@@ -290,7 +289,6 @@ def run_hesv(
     n = len(test_sets)
     clients = list(range(n))
     num_layers = len(arch)
-    grid_bits = rounds[0].global_model.act_grid_bits
     total = sum(ds.size for ds in test_sets)
 
     setup_meter = CostMeter()
@@ -298,11 +296,7 @@ def run_hesv(
     router = _new_router(setup_meter, he_params, None, clients, two_servers=False)
 
     leader = int(np.random.default_rng(seed).integers(n))
-    keys = generate_keypair(f"hesv-{seed}")
-    for i in clients:
-        if i != leader:
-            router.send(client_name(leader), client_name(i), [keys.public, keys.private])
-    router.send(client_name(leader), SERVER_P, keys.public)
+    keys = _distribute_keys(router, f"hesv-{seed}", leader, clients, [SERVER_P])
 
     slot_count = he_params.slot_count
     m_cap = min(min(spec.in_size + 1 for spec in arch), math.isqrt(slot_count))
@@ -400,7 +394,7 @@ def run_hesv(
                     )
                     assignment_offset += 1
                     correct += _hesv_eval_batch(
-                        ctx, round_router, keys, arch, grid_bits, plan_for, agg,
+                        ctx, round_router, keys, record.global_model, plan_for, agg,
                         data_cts[(i, b)], label_cts[(i, b)], hi - lo, sequence, actors,
                     )
             utilities[subset] = correct / total
@@ -410,9 +404,9 @@ def run_hesv(
     return _finish_report("hesv", clients, total, results, setup_meter, weights, started)
 
 
-def _hesv_eval_batch(ctx, router, keys, arch, grid_bits, plan_for, agg_cts,
+def _hesv_eval_batch(ctx, router, keys, model, plan_for, agg_cts,
                      first_sides, label_ct_true, m_b, sequence, decrypt_actors) -> int:
-    num_layers = len(arch)
+    num_layers = model.depth
     sides = first_sides
     label_ct = None
     for l in range(num_layers):
@@ -423,7 +417,7 @@ def _hesv_eval_batch(ctx, router, keys, arch, grid_bits, plan_for, agg_cts,
         decrypt_actors.append(decryptor)
         yhat = squaring_decrypt(bands, plan, ctx, keys.private, actor=decryptor)
         if l < num_layers - 1:
-            act = _activation(arch, l, grid_bits)(yhat.data)
+            act = apply_activation(model, l, yhat.data)
             sides = squaring_prepare_batch(
                 with_ones_row(act), plan_for(l + 1, m_b), ctx, keys.public, encrypt=True
             )
@@ -467,9 +461,8 @@ def _share_test_data(test_sets, field: FieldParams, router: Router, rng) -> _Sha
     xp_parts, xa_parts, yp_parts, ya_parts = [], [], [], []
     ids, owners = [], []
     for i, ds in enumerate(test_sets):
-        x = encode_matrix(with_ones_row(ds.features), field)
-        pair = split_matrix(x, field, rng)
-        y_pair = split_matrix(_encode_label_row(ds.labels, field), field, rng)
+        pair = split_matrix(with_ones_row(ds.features), field, rng)
+        y_pair = split_matrix(Matrix([ds.labels.labels]), field, rng)
         router.send(client_name(i), SERVER_P, pair.s_prime)
         router.send(client_name(i), SERVER_A, pair.s_dprime)
         router.send(client_name(i), SERVER_P, y_pair.s_prime)
@@ -509,27 +502,11 @@ def _decode_signed_block(raw, field: FieldParams, scale_bits: int, rows: int, co
     return Matrix(out.reshape(rows, cols))
 
 
-def _pack_int_ct(view: np.ndarray, slot_count: int, key_id: str) -> CipherVector:
-    slots = np.zeros(slot_count, dtype=object)
-    slots[:] = 0
-    flat = view.reshape(-1)
-    slots[: flat.size] = flat
-    return CipherVector(slots, key_id)
-
-
-def _split_and_distribute(router, field, owner_name, matrix_enc, rng):
-    pair = split_matrix(matrix_enc, field, rng)
+def _split_and_distribute(router, field, owner_name, secret: Matrix, rng):
+    pair = split_matrix(secret, field, rng)
     router.send(owner_name, SERVER_P, pair.s_prime)
     router.send(owner_name, SERVER_A, pair.s_dprime)
     return pair
-
-
-def _encode_label_row(labels: LabelVector | np.ndarray, field: FieldParams) -> np.ndarray:
-    arr = labels.labels if isinstance(labels, LabelVector) else np.asarray(labels)
-    out = np.empty((1, arr.size), dtype=object)
-    for k, v in enumerate(arr):
-        out[0, k] = encode(float(v), field)
-    return out
 
 
 def _shared_label_check(router, field, y_sh: SharePair, shared: _SharedData, cols,
@@ -539,14 +516,67 @@ def _shared_label_check(router, field, y_sh: SharePair, shared: _SharedData, col
     tilde_a = (y_sh.s_dprime[0] - shared.y_dprime[cols]) % p
     router.send(SERVER_A, SERVER_P, tilde_a)
     diff = (y_sh.s_prime[0] - shared.y_prime[cols] + tilde_a) % p
-    correct = set()
-    half, scale = p // 2, float(1 << field.frac_bits)
-    for k in range(len(batch_ids)):
-        e = int(diff[k]) % p
-        signed = e - p if e > half else e
-        if abs(signed / scale) < TOLERANCE:
-            correct.add(batch_ids[k])
-    return correct
+    gaps = _decode_signed_block(diff, field, field.frac_bits, 1, len(batch_ids)).data[0]
+    return {sid for sid, gap in zip(batch_ids, gaps) if abs(gap) < TOLERANCE}
+
+
+def _two_server_round(record: RoundModels, shared: _SharedData, m_cap: int, n: int,
+                      level: str, field: FieldParams, router: Router, share_rng,
+                      aggregate, linear, skip: bool = False):
+    """One round of the two-server evaluation shared by SecSV and SecretSV.
+
+    Servers P and A hold shares of the pooled test data.  Per batch,
+    ``linear(theta, l, x, receiver)`` computes layer ``l`` of the subset
+    model ``theta = aggregate(subset)`` on the shared input ``x`` and
+    returns the plaintext output the assigned receiver learns.  The
+    receiver applies the activation and shares the next input again;
+    after the last layer it shares the predicted labels, which the
+    servers compare with the shared true labels.  Returns the round
+    report and the receivers in order.
+    """
+    model = record.global_model
+    num_layers = model.depth
+    players = sorted(record.selected)
+    actors: list[str] = []
+    assignments = itertools.count()  # one running offset per round
+
+    def evaluate(subset, sample_ids) -> set:
+        subset = frozenset(subset)
+        theta = aggregate(subset)
+        owner = next(iter(subset)) if len(subset) == 1 else None
+        positions = [shared.pos_of_id[s] for s in sample_ids]
+        correct: set = set()
+        for batch in _pooled_batches(shared.owner_by_pos, shared.ids_by_pos, positions,
+                                     m_cap, n):
+            cols = np.array(batch.columns)
+            sequence = assign_decryptors(
+                players, num_layers, owner, batch.owners, level, next(assignments)
+            )
+            x = SharePair(shared.x_prime[:, cols], shared.x_dprime[:, cols])
+            for l in range(num_layers):
+                receiver = client_name(sequence[l + 1])
+                actors.append(receiver)
+                yhat = linear(theta, l, x, receiver)
+                if l < num_layers - 1:
+                    plain = with_ones_row(apply_activation(model, l, yhat.data))
+                else:
+                    plain = Matrix([argmax_columns(yhat).labels])
+                x = _split_and_distribute(router, field, receiver, plain, share_rng)
+            correct |= _shared_label_check(router, field, x, shared, cols, batch.ids)
+        return correct
+
+    all_ids = list(shared.ids_by_pos)
+    if skip:
+        result = sample_skip_round(record.round_index, players, all_ids, evaluate)
+        utilities = dict(result.utilities)
+        utilities[frozenset()] = len(evaluate(frozenset(), all_ids)) / shared.total
+    else:
+        result = None
+        utilities = {
+            subset: len(evaluate(subset, all_ids)) / shared.total
+            for subset in subsets_ascending(players)
+        }
+    return _round_report(record, utilities, result), actors
 
 
 # -- SecSV ----------------------------------------------------------------------
@@ -587,18 +617,12 @@ def run_secsv(
     setup_meter = CostMeter()
     router = _new_router(setup_meter, he_params, field, clients, two_servers=True)
     leader = int(np.random.default_rng(seed).integers(n))
-    keys = generate_keypair(f"secsv-{seed}")
-    for i in clients:
-        if i != leader:
-            router.send(client_name(leader), client_name(i), [keys.public, keys.private])
-    router.send(client_name(leader), SERVER_P, keys.public)
-    router.send(client_name(leader), SERVER_A, keys.public)
+    keys = _distribute_keys(router, f"secsv-{seed}", leader, clients, [SERVER_P, SERVER_A])
 
     shared = _share_test_data(
         test_sets, field, router, _random.Random(f"secsv-{seed}-data")
     )
     total = shared.total
-    all_ids = list(shared.ids_by_pos)
 
     slot_count = he_params.slot_count
     m_cap = min(slot_count // spec.out_size for spec in arch)
@@ -607,17 +631,11 @@ def run_secsv(
         plan_reducing(spec.out_size, spec.in_size + 1, m_cap, slot_count)
         for spec in arch
     ]
-    f_bits = field.frac_bits
 
     def eval_round(record: RoundModels):
         meter = CostMeter()
         ctx = HEContext(replace(he_params, seed=_round_seed(seed, record.round_index)), meter)
         round_router = _new_router(meter, he_params, field, clients, two_servers=True)
-        share_rng = _random.Random(f"secsv-{seed}-round-{record.round_index}")
-        actors: list[str] = []
-        players = sorted(record.selected)
-        counter = {"assign": 0}
-
         model_enc: dict = {}
 
         def upload_model(owner_name, model, store_key):
@@ -630,7 +648,7 @@ def run_secsv(
                 enc_layers.append(enc)
             model_enc[store_key] = enc_layers
 
-        for i in players:
+        for i in sorted(record.selected):
             upload_model(client_name(i), record.local_models[i], i)
         upload_model(client_name(leader), record.global_model, "global")
 
@@ -640,10 +658,9 @@ def run_secsv(
             """Per-layer transformed ciphertexts of the subset aggregate.
 
             Both servers fold their model copies: |S| scalar multiplies
-            plus |S|-1 additions per ciphertext, metered per server; the
-            slot values are computed once on the simulation side.
+            plus |S|-1 additions per ciphertext; the slot values are
+            computed once on the simulation side.
             """
-            subset = frozenset(subset)
             if subset in agg_cache:
                 return agg_cache[subset]
             if not subset:
@@ -658,81 +675,35 @@ def run_secsv(
             out = []
             for l in range(num_layers):
                 agg = sum(w_enc * enc[l] for w_enc, enc in members_enc)
-                n_cts = plans[l].d_in
-                meter.hmult_c2p += 2 * len(members_enc) * n_cts
-                meter.hadd += 2 * (len(members_enc) - 1) * n_cts
                 out.append([
-                    _pack_int_ct(view, slot_count, keys.public.key_id)
+                    ctx.fold_int_slots(view, keys.public, len(members_enc), copies=2)
                     for view in _reducing_model_views(agg, m_cap)
                 ])
             agg_cache[subset] = out
             return out
 
-        def secure_eval(subset, ids_tuple):
-            subset = frozenset(subset)
-            agg = aggregated_cts(subset)
-            owner = next(iter(subset)) if len(subset) == 1 else None
-            positions = [shared.pos_of_id[s] for s in ids_tuple]
-            batches = _pooled_batches(
-                shared.owner_by_pos, shared.ids_by_pos, positions, m_cap, n
+        def linear(agg, l, x, receiver):
+            plan = plans[l]
+            ct_p = reducing_matmul(
+                agg[l], reducing_prepare_batch(x.s_prime, plan, ctx, width=m_cap), plan, ctx
             )
-            correct: set = set()
-            for batch in batches:
-                cols = np.array(batch.columns)
-                m_b = len(cols)
-                sequence = assign_decryptors(
-                    players, num_layers, owner, batch.owners, level, counter["assign"]
-                )
-                counter["assign"] += 1
-                xp = shared.x_prime[:, cols]
-                xa = shared.x_dprime[:, cols]
-                y_sh = None
-                for l in range(num_layers):
-                    plan = plans[l]
-                    ct_p = reducing_matmul(
-                        agg[l], reducing_prepare_batch(xp, plan, ctx, width=m_cap), plan, ctx
-                    )
-                    ct_a = reducing_matmul(
-                        agg[l], reducing_prepare_batch(xa, plan, ctx, width=m_cap), plan, ctx
-                    )
-                    round_router.send(SERVER_A, SERVER_P, ct_a)
-                    ct = ctx.he_add(ct_p, ct_a)
-                    decryptor = client_name(sequence[l + 1])
-                    round_router.send(SERVER_P, decryptor, ct)
-                    actors.append(decryptor)
-                    raw = ctx.decrypt_int_slots(
-                        ct, plan.d_out * m_cap, keys.private, actor=decryptor
-                    )
-                    # aggregate model at 2f (weight times parameter), share at f
-                    yhat = _decode_signed_block(raw, field, 3 * f_bits, plan.d_out, m_cap)
-                    yhat = Matrix(yhat.data[:, :m_b])
-                    if l < num_layers - 1:
-                        act = _activation(arch, l, grid_bits)(yhat.data)
-                        x_next = encode_matrix(with_ones_row(act), field)
-                        pair = _split_and_distribute(round_router, field, decryptor, x_next, share_rng)
-                        xp, xa = pair.s_prime, pair.s_dprime
-                    else:
-                        labels = argmax_columns(yhat)
-                        y_sh = _split_and_distribute(
-                            round_router, field, decryptor,
-                            _encode_label_row(labels, field), share_rng,
-                        )
-                correct |= _shared_label_check(
-                    round_router, field, y_sh, shared, cols, batch.ids
-                )
-            return correct
+            ct_a = reducing_matmul(
+                agg[l], reducing_prepare_batch(x.s_dprime, plan, ctx, width=m_cap), plan, ctx
+            )
+            round_router.send(SERVER_A, SERVER_P, ct_a)
+            ct = ctx.he_add(ct_p, ct_a)
+            round_router.send(SERVER_P, receiver, ct)
+            raw = ctx.decrypt_int_slots(ct, plan.d_out * m_cap, keys.private, actor=receiver)
+            # aggregate model at 2f (weight times parameter), share at f
+            yhat = _decode_signed_block(raw, field, 3 * field.frac_bits, plan.d_out, m_cap)
+            return Matrix(yhat.data[:, : x.s_prime.shape[1]])
 
-        if skip:
-            result = sample_skip_round(record.round_index, players, all_ids, secure_eval)
-            utilities = dict(result.utilities)
-        else:
-            result = None
-            utilities = {}
-            for subset in subsets_ascending(players):
-                if subset:
-                    utilities[subset] = len(secure_eval(subset, all_ids)) / total
-        utilities[frozenset()] = len(secure_eval(frozenset(), all_ids)) / total
-        return _round_report(record, utilities, result), meter, actors
+        report, actors = _two_server_round(
+            record, shared, m_cap, n, level, field, round_router,
+            _random.Random(f"secsv-{seed}-round-{record.round_index}"),
+            aggregated_cts, linear, skip,
+        )
+        return report, meter, actors
 
     results = _run_rounds(eval_round, rounds, workers)
     return _finish_report(
@@ -769,7 +740,6 @@ def run_secretsv(
     n = len(test_sets)
     clients = list(range(n))
     num_layers = len(arch)
-    grid_bits = rounds[0].global_model.act_grid_bits
 
     setup_meter = CostMeter()
     router = _new_router(setup_meter, HEParams(), field, clients,
@@ -779,9 +749,7 @@ def run_secretsv(
         test_sets, field, router, _random.Random(f"secretsv-{seed}-data")
     )
     total = shared.total
-    all_ids = list(shared.ids_by_pos)
     m_cap = min(batch_capacity, total)
-    f_bits = field.frac_bits
     p = field.prime
     per_round_budget = None if triple_budget is None else triple_budget // len(rounds)
 
@@ -795,24 +763,19 @@ def run_secretsv(
             budget=per_round_budget,
             on_bytes=lambda receiver, nbytes: meter.record_bytes("dealer", receiver, nbytes),
         )
-        players = sorted(record.selected)
         model_shares: dict = {}
 
         def upload_shares(owner_name, model, store_key):
-            layer_pairs = []
-            for l in range(num_layers):
-                enc = encode_matrix(model.params[l], field)
-                layer_pairs.append(
-                    _split_and_distribute(round_router, field, owner_name, enc, share_rng)
-                )
-            model_shares[store_key] = layer_pairs
+            model_shares[store_key] = [
+                _split_and_distribute(round_router, field, owner_name, theta, share_rng)
+                for theta in model.params
+            ]
 
-        for i in players:
+        for i in sorted(record.selected):
             upload_shares(client_name(i), record.local_models[i], i)
         upload_shares(client_name(leader), record.global_model, "global")
 
         def aggregated_shares(subset):
-            subset = frozenset(subset)
             if not subset:
                 return model_shares["global"]
             members = sorted(subset)
@@ -827,51 +790,18 @@ def run_secretsv(
                 out.append(_truncate_shares(SharePair(zp, za), field))
             return out
 
-        def secure_eval(subset, ids_tuple):
-            subset = frozenset(subset)
-            theta = aggregated_shares(subset)
-            owner = next(iter(subset)) if len(subset) == 1 else None
-            positions = [shared.pos_of_id[s] for s in ids_tuple]
-            batches = _pooled_batches(
-                shared.owner_by_pos, shared.ids_by_pos, positions, m_cap, n
-            )
-            correct: set = set()
-            for bi, batch in enumerate(batches):
-                cols = np.array(batch.columns)
-                m_b = len(cols)
-                sequence = assign_decryptors(
-                    players, num_layers, owner, batch.owners, level, bi
-                )
-                x_pair = SharePair(shared.x_prime[:, cols], shared.x_dprime[:, cols])
-                y_sh = None
-                for l in range(num_layers):
-                    out = share_matmul(theta[l], x_pair, supply, field, meter=meter)
-                    receiver = client_name(sequence[l + 1])
-                    round_router.send(SERVER_P, receiver, out.s_prime)
-                    round_router.send(SERVER_A, receiver, out.s_dprime)
-                    recon = (out.s_prime + out.s_dprime) % p
-                    yhat = _decode_signed_block(
-                        recon.reshape(-1), field, f_bits, arch[l].out_size, m_b
-                    )
-                    if l < num_layers - 1:
-                        act = _activation(arch, l, grid_bits)(yhat.data)
-                        x_next = encode_matrix(with_ones_row(act), field)
-                        x_pair = _split_and_distribute(round_router, field, receiver, x_next, share_rng)
-                    else:
-                        labels = argmax_columns(yhat)
-                        y_sh = _split_and_distribute(
-                            round_router, field, receiver,
-                            _encode_label_row(labels, field), share_rng,
-                        )
-                correct |= _shared_label_check(
-                    round_router, field, y_sh, shared, cols, batch.ids
-                )
-            return correct
+        def linear(theta, l, x, receiver):
+            out = share_matmul(theta[l], x, supply, field, meter=meter)
+            round_router.send(SERVER_P, receiver, out.s_prime)
+            round_router.send(SERVER_A, receiver, out.s_dprime)
+            recon = (out.s_prime + out.s_dprime) % p
+            return _decode_signed_block(recon.reshape(-1), field, field.frac_bits, *recon.shape)
 
-        utilities = {}
-        for subset in subsets_ascending(players):
-            utilities[subset] = len(secure_eval(subset, all_ids)) / total
-        return _round_report(record, utilities), meter, []
+        report, actors = _two_server_round(
+            record, shared, m_cap, n, level, field, round_router, share_rng,
+            aggregated_shares, linear,
+        )
+        return report, meter, actors
 
     results = _run_rounds(eval_round, rounds, workers)
     return _finish_report("secretsv", clients, total, results, setup_meter, weights, started)

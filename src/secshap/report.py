@@ -11,9 +11,9 @@ import json
 from dataclasses import dataclass, field
 
 from .hebackend import CostMeter, CostWeights
-from .shapley import UtilityTable, subsets_ascending
+from .shapley import subsets_ascending
 
-__all__ = ["RoundReport", "ContributionReport", "report_to_json", "load_report"]
+__all__ = ["RoundReport", "ContributionReport", "report_to_json"]
 
 
 @dataclass
@@ -32,12 +32,6 @@ class RoundReport:
         skipped = sum(v for k, v in self.skipped_by_cardinality.items() if k >= 2)
         evaluated = sum(v for k, v in self.evaluated_by_cardinality.items() if k >= 2)
         return skipped / (skipped + evaluated) if skipped + evaluated else 0.0
-
-    def utilities_as_table(self) -> UtilityTable:
-        table = UtilityTable(self.round_index, frozenset(self.players))
-        for subset, v in self.utilities.items():
-            table.set(subset, v)
-        return table
 
     def to_json_dict(self) -> dict:
         ordered = [
@@ -124,8 +118,3 @@ class ContributionReport:
 
 def report_to_json(report: ContributionReport) -> str:
     return json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
-
-
-def load_report(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

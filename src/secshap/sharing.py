@@ -99,9 +99,6 @@ class FieldParams:
         """Largest |x| the codec accepts for a fresh secret."""
         return float(1 << (self.bits - self.frac_bits - 2))
 
-    def rng(self) -> random.Random:
-        return random.Random(self.seed)
-
 
 def field_element_bytes(field: FieldParams) -> int:
     return (field.bits + 7) // 8

@@ -61,6 +61,17 @@ class TestConfig:
         assert any("wat" in e for e in errors)
         assert any(e.startswith("slot_count:") for e in errors)
 
+    def test_secsv_headroom_checked_up_front(self):
+        # secsv decodes layer outputs at scale 3 * frac_bits
+        def errors(frac_bits, protocols):
+            return ExperimentConfig.from_json(json.dumps(tiny_config(
+                frac_bits=frac_bits, protocols=protocols,
+            ))).validate()
+
+        assert any(e.startswith("frac_bits:") for e in errors(18, ["nssv", "secsv"]))
+        assert errors(17, ["nssv", "secsv"]) == []
+        assert errors(18, ["nssv", "hesv", "secretsv"]) == []
+
     def test_cnn_like_shape_constraint(self):
         config = ExperimentConfig.from_json(json.dumps(tiny_config(architecture="cnn_like")))
         assert any("cnn_like" in e for e in config.validate())

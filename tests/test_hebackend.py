@@ -97,6 +97,13 @@ class TestOps:
         assert out.slots[0] == 6.0
         assert ctx.meter.hmult_c2c == 1
 
+    def test_fold_meters_the_parties_folds(self, ctx, keys):
+        folded = [3 * 2**70 + 1, -5]
+        ct = ctx.fold_int_slots(folded, keys.public, terms=3, copies=2)
+        assert list(ctx.decrypt_int_slots(ct, 2, keys.private)) == folded
+        assert ct.key_id == keys.public.key_id and ct.width == 2048
+        assert (ctx.meter.hmult_c2p, ctx.meter.hadd, ctx.meter.enc) == (6, 4, 0)
+
     def test_cross_context_ops_rejected(self, ctx, keys):
         other = generate_keypair("x")
         a = ctx.encrypt_slots([1.0], keys.public)

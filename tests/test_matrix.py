@@ -51,18 +51,6 @@ class TestMatrixBasics:
         assert m.at(2, 3) == 2  # wraps to (0, 1)
         assert m.at(-1, 0) == 3  # python mod keeps it total
 
-    def test_text_round_trip(self, tmp_path):
-        m = Matrix([[1.25, -2.5, 3e-7], [4, 5, 6]])
-        path = tmp_path / "m.txt"
-        m.save(path)
-        assert Matrix.load(path).allclose(m)
-
-    def test_binary_round_trip(self, tmp_path):
-        m = Matrix(np.random.default_rng(0).normal(size=(7, 3)))
-        path = tmp_path / "m.bin"
-        m.save_binary(path)
-        assert Matrix.load_binary(path).allclose(m)
-
 
 class TestSubmatrix:
     def test_identity_slice(self):

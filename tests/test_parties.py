@@ -78,11 +78,6 @@ class TestRouter:
         with pytest.raises(KeyError):
             router.send("ghost", SERVER_P, 1)
 
-    def test_server_holds_no_private_key(self):
-        server = Party(SERVER_P, "server")
-        with pytest.raises(PermissionError):
-            server.require_private_key()
-
 
 class TestValidateAssignment:
     def test_valid_round_robin_n4(self):

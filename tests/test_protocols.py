@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secshap.federation import (
     RoundModels,
@@ -175,6 +177,12 @@ class TestSecretsv:
         assert report.shares_gen_bytes() > 0
         assert ("dealer", "server_p") in report.meter.bytes_sent
 
+    def test_actors_are_clients(self, logistic_world):
+        parts, history, _ = logistic_world
+        report = run_secretsv(history, parts, FieldParams(), seed=1)
+        assert report.decrypt_actors
+        assert all(a.startswith("client_") for a in report.decrypt_actors)
+
     def test_triple_exhaustion(self, logistic_world):
         parts, history, _ = logistic_world
         with pytest.raises(SupplyError):
@@ -206,6 +214,34 @@ class TestSecretsv:
             rep = run_secretsv(rounds, parts, FieldParams(prime, f), seed=2)
             errors.append(fsv_error(rep.fsv, nssv.fsv))
         assert errors[0] >= errors[1] >= errors[2]
+
+
+class TestRandomWorlds:
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([4, 5]),
+        hidden=st.lists(st.tuples(st.sampled_from([4, 6]), st.sampled_from(["sigmoid", "relu"])),
+                        max_size=2),
+        slot_count=st.sampled_from([256, 1024, 2048]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_noise_off_tables_equal_nssv(self, n, hidden, slot_count, seed):
+        d, c = 8, 3
+        sizes = [d, *(width for width, _ in hidden), c]
+        acts = [act for _, act in hidden] + ["identity"]
+        arch = [LayerSpec("fully-connected", sizes[l], sizes[l + 1], acts[l])
+                for l in range(len(acts))]
+        parts, history = small_world(n=n, test_m=60, train_m=120, d=d, c=c, arch=arch,
+                                     rounds=1, seed=seed)
+        truth = [r.utilities for r in run_nssv(history, parts).rounds]
+        he = HEParams(slot_count=slot_count, noise_stddev=0.0)
+        reports = [
+            run_hesv(history, parts, he, seed=seed),
+            run_secsv(history, parts, he, FieldParams(), skip=False, seed=seed),
+            run_secsv(history, parts, he, FieldParams(), skip=True, seed=seed),
+        ]
+        for report in reports:
+            assert [r.utilities for r in report.rounds] == truth, report.protocol
 
 
 class TestCostDominance:
