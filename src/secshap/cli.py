@@ -42,7 +42,7 @@ from .models import arch_cnn_like, arch_logistic, arch_mlp
 from .protocols import run_hesv, run_nssv, run_secretsv, run_secsv
 from .report import ContributionReport, report_to_json
 from .sharing import DEFAULT_PRIME, FieldParams
-from .shapley import fsv_error, permutation_sampling_ssv, fsv_aggregate, ssv_exact
+from .shapley import fsv_error, permutation_sampling_ssv, fsv_aggregate
 
 CONFIG_VERSION = 1
 KNOWN_PROTOCOLS = ("nssv", "hesv", "secsv", "secretsv")
@@ -266,7 +266,7 @@ def cmd_run(args) -> int:
 
 def bench_shape(d_out: int, d_in: int, slot_count: int, weights: CostWeights) -> list[dict]:
     """Meter both kernels on one shape, full (encrypted batch) and half modes."""
-    from .hebackend import CostMeter, generate_keypair
+    from .hebackend import generate_keypair
 
     rows = []
     keys = generate_keypair(f"bench-{d_out}x{d_in}")

@@ -22,7 +22,6 @@ from .models import (
     apportioned_weights,
     aggregate,
     quantize_model,
-    with_ones_row,
 )
 
 __all__ = [

@@ -16,8 +16,10 @@ actual security.  What it does provide, exactly, is
 
 Two slot domains exist.  Real payloads use float64 slots and receive
 noise.  Exact integer payloads (field elements from the secret-sharing
-layer) use object-dtype slots holding Python ints; they are computed
-exactly, since sub-integer noise would be lost to rounding anyway.
+layer, uint64 arrays for the default prime) are held as Python ints in
+object-dtype slots, because a slot product of two field elements
+outgrows 64 bits; they are computed exactly, since sub-integer noise
+would be lost to rounding anyway.
 """
 
 from __future__ import annotations

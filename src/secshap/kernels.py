@@ -307,6 +307,18 @@ def squaring_decrypt(
 # -- reducing kernel --------------------------------------------------------
 
 
+def _slot_operand(a: Matrix | np.ndarray) -> tuple[np.ndarray, bool]:
+    """The operand as an array, and whether it takes exact integer slots.
+
+    Any integer dtype (field elements: uint64 or Python-int shares) is
+    exact and becomes Python ints, since slot products outgrow 64 bits.
+    """
+    arr = a.data if isinstance(a, Matrix) else np.asarray(a)
+    if arr.dtype.kind in "iuO":
+        return np.asarray(arr, dtype=object), True
+    return arr, False
+
+
 def _reducing_model_views(a: np.ndarray, width: int):
     d_out, d_in = a.shape
     j = np.arange(d_out)[:, None]
@@ -334,13 +346,13 @@ def reducing_prepare_model(
 
     Batch-independent: the o-th ciphertext holds A[j, (j+k+o) mod d_in]
     for every column k, so one preparation serves all batches up to the
-    width.  Accepts a real Matrix or an exact integer (field) array.
+    width.  Accepts a real Matrix or an exact integer (field) array of
+    any integer dtype.
     """
-    arr = a.data if isinstance(a, Matrix) else np.asarray(a)
+    arr, integer = _slot_operand(a)
     if arr.shape != (plan.d_out, plan.d_in):
         raise PlanError(f"model shape {arr.shape} does not match plan")
     width = plan.m if width is None else width
-    integer = arr.dtype == object
     out = []
     for view in _reducing_model_views(arr, width):
         if integer:
@@ -363,11 +375,10 @@ def reducing_prepare_batch(
     Plain slot arrays by default (the shares are plaintext at the
     servers); encrypted when both operands must be hidden.
     """
-    arr = b.data if isinstance(b, Matrix) else np.asarray(b)
+    arr, integer = _slot_operand(b)
     if arr.shape[0] != plan.d_in or arr.shape[1] > plan.m:
         raise PlanError(f"batch shape {arr.shape} does not match plan")
     width = plan.m if width is None else width
-    integer = arr.dtype == object
     n = ctx.params.slot_count
     out = []
     for view in _reducing_batch_views(arr, plan.d_out):

@@ -59,9 +59,9 @@ def payload_bytes(payload, he_params: HEParams, field: FieldParams | None = None
     if isinstance(payload, LabelVector):
         return len(payload) * 8
     if isinstance(payload, np.ndarray):
-        if payload.dtype == object:
-            elem = field_element_bytes(field) if field is not None else 8
-            return payload.size * elem
+        # integer arrays are field elements: their wire size never depends on the dtype
+        if payload.dtype.kind in "iuO" and field is not None:
+            return payload.size * field_element_bytes(field)
         return payload.size * payload.itemsize
     if isinstance(payload, (int, float, np.integer, np.floating)):
         return 8

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random as _random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -73,6 +72,9 @@ from .sharing import (
     _truncate_shares,
     encode,
     encode_matrix,
+    field_ops,
+    mask_rng,
+    reconstruct_int,
     share_matmul,
     split_matrix,
 )
@@ -485,21 +487,14 @@ def _share_test_data(test_sets, field: FieldParams, router: Router, rng) -> _Sha
 
 
 def _decode_signed_block(raw, field: FieldParams, scale_bits: int, rows: int, cols: int) -> Matrix:
-    """Field elements back to signed reals, guarding against wraparound."""
-    p = field.prime
-    half = p // 2
-    guard = p // 4
-    scale = float(1 << scale_bits)
-    out = np.empty(rows * cols)
-    for idx in range(rows * cols):
-        e = int(raw[idx]) % p
-        signed = e - p if e > half else e
-        if abs(signed) > guard:
-            raise ProtocolError(
-                "fixed-point overflow: intermediate value too large for the field"
-            )
-        out[idx] = signed / scale
-    return Matrix(out.reshape(rows, cols))
+    """Integers (any size) mod p back to signed reals, guarding against wraparound."""
+    signed = field_ops(field).signed(np.asarray(raw).reshape(-1)[: rows * cols])
+    if np.any(np.abs(signed) > field.prime // 4):
+        raise ProtocolError(
+            "fixed-point overflow: intermediate value too large for the field"
+        )
+    return Matrix(np.asarray(signed / float(1 << scale_bits), dtype=np.float64)
+                  .reshape(rows, cols))
 
 
 def _split_and_distribute(router, field, owner_name, secret: Matrix, rng):
@@ -512,10 +507,11 @@ def _split_and_distribute(router, field, owner_name, secret: Matrix, rng):
 def _shared_label_check(router, field, y_sh: SharePair, shared: _SharedData, cols,
                         batch_ids) -> set:
     """Servers compare predicted-label shares with truth shares; P learns ids."""
+    ops = field_ops(field)
     p = field.prime
-    tilde_a = (y_sh.s_dprime[0] - shared.y_dprime[cols]) % p
+    tilde_a = ops.reduce(y_sh.s_dprime[0] + (p - shared.y_dprime[cols]))
     router.send(SERVER_A, SERVER_P, tilde_a)
-    diff = (y_sh.s_prime[0] - shared.y_prime[cols] + tilde_a) % p
+    diff = ops.reduce(y_sh.s_prime[0] + (p - shared.y_prime[cols]) + tilde_a)
     gaps = _decode_signed_block(diff, field, field.frac_bits, 1, len(batch_ids)).data[0]
     return {sid for sid, gap in zip(batch_ids, gaps) if abs(gap) < TOLERANCE}
 
@@ -619,9 +615,7 @@ def run_secsv(
     leader = int(np.random.default_rng(seed).integers(n))
     keys = _distribute_keys(router, f"secsv-{seed}", leader, clients, [SERVER_P, SERVER_A])
 
-    shared = _share_test_data(
-        test_sets, field, router, _random.Random(f"secsv-{seed}-data")
-    )
+    shared = _share_test_data(test_sets, field, router, mask_rng(f"secsv-{seed}-data"))
     total = shared.total
 
     slot_count = he_params.slot_count
@@ -641,7 +635,8 @@ def run_secsv(
         def upload_model(owner_name, model, store_key):
             enc_layers = []
             for l in range(num_layers):
-                enc = encode_matrix(model.params[l], field)
+                # Python ints: the HE slot products below outgrow 64 bits
+                enc = encode_matrix(model.params[l], field).astype(object)
                 cts = reducing_prepare_model(enc, plans[l], ctx, keys.public, width=m_cap)
                 round_router.send(owner_name, SERVER_P, cts)
                 round_router.send(owner_name, SERVER_A, cts)
@@ -700,7 +695,7 @@ def run_secsv(
 
         report, actors = _two_server_round(
             record, shared, m_cap, n, level, field, round_router,
-            _random.Random(f"secsv-{seed}-round-{record.round_index}"),
+            mask_rng(f"secsv-{seed}-round-{record.round_index}"),
             aggregated_cts, linear, skip,
         )
         return report, meter, actors
@@ -745,19 +740,17 @@ def run_secretsv(
     router = _new_router(setup_meter, HEParams(), field, clients,
                          two_servers=True, with_dealer=True)
     leader = int(np.random.default_rng(seed).integers(n))
-    shared = _share_test_data(
-        test_sets, field, router, _random.Random(f"secretsv-{seed}-data")
-    )
+    shared = _share_test_data(test_sets, field, router, mask_rng(f"secretsv-{seed}-data"))
     total = shared.total
     m_cap = min(batch_capacity, total)
-    p = field.prime
+    ops = field_ops(field)
     per_round_budget = None if triple_budget is None else triple_budget // len(rounds)
 
     def eval_round(record: RoundModels):
         meter = CostMeter()
         round_router = _new_router(meter, HEParams(), field, clients,
                                    two_servers=True, with_dealer=True)
-        share_rng = _random.Random(f"secretsv-{seed}-round-{record.round_index}")
+        share_rng = mask_rng(f"secretsv-{seed}-round-{record.round_index}")
         supply = TripleSupply(
             replace(field, seed=_round_seed(field.seed ^ seed, record.round_index)),
             budget=per_round_budget,
@@ -785,8 +778,11 @@ def run_secretsv(
             w_enc = {i: encode(w[i], field) for i in members}
             out = []
             for l in range(num_layers):
-                zp = sum(w_enc[i] * model_shares[i][l].s_prime for i in members) % p
-                za = sum(w_enc[i] * model_shares[i][l].s_dprime for i in members) % p
+                zp = za = 0
+                for i in members:
+                    share = model_shares[i][l]
+                    zp = ops.reduce(zp + ops.mul(w_enc[i], share.s_prime))
+                    za = ops.reduce(za + ops.mul(w_enc[i], share.s_dprime))
                 out.append(_truncate_shares(SharePair(zp, za), field))
             return out
 
@@ -794,8 +790,8 @@ def run_secretsv(
             out = share_matmul(theta[l], x, supply, field, meter=meter)
             round_router.send(SERVER_P, receiver, out.s_prime)
             round_router.send(SERVER_A, receiver, out.s_dprime)
-            recon = (out.s_prime + out.s_dprime) % p
-            return _decode_signed_block(recon.reshape(-1), field, field.frac_bits, *recon.shape)
+            recon = reconstruct_int(out, field)
+            return _decode_signed_block(recon, field, field.frac_bits, *recon.shape)
 
         report, actors = _two_server_round(
             record, shared, m_cap, n, level, field, round_router, share_rng,

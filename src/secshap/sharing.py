@@ -1,17 +1,23 @@
 """Two-party additive secret sharing over Z_p with a fixed-point codec.
 
 A real secret x is encoded as round(x * 2**frac_bits) mod p and split
-into two uniformly-masked shares held by the two servers.  Share arrays
-are numpy object arrays of Python ints, so arithmetic is exact at any
-prime size.  Multiplication of shared matrices uses dealer-provided
-Beaver triples followed by the usual local truncation, which can be off
-by one unit in the last fixed-point bit.
+into two uniformly-masked shares held by the two servers.
+Multiplication of shared matrices uses dealer-provided Beaver triples
+followed by the usual local truncation, which can be off by one unit in
+the last fixed-point bit.
+
+Share arrays are uint64 for the default prime p = 2**61 - 1: masks and
+triples come from one ``Generator.integers`` call per array, sums reduce
+with the Mersenne fold (x & p) + (x >> 61), and matrix products split
+each operand into 21-bit limbs so that float64 matrix products stay
+exact.  Every other prime keeps object arrays of Python ints, exact at
+any size.  ``field_ops`` is the one place that picks between the two.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +35,8 @@ __all__ = [
     "decode",
     "encode_matrix",
     "decode_matrix",
+    "field_ops",
+    "mask_rng",
     "split",
     "split_int",
     "split_matrix",
@@ -108,7 +116,8 @@ def field_element_bytes(field: FieldParams) -> int:
 class SharePair:
     """Additive shares: s_prime at server P, s_dprime at server A.
 
-    Each half is either a Python int or an object ndarray of ints.
+    Each half is either a Python int or an ndarray of field elements
+    (dtype ``field_ops(field).dtype``).
     """
 
     s_prime: object
@@ -126,6 +135,139 @@ class BeaverTriple:
     u: SharePair
     v: SharePair
     w: SharePair
+
+
+# -- field arithmetic on arrays -----------------------------------------------
+
+_LIMB_BITS = 21
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+_MAX_INNER = 1 << 11  # 2^11 products of two 21-bit limbs sum below 2^53
+
+
+class _Mersenne61:
+    """uint64 arrays modulo p = 2**61 - 1, where 2**61 = 1 (mod p)."""
+
+    dtype = np.uint64
+    p = DEFAULT_PRIME
+
+    def random(self, gen: np.random.Generator, shape) -> np.ndarray:
+        return gen.integers(0, self.p, size=shape, dtype=np.uint64)
+
+    def reduce(self, x: np.ndarray) -> np.ndarray:
+        """Canonical residues of uint64 values."""
+        x = (x & self.p) + (x >> 61)
+        return np.where(x >= self.p, x - self.p, x)
+
+    def _rotate(self, x: np.ndarray, k: int) -> np.ndarray:
+        """x * 2**k mod p for x < 2**61: a 61-bit rotation."""
+        return ((x << k) & self.p) | (x >> (61 - k))
+
+    def mul(self, a, b) -> np.ndarray:
+        """Entrywise product (broadcasting) from 32-bit halves."""
+        a = np.asarray(a, dtype=np.uint64)
+        b = np.asarray(b, dtype=np.uint64)
+        a_hi, a_lo = a >> 32, a & 0xFFFFFFFF
+        b_hi, b_lo = b >> 32, b & 0xFFFFFFFF
+        mid = a_hi * b_lo + a_lo * b_hi  # < 2^62
+        lo = a_lo * b_lo  # < 2^64
+        # a*b = hi*2^64 + mid*2^32 + lo, and 2^64 = 8, 2^61 = 1 (mod p)
+        return self.reduce(
+            ((a_hi * b_hi) << 3)
+            + (mid >> 29) + ((mid & ((1 << 29) - 1)) << 32)
+            + (lo & self.p) + (lo >> 61)
+        )
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint64)
+        for k in range(0, a.shape[1], _MAX_INNER):
+            out = self.reduce(out + self._matmul_chunk(a[:, k:k + _MAX_INNER],
+                                                       b[k:k + _MAX_INNER]))
+        return out
+
+    def _matmul_chunk(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Exact product for inner width <= 2^11: one float64 matmul of limbs.
+
+        With a = sum_i a_i 2^(21 i) and b = sum_j b_j 2^(21 j), block
+        (i, j) of the stacked product is a_i @ b_j, and the coefficient of
+        2^(21 s) sums the blocks with i + j = s.
+        """
+        r, c = a.shape[0], b.shape[1]
+        shifts = range(0, 3 * _LIMB_BITS, _LIMB_BITS)
+        limbs_a = np.vstack([(a >> s) & _LIMB_MASK for s in shifts]).astype(np.float64)
+        limbs_b = np.hstack([(b >> s) & _LIMB_MASK for s in shifts]).astype(np.float64)
+        blocks = (limbs_a @ limbs_b).astype(np.uint64).reshape(3, r, 3, c)
+        coeff = [sum(blocks[i, :, s - i] for i in range(3) if 0 <= s - i < 3)
+                 for s in range(5)]  # each < 3 * 2^53
+        # 2^(21 s) mod p for s = 0..4 is 2^0, 2^21, 2^42, 2^2, 2^23
+        return self.reduce(coeff[0] + self._rotate(coeff[1], 21) + self._rotate(coeff[2], 42)
+                           + self._rotate(coeff[3], 2) + self._rotate(coeff[4], 23))
+
+    def from_rounded(self, scaled: np.ndarray) -> np.ndarray:
+        """Field elements of integer-valued floats below 2^63 in magnitude."""
+        return (scaled.astype(np.int64) % self.p).astype(np.uint64)
+
+    def signed(self, x) -> np.ndarray:
+        """Representatives in (-p/2, p/2] of any integer array, as int64."""
+        e = (np.asarray(x) % self.p).astype(np.int64)
+        return np.where(e > self.p // 2, e - self.p, e)
+
+
+class _PythonInts:
+    """Object arrays of Python ints modulo any prime."""
+
+    dtype = object
+
+    def __init__(self, prime: int):
+        self.p = prime
+
+    def random(self, gen: np.random.Generator, shape) -> np.ndarray:
+        # 64 spare bits keep the bias of the final reduction below 2^-64
+        acc = np.zeros(shape, dtype=object)
+        for _ in range(-(-(self.p.bit_length() + 64) // 64)):
+            word = gen.integers(0, 1 << 64, size=shape, dtype=np.uint64)
+            acc = (acc << 64) | word.astype(object)
+        return acc % self.p
+
+    def reduce(self, x: np.ndarray) -> np.ndarray:
+        return x % self.p
+
+    def mul(self, a, b) -> np.ndarray:
+        return (a * b) % self.p
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return (a @ b) % self.p
+
+    def from_rounded(self, scaled: np.ndarray) -> np.ndarray:
+        ints = np.array([int(v) for v in scaled.reshape(-1)], dtype=object)
+        return ints.reshape(scaled.shape) % self.p
+
+    def signed(self, x) -> np.ndarray:
+        e = np.asarray(x, dtype=object) % self.p
+        return np.where(e > self.p // 2, e - self.p, e)
+
+
+_M61 = _Mersenne61()
+
+
+def field_ops(field: FieldParams):
+    """Array arithmetic of the field: uint64 for 2**61 - 1, Python ints otherwise.
+
+    Ops: ``random(gen, shape)``, ``reduce`` (sums of canonical elements),
+    ``mul`` (entrywise), ``matmul``, ``from_rounded`` (integer-valued
+    floats) and ``signed``; ``dtype`` is the element dtype.
+    """
+    return _M61 if field.prime == DEFAULT_PRIME else _PythonInts(field.prime)
+
+
+def mask_rng(seed: int | str) -> np.random.Generator:
+    """A mask stream for ``split_matrix``, seeded by any int or string."""
+    return _generator(random.Random(seed))
+
+
+def _generator(rng: np.random.Generator | random.Random) -> np.random.Generator:
+    if isinstance(rng, np.random.Generator):
+        return rng
+    return np.random.default_rng(rng.getrandbits(64))
 
 
 # -- codec ---------------------------------------------------------------
@@ -152,16 +294,21 @@ def decode(e: int, field: FieldParams, scale_bits: int | None = None) -> float:
 
 
 def encode_matrix(m: Matrix, field: FieldParams) -> np.ndarray:
-    out = np.empty(m.shape, dtype=object)
-    for j in range(m.rows):
-        for k in range(m.cols):
-            out[j, k] = encode(m.data[j, k], field)
-    return out
+    data = m.data
+    bad = ~np.isfinite(data)
+    if bad.any():
+        raise CodecError(f"cannot encode non-finite value {data[bad][0]}")
+    bound = field.secret_bound()
+    big = np.abs(data) >= bound
+    if big.any():
+        raise CodecError(f"|{data[big][0]}| exceeds codec range {bound}")
+    return field_ops(field).from_rounded(np.round(data * float(1 << field.frac_bits)))
 
 
 def decode_matrix(arr: np.ndarray, field: FieldParams, scale_bits: int | None = None) -> Matrix:
-    flat = [decode(int(v), field, scale_bits) for v in np.asarray(arr, dtype=object).reshape(-1)]
-    return Matrix.from_flat(flat, arr.shape[0], arr.shape[1])
+    scale = field.frac_bits if scale_bits is None else scale_bits
+    signed = field_ops(field).signed(arr)
+    return Matrix(np.asarray(signed / float(1 << scale), dtype=np.float64))
 
 
 # -- splitting and reconstruction -----------------------------------------
@@ -176,20 +323,18 @@ def split(secret: float, field: FieldParams, rng: random.Random) -> SharePair:
     return split_int(encode(secret, field), field, rng)
 
 
-def split_matrix(m: Matrix | np.ndarray, field: FieldParams, rng: random.Random) -> SharePair:
-    """Share a real matrix (or an already-encoded object array)."""
-    enc = encode_matrix(m, field) if isinstance(m, Matrix) else np.asarray(m, dtype=object)
-    prime = field.prime
-    mask = np.empty(enc.shape, dtype=object)
-    rest = np.empty(enc.shape, dtype=object)
-    flat_enc = enc.reshape(-1)
-    flat_mask = mask.reshape(-1)
-    flat_rest = rest.reshape(-1)
-    for i in range(flat_enc.size):
-        r = rng.randrange(prime)
-        flat_mask[i] = r
-        flat_rest[i] = (int(flat_enc[i]) - r) % prime
-    return SharePair(mask, rest)
+def split_matrix(
+    m: Matrix | np.ndarray, field: FieldParams, rng: np.random.Generator | random.Random
+) -> SharePair:
+    """Share a real matrix (or an array of already-encoded field elements).
+
+    Masks come from ``rng``, a numpy Generator; a ``random.Random``
+    seeds a fresh Generator per call.
+    """
+    ops = field_ops(field)
+    enc = encode_matrix(m, field) if isinstance(m, Matrix) else np.asarray(m, dtype=ops.dtype)
+    mask = ops.random(_generator(rng), enc.shape)
+    return SharePair(mask, ops.reduce(enc + (field.prime - mask)))
 
 
 def reconstruct_int(pair: SharePair, field: FieldParams):
@@ -226,14 +371,7 @@ class TripleSupply:
         self.budget = budget
         self.used = 0
         self.on_bytes = on_bytes
-        self._rng = random.Random(field.seed ^ 0x5EED)
-
-    def _rand_array(self, shape) -> np.ndarray:
-        out = np.empty(shape, dtype=object)
-        flat = out.reshape(-1)
-        for i in range(flat.size):
-            flat[i] = self._rng.randrange(self.field.prime)
-        return out
+        self._rng = mask_rng(field.seed ^ 0x5EED)
 
     def take(self, shape_a: tuple[int, int], shape_b: tuple[int, int]) -> BeaverTriple:
         if shape_a[1] != shape_b[0]:
@@ -244,12 +382,11 @@ class TripleSupply:
                 f"triple budget exhausted: need {cost}, have {self.budget - self.used}"
             )
         self.used += cost
-        u = self._rand_array(shape_a)
-        v = self._rand_array(shape_b)
-        w = (u @ v) % self.field.prime
-        triple = BeaverTriple(
-            self._split_array(u), self._split_array(v), self._split_array(w)
-        )
+        ops = field_ops(self.field)
+        u = ops.random(self._rng, shape_a)
+        v = ops.random(self._rng, shape_b)
+        w = ops.matmul(u, v)
+        triple = BeaverTriple(*(split_matrix(x, self.field, self._rng) for x in (u, v, w)))
         if self.on_bytes is not None:
             elem = field_element_bytes(self.field)
             per_server = (u.size + v.size + w.size) * elem
@@ -257,25 +394,12 @@ class TripleSupply:
             self.on_bytes("server_a", per_server)
         return triple
 
-    def _split_array(self, arr: np.ndarray) -> SharePair:
-        return split_matrix(arr, self.field, self._rng)
-
 
 def _truncate_shares(pair: SharePair, field: FieldParams) -> SharePair:
     """Local truncation by 2**frac_bits after a product (off-by-one possible)."""
     p = field.prime
     shift = field.frac_bits
-    t_prime = pair.s_prime >> shift if isinstance(pair.s_prime, int) else np.array(
-        [int(v) >> shift for v in pair.s_prime.reshape(-1)], dtype=object
-    ).reshape(pair.s_prime.shape)
-    if isinstance(pair.s_dprime, int):
-        t_dprime = (p - ((p - pair.s_dprime) >> shift)) % p
-    else:
-        t_dprime = np.array(
-            [(p - ((p - int(v)) >> shift)) % p for v in pair.s_dprime.reshape(-1)],
-            dtype=object,
-        ).reshape(pair.s_dprime.shape)
-    return SharePair(t_prime, t_dprime)
+    return SharePair(pair.s_prime >> shift, (p - ((p - pair.s_dprime) >> shift)) % p)
 
 
 def share_matmul(
@@ -296,22 +420,28 @@ def share_matmul(
     shape_b = b.s_prime.shape
     if shape_a[1] != shape_b[0]:
         raise ShapeError(f"cannot multiply shared {shape_a} by {shape_b}")
+    ops = field_ops(field)
     p = field.prime
     triple = supply.take(shape_a, shape_b)
 
     # each server locally masks, then the differences are opened
-    e_prime = (a.s_prime - triple.u.s_prime) % p
-    f_prime = (b.s_prime - triple.v.s_prime) % p
-    e_dprime = (a.s_dprime - triple.u.s_dprime) % p
-    f_dprime = (b.s_dprime - triple.v.s_dprime) % p
-    e = (e_prime + e_dprime) % p
-    f = (f_prime + f_dprime) % p
+    e_prime = ops.reduce(a.s_prime + (p - triple.u.s_prime))
+    f_prime = ops.reduce(b.s_prime + (p - triple.v.s_prime))
+    e_dprime = ops.reduce(a.s_dprime + (p - triple.u.s_dprime))
+    f_dprime = ops.reduce(b.s_dprime + (p - triple.v.s_dprime))
+    e = ops.reduce(e_prime + e_dprime)
+    f = ops.reduce(f_prime + f_dprime)
     if meter is not None:
         elem = field_element_bytes(field)
         opened = (e.size + f.size) * elem
         meter.record_bytes(parties[0], parties[1], opened)
         meter.record_bytes(parties[1], parties[0], opened)
 
-    z_prime = (e @ f + triple.u.s_prime @ f + e @ triple.v.s_prime + triple.w.s_prime) % p
-    z_dprime = (triple.u.s_dprime @ f + e @ triple.v.s_dprime + triple.w.s_dprime) % p
+    # z' = e@f + u'@f + e@v' + w' at P and z'' = u''@f + e@v'' + w'' at A,
+    # from two stacked products
+    r, c = shape_a[0], shape_b[1]
+    by_f = ops.matmul(np.vstack([e, triple.u.s_prime, triple.u.s_dprime]), f)
+    by_e = ops.matmul(e, np.hstack([triple.v.s_prime, triple.v.s_dprime]))
+    z_prime = ops.reduce(by_f[:r] + by_f[r:2 * r] + by_e[:, :c] + triple.w.s_prime)
+    z_dprime = ops.reduce(by_f[2 * r:] + by_e[:, c:] + triple.w.s_dprime)
     return _truncate_shares(SharePair(z_prime, z_dprime), field)

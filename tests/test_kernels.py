@@ -251,6 +251,20 @@ class TestReducingKernel:
         got = ct.slots[:12].reshape(2, 6)
         assert all(int(got[i, j]) == int(want[i, j]) for i in range(2) for j in range(6))
 
+    def test_uint64_payload_is_exact(self):
+        # 61-bit field elements as uint64 shares: float slots would drop low bits
+        ctx = HEContext(HEParams(noise_stddev=1e-6))
+        rng = np.random.default_rng(12)
+        p = (1 << 61) - 1
+        a = rng.integers(0, p, size=(2, 4), dtype=np.uint64)
+        b = rng.integers(0, p, size=(4, 6), dtype=np.uint64)
+        plan = plan_reducing(2, 4, 6, N)
+        model = reducing_prepare_model(a, plan, ctx, KEYS.public)
+        batch = reducing_prepare_batch(b, plan, ctx)
+        ct = reducing_matmul(model, batch, plan, ctx)
+        want = a.astype(object) @ b.astype(object)
+        assert ct.slots[:12].reshape(2, 6).tolist() == want.tolist()
+
 
 class TestNoiseTolerance:
     @pytest.mark.parametrize("shape", [(2, 48), (32, 32)])

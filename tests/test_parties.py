@@ -36,6 +36,12 @@ class TestPayloadBytes:
         arr = np.empty((2, 3), dtype=object)
         arr[:, :] = 1
         assert payload_bytes(arr, self.he, self.field) == 6 * 8  # 61-bit prime -> 8 bytes
+        shares = np.ones((2, 3), dtype=np.uint64)
+        assert payload_bytes(shares, self.he, self.field) == 6 * 8
+        wide = FieldParams(prime=(1 << 89) - 1)
+        assert payload_bytes(arr, self.he, wide) == 6 * 12  # 89-bit prime -> 12 bytes
+        # the wire size follows the field, never the array dtype
+        assert payload_bytes(shares, self.he, wide) == 6 * 12
 
     def test_composites_and_scalars(self):
         keys = generate_keypair("pb2")

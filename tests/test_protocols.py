@@ -19,6 +19,7 @@ from secshap.models import (
     arch_mlp,
     random_model,
 )
+from secshap import protocols
 from secshap.parties import AssignmentError
 from secshap.protocols import (
     ProtocolError,
@@ -182,6 +183,22 @@ class TestSecretsv:
         report = run_secretsv(history, parts, FieldParams(), seed=1)
         assert report.decrypt_actors
         assert all(a.startswith("client_") for a in report.decrypt_actors)
+
+    def test_default_field_runs_on_uint64(self, logistic_world, monkeypatch):
+        # the vectorised field path, not the Python-int one, carries the run
+        parts, history, nssv = logistic_world
+        dtypes = set()
+        real = protocols.share_matmul
+
+        def spy(a, b, supply, field, **kwargs):
+            out = real(a, b, supply, field, **kwargs)
+            dtypes.update(x.dtype for pair in (a, b, out) for x in (pair.s_prime, pair.s_dprime))
+            return out
+
+        monkeypatch.setattr(protocols, "share_matmul", spy)
+        report = run_secretsv(history, parts, FieldParams(), seed=1)
+        assert dtypes == {np.dtype(np.uint64)}
+        assert fsv_error(report.fsv, nssv.fsv) <= 1e-2
 
     def test_triple_exhaustion(self, logistic_world):
         parts, history, _ = logistic_world

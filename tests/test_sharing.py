@@ -2,6 +2,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from secshap.matrix import Matrix, matmul_oracle
 from secshap.sharing import (
@@ -13,6 +16,7 @@ from secshap.sharing import (
     encode,
     encode_matrix,
     field_element_bytes,
+    field_ops,
     reconstruct,
     reconstruct_int,
     reconstruct_matrix,
@@ -180,3 +184,88 @@ class TestLargerField:
         b = split_matrix(Matrix([[2.0], [4.0]]), field, rng)
         out = share_matmul(a, b, supply, field)
         assert abs(reconstruct_matrix(out, field).at(0, 0) - 0.5) <= 2**-28
+
+
+P61 = (1 << 61) - 1
+OPS61 = field_ops(FIELD)
+# edge values first, so every draw can hit 0 and p - 1
+ELEMENTS = st.one_of(st.sampled_from([0, 1, P61 - 1]), st.integers(0, P61 - 1))
+
+
+def _field_array(shape):
+    return hnp.arrays(np.uint64, shape, elements=ELEMENTS)
+
+
+@st.composite
+def _matmul_operands(draw):
+    r, k, c = (draw(st.integers(1, n)) for n in (4, 40, 4))
+    return draw(_field_array((r, k))), draw(_field_array((k, c)))
+
+
+@st.composite
+def _mul_operands(draw):
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=6))
+    return draw(_field_array(shape)), draw(st.one_of(_field_array(shape), ELEMENTS))
+
+
+def _objects(x):
+    return np.asarray(x, dtype=np.uint64).astype(object)
+
+
+class TestMersenne61Ops:
+    """The uint64 fast path against the exact Python-int reference."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_matmul_operands())
+    def test_matmul_matches_object_reference(self, operands):
+        a, b = operands
+        got = OPS61.matmul(a, b)
+        assert got.dtype == np.uint64
+        assert got.tolist() == ((_objects(a) @ _objects(b)) % P61).tolist()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_mul_operands())
+    def test_entrywise_product_matches_object_reference(self, operands):
+        a, b = operands
+        got = OPS61.mul(a, b)
+        assert got.dtype == np.uint64
+        assert got.tolist() == ((_objects(a) * _objects(b)) % P61).tolist()
+
+    @pytest.mark.parametrize("fill", ["max", "random"])
+    def test_matmul_beyond_one_chunk(self, fill):
+        # 2^11 + 3 inner terms: one float64 limb product would pass 2^53
+        k = (1 << 11) + 3
+        if fill == "max":
+            a = np.full((2, k), P61 - 1, dtype=np.uint64)
+            b = np.full((k, 3), P61 - 1, dtype=np.uint64)
+        else:
+            g = np.random.default_rng(21)
+            a = g.integers(0, P61, size=(2, k), dtype=np.uint64)
+            b = g.integers(0, P61, size=(k, 3), dtype=np.uint64)
+        assert OPS61.matmul(a, b).tolist() == ((_objects(a) @ _objects(b)) % P61).tolist()
+
+    def test_other_primes_keep_python_ints(self):
+        wide = FieldParams(prime=(1 << 89) - 1, frac_bits=30)
+        assert field_ops(FIELD).dtype == np.uint64
+        assert field_ops(wide).dtype == object
+        draws = field_ops(wide).random(np.random.default_rng(1), (64,))
+        assert all(0 <= int(v) < wide.prime for v in draws)
+        assert max(int(v) for v in draws).bit_length() > 64
+
+
+class TestDefaultFieldIsUint64:
+    def test_split_matrix_reconstructs_exactly(self):
+        m = Matrix(np.random.default_rng(5).uniform(-4, 4, size=(3, 7)))
+        enc = encode_matrix(m, FIELD)
+        pair = split_matrix(m, FIELD, np.random.default_rng(5))
+        assert enc.dtype == pair.s_prime.dtype == pair.s_dprime.dtype == np.uint64
+        assert reconstruct_int(pair, FIELD).tolist() == enc.tolist()
+        assert enc.tolist() == [[encode(x, FIELD) for x in row] for row in m.data]
+
+    def test_triples_are_uint64_and_consistent(self):
+        triple = TripleSupply(FIELD).take((2, 3), (3, 4))
+        halves = [getattr(t, h) for t in (triple.u, triple.v, triple.w)
+                  for h in ("s_prime", "s_dprime")]
+        assert all(x.dtype == np.uint64 for x in halves)
+        u, v, w = (_objects(reconstruct_int(t, FIELD)) for t in (triple.u, triple.v, triple.w))
+        assert w.tolist() == ((u @ v) % P61).tolist()
