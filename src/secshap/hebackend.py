@@ -16,10 +16,12 @@ actual security.  What it does provide, exactly, is
 
 Two slot domains exist.  Real payloads use float64 slots and receive
 noise.  Exact integer payloads (field elements from the secret-sharing
-layer, uint64 arrays for the default prime) are held as Python ints in
-object-dtype slots, because a slot product of two field elements
-outgrows 64 bits; they are computed exactly, since sub-integer noise
-would be lost to rounding anyway.
+layer) live modulo a plaintext modulus, as in an integer scheme such as
+BFV: the context's ``FieldParams`` prime.  Their slots hold elements of
+that field in the representation ``sharing.field_ops`` picks (uint64
+for the default prime), every product and sum is reduced mod p, and
+they are computed exactly, since sub-integer noise would be lost to
+rounding anyway.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .matrix import Matrix
+from .sharing import FieldParams, field_ops
 
 __all__ = [
     "HEParams",
@@ -217,19 +220,22 @@ class HEContext:
     """Holds parameters, the meter, and the noise source for one run.
 
     All homomorphic operations go through a context so that metering is
-    exact and noise is reproducible from the seed.
+    exact and noise is reproducible from the seed.  ``field`` sets the
+    plaintext modulus of integer slots.
     """
 
-    def __init__(self, params: HEParams, meter: CostMeter | None = None):
+    def __init__(self, params: HEParams, meter: CostMeter | None = None,
+                 field: FieldParams | None = None):
         self.params = params
         self.meter = meter if meter is not None else CostMeter()
+        self._ops = field_ops(field or FieldParams())
         self._noise_rng = np.random.default_rng(params.seed)
         self.decrypt_log: list[str] = []  # actor names, for role audits
 
     # -- noise ---------------------------------------------------------
 
     def _noisy(self, slots: np.ndarray) -> np.ndarray:
-        if self.params.noise_stddev == 0.0 or slots.dtype == object:
+        if self.params.noise_stddev == 0.0 or slots.dtype != np.float64:
             return slots
         sigma = self.params.noise_stddev
         noise = self._noise_rng.normal(0.0, sigma, size=slots.shape)
@@ -249,46 +255,28 @@ class HEContext:
 
     # -- encryption -----------------------------------------------------
 
-    def _slot_vector(self, chunk: np.ndarray, integer: bool) -> np.ndarray:
-        if integer:
-            slots = np.zeros(self.params.slot_count, dtype=object)
-            slots[:] = 0
-        else:
-            slots = np.zeros(self.params.slot_count, dtype=np.float64)
-        slots[: chunk.size] = chunk
+    def encode_slots(self, values, integer: bool = False) -> np.ndarray:
+        """Plaintext slot vector (zero padded): reals, or field elements mod p."""
+        flat = np.asarray(values, dtype=self._ops.dtype if integer else np.float64).reshape(-1)
+        if flat.size > self.params.slot_count:
+            raise BackendError(
+                f"{flat.size} values exceed {self.params.slot_count} slots"
+            )
+        slots = np.zeros(self.params.slot_count, dtype=flat.dtype)
+        slots[: flat.size] = flat
         return slots
-
-    def _pack(self, flat: np.ndarray, key: PublicKey, integer: bool) -> list[CipherVector]:
-        n = self.params.slot_count
-        count = max(1, -(-flat.size // n))
-        out = []
-        for i in range(count):
-            slots = self._slot_vector(flat[i * n : (i + 1) * n], integer)
-            self.meter.enc += 1
-            out.append(CipherVector(self._noisy(slots) if not integer else slots, key.key_id))
-        return out
-
-    def encrypt_matrix(self, m: Matrix, key: PublicKey) -> list[CipherVector]:
-        """Row-major scan packed into ceil(rows*cols / N) ciphertexts."""
-        return self._pack(m.row_major(), key, integer=False)
 
     def encrypt_slots(self, values, key: PublicKey) -> CipherVector:
         """Encrypt one ciphertext worth of real values (zero padded)."""
-        flat = np.asarray(values, dtype=np.float64).reshape(-1)
-        if flat.size > self.params.slot_count:
-            raise BackendError(
-                f"{flat.size} values exceed {self.params.slot_count} slots"
-            )
-        return self._pack(flat, key, integer=False)[0]
+        slots = self.encode_slots(values)
+        self.meter.enc += 1
+        return CipherVector(self._noisy(slots), key.key_id)
 
     def encrypt_int_slots(self, values, key: PublicKey) -> CipherVector:
-        """Encrypt exact integers (field elements) into object slots."""
-        flat = np.asarray(values, dtype=object).reshape(-1)
-        if flat.size > self.params.slot_count:
-            raise BackendError(
-                f"{flat.size} values exceed {self.params.slot_count} slots"
-            )
-        return self._pack(flat, key, integer=True)[0]
+        """Encrypt field elements exactly into integer slots."""
+        slots = self.encode_slots(values, integer=True)
+        self.meter.enc += 1
+        return CipherVector(slots, key.key_id)
 
     def fold_int_slots(self, values, key: PublicKey, terms: int, copies: int) -> CipherVector:
         """Ciphertext of a plaintext-weighted sum of ``terms`` integer ciphertexts.
@@ -298,14 +286,10 @@ class HEContext:
         copies*terms c2p multiplications and copies*(terms-1) additions,
         and no encryption.
         """
-        flat = np.asarray(values, dtype=object).reshape(-1)
-        if flat.size > self.params.slot_count:
-            raise BackendError(
-                f"{flat.size} values exceed {self.params.slot_count} slots"
-            )
+        slots = self.encode_slots(values, integer=True)
         self.meter.hmult_c2p += copies * terms
         self.meter.hadd += copies * (terms - 1)
-        return CipherVector(self._slot_vector(flat, integer=True), key.key_id)
+        return CipherVector(slots, key.key_id)
 
     # -- decryption -----------------------------------------------------
 
@@ -320,39 +304,28 @@ class HEContext:
         return ct.slots
 
     def decrypt_matrix(
-        self,
-        cts: Sequence[CipherVector] | CipherVector,
-        shape: tuple[int, int],
-        key: PrivateKey,
+        self, ct: CipherVector, shape: tuple[int, int], key: PrivateKey,
         actor: str | None = None,
     ) -> Matrix:
-        """Unpack ciphertexts back into a rows x cols matrix."""
-        if isinstance(cts, CipherVector):
-            cts = [cts]
+        """Unpack one ciphertext into a rows x cols matrix."""
         rows, cols = shape
-        needed = rows * cols
-        capacity = sum(ct.width for ct in cts)
-        if capacity < needed:
-            raise BackendError(f"{capacity} slots cannot hold shape {shape}")
-        flat = np.concatenate([self._unseal(ct, key, actor) for ct in cts])
-        return Matrix(flat[:needed].astype(np.float64).reshape(rows, cols))
+        if rows * cols > ct.width:
+            raise BackendError(f"{ct.width} slots cannot hold shape {shape}")
+        flat = self._unseal(ct, key, actor)
+        return Matrix(flat[: rows * cols].reshape(rows, cols))
 
     def decrypt_int_slots(
         self, ct: CipherVector, count: int, key: PrivateKey, actor: str | None = None
     ) -> np.ndarray:
         """First ``count`` slots of an exact-integer ciphertext."""
-        slots = self._unseal(ct, key, actor)
-        return np.asarray(slots[:count], dtype=object)
+        return self._unseal(ct, key, actor)[:count]
 
     # -- homomorphic operations ------------------------------------------
 
     def _coerce_plain(self, operand: PlainOperand, like: CipherVector) -> np.ndarray:
         if np.isscalar(operand):
             return np.full(like.width, operand, dtype=like.slots.dtype)
-        arr = np.asarray(operand)
-        if arr.dtype != object and like.slots.dtype != object:
-            arr = arr.astype(np.float64)
-        flat = arr.reshape(-1)
+        flat = np.asarray(operand, dtype=like.slots.dtype).reshape(-1)
         if flat.size > like.width:
             raise BackendError(f"plaintext of {flat.size} values exceeds slot width")
         if flat.size < like.width:
@@ -368,6 +341,8 @@ class HEContext:
         else:
             other = self._coerce_plain(b, a)
         self.meter.hadd += 1
+        if a.slots.dtype != np.float64:
+            return CipherVector(self._ops.reduce(a.slots + other), a.key_id)
         return CipherVector(self._noisy(a.slots + other), a.key_id)
 
     def he_mult(self, a: CipherVector, b: CipherVector | PlainOperand) -> CipherVector:
@@ -378,6 +353,8 @@ class HEContext:
         else:
             other = self._coerce_plain(b, a)
             self.meter.hmult_c2p += 1
+        if a.slots.dtype != np.float64:
+            return CipherVector(self._ops.mul(a.slots, other), a.key_id)
         return CipherVector(self._noisy(a.slots * other), a.key_id)
 
     def he_rotate(self, a: CipherVector, steps: int) -> CipherVector:

@@ -85,8 +85,7 @@ class MatMulPlan:
 
     For squaring, the operands are split into J row blocks times K inner
     blocks of side ``s``; every block's row count is padded to
-    ``d_out_block`` which divides s.  For reducing, ``copies`` copies of
-    A are packed horizontally to cover a batch wider than d_in.
+    ``d_out_block`` which divides s.
     """
 
     method: str
@@ -98,7 +97,6 @@ class MatMulPlan:
     k_blocks: int = 1     # inner splits (K)
     j_blocks: int = 1     # row splits (J)
     d_out_block: int = 0  # padded row count per block (d'_out)
-    copies: int = 1       # reducing: horizontal copies of A
 
     # -- cost laws, used by both the kernels' tests and the bench -------
 
@@ -153,14 +151,7 @@ def plan_reducing(d_out: int, d_in: int, m: int, slot_count: int) -> MatMulPlan:
     cap = reducing_max_batch(d_out, slot_count)
     if m > cap:
         raise PlanError(f"reducing batch {m} exceeds floor(N / d_out) = {cap}")
-    return MatMulPlan(
-        method="reducing",
-        d_out=d_out,
-        d_in=d_in,
-        m=m,
-        slot_count=slot_count,
-        copies=max(1, -(-m // d_in)),
-    )
+    return MatMulPlan(method="reducing", d_out=d_out, d_in=d_in, m=m, slot_count=slot_count)
 
 
 # -- plaintext reference ----------------------------------------------------
@@ -193,11 +184,7 @@ def delta_reference(a_bar: Matrix, b: Matrix) -> Matrix:
 
 def _pack_square(ctx: HEContext, mat: Matrix, key: PublicKey, encrypt: bool):
     flat = mat.row_major()
-    if encrypt:
-        return ctx.encrypt_slots(flat, key)
-    padded = np.zeros(ctx.params.slot_count)
-    padded[: flat.size] = flat
-    return padded
+    return ctx.encrypt_slots(flat, key) if encrypt else ctx.encode_slots(flat)
 
 
 def _squaring_blocks_a(a: Matrix, plan: MatMulPlan):
@@ -308,15 +295,13 @@ def squaring_decrypt(
 
 
 def _slot_operand(a: Matrix | np.ndarray) -> tuple[np.ndarray, bool]:
-    """The operand as an array, and whether it takes exact integer slots.
+    """The operand as an array, and whether it holds field elements.
 
-    Any integer dtype (field elements: uint64 or Python-int shares) is
-    exact and becomes Python ints, since slot products outgrow 64 bits.
+    Any integer dtype (uint64 or Python-int shares) takes the context's
+    exact integer slots, mod its plaintext modulus.
     """
     arr = a.data if isinstance(a, Matrix) else np.asarray(a)
-    if arr.dtype.kind in "iuO":
-        return np.asarray(arr, dtype=object), True
-    return arr, False
+    return arr, arr.dtype.kind in "iuO"
 
 
 def _reducing_model_views(a: np.ndarray, width: int):
@@ -353,13 +338,8 @@ def reducing_prepare_model(
     if arr.shape != (plan.d_out, plan.d_in):
         raise PlanError(f"model shape {arr.shape} does not match plan")
     width = plan.m if width is None else width
-    out = []
-    for view in _reducing_model_views(arr, width):
-        if integer:
-            out.append(ctx.encrypt_int_slots(view, key))
-        else:
-            out.append(ctx.encrypt_slots(view, key))
-    return out
+    encrypt = ctx.encrypt_int_slots if integer else ctx.encrypt_slots
+    return [encrypt(view, key) for view in _reducing_model_views(arr, width)]
 
 
 def reducing_prepare_batch(
@@ -379,23 +359,14 @@ def reducing_prepare_batch(
     if arr.shape[0] != plan.d_in or arr.shape[1] > plan.m:
         raise PlanError(f"batch shape {arr.shape} does not match plan")
     width = plan.m if width is None else width
-    n = ctx.params.slot_count
+    encrypt_view = ctx.encrypt_int_slots if integer else ctx.encrypt_slots
     out = []
     for view in _reducing_batch_views(arr, plan.d_out):
         if view.shape[1] < width:  # align columns with the cached model width
             full = np.zeros((plan.d_out, width), dtype=view.dtype)
             full[:, : view.shape[1]] = view
             view = full
-        if encrypt:
-            if integer:
-                out.append(ctx.encrypt_int_slots(view, key))
-            else:
-                out.append(ctx.encrypt_slots(view, key))
-        else:
-            slots = np.zeros(n, dtype=object if integer else np.float64)
-            flat = view.reshape(-1)
-            slots[: flat.size] = flat
-            out.append(slots)
+        out.append(encrypt_view(view, key) if encrypt else ctx.encode_slots(view, integer))
     return out
 
 

@@ -204,13 +204,6 @@ def concat(m1: Matrix, m2: Matrix | None, axis: str) -> Matrix:
     raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
 
 
-def tile_horizontal(m: Matrix, copies: int) -> Matrix:
-    """(m || m || ... || m), ``copies`` times."""
-    if copies < 1:
-        raise ShapeError("copies must be >= 1")
-    return Matrix(np.tile(m.data, (1, copies)))
-
-
 def tile_vertical(m: Matrix, copies: int) -> Matrix:
     """(m; m; ...; m), ``copies`` times."""
     if copies < 1:

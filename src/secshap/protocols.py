@@ -497,6 +497,14 @@ def _decode_signed_block(raw, field: FieldParams, scale_bits: int, rows: int, co
                   .reshape(rows, cols))
 
 
+def _weighted_sum(ops, terms):
+    """Sum of w * x mod p over (weight, field-element array) pairs."""
+    acc = 0
+    for w, x in terms:
+        acc = ops.reduce(acc + ops.mul(w, x))
+    return acc
+
+
 def _split_and_distribute(router, field, owner_name, secret: Matrix, rng):
     pair = split_matrix(secret, field, rng)
     router.send(owner_name, SERVER_P, pair.s_prime)
@@ -617,6 +625,7 @@ def run_secsv(
 
     shared = _share_test_data(test_sets, field, router, mask_rng(f"secsv-{seed}-data"))
     total = shared.total
+    ops = field_ops(field)
 
     slot_count = he_params.slot_count
     m_cap = min(slot_count // spec.out_size for spec in arch)
@@ -628,15 +637,15 @@ def run_secsv(
 
     def eval_round(record: RoundModels):
         meter = CostMeter()
-        ctx = HEContext(replace(he_params, seed=_round_seed(seed, record.round_index)), meter)
+        ctx = HEContext(replace(he_params, seed=_round_seed(seed, record.round_index)), meter,
+                        field)
         round_router = _new_router(meter, he_params, field, clients, two_servers=True)
         model_enc: dict = {}
 
         def upload_model(owner_name, model, store_key):
             enc_layers = []
             for l in range(num_layers):
-                # Python ints: the HE slot products below outgrow 64 bits
-                enc = encode_matrix(model.params[l], field).astype(object)
+                enc = encode_matrix(model.params[l], field)
                 cts = reducing_prepare_model(enc, plans[l], ctx, keys.public, width=m_cap)
                 round_router.send(owner_name, SERVER_P, cts)
                 round_router.send(owner_name, SERVER_A, cts)
@@ -669,7 +678,7 @@ def run_secsv(
                 ]
             out = []
             for l in range(num_layers):
-                agg = sum(w_enc * enc[l] for w_enc, enc in members_enc)
+                agg = _weighted_sum(ops, [(w_enc, enc[l]) for w_enc, enc in members_enc])
                 out.append([
                     ctx.fold_int_slots(view, keys.public, len(members_enc), copies=2)
                     for view in _reducing_model_views(agg, m_cap)
@@ -778,11 +787,8 @@ def run_secretsv(
             w_enc = {i: encode(w[i], field) for i in members}
             out = []
             for l in range(num_layers):
-                zp = za = 0
-                for i in members:
-                    share = model_shares[i][l]
-                    zp = ops.reduce(zp + ops.mul(w_enc[i], share.s_prime))
-                    za = ops.reduce(za + ops.mul(w_enc[i], share.s_dprime))
+                zp = _weighted_sum(ops, [(w_enc[i], model_shares[i][l].s_prime) for i in members])
+                za = _weighted_sum(ops, [(w_enc[i], model_shares[i][l].s_dprime) for i in members])
                 out.append(_truncate_shares(SharePair(zp, za), field))
             return out
 

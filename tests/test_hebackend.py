@@ -12,6 +12,7 @@ from secshap.hebackend import (
     generate_keypair,
 )
 from secshap.matrix import Matrix
+from secshap.sharing import FieldParams
 
 
 @pytest.fixture
@@ -35,45 +36,54 @@ class TestParams:
             HEParams(noise_stddev=-1.0)
 
 
+P = (1 << 61) - 1  # the default FieldParams prime: the plaintext modulus
+
+
 class TestEncryptDecrypt:
     def test_small_matrix_fits_one_ciphertext(self, ctx, keys):
         m = Matrix([[1, 2, 3], [4, 5, 6]])
-        cts = ctx.encrypt_matrix(m, keys.public)
-        assert len(cts) == 1
-        assert np.array_equal(cts[0].slots[:6], [1, 2, 3, 4, 5, 6])
-        assert np.all(cts[0].slots[6:] == 0)
+        ct = ctx.encrypt_slots(m.row_major(), keys.public)
+        assert np.array_equal(ct.slots[:6], [1, 2, 3, 4, 5, 6])
+        assert np.all(ct.slots[6:] == 0)
         assert ctx.meter.enc == 1
-
-    def test_large_matrix_splits(self, ctx, keys):
-        m = Matrix(np.arange(64 * 64, dtype=float).reshape(64, 64))
-        cts = ctx.encrypt_matrix(m, keys.public)
-        assert len(cts) == 2
-        back = ctx.decrypt_matrix(cts, (64, 64), keys.private)
-        assert back.allclose(m)
 
     def test_round_trip_exact_without_noise(self, ctx, keys):
         m = Matrix(np.random.default_rng(3).normal(size=(5, 7)))
-        back = ctx.decrypt_matrix(ctx.encrypt_matrix(m, keys.public), (5, 7), keys.private)
+        back = ctx.decrypt_matrix(ctx.encrypt_slots(m.row_major(), keys.public), (5, 7),
+                                  keys.private)
         assert back.allclose(m)
         assert ctx.meter.dec == 1
 
     def test_key_mismatch_raises(self, ctx, keys):
         other = generate_keypair("other")
-        ct = ctx.encrypt_matrix(Matrix([[1]]), keys.public)[0]
+        ct = ctx.encrypt_slots([1], keys.public)
         with pytest.raises(KeyMismatchError):
-            ctx.decrypt_matrix([ct], (1, 1), other.private)
+            ctx.decrypt_matrix(ct, (1, 1), other.private)
 
     def test_decrypt_log_records_actor(self, ctx, keys):
-        cts = ctx.encrypt_matrix(Matrix([[1]]), keys.public)
-        ctx.decrypt_matrix(cts, (1, 1), keys.private, actor="client2")
+        ct = ctx.encrypt_slots([1], keys.public)
+        ctx.decrypt_matrix(ct, (1, 1), keys.private, actor="client2")
         assert ctx.decrypt_log == ["client2"]
 
     def test_integer_slots_are_exact(self, ctx, keys):
-        big = [2**100 + 1, 3**50, -(2**80)]
-        ct = ctx.encrypt_int_slots(big, keys.public)
-        back = ctx.decrypt_int_slots(ct, 3, keys.private)
-        assert list(back) == big
+        # slots hold field elements mod the plaintext modulus p, exactly
+        elems = [P - 1, P - 2, 1, 0, (1 << 60) + 12345]
+        ct = ctx.encrypt_int_slots(elems, keys.public)
+        back = ctx.decrypt_int_slots(ct, 5, keys.private)
+        assert back.tolist() == elems
+        prod = ctx.he_mult(ct, np.array(elems[::-1], dtype=np.uint64))
+        total = ctx.he_add(prod, ct)
+        got = ctx.decrypt_int_slots(total, 5, keys.private)
+        assert got.tolist() == [(a * b + a) % P for a, b in zip(elems, elems[::-1])]
 
+    def test_other_primes_keep_python_int_slots(self, keys):
+        wide = FieldParams(prime=(1 << 89) - 1)
+        ctx = HEContext(HEParams(slot_count=8), field=wide)
+        elems = [wide.prime - 1, 1 << 70, 3]
+        ct = ctx.he_mult(ctx.encrypt_int_slots(elems, keys.public), elems)
+        assert ct.slots.dtype == object
+        got = ctx.decrypt_int_slots(ct, 3, keys.private)
+        assert got.tolist() == [a * a % wide.prime for a in elems]
 
 class TestOps:
     def test_mult_by_ones_is_identity_and_metered_c2p(self, ctx, keys):
@@ -98,9 +108,9 @@ class TestOps:
         assert ctx.meter.hmult_c2c == 1
 
     def test_fold_meters_the_parties_folds(self, ctx, keys):
-        folded = [3 * 2**70 + 1, -5]
+        folded = [(3 * 2**70 + 1) % P, P - 5]
         ct = ctx.fold_int_slots(folded, keys.public, terms=3, copies=2)
-        assert list(ctx.decrypt_int_slots(ct, 2, keys.private)) == folded
+        assert ctx.decrypt_int_slots(ct, 2, keys.private).tolist() == folded
         assert ct.key_id == keys.public.key_id and ct.width == 2048
         assert (ctx.meter.hmult_c2p, ctx.meter.hadd, ctx.meter.enc) == (6, 4, 0)
 

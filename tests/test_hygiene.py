@@ -1,8 +1,10 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene, by small ``ast`` scans (neither pyflakes nor ruff is a dependency).
 
-Neither pyflakes nor ruff is a dependency, so this is a small ``ast``
-scan.  ``__init__.py`` is skipped (its imports are re-exports), and so
-is ``from __future__ import annotations``.
+- No module of the package imports a name it never uses.
+  ``__init__.py`` is skipped (its imports are re-exports), and so is
+  ``from __future__ import annotations``.
+- Only ``sharing.py`` names the object dtype: how a field element is
+  represented is decided behind ``sharing.field_ops`` and nowhere else.
 """
 
 import ast
@@ -42,3 +44,49 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def object_dtype_uses(source: str) -> list[str]:
+    """Lines whose call arguments or comparisons name the object dtype.
+
+    That is ``object``, ``np.object_``, ``"O"`` or ``"object"`` anywhere
+    inside an argument or a compared operand; ``object.__setattr__`` and
+    the like name the type, not a dtype, and are not counted.
+    """
+    tree = ast.parse(source)
+    owners = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+    def is_object(node) -> bool:
+        return (isinstance(node, ast.Name) and node.id == "object" and id(node) not in owners
+                or isinstance(node, ast.Attribute) and node.attr == "object_"
+                or isinstance(node, ast.Constant) and node.value in ("O", "object"))
+
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            operands = [*node.args, *(kw.value for kw in node.keywords)]
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        else:
+            continue
+        lines.update(sub.lineno for op in operands for sub in ast.walk(op) if is_object(sub))
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_scan_finds_object_dtypes():
+    source = ("import numpy as np\n"
+              "a = np.zeros(3, dtype=object)\n"
+              "b = a.astype(object)\n"
+              "c = a.dtype == np.object_\n"
+              "d = np.empty(2, dtype='O')\n"
+              "e = np.zeros(2, dtype=object if d.size else float)\n"
+              "object.__setattr__(a, 'x', 1)\n"
+              "f = np.asarray(a, dtype=np.uint64)\n"
+              "g = a.dtype.kind in 'iuO'\n")
+    assert object_dtype_uses(source) == ["line 2", "line 3", "line 4", "line 5", "line 6"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "sharing.py"],
+                         ids=lambda p: p.name)
+def test_object_dtype_only_in_sharing(path):
+    assert object_dtype_uses(path.read_text()) == []

@@ -14,7 +14,6 @@ from secshap.matrix import (
     pad_to,
     quantize,
     submatrix,
-    tile_horizontal,
     tile_vertical,
     transform,
     vconcat,
@@ -168,7 +167,6 @@ class TestConcat:
     def test_horizontal_tiling(self):
         a = Matrix(np.arange(8, dtype=float).reshape(2, 4))
         assert concat(a, a, "horizontal").shape == (2, 8)
-        assert tile_horizontal(a, 2).allclose(hconcat(a, a))
 
     def test_vertical_tiling(self):
         a = Matrix(np.arange(6, dtype=float).reshape(2, 3))

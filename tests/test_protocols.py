@@ -9,7 +9,7 @@ from secshap.federation import (
     fedavg_train,
     make_synthetic_dataset,
 )
-from secshap.hebackend import HEParams
+from secshap.hebackend import HEContext, HEParams
 from secshap.matrix import Matrix
 from secshap.models import (
     LayerSpec,
@@ -159,6 +159,40 @@ class TestSecsv:
         for report in (off, on):
             assert report.decrypt_actors
             assert all(a.startswith("client_") for a in report.decrypt_actors)
+
+    def test_slots_hold_the_fields_representation(self, logistic_world, monkeypatch):
+        # default prime: uint64 from the shares into the HE slots; any
+        # other prime: Python ints, with tables still equal to nssv
+        parts, history, _ = logistic_world
+        dtypes = set()
+        real_mult = HEContext.he_mult
+
+        def spy_mult(self, a, b):
+            out = real_mult(self, a, b)
+            dtypes.update((a.slots.dtype, np.asarray(b).dtype, out.slots.dtype))
+            return out
+
+        def spy_kernel(real):
+            def spy(operand, *args, **kwargs):
+                dtypes.add(np.asarray(operand).dtype)
+                return real(operand, *args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(HEContext, "he_mult", spy_mult)
+        for name in ("reducing_prepare_model", "reducing_prepare_batch"):
+            monkeypatch.setattr(protocols, name, spy_kernel(getattr(protocols, name)))
+        run_secsv(history, parts, HEParams(), FieldParams(), skip=True, seed=1)
+        assert dtypes == {np.dtype(np.uint64)}
+
+        dtypes.clear()
+        deep_parts, deep_history = small_world(n=4, test_m=60, train_m=120, d=8, c=3,
+                                               arch=arch_mlp(8, 3, [6]), rounds=1, seed=3)
+        for world_parts, world_history in ((parts, history), (deep_parts, deep_history)):
+            truth = [r.utilities for r in run_nssv(world_history, world_parts).rounds]
+            wide = run_secsv(world_history, world_parts, HEParams(),
+                             FieldParams((1 << 89) - 1, 22), skip=False, seed=1)
+            assert [r.utilities for r in wide.rounds] == truth
+        assert dtypes == {np.dtype(object)}
 
     def test_grid_coarser_than_codec_rejected(self, logistic_world):
         parts, history, _ = logistic_world
