@@ -103,8 +103,8 @@ class ExperimentConfig:
         n = self.slot_count
         if n < 1 or n & (n - 1):
             errors.append("slot_count: must be a power of two")
-        if self.noise_stddev < 0:
-            errors.append("noise_stddev: must be non-negative")
+        if not (math.isfinite(self.noise_stddev) and self.noise_stddev >= 0):
+            errors.append("noise_stddev: must be finite and non-negative")
         if self.grid_bits < 1 or self.grid_bits > self.frac_bits:
             errors.append("grid_bits: must be in [1, frac_bits]")
         if self.prime.bit_length() < 2 * self.frac_bits + 9:

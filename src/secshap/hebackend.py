@@ -9,12 +9,21 @@ actual security.  What it does provide, exactly, is
   cost laws can be asserted,
 - key-id enforcement so role violations (a server decrypting) become
   testable errors,
-- optional noise injection emulating approximate HE: each operation on
-  real-valued slots adds Gaussian noise clipped to half a standard
-  deviation, which keeps any depth-4 chain on unit-scale values within
-  a 6-sigma envelope.
+- optional noise emulating approximate HE (CKKS).  Every operation on
+  real-valued slots adds fresh noise of variance sigma^2, and each
+  ciphertext tracks the variance it has accumulated in closed form:
+  encryption sigma^2; add v_a + v_b + sigma^2; product with a plaintext
+  b v_a*b^2 + sigma^2; product of two ciphertexts v_a*b^2 + v_b*a^2 +
+  sigma^2; rotation moves the variance with the slots and adds sigma^2.
+  This is the average-case noise heuristic of CKKS (Cheon, Kim, Kim and
+  Song, ASIACRYPT 2017; Costache et al., "On the precision loss in
+  approximate homomorphic encryption", 2022), which drops the products
+  of two noise terms.  The slots themselves stay exact; decryption draws
+  once, slots + sqrt(var) * z with z a standard normal clipped to +-0.5,
+  so every decrypted slot lies within half a tracked standard deviation
+  of the exact value.
 
-Two slot domains exist.  Real payloads use float64 slots and receive
+Two slot domains exist.  Real payloads use float64 slots and carry
 noise.  Exact integer payloads (field elements from the secret-sharing
 layer) live modulo a plaintext modulus, as in an integer scheme such as
 BFV: the context's ``FieldParams`` prime.  Their slots hold elements of
@@ -27,6 +36,7 @@ rounding anyway.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -71,8 +81,10 @@ class HEParams:
         n = self.slot_count
         if n < 1 or (n & (n - 1)) != 0:
             raise BackendError(f"slot_count must be a power of two, got {n}")
-        if self.noise_stddev < 0:
-            raise BackendError("noise_stddev must be non-negative")
+        if not (math.isfinite(self.noise_stddev) and self.noise_stddev >= 0):
+            raise BackendError(
+                f"noise_stddev must be finite and non-negative, got {self.noise_stddev}"
+            )
 
 
 @dataclass(frozen=True)
@@ -101,10 +113,16 @@ def generate_keypair(tag: str | None = None) -> KeyPair:
 
 @dataclass(frozen=True)
 class CipherVector:
-    """One ciphertext: a slot vector bound to a key context."""
+    """One ciphertext: a slot vector bound to a key context.
+
+    ``slots`` hold the exact values.  ``var`` is the per-slot noise
+    variance that decryption adds: a float, an array over the slots, or
+    ``None`` when the ciphertext is exact (integer slots, or no noise).
+    """
 
     slots: np.ndarray
     key_id: str
+    var: float | np.ndarray | None = None
 
     @property
     def width(self) -> int:
@@ -229,18 +247,9 @@ class HEContext:
         self.params = params
         self.meter = meter if meter is not None else CostMeter()
         self._ops = field_ops(field or FieldParams())
+        self._noise_var = params.noise_stddev ** 2  # fresh noise added by each float op
         self._noise_rng = np.random.default_rng(params.seed)
         self.decrypt_log: list[str] = []  # actor names, for role audits
-
-    # -- noise ---------------------------------------------------------
-
-    def _noisy(self, slots: np.ndarray) -> np.ndarray:
-        if self.params.noise_stddev == 0.0 or slots.dtype != np.float64:
-            return slots
-        sigma = self.params.noise_stddev
-        noise = self._noise_rng.normal(0.0, sigma, size=slots.shape)
-        np.clip(noise, -0.5 * sigma, 0.5 * sigma, out=noise)
-        return slots + noise
 
     # -- key plumbing ---------------------------------------------------
 
@@ -270,7 +279,7 @@ class HEContext:
         """Encrypt one ciphertext worth of real values (zero padded)."""
         slots = self.encode_slots(values)
         self.meter.enc += 1
-        return CipherVector(self._noisy(slots), key.key_id)
+        return CipherVector(slots, key.key_id, self._noise_var or None)
 
     def encrypt_int_slots(self, values, key: PublicKey) -> CipherVector:
         """Encrypt field elements exactly into integer slots."""
@@ -293,7 +302,9 @@ class HEContext:
 
     # -- decryption -----------------------------------------------------
 
-    def _unseal(self, ct: CipherVector, key: PrivateKey, actor: str | None) -> np.ndarray:
+    def _unseal(self, ct: CipherVector, count: int, key: PrivateKey,
+                actor: str | None) -> np.ndarray:
+        """The first ``count`` slots, with one clipped noise draw if ``ct`` is noisy."""
         if ct.key_id != key.key_id:
             raise KeyMismatchError(
                 f"private key {key.key_id} cannot decrypt ciphertext under {ct.key_id}"
@@ -301,7 +312,13 @@ class HEContext:
         self.meter.dec += 1
         if actor is not None:
             self.decrypt_log.append(actor)
-        return ct.slots
+        slots = ct.slots[:count]
+        if ct.var is None:
+            return slots
+        z = self._noise_rng.standard_normal(count)
+        np.clip(z, -0.5, 0.5, out=z)
+        var = ct.var[:count] if isinstance(ct.var, np.ndarray) else ct.var
+        return slots + np.sqrt(var) * z
 
     def decrypt_matrix(
         self, ct: CipherVector, shape: tuple[int, int], key: PrivateKey,
@@ -311,19 +328,21 @@ class HEContext:
         rows, cols = shape
         if rows * cols > ct.width:
             raise BackendError(f"{ct.width} slots cannot hold shape {shape}")
-        flat = self._unseal(ct, key, actor)
-        return Matrix(flat[: rows * cols].reshape(rows, cols))
+        flat = self._unseal(ct, rows * cols, key, actor)
+        return Matrix(flat.reshape(rows, cols))
 
     def decrypt_int_slots(
         self, ct: CipherVector, count: int, key: PrivateKey, actor: str | None = None
     ) -> np.ndarray:
         """First ``count`` slots of an exact-integer ciphertext."""
-        return self._unseal(ct, key, actor)[:count]
+        return self._unseal(ct, count, key, actor)
 
     # -- homomorphic operations ------------------------------------------
 
-    def _coerce_plain(self, operand: PlainOperand, like: CipherVector) -> np.ndarray:
+    def _coerce_plain(self, operand: PlainOperand, like: CipherVector) -> np.ndarray | float:
         if np.isscalar(operand):
+            if like.slots.dtype == np.float64:
+                return float(operand)  # broadcast
             return np.full(like.width, operand, dtype=like.slots.dtype)
         flat = np.asarray(operand, dtype=like.slots.dtype).reshape(-1)
         if flat.size > like.width:
@@ -343,7 +362,8 @@ class HEContext:
         self.meter.hadd += 1
         if a.slots.dtype != np.float64:
             return CipherVector(self._ops.reduce(a.slots + other), a.key_id)
-        return CipherVector(self._noisy(a.slots + other), a.key_id)
+        var = _var(a) + _var(b) + self._noise_var if self._noise_var else None
+        return CipherVector(a.slots + other, a.key_id, var)
 
     def he_mult(self, a: CipherVector, b: CipherVector | PlainOperand) -> CipherVector:
         if isinstance(b, CipherVector):
@@ -355,9 +375,35 @@ class HEContext:
             self.meter.hmult_c2p += 1
         if a.slots.dtype != np.float64:
             return CipherVector(self._ops.mul(a.slots, other), a.key_id)
-        return CipherVector(self._noisy(a.slots * other), a.key_id)
+        var = None
+        if self._noise_var:
+            # (a + e_a)(b + e_b) ~ ab + e_a*b + e_b*a: each noise term scales by
+            # the other factor squared
+            var = _var(a) * np.square(other) + self._noise_var
+            if isinstance(b, CipherVector):
+                var = var + _var(b) * np.square(a.slots)
+        return CipherVector(a.slots * other, a.key_id, var)
 
     def he_rotate(self, a: CipherVector, steps: int) -> CipherVector:
         """Cyclic left rotation: result slot i holds input slot (i + steps) mod N."""
         self.meter.hrot += 1
-        return CipherVector(self._noisy(np.roll(a.slots, -steps)), a.key_id)
+        slots = _rotate(a.slots, steps)
+        if slots.dtype != np.float64 or not self._noise_var:
+            return CipherVector(slots, a.key_id)
+        var = _var(a)
+        if isinstance(var, np.ndarray):
+            var = _rotate(var, steps)
+        return CipherVector(slots, a.key_id, var + self._noise_var)
+
+
+def _var(operand) -> float | np.ndarray:
+    """Tracked noise variance of an operand: 0 for plaintexts and exact ciphertexts."""
+    if isinstance(operand, CipherVector) and operand.var is not None:
+        return operand.var
+    return 0.0
+
+
+def _rotate(x: np.ndarray, steps: int) -> np.ndarray:
+    """``np.roll(x, -steps)`` as one copy of two slices."""
+    s = steps % x.size
+    return np.concatenate((x[s:], x[:s]))

@@ -72,6 +72,11 @@ class TestConfig:
         assert errors(17, ["nssv", "secsv"]) == []
         assert errors(18, ["nssv", "hesv", "secretsv"]) == []
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-9])
+    def test_noise_must_be_finite_and_non_negative(self, bad):
+        config = ExperimentConfig.from_json(json.dumps(tiny_config(noise_stddev=bad)))
+        assert [e for e in config.validate() if e.startswith("noise_stddev:")]
+
     def test_cnn_like_shape_constraint(self):
         config = ExperimentConfig.from_json(json.dumps(tiny_config(architecture="cnn_like")))
         assert any("cnn_like" in e for e in config.validate())

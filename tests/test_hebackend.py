@@ -35,6 +35,11 @@ class TestParams:
         with pytest.raises(BackendError):
             HEParams(noise_stddev=-1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_noise_rejected(self, bad):
+        with pytest.raises(BackendError, match="noise_stddev"):
+            HEParams(noise_stddev=bad)
+
 
 P = (1 << 61) - 1  # the default FieldParams prime: the plaintext modulus
 
@@ -156,6 +161,17 @@ class TestOps:
         assert sparse.meter.hmult_c2p == dense.meter.hmult_c2p == 1
 
 
+def depth4_chain(ctx, keys, u, v, w, z):
+    """mult, add-plain, mult-plain, rotate; returns the ciphertext and its exact value."""
+    a = ctx.encrypt_slots([u], keys.public)
+    b = ctx.encrypt_slots([v], keys.public)
+    c = ctx.he_mult(a, b)
+    c = ctx.he_add(c, w)
+    c = ctx.he_mult(c, z)
+    c = ctx.he_rotate(c, 0)
+    return c, (u * v + w) * z
+
+
 class TestNoise:
     def test_noise_envelope_depth4(self, keys):
         sigma = 1e-3
@@ -163,17 +179,22 @@ class TestNoise:
         rng = np.random.default_rng(0)
         worst = 0.0
         for _ in range(1000):
-            u, v, w, z = rng.uniform(0.2, 1.0, size=4)
-            a = ctx.encrypt_slots([u], keys.public)
-            b = ctx.encrypt_slots([v], keys.public)
-            # depth-4 chain: mult, add-plain, mult-plain, rotate
-            c = ctx.he_mult(a, b)
-            c = ctx.he_add(c, w)
-            c = ctx.he_mult(c, z)
-            c = ctx.he_rotate(c, 0)
-            expect = (u * v + w) * z
-            worst = max(worst, abs(float(c.slots[0]) - expect))
+            c, expect = depth4_chain(ctx, keys, *rng.uniform(0.2, 1.0, size=4))
+            got = ctx.decrypt_matrix(c, (1, 1), keys.private).data[0, 0]
+            worst = max(worst, abs(float(got) - expect))
         assert worst <= 6 * sigma
+
+    def test_noise_is_present(self, keys):
+        # the slots stay exact; the noise appears at decryption, seeded
+        sigma = 1e-3
+        errors = {}
+        for seed in (1, 2):
+            ctx = HEContext(HEParams(noise_stddev=sigma, seed=seed))
+            c, expect = depth4_chain(ctx, keys, 0.9, 0.7, 0.5, 0.8)
+            assert c.slots[0] == expect
+            errors[seed] = float(ctx.decrypt_matrix(c, (1, 1), keys.private).data[0, 0]) - expect
+        assert all(0 < abs(e) <= 6 * sigma for e in errors.values())
+        assert errors[1] != errors[2]
 
     def test_zero_noise_is_exact_through_mult(self, ctx, keys):
         rng = np.random.default_rng(5)
@@ -189,8 +210,61 @@ class TestNoise:
         for _ in range(2):
             ctx = HEContext(HEParams(noise_stddev=1e-6, seed=7))
             ct = ctx.encrypt_slots([1.0], keys.public)
-            outs.append(float(ctx.he_mult(ct, ct).slots[0]))
+            outs.append(float(ctx.decrypt_matrix(ctx.he_mult(ct, ct), (1, 1),
+                                                 keys.private).data[0, 0]))
         assert outs[0] == outs[1]
+
+
+class TestTrackedVariance:
+    SIGMA = 0.01
+    S2 = SIGMA ** 2
+
+    @pytest.fixture
+    def noisy(self):
+        return HEContext(HEParams(slot_count=8, noise_stddev=self.SIGMA, seed=3))
+
+    def test_encryption_and_add(self, noisy, keys):
+        a = noisy.encrypt_slots([1.0, 2.0], keys.public)
+        b = noisy.encrypt_slots([3.0], keys.public)
+        assert a.var == self.S2
+        assert noisy.he_add(a, b).var == pytest.approx(3 * self.S2)
+        assert noisy.he_add(a, 5.0).var == pytest.approx(2 * self.S2)
+
+    def test_product_with_plaintext(self, noisy, keys):
+        a = noisy.he_add(noisy.encrypt_slots([1.0, 2.0], keys.public), 1.0)  # var 2 s2
+        b = np.array([0.5, -3.0, 2.0, 0, 0, 0, 0, 1.0])
+        out = noisy.he_mult(a, b)
+        assert np.allclose(out.var, 2 * self.S2 * b ** 2 + self.S2)
+        assert noisy.he_mult(a, 4.0).var == pytest.approx(2 * self.S2 * 16 + self.S2)
+
+    def test_product_of_ciphertexts(self, noisy, keys):
+        u = np.array([1.0, -2.0, 0.5, 0, 0, 0, 0, 3.0])
+        v = np.array([0.25, 4.0, -1.0, 2.0, 0, 0, 0, 0])
+        a = noisy.encrypt_slots(u, keys.public)  # var s2
+        b = noisy.he_add(noisy.encrypt_slots(v, keys.public), 0.0)  # var 2 s2
+        out = noisy.he_mult(a, b)
+        assert np.allclose(out.var, self.S2 * v ** 2 + 2 * self.S2 * u ** 2 + self.S2)
+
+    def test_rotation_moves_variance_with_slots(self, noisy, keys):
+        a = noisy.encrypt_slots(np.arange(8.0), keys.public)
+        b = noisy.he_mult(a, np.arange(8.0))  # var s2 * i^2 + s2 in slot i
+        out = noisy.he_rotate(b, 3)
+        assert out.slots.tolist() == np.roll(b.slots, -3).tolist()
+        assert np.allclose(out.var, np.roll(b.var, -3) + self.S2)
+        assert noisy.he_rotate(a, 3).var == pytest.approx(2 * self.S2)
+
+    def test_no_noise_tracks_nothing(self, ctx, keys):
+        a = ctx.encrypt_slots([1.0, 2.0], keys.public)
+        outs = [a, ctx.he_add(a, a), ctx.he_add(a, 1.0), ctx.he_mult(a, a),
+                ctx.he_mult(a, 2.0), ctx.he_rotate(a, 1)]
+        assert all(ct.var is None for ct in outs)
+
+    def test_integer_slots_track_nothing(self, noisy, keys):
+        a = noisy.encrypt_int_slots([P - 1, 3], keys.public)
+        f = noisy.fold_int_slots([5, 6], keys.public, terms=2, copies=1)
+        outs = [a, f, noisy.he_add(a, f), noisy.he_mult(a, [2, 3]), noisy.he_rotate(a, 1)]
+        assert all(ct.var is None for ct in outs)
+        assert noisy.decrypt_int_slots(outs[3], 2, keys.private).tolist() == [P - 2, 9]
 
 
 class TestMeter:
