@@ -39,7 +39,7 @@ from .kernels import (
 )
 from .matrix import Matrix
 from .models import arch_cnn_like, arch_logistic, arch_mlp
-from .protocols import run_hesv, run_nssv, run_secretsv, run_secsv
+from .protocols import run_hesv, run_nssv, run_secretsv, run_secsv, secsv_headroom_error
 from .report import ContributionReport, report_to_json
 from .sharing import DEFAULT_PRIME, FieldParams
 from .shapley import fsv_error, permutation_sampling_ssv, fsv_aggregate
@@ -87,8 +87,12 @@ class ExperimentConfig:
             errors.append("clients: secure protocols need at least 4 clients")
         if self.rounds < 1:
             errors.append("rounds: need at least one training round")
-        if self.alpha <= 0:
-            errors.append("alpha: Dirichlet concentration must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            errors.append("alpha: Dirichlet concentration must be finite and positive")
+        if not math.isfinite(self.learning_rate):
+            errors.append("learning_rate: must be finite")
+        if not math.isfinite(self.separation):
+            errors.append("separation: must be finite")
         if self.architecture not in ARCHITECTURES:
             errors.append(f"architecture: unknown {self.architecture!r}, "
                           f"expected one of {ARCHITECTURES}")
@@ -109,9 +113,9 @@ class ExperimentConfig:
             errors.append("grid_bits: must be in [1, frac_bits]")
         if self.prime.bit_length() < 2 * self.frac_bits + 9:
             errors.append("prime: too small for frac_bits (products would wrap)")
-        if "secsv" in self.protocols and self.prime.bit_length() < 3 * self.frac_bits + 9:
-            errors.append("frac_bits: too large for secsv, which decodes at 3 * frac_bits "
-                          "(needs 3 * frac_bits + 9 prime bits)")
+        headroom = secsv_headroom_error(self.prime, self.frac_bits)
+        if "secsv" in self.protocols and headroom:
+            errors.append(headroom)
         for proto in self.protocols:
             if proto not in KNOWN_PROTOCOLS:
                 errors.append(f"protocols: unknown protocol {proto!r}")

@@ -1,12 +1,17 @@
 """Simulated SIMD homomorphic-encryption backend.
 
-Ciphertexts are fixed-width slot vectors supporting entrywise add,
-entrywise multiply (ciphertext-ciphertext or ciphertext-plaintext) and
-cyclic slot rotation.  This is a *simulation*: no lattice arithmetic, no
-actual security.  What it does provide, exactly, is
+A ``CipherVector`` holds a stack of ciphertexts: ``slots`` of shape
+(..., N), one N-slot vector per ciphertext along the last axis.  The
+operations are entrywise add, entrywise multiply (ciphertext-ciphertext
+or ciphertext-plaintext), cyclic slot rotation and ``he_dot``, a
+multiply-accumulate over a sequence of terms; all of them broadcast over
+the stack axes.  Indexing a stack is free.  This is a *simulation*: no
+lattice arithmetic, no actual security.  What it does provide, exactly,
+is
 
-- operation metering (HMult c2c/c2p, HAdd, HRot, Enc, Dec) so protocol
-  cost laws can be asserted,
+- operation metering (HMult c2c/c2p, HAdd, HRot, Enc, Dec), charged
+  once per ciphertext in each result, so protocol cost laws can be
+  asserted and a stack costs what its ciphertexts cost one by one,
 - key-id enforcement so role violations (a server decrypting) become
   testable errors,
 - optional noise emulating approximate HE (CKKS).  Every operation on
@@ -113,11 +118,14 @@ def generate_keypair(tag: str | None = None) -> KeyPair:
 
 @dataclass(frozen=True)
 class CipherVector:
-    """One ciphertext: a slot vector bound to a key context.
+    """A stack of ciphertexts bound to a key context.
 
-    ``slots`` hold the exact values.  ``var`` is the per-slot noise
-    variance that decryption adds: a float, an array over the slots, or
-    ``None`` when the ciphertext is exact (integer slots, or no noise).
+    ``slots`` of shape (..., N) hold the exact values, one ciphertext per
+    N-slot row; a single ciphertext has shape (N,).  ``var`` is the
+    per-slot noise variance that decryption adds: a float, an array
+    broadcastable to the slots, or ``None`` when the ciphertext is exact
+    (integer slots, or no noise).  Indexing selects ciphertexts of the
+    stack (the slot axis must survive) and meters nothing.
     """
 
     slots: np.ndarray
@@ -126,7 +134,23 @@ class CipherVector:
 
     @property
     def width(self) -> int:
-        return int(self.slots.size)
+        return self.slots.shape[-1]
+
+    @property
+    def count(self) -> int:
+        """Number of ciphertexts in the stack."""
+        return self.slots.size // self.slots.shape[-1]
+
+    def __getitem__(self, index) -> "CipherVector":
+        slots = self.slots[index]
+        if slots.ndim == 0 or slots.shape[-1] != self.slots.shape[-1]:
+            raise BackendError("indexing a ciphertext stack must keep the slot axis")
+        var = self.var
+        if isinstance(var, np.ndarray):
+            if var.shape != self.slots.shape:
+                var = np.broadcast_to(var, self.slots.shape)
+            var = var[index]
+        return CipherVector(slots, self.key_id, var)
 
 
 def ciphertext_bytes(params: HEParams) -> int:
@@ -259,46 +283,51 @@ class HEContext:
             raise KeyMismatchError(
                 f"ciphertexts from different key contexts: {a.key_id} vs {b.key_id}"
             )
-        if a.width != b.width:
+        if a.slots.shape[-1] != b.slots.shape[-1]:
             raise BackendError(f"slot width mismatch: {a.width} vs {b.width}")
 
     # -- encryption -----------------------------------------------------
 
     def encode_slots(self, values, integer: bool = False) -> np.ndarray:
-        """Plaintext slot vector (zero padded): reals, or field elements mod p."""
-        flat = np.asarray(values, dtype=self._ops.dtype if integer else np.float64).reshape(-1)
-        if flat.size > self.params.slot_count:
-            raise BackendError(
-                f"{flat.size} values exceed {self.params.slot_count} slots"
-            )
-        slots = np.zeros(self.params.slot_count, dtype=flat.dtype)
-        slots[: flat.size] = flat
+        """Plaintext slots, zero padded: reals, or field elements mod p.
+
+        The last axis of ``values`` is the slot axis; leading axes make a
+        stack.  A matrix meant for one ciphertext is flattened first.
+        """
+        arr = np.asarray(values, dtype=self._ops.dtype if integer else np.float64)
+        if arr.ndim == 0:
+            arr = arr.reshape(1)
+        size = arr.shape[-1]
+        if size > self.params.slot_count:
+            raise BackendError(f"{size} values exceed {self.params.slot_count} slots")
+        slots = np.zeros(arr.shape[:-1] + (self.params.slot_count,), dtype=arr.dtype)
+        slots[..., :size] = arr
         return slots
 
     def encrypt_slots(self, values, key: PublicKey) -> CipherVector:
-        """Encrypt one ciphertext worth of real values (zero padded)."""
+        """Encrypt real values (zero padded), one ciphertext per slot row."""
         slots = self.encode_slots(values)
-        self.meter.enc += 1
+        self.meter.enc += slots.size // slots.shape[-1]
         return CipherVector(slots, key.key_id, self._noise_var or None)
 
     def encrypt_int_slots(self, values, key: PublicKey) -> CipherVector:
         """Encrypt field elements exactly into integer slots."""
         slots = self.encode_slots(values, integer=True)
-        self.meter.enc += 1
+        self.meter.enc += slots.size // slots.shape[-1]
         return CipherVector(slots, key.key_id)
 
     def fold_int_slots(self, values, key: PublicKey, terms: int, copies: int) -> CipherVector:
-        """Ciphertext of a plaintext-weighted sum of ``terms`` integer ciphertexts.
+        """Ciphertexts of a plaintext-weighted sum of ``terms`` integer ciphertexts.
 
         ``values`` are the already-folded slot values, computed once by
-        the caller.  Metered as ``copies`` parties each doing the fold:
-        copies*terms c2p multiplications and copies*(terms-1) additions,
-        and no encryption.
+        the caller.  Metered per ciphertext as ``copies`` parties each
+        doing the fold: copies*terms c2p multiplications and
+        copies*(terms-1) additions, and no encryption.
         """
-        slots = self.encode_slots(values, integer=True)
-        self.meter.hmult_c2p += copies * terms
-        self.meter.hadd += copies * (terms - 1)
-        return CipherVector(slots, key.key_id)
+        ct = CipherVector(self.encode_slots(values, integer=True), key.key_id)
+        self.meter.hmult_c2p += ct.count * copies * terms
+        self.meter.hadd += ct.count * copies * (terms - 1)
+        return ct
 
     # -- decryption -----------------------------------------------------
 
@@ -309,6 +338,8 @@ class HEContext:
             raise KeyMismatchError(
                 f"private key {key.key_id} cannot decrypt ciphertext under {ct.key_id}"
             )
+        if ct.slots.ndim != 1:
+            raise BackendError(f"decryption takes one ciphertext, got a stack {ct.slots.shape}")
         self.meter.dec += 1
         if actor is not None:
             self.decrypt_log.append(actor)
@@ -344,49 +375,102 @@ class HEContext:
             if like.slots.dtype == np.float64:
                 return float(operand)  # broadcast
             return np.full(like.width, operand, dtype=like.slots.dtype)
-        flat = np.asarray(operand, dtype=like.slots.dtype).reshape(-1)
-        if flat.size > like.width:
-            raise BackendError(f"plaintext of {flat.size} values exceeds slot width")
-        if flat.size < like.width:
-            padded = np.zeros(like.width, dtype=like.slots.dtype)
-            padded[: flat.size] = flat
-            flat = padded
-        return flat
+        arr = np.asarray(operand, dtype=like.slots.dtype)
+        if arr.shape[-1:] == (like.width,):
+            return arr
+        return self.encode_slots(arr, integer=like.slots.dtype != np.float64)
+
+    def _operand(self, a: CipherVector, b: CipherVector | PlainOperand):
+        """The slots ``b`` contributes to an operation on ``a``, checked."""
+        if isinstance(b, CipherVector):
+            self._check_same_context(a, b)
+            return b.slots
+        return self._coerce_plain(b, a)
 
     def he_add(self, a: CipherVector, b: CipherVector | PlainOperand) -> CipherVector:
-        if isinstance(b, CipherVector):
-            self._check_same_context(a, b)
-            other = b.slots
-        else:
-            other = self._coerce_plain(b, a)
-        self.meter.hadd += 1
+        other = self._operand(a, b)
         if a.slots.dtype != np.float64:
-            return CipherVector(self._ops.reduce(a.slots + other), a.key_id)
-        var = _var(a) + _var(b) + self._noise_var if self._noise_var else None
-        return CipherVector(a.slots + other, a.key_id, var)
+            out = CipherVector(self._ops.reduce(a.slots + other), a.key_id)
+        else:
+            var = _var(a) + _var(b) + self._noise_var if self._noise_var else None
+            out = CipherVector(a.slots + other, a.key_id, var)
+        self.meter.hadd += out.count
+        return out
 
     def he_mult(self, a: CipherVector, b: CipherVector | PlainOperand) -> CipherVector:
-        if isinstance(b, CipherVector):
-            self._check_same_context(a, b)
-            other = b.slots
-            self.meter.hmult_c2c += 1
-        else:
-            other = self._coerce_plain(b, a)
-            self.meter.hmult_c2p += 1
+        other = self._operand(a, b)
         if a.slots.dtype != np.float64:
-            return CipherVector(self._ops.mul(a.slots, other), a.key_id)
-        var = None
-        if self._noise_var:
-            # (a + e_a)(b + e_b) ~ ab + e_a*b + e_b*a: each noise term scales by
-            # the other factor squared
-            var = _var(a) * np.square(other) + self._noise_var
-            if isinstance(b, CipherVector):
-                var = var + _var(b) * np.square(a.slots)
-        return CipherVector(a.slots * other, a.key_id, var)
+            out = CipherVector(self._ops.mul(a.slots, other), a.key_id)
+        else:
+            var = self._product_var(a, b, other) if self._noise_var else None
+            out = CipherVector(a.slots * other, a.key_id, var)
+        if isinstance(b, CipherVector):
+            self.meter.hmult_c2c += out.count
+        else:
+            self.meter.hmult_c2p += out.count
+        return out
+
+    def he_dot(self, a_terms: Sequence[CipherVector],
+               b_terms: Sequence[CipherVector | PlainOperand]) -> CipherVector:
+        """Multiply-accumulate: the sum over t of a_t * b_t, entrywise.
+
+        Each ``a_t`` is a ciphertext, a stack or a view of one; each
+        ``b_t`` a ciphertext, a plaintext array or a scalar; every product
+        broadcasts over the stack axes.  Metered as the ``he_mult`` /
+        ``he_add`` chain it replaces: per output ciphertext, one product
+        per term (c2c or c2p by the kind of ``b_t``) and one addition
+        fewer.  The terms accumulate in order, so the slots and the
+        tracked variance equal the chain's bit for bit; no temporary
+        holds more than one term.
+        """
+        if not a_terms or len(a_terms) != len(b_terms):
+            raise BackendError(
+                f"he_dot needs two equal, non-empty term lists, got "
+                f"{len(a_terms)} and {len(b_terms)}"
+            )
+        first = a_terms[0]
+        others = []
+        for a, b in zip(a_terms, b_terms):
+            self._check_same_context(first, a)
+            others.append(self._operand(a, b))
+        if first.slots.dtype != np.float64:
+            acc = None
+            for a, other in zip(a_terms, others):
+                prod = self._ops.mul(a.slots, other)
+                acc = prod if acc is None else self._ops.reduce(acc + prod)
+            out = CipherVector(acc, first.key_id)
+        else:
+            shape = np.broadcast_shapes(*(a.slots.shape for a in a_terms),
+                                        *(np.shape(o) for o in others))
+            acc = np.multiply(first.slots, others[0], out=np.empty(shape))
+            tmp = np.empty(shape)
+            for a, other in zip(a_terms[1:], others[1:]):
+                acc += np.multiply(a.slots, other, out=tmp)
+            var = None
+            if self._noise_var:
+                for a, b, other in zip(a_terms, b_terms, others):
+                    term = self._product_var(a, b, other)
+                    # the chain's addition: v_acc + v_term + sigma^2
+                    var = term if var is None else var + term + self._noise_var
+            out = CipherVector(acc, first.key_id, var)
+        count = out.count
+        c2c = sum(isinstance(b, CipherVector) for b in b_terms)
+        self.meter.hmult_c2c += count * c2c
+        self.meter.hmult_c2p += count * (len(b_terms) - c2c)
+        self.meter.hadd += count * (len(b_terms) - 1)
+        return out
+
+    def _product_var(self, a: CipherVector, b, other) -> float | np.ndarray:
+        # (a + e_a)(b + e_b) ~ ab + e_a*b + e_b*a: each noise term scales by
+        # the other factor squared
+        var = _var(a) * np.square(other) + self._noise_var
+        if isinstance(b, CipherVector):
+            var = var + _var(b) * np.square(a.slots)
+        return var
 
     def he_rotate(self, a: CipherVector, steps: int) -> CipherVector:
-        """Cyclic left rotation: result slot i holds input slot (i + steps) mod N."""
-        self.meter.hrot += 1
+        """Cyclic left rotation of every ciphertext: slot i holds slot (i + steps) mod N."""
+        self.meter.hrot += a.count
         slots = _rotate(a.slots, steps)
         if slots.dtype != np.float64 or not self._noise_var:
             return CipherVector(slots, a.key_id)
@@ -404,6 +488,6 @@ def _var(operand) -> float | np.ndarray:
 
 
 def _rotate(x: np.ndarray, steps: int) -> np.ndarray:
-    """``np.roll(x, -steps)`` as one copy of two slices."""
-    s = steps % x.size
-    return np.concatenate((x[s:], x[:s]))
+    """``np.roll(x, -steps, axis=-1)`` as one copy of two slices."""
+    s = steps % x.shape[-1]
+    return np.concatenate((x[..., s:], x[..., :s]), axis=-1)

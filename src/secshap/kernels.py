@@ -6,12 +6,19 @@ B (d_in x m, the batch side) over the slotted backend:
 - **squaring**: both operands are reshaped into square blocks of side
   at most floor(sqrt(N)); each block pair costs d'_out entrywise
   multiplications plus a rotate-and-sum phase.  Works with both
-  operands encrypted.
+  operands encrypted.  The model side is one ciphertext stack indexed
+  [o, j, k], the batch side one indexed [o, k]; batch axes after o let
+  one evaluation serve many batches.
 - **reducing**: both operands are transformed into d_in pairs of
-  d_out x m matrices; the product is the entrywise multiply-accumulate
-  over the pairs.  Costs exactly d_in multiplications and zero
-  rotations, at the price of requiring the transforms to be computed
-  where the operand is plaintext.
+  d_out x m matrices, one ciphertext each; the product is the
+  entrywise multiply-accumulate over the pairs, one ``he_dot``.  Costs
+  exactly d_in multiplications and zero rotations, at the price of
+  requiring the transforms to be computed where the operand is
+  plaintext.
+
+Each squaring step is one ``HEContext`` operation on a whole stack,
+metered per ciphertext, so the cost laws below count exactly what a
+ciphertext-by-ciphertext evaluation would.
 
 ``delta_reference`` is the plaintext transform-reduce-accumulate map
 both kernels are anchored to: delta(A, B) == A @ B whenever
@@ -23,6 +30,7 @@ construction; callers pass raw shapes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -30,7 +38,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .hebackend import CipherVector, HEContext, PrivateKey, PublicKey
-from .matrix import Matrix, pad_to, submatrix, tile_vertical, transform
+from .matrix import Matrix, pad_to, submatrix, transform
 
 __all__ = [
     "MatMulPlan",
@@ -182,101 +190,104 @@ def delta_reference(a_bar: Matrix, b: Matrix) -> Matrix:
 # -- squaring kernel --------------------------------------------------------
 
 
-def _pack_square(ctx: HEContext, mat: Matrix, key: PublicKey, encrypt: bool):
-    flat = mat.row_major()
-    return ctx.encrypt_slots(flat, key) if encrypt else ctx.encode_slots(flat)
+def _check_stack(side, lead: tuple[int, ...], what: str) -> None:
+    shape = side.slots.shape if isinstance(side, CipherVector) else np.shape(side)
+    if shape[-len(lead) - 1 : -1] != lead:
+        raise PlanError(f"{what} stack {shape[:-1]} does not match plan {lead}")
 
 
-def _squaring_blocks_a(a: Matrix, plan: MatMulPlan):
-    padded = pad_to(a, plan.j_blocks * plan.d_out_block, plan.k_blocks * plan.s)
-    for j in range(plan.j_blocks):
-        for k in range(plan.k_blocks):
-            block = Matrix(
-                padded.data[
-                    j * plan.d_out_block : (j + 1) * plan.d_out_block,
-                    k * plan.s : (k + 1) * plan.s,
-                ]
-            )
-            yield j, k, tile_vertical(block, plan.s // plan.d_out_block)
+@functools.lru_cache(maxsize=64)
+def _diagonal_shifts(s: int, shifts: int) -> np.ndarray:
+    """(r + c + o) mod s at [o, r, c], for o < shifts: the combined transform index."""
+    idx = np.arange(s)
+    out = (idx[:, None] + idx[None, :] + np.arange(shifts)[:, None, None]) % s
+    out.flags.writeable = False
+    return out
 
 
 def squaring_prepare_model(
     a: Matrix, plan: MatMulPlan, ctx: HEContext, key: PublicKey
-) -> list[list[list[CipherVector]]]:
+) -> CipherVector:
     """Client-side transform-then-encrypt of the model operand.
 
-    Returns ciphertexts indexed [j][k][o]; reusable across batches.
+    Block (j, k) is tiled vertically to s x s, then transformed by sigma
+    and xi^o.  Returns one ciphertext stack indexed [o, j, k]; reusable
+    across batches.
     """
     if a.shape != (plan.d_out, plan.d_in):
         raise PlanError(f"model shape {a.shape} does not match plan")
-    out = [[None] * plan.k_blocks for _ in range(plan.j_blocks)]
-    for j, k, a_bar in _squaring_blocks_a(a, plan):
-        base = transform(a_bar, "sigma")
-        out[j][k] = [
-            _pack_square(ctx, transform(base, "xi", o), key, encrypt=True)
-            for o in range(plan.d_out_block)
-        ]
-    return out
+    s, rows = plan.s, plan.d_out_block
+    padded = pad_to(a, plan.j_blocks * rows, plan.k_blocks * s).data
+    blocks = padded.reshape(plan.j_blocks, rows, plan.k_blocks, s).transpose(0, 2, 1, 3)
+    a_bar = np.tile(blocks, (1, 1, s // rows, 1))
+    # xi^o(sigma(a_bar))[r, c] = a_bar[r, (c + r + o) mod s]
+    views = a_bar[:, :, np.arange(s)[:, None], _diagonal_shifts(s, rows)]
+    views = views.reshape(plan.j_blocks, plan.k_blocks, rows, s * s)
+    return ctx.encrypt_slots(np.moveaxis(views, 2, 0), key)
 
 
 def squaring_prepare_batch(
     b: Matrix, plan: MatMulPlan, ctx: HEContext, key: PublicKey, encrypt: bool = True
-) -> list[list[BatchSide]]:
+) -> BatchSide:
     """Transform the batch operand; encrypted for the full scheme, plain slots otherwise.
 
-    Returns sides indexed [k][o]; shared across the J row blocks.
+    Inner block k is padded to s x s, then transformed by tau and psi^o.
+    Returns one stack indexed [o, k]; shared across the J row blocks.
     """
     if b.rows != plan.d_in or b.cols > plan.m:
         raise PlanError(f"batch shape {b.shape} does not match plan")
-    padded = pad_to(b, plan.k_blocks * plan.s, b.cols)
-    out = []
-    for k in range(plan.k_blocks):
-        block = Matrix(padded.data[k * plan.s : (k + 1) * plan.s, :])
-        b_bar = pad_to(block, plan.s, plan.s)
-        base = transform(b_bar, "tau")
-        out.append(
-            [
-                _pack_square(ctx, transform(base, "psi", o), key, encrypt)
-                for o in range(plan.d_out_block)
-            ]
-        )
-    return out
+    s = plan.s
+    b_bar = np.zeros((plan.k_blocks * s, s))
+    b_bar[: b.rows, : b.cols] = b.data
+    b_bar = b_bar.reshape(plan.k_blocks, s, s)
+    # psi^o(tau(b_bar))[r, c] = b_bar[(r + c + o) mod s, c]
+    views = b_bar[:, _diagonal_shifts(s, plan.d_out_block), np.arange(s)[None, :]]
+    views = np.moveaxis(views.reshape(plan.k_blocks, plan.d_out_block, s * s), 1, 0)
+    return ctx.encrypt_slots(views, key) if encrypt else ctx.encode_slots(views)
 
 
 def squaring_matmul(
-    model_cts: list[list[list[CipherVector]]],
-    batch_side: list[list[BatchSide]],
+    model_cts: CipherVector,
+    batch_side: BatchSide | Sequence[BatchSide],
     plan: MatMulPlan,
     ctx: HEContext,
-) -> list[CipherVector]:
-    """Server-side evaluation; returns one ciphertext per row block."""
+) -> CipherVector:
+    """Server-side evaluation; returns a stack of one ciphertext per row block.
+
+    ``batch_side[o]`` is the batch operand of the o-th products: a [k]
+    stack, or a [..., k] stack with leading batch axes, which evaluates
+    every batch at once (batches of any width share the plan's
+    blocking).  One batch's [o, k] stack is such a side; so is a list of
+    d'_out [..., k] stacks, which keeps every operand its own array.
+    The result is a stack indexed [..., j].
+    """
+    _check_stack(model_cts, (plan.d_out_block, plan.j_blocks, plan.k_blocks), "model")
+    terms = batch_side.slots.shape[0] if isinstance(batch_side, CipherVector) else len(batch_side)
+    if terms != plan.d_out_block:
+        raise PlanError(f"batch side has {terms} operands, plan needs {plan.d_out_block}")
+    b_terms = [batch_side[o][..., None, :, :] for o in range(plan.d_out_block)]
+    _check_stack(b_terms[0], (1, plan.k_blocks), "batch")
+    h = ctx.he_dot([model_cts[o] for o in range(plan.d_out_block)], b_terms)
+    # fold the vertical copies down onto the top block:
+    # repeated doubling, then single steps for the remainder
     step = plan.d_out_block * plan.s
     copies = plan.s // plan.d_out_block
-    results = []
-    for j in range(plan.j_blocks):
-        band = None
-        for k in range(plan.k_blocks):
-            h = None
-            for o in range(plan.d_out_block):
-                prod = ctx.he_mult(model_cts[j][k][o], batch_side[k][o])
-                h = prod if h is None else ctx.he_add(h, prod)
-            # fold the vertical copies down onto the top block:
-            # repeated doubling, then single steps for the remainder
-            acc = h
-            terms = 1
-            while terms * 2 <= copies:
-                acc = ctx.he_add(acc, ctx.he_rotate(acc, step * terms))
-                terms *= 2
-            while terms < copies:
-                acc = ctx.he_add(acc, ctx.he_rotate(h, step * terms))
-                terms += 1
-            band = acc if band is None else ctx.he_add(band, acc)
-        results.append(band)
-    return results
+    acc = h
+    terms = 1
+    while terms * 2 <= copies:
+        acc = ctx.he_add(acc, ctx.he_rotate(acc, step * terms))
+        terms *= 2
+    while terms < copies:
+        acc = ctx.he_add(acc, ctx.he_rotate(h, step * terms))
+        terms += 1
+    band = acc[..., 0, :]
+    for k in range(1, plan.k_blocks):
+        band = ctx.he_add(band, acc[..., k, :])
+    return band
 
 
 def squaring_decrypt(
-    bands: Sequence[CipherVector],
+    bands: CipherVector,
     plan: MatMulPlan,
     ctx: HEContext,
     key: PrivateKey,
@@ -284,8 +295,8 @@ def squaring_decrypt(
 ) -> Matrix:
     """Assemble the row bands back into the d_out x m product."""
     rows = []
-    for j, ct in enumerate(bands):
-        block = ctx.decrypt_matrix(ct, (plan.d_out_block, plan.s), key, actor=actor)
+    for j in range(plan.j_blocks):
+        block = ctx.decrypt_matrix(bands[j], (plan.d_out_block, plan.s), key, actor=actor)
         take = min(plan.d_out_block, plan.d_out - j * plan.d_out_block)
         rows.append(block.data[:take, : plan.m])
     return Matrix(np.vstack(rows))
@@ -305,19 +316,23 @@ def _slot_operand(a: Matrix | np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def _reducing_model_views(a: np.ndarray, width: int):
+    """View o holds A[j, (j+k+o) mod d_in] at (j, k), flattened into one ciphertext."""
     d_out, d_in = a.shape
     j = np.arange(d_out)[:, None]
     k = np.arange(width)[None, :]
     for o in range(d_in):
-        yield a[j, (j + k + o) % d_in]
+        yield a[j, (j + k + o) % d_in].reshape(-1)
 
 
-def _reducing_batch_views(b: np.ndarray, d_out: int):
+def _reducing_batch_views(b: np.ndarray, d_out: int, width: int):
+    """View o holds B[(j+k+o) mod d_in, k] at (j, k), zero padded to the width, flattened."""
     d_in, m = b.shape
     j = np.arange(d_out)[:, None]
     k = np.arange(m)[None, :]
     for o in range(d_in):
-        yield b[(j + k + o) % d_in, k]
+        view = np.zeros((d_out, width), dtype=b.dtype)
+        view[:, :m] = b[(j + k + o) % d_in, k]
+        yield view.reshape(-1)
 
 
 def reducing_prepare_model(
@@ -353,21 +368,18 @@ def reducing_prepare_batch(
     """Transform the batch operand into d_in reduced matrices.
 
     Plain slot arrays by default (the shares are plaintext at the
-    servers); encrypted when both operands must be hidden.
+    servers); encrypted when both operands must be hidden.  Columns are
+    aligned with the model's width.
     """
     arr, integer = _slot_operand(b)
     if arr.shape[0] != plan.d_in or arr.shape[1] > plan.m:
         raise PlanError(f"batch shape {arr.shape} does not match plan")
     width = plan.m if width is None else width
     encrypt_view = ctx.encrypt_int_slots if integer else ctx.encrypt_slots
-    out = []
-    for view in _reducing_batch_views(arr, plan.d_out):
-        if view.shape[1] < width:  # align columns with the cached model width
-            full = np.zeros((plan.d_out, width), dtype=view.dtype)
-            full[:, : view.shape[1]] = view
-            view = full
-        out.append(encrypt_view(view, key) if encrypt else ctx.encode_slots(view, integer))
-    return out
+    return [
+        encrypt_view(view, key) if encrypt else ctx.encode_slots(view, integer)
+        for view in _reducing_batch_views(arr, plan.d_out, width)
+    ]
 
 
 def reducing_matmul(
@@ -382,11 +394,7 @@ def reducing_matmul(
             f"expected {plan.d_in} transformed pairs, got "
             f"{len(model_cts)} and {len(batch_side)}"
         )
-    acc = None
-    for a_ct, b_op in zip(model_cts, batch_side):
-        prod = ctx.he_mult(a_ct, b_op)
-        acc = prod if acc is None else ctx.he_add(acc, prod)
-    return acc
+    return ctx.he_dot(model_cts, batch_side)
 
 
 def reducing_decrypt(

@@ -204,13 +204,6 @@ def concat(m1: Matrix, m2: Matrix | None, axis: str) -> Matrix:
     raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
 
 
-def tile_vertical(m: Matrix, copies: int) -> Matrix:
-    """(m; m; ...; m), ``copies`` times."""
-    if copies < 1:
-        raise ShapeError("copies must be >= 1")
-    return Matrix(np.tile(m.data, (copies, 1)))
-
-
 def pad_to(m: Matrix, rows: int, cols: int) -> Matrix:
     """Zero-pad on the bottom/right edges up to the requested shape."""
     if rows < m.rows or cols < m.cols:

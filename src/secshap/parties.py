@@ -47,11 +47,11 @@ class Party:
 
 
 def payload_bytes(payload, he_params: HEParams, field: FieldParams | None = None) -> int:
-    """Wire size of a payload, by type."""
+    """Wire size of a payload, by type; a ciphertext stack sizes as its ciphertexts."""
     if payload is None:
         return 0
     if isinstance(payload, CipherVector):
-        return ciphertext_bytes(he_params)
+        return payload.count * ciphertext_bytes(he_params)
     if isinstance(payload, (PublicKey, PrivateKey)):
         return KEY_BYTES
     if isinstance(payload, Matrix):

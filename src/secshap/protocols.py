@@ -311,26 +311,34 @@ def run_hesv(
             plans[key] = plan_squaring(spec.out_size, spec.in_size + 1, m, slot_count)
         return plans[key]
 
-    batch_ranges = {
-        i: [(s, min(s + m_cap, ds.size)) for s in range(0, ds.size, m_cap)]
+    batch_ranges = [
+        (i, lo, min(lo + m_cap, ds.size))
         for i, ds in enumerate(test_sets)
-    }
+        for lo in range(0, ds.size, m_cap)
+    ]
 
     # test data uploaded once: transformed-and-encrypted first-layer
-    # inputs plus per-batch label ciphertexts
-    data_cts: dict = {}
-    label_cts: dict = {}
-    for i, ds in enumerate(test_sets):
-        for b, (lo, hi) in enumerate(batch_ranges[i]):
-            x = with_ones_row(Matrix(ds.features.data[:, lo:hi]))
-            sides = squaring_prepare_batch(
-                x, plan_for(0, hi - lo), setup_ctx, keys.public, encrypt=True
-            )
-            router.send(client_name(i), SERVER_P, [ct for block in sides for ct in block])
-            data_cts[(i, b)] = sides
-            y_ct = setup_ctx.encrypt_slots(ds.labels.labels[lo:hi].astype(float), keys.public)
-            router.send(client_name(i), SERVER_P, y_ct)
-            label_cts[(i, b)] = y_ct
+    # inputs plus per-batch label ciphertexts.  The server keeps the inputs
+    # of every (client, batch) as one [batch, k] stack per o: layer 0 runs
+    # for all batches at once, and no single array holds every o
+    first_plan = plan_for(0, m_cap)
+    plain = [
+        squaring_prepare_batch(with_ones_row(Matrix(test_sets[i].features.data[:, lo:hi])),
+                               plan_for(0, hi - lo), setup_ctx, keys.public, encrypt=False)
+        for i, lo, hi in batch_ranges
+    ]
+    data_cts = [
+        setup_ctx.encrypt_slots(np.stack([side[o] for side in plain]), keys.public)
+        for o in range(first_plan.d_out_block)
+    ]
+    del plain
+    label_cts = []
+    for b, (i, lo, hi) in enumerate(batch_ranges):
+        router.send(client_name(i), SERVER_P, [ct[b] for ct in data_cts])
+        y_ct = setup_ctx.encrypt_slots(test_sets[i].labels.labels[lo:hi].astype(float),
+                                       keys.public)
+        router.send(client_name(i), SERVER_P, y_ct)
+        label_cts.append(y_ct)
 
     def eval_round(record: RoundModels):
         meter = CostMeter()
@@ -339,66 +347,44 @@ def run_hesv(
         actors: list[str] = []
         players = sorted(record.selected)
 
-        model_cts: dict = {}
-        for i in players:
-            layer_cts = []
+        def upload(owner, model):
+            layers = []
             for l in range(num_layers):
-                cts = squaring_prepare_model(
-                    record.local_models[i].params[l], plan_for(l, m_cap), ctx, keys.public
-                )
-                round_router.send(client_name(i), SERVER_P,
-                                  [ct for j in cts for k in j for ct in k])
-                layer_cts.append(cts)
-            model_cts[i] = layer_cts
-        global_cts = []
-        for l in range(num_layers):
-            cts = squaring_prepare_model(
-                record.global_model.params[l], plan_for(l, m_cap), ctx, keys.public
-            )
-            round_router.send(client_name(leader), SERVER_P,
-                              [ct for j in cts for k in j for ct in k])
-            global_cts.append(cts)
+                cts = squaring_prepare_model(model.params[l], plan_for(l, m_cap), ctx, keys.public)
+                round_router.send(client_name(owner), SERVER_P, cts)
+                layers.append(cts)
+            return layers
+
+        model_cts = {i: upload(i, record.local_models[i]) for i in players}
+        global_cts = upload(leader, record.global_model)
 
         def aggregated_cts(subset):
             if not subset:
                 return global_cts
             w = record.weights_for(subset)
             members = sorted(subset)
-            out = []
-            for l in range(num_layers):
-                shape = model_cts[members[0]][l]
-                agg_layer = []
-                for j in range(len(shape)):
-                    agg_j = []
-                    for k in range(len(shape[j])):
-                        agg_o = []
-                        for o in range(len(shape[j][k])):
-                            acc = None
-                            for i in members:
-                                term = ctx.he_mult(model_cts[i][l][j][k][o], w[i])
-                                acc = term if acc is None else ctx.he_add(acc, term)
-                            agg_o.append(acc)
-                        agg_j.append(agg_o)
-                    agg_layer.append(agg_j)
-                out.append(agg_layer)
-            return out
+            return [
+                ctx.he_dot([model_cts[i][l] for i in members], [w[i] for i in members])
+                for l in range(num_layers)
+            ]
 
         assignment_offset = 0
         utilities = {}
         for subset in subsets_ascending(players):
             agg = aggregated_cts(subset)
             owner = next(iter(subset)) if len(subset) == 1 else None
+            # layer 0 of every batch at once; the rest batch by batch
+            first_bands = squaring_matmul(agg[0], data_cts, first_plan, ctx)
             correct = 0
-            for i in clients:
-                for b, (lo, hi) in enumerate(batch_ranges[i]):
-                    sequence = assign_decryptors(
-                        players, num_layers, owner, {i}, level, assignment_offset
-                    )
-                    assignment_offset += 1
-                    correct += _hesv_eval_batch(
-                        ctx, round_router, keys, record.global_model, plan_for, agg,
-                        data_cts[(i, b)], label_cts[(i, b)], hi - lo, sequence, actors,
-                    )
+            for b, (i, lo, hi) in enumerate(batch_ranges):
+                sequence = assign_decryptors(
+                    players, num_layers, owner, {i}, level, assignment_offset
+                )
+                assignment_offset += 1
+                correct += _hesv_eval_batch(
+                    ctx, round_router, keys, record.global_model, plan_for, agg,
+                    first_bands[b], label_cts[b], hi - lo, sequence, actors,
+                )
             utilities[subset] = correct / total
         return _round_report(record, utilities), meter, actors
 
@@ -407,13 +393,14 @@ def run_hesv(
 
 
 def _hesv_eval_batch(ctx, router, keys, model, plan_for, agg_cts,
-                     first_sides, label_ct_true, m_b, sequence, decrypt_actors) -> int:
+                     bands, label_ct_true, m_b, sequence, decrypt_actors) -> int:
+    """One batch from its layer-0 bands: decrypt, activate, later layers, label check."""
     num_layers = model.depth
-    sides = first_sides
     label_ct = None
     for l in range(num_layers):
         plan = plan_for(l, m_b)
-        bands = squaring_matmul(agg_cts[l], sides, plan, ctx)
+        if l > 0:
+            bands = squaring_matmul(agg_cts[l], sides, plan, ctx)
         decryptor = client_name(sequence[l + 1])
         router.send(SERVER_P, decryptor, bands)
         decrypt_actors.append(decryptor)
@@ -423,7 +410,7 @@ def _hesv_eval_batch(ctx, router, keys, model, plan_for, agg_cts,
             sides = squaring_prepare_batch(
                 with_ones_row(act), plan_for(l + 1, m_b), ctx, keys.public, encrypt=True
             )
-            router.send(decryptor, SERVER_P, [ct for block in sides for ct in block])
+            router.send(decryptor, SERVER_P, sides)
         else:
             labels = argmax_columns(yhat)
             label_ct = ctx.encrypt_slots(labels.labels.astype(float), keys.public)
@@ -586,6 +573,18 @@ def _two_server_round(record: RoundModels, shared: _SharedData, m_cap: int, n: i
 # -- SecSV ----------------------------------------------------------------------
 
 
+def secsv_headroom_error(prime: int, frac_bits: int) -> str | None:
+    """Why the field cannot carry SecSV's layer outputs, or None if it can.
+
+    SecSV decodes at scale 3 * frac_bits (weight times parameter times
+    share), which needs 3 * frac_bits + 9 prime bits.
+    """
+    if prime.bit_length() < 3 * frac_bits + 9:
+        return ("frac_bits: too large for secsv, which decodes at 3 * frac_bits "
+                "(needs 3 * frac_bits + 9 prime bits)")
+    return None
+
+
 def run_secsv(
     rounds: list[RoundModels],
     test_sets: list[ClientDataset],
@@ -603,10 +602,13 @@ def run_secsv(
     kernel; batches pool samples across clients.  With ``skip`` on, the
     sample-skip accelerator prunes aggregate evaluations.
     """
+    field = field_params or FieldParams()
+    headroom = secsv_headroom_error(field.prime, field.frac_bits)
+    if headroom:
+        raise ProtocolError(headroom)
     started = time.perf_counter()
     arch = _common_architecture(rounds)
     he_params = he_params or HEParams()
-    field = field_params or FieldParams()
     weights = cost_weights or CostWeights()
     n = len(test_sets)
     clients = list(range(n))

@@ -77,6 +77,12 @@ class TestConfig:
         config = ExperimentConfig.from_json(json.dumps(tiny_config(noise_stddev=bad)))
         assert [e for e in config.validate() if e.startswith("noise_stddev:")]
 
+    @pytest.mark.parametrize("name", ["alpha", "learning_rate", "separation"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_real_knobs_must_be_finite(self, name, bad):
+        config = ExperimentConfig.from_json(json.dumps(tiny_config(**{name: bad})))
+        assert [e for e in config.validate() if e.startswith(f"{name}:")]
+
     def test_cnn_like_shape_constraint(self):
         config = ExperimentConfig.from_json(json.dumps(tiny_config(architecture="cnn_like")))
         assert any("cnn_like" in e for e in config.validate())

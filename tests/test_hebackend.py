@@ -288,3 +288,134 @@ class TestMeter:
 
     def test_ciphertext_bytes(self):
         assert ciphertext_bytes(HEParams(slot_count=2048)) == 2 * 2048 * 8
+
+
+def mult_add_chain(ctx, a_terms, b_terms):
+    """The he_mult / he_add chain that he_dot stands for."""
+    acc = None
+    for a, b in zip(a_terms, b_terms):
+        prod = ctx.he_mult(a, b)
+        acc = prod if acc is None else ctx.he_add(acc, prod)
+    return acc
+
+
+def same_ct(x, y):
+    """Bit-identical slots and tracked variance."""
+    if not np.array_equal(x.slots, y.slots):
+        return False
+    if x.var is None or y.var is None:
+        return x.var is None and y.var is None
+    return np.array_equal(np.broadcast_to(x.var, x.slots.shape),
+                          np.broadcast_to(y.var, y.slots.shape))
+
+
+class TestStacks:
+    N = 8
+
+    def ctx(self, sigma=0.01, field=None):
+        return HEContext(HEParams(slot_count=self.N, noise_stddev=sigma, seed=4), field=field)
+
+    def noisy_stack(self, ctx, keys, rng, shape):
+        # a product with a plaintext makes the variance per slot
+        ct = ctx.encrypt_slots(rng.normal(size=shape + (self.N,)), keys.public)
+        return ctx.he_mult(ct, rng.normal(size=self.N))
+
+    def check_dot_equals_chain(self, ctx, a_terms, b_terms):
+        before = ctx.meter.snapshot()
+        chain = mult_add_chain(ctx, a_terms, b_terms)
+        mid = ctx.meter.snapshot()
+        dot = ctx.he_dot(a_terms, b_terms)
+        assert same_ct(dot, chain)
+        assert ctx.meter.delta(mid).as_dict() == mid.delta(before).as_dict()
+        return dot
+
+    def test_dot_c2c_float(self, keys):
+        ctx = self.ctx()
+        rng = np.random.default_rng(0)
+        a_terms = [self.noisy_stack(ctx, keys, rng, (2, 3)) for _ in range(4)]
+        b_terms = [self.noisy_stack(ctx, keys, rng, (3,)) for _ in range(4)]
+        dot = self.check_dot_equals_chain(ctx, a_terms, b_terms)
+        assert dot.slots.shape == (2, 3, self.N) and dot.count == 6
+        before = ctx.meter.snapshot()
+        ctx.he_dot(a_terms, b_terms)
+        assert ctx.meter.delta(before).hmult_c2c == 6 * 4
+        assert ctx.meter.delta(before).hadd == 6 * 3
+
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_dot_c2p_float(self, keys, vector):
+        ctx = self.ctx()
+        rng = np.random.default_rng(1)
+        a_terms = [self.noisy_stack(ctx, keys, rng, (3,)) for _ in range(5)]
+        b_terms = ([rng.normal(size=(3, self.N)) for _ in range(5)] if vector
+                   else [float(w) for w in rng.normal(size=5)])
+        self.check_dot_equals_chain(ctx, a_terms, b_terms)
+
+    def test_dot_scalar_variance_stays_scalar(self, keys):
+        # fresh ciphertexts times scalar weights: the aggregation case
+        ctx = self.ctx()
+        a_terms = [ctx.encrypt_slots(np.full((2, 3), float(t)), keys.public) for t in range(4)]
+        dot = self.check_dot_equals_chain(ctx, a_terms, [0.5, -1.25, 3.0, 0.125])
+        assert np.ndim(dot.var) == 0
+
+    def test_dot_without_noise_tracks_nothing(self, keys):
+        ctx = self.ctx(sigma=0.0)
+        rng = np.random.default_rng(2)
+        a_terms = [ctx.encrypt_slots(rng.normal(size=(2, self.N)), keys.public) for _ in range(3)]
+        b_terms = [ctx.encrypt_slots(rng.normal(size=self.N), keys.public), 2.5,
+                   rng.normal(size=self.N)]
+        dot = self.check_dot_equals_chain(ctx, a_terms, b_terms)
+        assert dot.var is None
+
+    def test_dot_integer_slots(self, keys):
+        ctx = self.ctx()
+        rng = np.random.default_rng(3)
+        a_terms = [ctx.encrypt_int_slots(rng.integers(0, P, size=self.N, dtype=np.uint64),
+                                         keys.public) for _ in range(6)]
+        b_terms = [rng.integers(0, P, size=self.N, dtype=np.uint64) for _ in range(6)]
+        b_terms[0] = np.full(self.N, P - 1, dtype=np.uint64)
+        dot = self.check_dot_equals_chain(ctx, a_terms, b_terms)
+        want = sum(a.slots.astype(object) * b.astype(object) for a, b in zip(a_terms, b_terms))
+        assert dot.slots.tolist() == (want % P).tolist()
+
+    def test_dot_rejects_uneven_terms(self, keys):
+        ctx = self.ctx()
+        a = ctx.encrypt_slots([1.0], keys.public)
+        with pytest.raises(BackendError):
+            ctx.he_dot([a, a], [1.0])
+
+    def test_stacked_rotation_equals_per_ciphertext(self, keys):
+        ctx = self.ctx()
+        stack = self.noisy_stack(ctx, keys, np.random.default_rng(4), (2, 3))
+        before = ctx.meter.snapshot()
+        out = ctx.he_rotate(stack, 3)
+        assert ctx.meter.delta(before).hrot == 6
+        for j in range(2):
+            for k in range(3):
+                assert same_ct(out[j, k], ctx.he_rotate(stack[j, k], 3))
+
+    def test_indexing_meters_nothing_and_keeps_variance(self, keys):
+        ctx = self.ctx()
+        stack = self.noisy_stack(ctx, keys, np.random.default_rng(5), (2, 3))
+        before = ctx.meter.as_dict()
+        view = stack[..., None, 1, :]
+        assert view.slots.shape == (2, 1, self.N) and view.count == 2
+        full_var = np.broadcast_to(stack.var, stack.slots.shape)
+        assert np.array_equal(view.var, full_var[..., None, 1, :])
+        assert stack[1, 2].width == self.N
+        assert ctx.meter.as_dict() == before
+        with pytest.raises(BackendError):
+            stack[..., 0]  # drops the slot axis
+
+    def test_stack_encryption_meters_per_ciphertext(self, keys):
+        ctx = self.ctx()
+        stack = ctx.encrypt_slots(np.ones((4, 3)), keys.public)
+        assert stack.slots.shape == (4, self.N) and ctx.meter.enc == 4
+        ctx.fold_int_slots(np.ones((2, 3), dtype=np.uint64), keys.public, terms=3, copies=2)
+        assert (ctx.meter.hmult_c2p, ctx.meter.hadd) == (12, 8)
+
+    def test_decryption_takes_one_ciphertext(self, keys):
+        ctx = self.ctx()
+        stack = ctx.encrypt_slots(np.ones((2, 3)), keys.public)
+        with pytest.raises(BackendError):
+            ctx.decrypt_matrix(stack, (1, 3), keys.private)
+        assert ctx.decrypt_matrix(stack[1], (1, 3), keys.private).shape == (1, 3)

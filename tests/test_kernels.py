@@ -173,6 +173,51 @@ class TestSquaringKernel:
         assert ctx.meter.hmult_c2p == plan.expected_hmult()
 
 
+    @pytest.mark.parametrize("shape", [(4, 300), (10, 64), (64, 100)])
+    def test_leading_batch_axis_equals_per_batch_calls(self, shape):
+        # one evaluation over a stack of batches of different widths equals
+        # one call per batch: same slots, same variance, summed meters
+        d_out, d_in = shape
+        ctx = HEContext(HEParams(noise_stddev=1e-6, seed=2))
+        rng = np.random.default_rng(d_out + d_in)
+        m_cap = squaring_max_batch(d_in, N)
+        a = Matrix(rng.uniform(-1, 1, size=(d_out, d_in)))
+        batches = [Matrix(rng.uniform(-1, 1, size=(d_in, m))) for m in (m_cap, 3, m_cap - 1)]
+        plans = [plan_squaring(d_out, d_in, b.cols, N) for b in batches]
+        model = squaring_prepare_model(a, plans[0], ctx, KEYS.public)
+        sides = [squaring_prepare_batch(b, plan, ctx, KEYS.public)
+                 for b, plan in zip(batches, plans)]
+        stacked = [ctx.encrypt_slots(np.stack([side.slots[o] for side in sides]), KEYS.public)
+                   for o in range(plans[0].d_out_block)]
+
+        before = ctx.meter.snapshot()
+        singles = [squaring_matmul(model, side, plan, ctx) for side, plan in zip(sides, plans)]
+        mid = ctx.meter.snapshot()
+        bands = squaring_matmul(model, stacked, plans[0], ctx)
+        assert ctx.meter.delta(mid).as_dict() == mid.delta(before).as_dict()
+        assert bands.slots.shape == (3, plans[0].j_blocks, N)
+        for b, single in enumerate(singles):
+            assert np.array_equal(bands[b].slots, single.slots)
+            assert np.array_equal(bands[b].var, single.var)
+        got = squaring_decrypt(bands[1], plans[1], ctx, KEYS.private)
+        want = matmul_oracle(a, batches[1]).data
+        assert np.allclose(got.data, want, atol=1e-4)
+
+    def test_stack_shape_checked_against_plan(self):
+        ctx = HEContext(HEParams())
+        a = int_matrix(np.random.default_rng(13), 4, 300)
+        plan = plan_squaring(4, 300, 10, N)
+        model = squaring_prepare_model(a, plan, ctx, KEYS.public)
+        batch = squaring_prepare_batch(int_matrix(np.random.default_rng(14), 300, 10), plan,
+                                       ctx, KEYS.public)
+        with pytest.raises(PlanError):
+            squaring_matmul(model, batch[:, :3], plan, ctx)  # K = 3, not 7
+        with pytest.raises(PlanError):
+            squaring_matmul(model, batch[:4], plan, ctx)  # 4 operands, not 5
+        with pytest.raises(PlanError):
+            squaring_matmul(model[:, :, :3], batch, plan, ctx)
+
+
 class TestReducingKernel:
     def test_packed_copies_instance(self):
         # batch wider than d_in

@@ -155,3 +155,10 @@ class TestAssignDecryptors:
 
     def test_client_name(self):
         assert client_name(3) == "client_3"
+
+
+def test_ciphertext_stack_sizes_per_ciphertext():
+    he = HEParams(slot_count=2048)
+    ctx = HEContext(he)
+    stack = ctx.encrypt_slots(np.zeros((3, 2, 5)), generate_keypair("stack").public)
+    assert payload_bytes(stack, he) == 6 * payload_bytes(stack[0, 0], he) == 6 * 2 * 2048 * 8

@@ -9,7 +9,8 @@ from secshap.federation import (
     fedavg_train,
     make_synthetic_dataset,
 )
-from secshap.hebackend import HEContext, HEParams
+from secshap.cli import ExperimentConfig
+from secshap.hebackend import CostMeter, HEContext, HEParams
 from secshap.matrix import Matrix
 from secshap.models import (
     LayerSpec,
@@ -166,10 +167,18 @@ class TestSecsv:
         parts, history, _ = logistic_world
         dtypes = set()
         real_mult = HEContext.he_mult
+        real_dot = HEContext.he_dot
 
         def spy_mult(self, a, b):
             out = real_mult(self, a, b)
             dtypes.update((a.slots.dtype, np.asarray(b).dtype, out.slots.dtype))
+            return out
+
+        def spy_dot(self, a_terms, b_terms):
+            out = real_dot(self, a_terms, b_terms)
+            dtypes.update(a.slots.dtype for a in a_terms)
+            dtypes.update(np.asarray(b).dtype for b in b_terms)
+            dtypes.add(out.slots.dtype)
             return out
 
         def spy_kernel(real):
@@ -179,6 +188,7 @@ class TestSecsv:
             return spy
 
         monkeypatch.setattr(HEContext, "he_mult", spy_mult)
+        monkeypatch.setattr(HEContext, "he_dot", spy_dot)
         for name in ("reducing_prepare_model", "reducing_prepare_batch"):
             monkeypatch.setattr(protocols, name, spy_kernel(getattr(protocols, name)))
         run_secsv(history, parts, HEParams(), FieldParams(), skip=True, seed=1)
@@ -193,6 +203,26 @@ class TestSecsv:
                              FieldParams((1 << 89) - 1, 22), skip=False, seed=1)
             assert [r.utilities for r in wide.rounds] == truth
         assert dtypes == {np.dtype(object)}
+
+    def test_headroom_checked_before_any_work(self, logistic_world, monkeypatch):
+        # called without validate(): fail at entry, naming the field, with
+        # no key, share or HE operation done
+        parts, history, _ = logistic_world
+        meters, calls = [], []
+
+        def recording_meter():
+            meters.append(CostMeter())
+            return meters[-1]
+
+        monkeypatch.setattr(protocols, "CostMeter", recording_meter)
+        for name in ("generate_keypair", "split_matrix", "HEContext"):
+            monkeypatch.setattr(protocols, name, lambda *a, _n=name, **k: calls.append(_n))
+        with pytest.raises(ProtocolError) as err:
+            run_secsv(history, parts, HEParams(), FieldParams(frac_bits=20), seed=1)
+        assert str(err.value).startswith("frac_bits:")
+        assert str(err.value) == ExperimentConfig(frac_bits=20).validate()[0]
+        assert calls == []
+        assert all(m.as_dict() == CostMeter().as_dict() for m in meters)
 
     def test_grid_coarser_than_codec_rejected(self, logistic_world):
         parts, history, _ = logistic_world
