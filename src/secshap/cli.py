@@ -39,7 +39,8 @@ from .kernels import (
 )
 from .matrix import Matrix
 from .models import arch_cnn_like, arch_logistic, arch_mlp
-from .protocols import run_hesv, run_nssv, run_secretsv, run_secsv, secsv_headroom_error
+from .protocols import (run_hesv, run_nssv, run_secretsv, run_secsv,
+                        secretsv_headroom_error, secsv_headroom_error)
 from .report import ContributionReport, report_to_json
 from .sharing import DEFAULT_PRIME, FieldParams
 from .shapley import fsv_error, permutation_sampling_ssv, fsv_aggregate
@@ -111,8 +112,9 @@ class ExperimentConfig:
             errors.append("noise_stddev: must be finite and non-negative")
         if self.grid_bits < 1 or self.grid_bits > self.frac_bits:
             errors.append("grid_bits: must be in [1, frac_bits]")
-        if self.prime.bit_length() < 2 * self.frac_bits + 9:
-            errors.append("prime: too small for frac_bits (products would wrap)")
+        products = secretsv_headroom_error(self.prime, self.frac_bits)
+        if products:
+            errors.append(products)
         headroom = secsv_headroom_error(self.prime, self.frac_bits)
         if "secsv" in self.protocols and headroom:
             errors.append(headroom)

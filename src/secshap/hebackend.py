@@ -3,9 +3,11 @@
 A ``CipherVector`` holds a stack of ciphertexts: ``slots`` of shape
 (..., N), one N-slot vector per ciphertext along the last axis.  The
 operations are entrywise add, entrywise multiply (ciphertext-ciphertext
-or ciphertext-plaintext), cyclic slot rotation and ``he_dot``, a
-multiply-accumulate over a sequence of terms; all of them broadcast over
-the stack axes.  Indexing a stack is free.  This is a *simulation*: no
+or ciphertext-plaintext), cyclic slot rotation, ``he_dot``, a
+multiply-accumulate over a sequence of terms, and ``he_fold``, the sum of
+rotated copies of one ciphertext; all of them broadcast over the stack
+axes, and ``he_add`` / ``he_rotate`` can write into the arrays of an
+``out`` ciphertext.  Indexing a stack is free.  This is a *simulation*: no
 lattice arithmetic, no actual security.  What it does provide, exactly,
 is
 
@@ -270,7 +272,7 @@ class HEContext:
                  field: FieldParams | None = None):
         self.params = params
         self.meter = meter if meter is not None else CostMeter()
-        self._ops = field_ops(field or FieldParams())
+        self.ops = field_ops(field or FieldParams())  # arithmetic of integer slots
         self._noise_var = params.noise_stddev ** 2  # fresh noise added by each float op
         self._noise_rng = np.random.default_rng(params.seed)
         self.decrypt_log: list[str] = []  # actor names, for role audits
@@ -294,7 +296,7 @@ class HEContext:
         The last axis of ``values`` is the slot axis; leading axes make a
         stack.  A matrix meant for one ciphertext is flattened first.
         """
-        arr = np.asarray(values, dtype=self._ops.dtype if integer else np.float64)
+        arr = np.asarray(values, dtype=self.ops.dtype if integer else np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1)
         size = arr.shape[-1]
@@ -320,14 +322,20 @@ class HEContext:
         """Ciphertexts of a plaintext-weighted sum of ``terms`` integer ciphertexts.
 
         ``values`` are the already-folded slot values, computed once by
-        the caller.  Metered per ciphertext as ``copies`` parties each
-        doing the fold: copies*terms c2p multiplications and
-        copies*(terms-1) additions, and no encryption.
+        the caller.  Metered by ``charge_fold``; no encryption.
         """
         ct = CipherVector(self.encode_slots(values, integer=True), key.key_id)
-        self.meter.hmult_c2p += ct.count * copies * terms
-        self.meter.hadd += ct.count * copies * (terms - 1)
+        self.charge_fold(ct.count, terms, copies)
         return ct
+
+    def charge_fold(self, count: int, terms: int, copies: int) -> None:
+        """Meter ``copies`` parties each folding ``terms`` ciphertexts into each of ``count``.
+
+        A plaintext-weighted sum: copies*terms c2p multiplications and
+        copies*(terms-1) additions per output ciphertext.
+        """
+        self.meter.hmult_c2p += count * copies * terms
+        self.meter.hadd += count * copies * (terms - 1)
 
     # -- decryption -----------------------------------------------------
 
@@ -387,20 +395,26 @@ class HEContext:
             return b.slots
         return self._coerce_plain(b, a)
 
-    def he_add(self, a: CipherVector, b: CipherVector | PlainOperand) -> CipherVector:
+    def he_add(self, a: CipherVector, b: CipherVector | PlainOperand,
+               out: CipherVector | None = None) -> CipherVector:
+        """Entrywise sum; float slots and variance go into ``out``'s arrays if given."""
         other = self._operand(a, b)
         if a.slots.dtype != np.float64:
-            out = CipherVector(self._ops.reduce(a.slots + other), a.key_id)
+            out = CipherVector(self.ops.reduce(a.slots + other), a.key_id)
         else:
-            var = _var(a) + _var(b) + self._noise_var if self._noise_var else None
-            out = CipherVector(a.slots + other, a.key_id, var)
+            var = None
+            if self._noise_var:
+                var_out = _array(out, "var")
+                var = _var(a) + _var(b) if var_out is None else np.add(_var(a), _var(b), out=var_out)
+                var += self._noise_var
+            out = CipherVector(np.add(a.slots, other, out=_array(out, "slots")), a.key_id, var)
         self.meter.hadd += out.count
         return out
 
     def he_mult(self, a: CipherVector, b: CipherVector | PlainOperand) -> CipherVector:
         other = self._operand(a, b)
         if a.slots.dtype != np.float64:
-            out = CipherVector(self._ops.mul(a.slots, other), a.key_id)
+            out = CipherVector(self.ops.mul(a.slots, other), a.key_id)
         else:
             var = self._product_var(a, b, other) if self._noise_var else None
             out = CipherVector(a.slots * other, a.key_id, var)
@@ -436,8 +450,8 @@ class HEContext:
         if first.slots.dtype != np.float64:
             acc = None
             for a, other in zip(a_terms, others):
-                prod = self._ops.mul(a.slots, other)
-                acc = prod if acc is None else self._ops.reduce(acc + prod)
+                prod = self.ops.mul(a.slots, other)
+                acc = prod if acc is None else self.ops.reduce(acc + prod)
             out = CipherVector(acc, first.key_id)
         else:
             shape = np.broadcast_shapes(*(a.slots.shape for a in a_terms),
@@ -468,16 +482,37 @@ class HEContext:
             var = var + _var(b) * np.square(a.slots)
         return var
 
-    def he_rotate(self, a: CipherVector, steps: int) -> CipherVector:
-        """Cyclic left rotation of every ciphertext: slot i holds slot (i + steps) mod N."""
+    def he_rotate(self, a: CipherVector, steps: int,
+                  out: CipherVector | None = None) -> CipherVector:
+        """Cyclic left rotation of every ciphertext: slot i holds slot (i + steps) mod N.
+
+        The slots and an array variance go into ``out``'s arrays if given.
+        """
         self.meter.hrot += a.count
-        slots = _rotate(a.slots, steps)
+        slots = _rotate(a.slots, steps, out=_array(out, "slots"))
         if slots.dtype != np.float64 or not self._noise_var:
             return CipherVector(slots, a.key_id)
         var = _var(a)
         if isinstance(var, np.ndarray):
-            var = _rotate(var, steps)
-        return CipherVector(slots, a.key_id, var + self._noise_var)
+            var = _rotate(var, steps, out=_array(out, "var"))
+        var += self._noise_var
+        return CipherVector(slots, a.key_id, var)
+
+    def he_fold(self, h: CipherVector, shift: int, copies: int) -> CipherVector:
+        """The sum of ``h`` rotated by 0, shift, ..., (copies - 1) * shift.
+
+        Repeated doubling (acc + rot(acc)) while the copies allow, then
+        single steps (acc + rot(h)): the ``he_rotate`` / ``he_add`` chain,
+        with every rotation written into one buffer and every sum after
+        the first into one accumulator.
+        """
+        acc, rot, terms = h, None, 1
+        while terms < copies:
+            double = terms * 2 <= copies
+            rot = self.he_rotate(acc if double else h, shift * terms, out=rot)
+            acc = self.he_add(acc, rot, out=None if acc is h else acc)
+            terms = terms * 2 if double else terms + 1
+        return acc
 
 
 def _var(operand) -> float | np.ndarray:
@@ -487,7 +522,13 @@ def _var(operand) -> float | np.ndarray:
     return 0.0
 
 
-def _rotate(x: np.ndarray, steps: int) -> np.ndarray:
-    """``np.roll(x, -steps, axis=-1)`` as one copy of two slices."""
+def _array(ct: CipherVector | None, name: str) -> np.ndarray | None:
+    """``ct``'s slots or variance as an output buffer, or None to allocate."""
+    arr = None if ct is None else getattr(ct, name)
+    return arr if isinstance(arr, np.ndarray) else None
+
+
+def _rotate(x: np.ndarray, steps: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.roll(x, -steps, axis=-1)`` as one copy of two slices, into ``out`` if given."""
     s = steps % x.shape[-1]
-    return np.concatenate((x[..., s:], x[..., :s]), axis=-1)
+    return np.concatenate((x[..., s:], x[..., :s]), axis=-1, out=out)

@@ -14,11 +14,14 @@ B (d_in x m, the batch side) over the slotted backend:
   entrywise multiply-accumulate over the pairs, one ``he_dot``.  Costs
   exactly d_in multiplications and zero rotations, at the price of
   requiring the transforms to be computed where the operand is
-  plaintext.
+  plaintext.  Over a prime field that sum is exact, so
+  ``reducing_field_matmul`` gets the same slots from one field matrix
+  product and meters them at the same cost.
 
-Each squaring step is one ``HEContext`` operation on a whole stack,
-metered per ciphertext, so the cost laws below count exactly what a
-ciphertext-by-ciphertext evaluation would.
+Each squaring step is one ``HEContext`` operation on a whole stack
+(the copy fold is one ``he_fold``), metered per ciphertext, so the
+cost laws below count exactly what a ciphertext-by-ciphertext
+evaluation would.
 
 ``delta_reference`` is the plaintext transform-reduce-accumulate map
 both kernels are anchored to: delta(A, B) == A @ B whenever
@@ -55,6 +58,7 @@ __all__ = [
     "reducing_prepare_model",
     "reducing_prepare_batch",
     "reducing_matmul",
+    "reducing_field_matmul",
     "reducing_decrypt",
 ]
 
@@ -268,18 +272,8 @@ def squaring_matmul(
     b_terms = [batch_side[o][..., None, :, :] for o in range(plan.d_out_block)]
     _check_stack(b_terms[0], (1, plan.k_blocks), "batch")
     h = ctx.he_dot([model_cts[o] for o in range(plan.d_out_block)], b_terms)
-    # fold the vertical copies down onto the top block:
-    # repeated doubling, then single steps for the remainder
-    step = plan.d_out_block * plan.s
-    copies = plan.s // plan.d_out_block
-    acc = h
-    terms = 1
-    while terms * 2 <= copies:
-        acc = ctx.he_add(acc, ctx.he_rotate(acc, step * terms))
-        terms *= 2
-    while terms < copies:
-        acc = ctx.he_add(acc, ctx.he_rotate(h, step * terms))
-        terms += 1
+    # fold the vertical copies down onto the top block
+    acc = ctx.he_fold(h, plan.d_out_block * plan.s, plan.s // plan.d_out_block)
     band = acc[..., 0, :]
     for k in range(1, plan.k_blocks):
         band = ctx.he_add(band, acc[..., k, :])
@@ -395,6 +389,33 @@ def reducing_matmul(
             f"{len(model_cts)} and {len(batch_side)}"
         )
     return ctx.he_dot(model_cts, batch_side)
+
+
+def reducing_field_matmul(
+    a: np.ndarray,
+    b: np.ndarray,
+    plan: MatMulPlan,
+    ctx: HEContext,
+    key: PublicKey,
+) -> CipherVector:
+    """``reducing_matmul`` of field operands, as one exact field product.
+
+    Over Z_p the multiply-accumulate has no rounding: slot (j, k) of
+    sum_o view_o(A) * view_o(B) is (A @ B mod p)[j, k] for k < m and 0 in
+    the padded columns (the ``delta_reference`` identity).  So one
+    ``matmul`` gives the d_out x plan.m slots, metered as the kernel: d_in
+    c2p products and d_in - 1 additions.  ``a`` is the model operand the
+    servers hold encrypted, ``b`` the plaintext batch.  Real operands keep
+    ``reducing_matmul``, whose float sums depend on the order of terms.
+    """
+    ops = ctx.ops
+    a = np.asarray(a, dtype=ops.dtype)
+    b = np.asarray(b, dtype=ops.dtype)
+    if a.shape != (plan.d_out, plan.d_in) or b.shape[0] != plan.d_in or b.shape[1] > plan.m:
+        raise PlanError(f"shapes {a.shape} x {b.shape} do not match plan")
+    out = np.zeros((plan.d_out, plan.m), dtype=ops.dtype)
+    out[:, : b.shape[1]] = ops.matmul(a, b)
+    return ctx.fold_int_slots(out.reshape(-1), key, terms=plan.d_in, copies=1)
 
 
 def reducing_decrypt(

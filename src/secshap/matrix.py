@@ -10,7 +10,6 @@ matmul kernels are built on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -80,11 +79,6 @@ class Matrix:
     @staticmethod
     def identity(n: int) -> "Matrix":
         return Matrix(np.eye(n))
-
-    @staticmethod
-    def from_flat(values: Iterable[float], rows: int, cols: int) -> "Matrix":
-        arr = np.fromiter(values, dtype=np.float64, count=rows * cols)
-        return Matrix(arr.reshape(rows, cols))
 
     def allclose(self, other: "Matrix", tol: float = 0.0) -> bool:
         if self.shape != other.shape:

@@ -6,7 +6,10 @@
   ciphertext-ciphertext multiplications; per-client batches only.
 - ``run_secsv``: two servers; models encrypted, test data additively
   shared, so every multiplication is ciphertext-plaintext and samples
-  from different clients share a batch.  Optional sample skipping.
+  from different clients share a batch.  Optional sample skipping.  Each
+  server's reducing product is evaluated as one exact field product
+  (``reducing_field_matmul``) and metered as the kernel's ciphertext
+  operations.
 - ``run_secretsv``: two servers, models and data both secret-shared;
   layers run on Beaver triples, which trades ciphertext arithmetic for
   dealer traffic and per-layer truncation error.
@@ -43,11 +46,9 @@ from .hebackend import (
     generate_keypair,
 )
 from .kernels import (
-    _reducing_model_views,
     plan_reducing,
     plan_squaring,
-    reducing_matmul,
-    reducing_prepare_batch,
+    reducing_field_matmul,
     reducing_prepare_model,
     squaring_decrypt,
     squaring_matmul,
@@ -660,12 +661,13 @@ def run_secsv(
 
         agg_cache: dict = {}
 
-        def aggregated_cts(subset):
-            """Per-layer transformed ciphertexts of the subset aggregate.
+        def aggregated(subset):
+            """Per-layer field matrices of the subset aggregate.
 
-            Both servers fold their model copies: |S| scalar multiplies
-            plus |S|-1 additions per ciphertext; the slot values are
-            computed once on the simulation side.
+            Both servers fold their copies of every layer's d_in model
+            ciphertexts: |S| scalar multiplies plus |S|-1 additions per
+            ciphertext, metered here; the folded values are computed once,
+            as the d_out x d_in matrix that ``linear`` multiplies.
             """
             if subset in agg_cache:
                 return agg_cache[subset]
@@ -680,21 +682,16 @@ def run_secsv(
                 ]
             out = []
             for l in range(num_layers):
-                agg = _weighted_sum(ops, [(w_enc, enc[l]) for w_enc, enc in members_enc])
-                out.append([
-                    ctx.fold_int_slots(view, keys.public, len(members_enc), copies=2)
-                    for view in _reducing_model_views(agg, m_cap)
-                ])
+                out.append(_weighted_sum(ops, [(w_enc, enc[l]) for w_enc, enc in members_enc]))
+                ctx.charge_fold(plans[l].d_in, len(members_enc), copies=2)
             agg_cache[subset] = out
             return out
 
         def linear(agg, l, x, receiver):
             plan = plans[l]
-            ct_p = reducing_matmul(
-                agg[l], reducing_prepare_batch(x.s_prime, plan, ctx, width=m_cap), plan, ctx
-            )
-            ct_a = reducing_matmul(
-                agg[l], reducing_prepare_batch(x.s_dprime, plan, ctx, width=m_cap), plan, ctx
+            ct_p, ct_a = (
+                reducing_field_matmul(agg[l], share, plan, ctx, keys.public)
+                for share in (x.s_prime, x.s_dprime)
             )
             round_router.send(SERVER_A, SERVER_P, ct_a)
             ct = ctx.he_add(ct_p, ct_a)
@@ -707,7 +704,7 @@ def run_secsv(
         report, actors = _two_server_round(
             record, shared, m_cap, n, level, field, round_router,
             mask_rng(f"secsv-{seed}-round-{record.round_index}"),
-            aggregated_cts, linear, skip,
+            aggregated, linear, skip,
         )
         return report, meter, actors
 
@@ -719,6 +716,17 @@ def run_secsv(
 
 
 # -- SecretSV ---------------------------------------------------------------------
+
+
+def secretsv_headroom_error(prime: int, frac_bits: int) -> str | None:
+    """Why the field cannot carry one fixed-point product, or None if it can.
+
+    A product of two values at scale frac_bits, before its truncation,
+    needs 2 * frac_bits + 9 prime bits; SecretSV makes one per layer.
+    """
+    if prime.bit_length() < 2 * frac_bits + 9:
+        return "prime: too small for frac_bits (products would wrap)"
+    return None
 
 
 def run_secretsv(
@@ -739,9 +747,12 @@ def run_secretsv(
     layer applies a fixed-point truncation, so errors accumulate with
     depth.
     """
+    field = field_params or FieldParams()
+    headroom = secretsv_headroom_error(field.prime, field.frac_bits)
+    if headroom:
+        raise ProtocolError(headroom)
     started = time.perf_counter()
     arch = _common_architecture(rounds)
-    field = field_params or FieldParams()
     weights = cost_weights or CostWeights()
     n = len(test_sets)
     clients = list(range(n))

@@ -299,6 +299,18 @@ def mult_add_chain(ctx, a_terms, b_terms):
     return acc
 
 
+def rotate_add_chain(ctx, h, shift, copies):
+    """The he_rotate / he_add chain that he_fold stands for."""
+    acc, terms = h, 1
+    while terms * 2 <= copies:
+        acc = ctx.he_add(acc, ctx.he_rotate(acc, shift * terms))
+        terms *= 2
+    while terms < copies:
+        acc = ctx.he_add(acc, ctx.he_rotate(h, shift * terms))
+        terms += 1
+    return acc
+
+
 def same_ct(x, y):
     """Bit-identical slots and tracked variance."""
     if not np.array_equal(x.slots, y.slots):
@@ -382,6 +394,31 @@ class TestStacks:
         a = ctx.encrypt_slots([1.0], keys.public)
         with pytest.raises(BackendError):
             ctx.he_dot([a, a], [1.0])
+
+    @pytest.mark.parametrize("copies", [1, 2, 3, 4, 5, 7])
+    @pytest.mark.parametrize("kind", ["exact", "scalar_var", "slot_var", "integer"])
+    def test_fold_equals_rotate_add_chain(self, keys, kind, copies):
+        ctx = self.ctx(sigma=0.0 if kind == "exact" else 0.01)
+        rng = np.random.default_rng(copies)
+        if kind == "slot_var":
+            h = self.noisy_stack(ctx, keys, rng, (2, 3))
+        elif kind == "integer":
+            h = ctx.encrypt_int_slots(rng.integers(0, P, size=(2, 3, self.N), dtype=np.uint64),
+                                      keys.public)
+        else:
+            h = ctx.encrypt_slots(rng.normal(size=(2, 3, self.N)), keys.public)
+        kept = (h.slots.copy(), np.copy(h.var))
+        before = ctx.meter.snapshot()
+        chain = rotate_add_chain(ctx, h, 3, copies)
+        mid = ctx.meter.snapshot()
+        fold = ctx.he_fold(h, 3, copies)
+        assert same_ct(fold, chain)
+        assert fold.slots.dtype == chain.slots.dtype
+        assert np.ndim(fold.var) == np.ndim(chain.var)
+        assert ctx.meter.delta(mid).as_dict() == mid.delta(before).as_dict()
+        assert np.array_equal(h.slots, kept[0]) and np.array_equal(np.copy(h.var), kept[1])
+        if kind == "exact" or kind == "integer":
+            assert fold.var is None
 
     def test_stacked_rotation_equals_per_ciphertext(self, keys):
         ctx = self.ctx()

@@ -37,13 +37,16 @@ from secshap.shapley import fsv_error, ssv_exact, UtilityTable
 
 def small_world(
     n=4, test_m=120, train_m=240, d=12, c=3, arch=None, rounds=2,
-    seed=5, separation=2.5, epochs=1, lr=0.5,
+    seed=5, separation=2.5, epochs=1, lr=0.5, grid_bits=12,
 ):
-    pool = make_synthetic_dataset(test_m, d, c, seed=seed, separation=separation, centers_seed=seed)
+    pool = make_synthetic_dataset(test_m, d, c, seed=seed, separation=separation,
+                                  grid_bits=grid_bits, centers_seed=seed)
     parts = dirichlet_partition(pool, n, alpha=0.7, seed=seed + 1)
-    train_pool = make_synthetic_dataset(train_m, d, c, seed=seed + 2, separation=separation, centers_seed=seed)
+    train_pool = make_synthetic_dataset(train_m, d, c, seed=seed + 2, separation=separation,
+                                        grid_bits=grid_bits, centers_seed=seed)
     train = dirichlet_partition(train_pool, n, alpha=0.7, seed=seed + 3)
-    history = fedavg_train(train, arch or arch_logistic(d, c), rounds, local_epochs=epochs, lr=lr, seed=seed + 4)
+    history = fedavg_train(train, arch or arch_logistic(d, c), rounds, local_epochs=epochs, lr=lr,
+                           seed=seed + 4, grid_bits=grid_bits)
     return parts, history
 
 
@@ -181,18 +184,28 @@ class TestSecsv:
             dtypes.add(out.slots.dtype)
             return out
 
-        def spy_kernel(real):
-            def spy(operand, *args, **kwargs):
-                dtypes.add(np.asarray(operand).dtype)
-                return real(operand, *args, **kwargs)
-            return spy
+        real_prepare = protocols.reducing_prepare_model
+        real_product = protocols.reducing_field_matmul
+        products = []
+
+        def spy_prepare(operand, *args, **kwargs):
+            dtypes.add(np.asarray(operand).dtype)
+            return real_prepare(operand, *args, **kwargs)
+
+        def spy_product(a, b, *args, **kwargs):
+            # the layer products: both field operands and the output slots
+            out = real_product(a, b, *args, **kwargs)
+            dtypes.update((np.asarray(a).dtype, np.asarray(b).dtype, out.slots.dtype))
+            products.append(out.slots.dtype)
+            return out
 
         monkeypatch.setattr(HEContext, "he_mult", spy_mult)
         monkeypatch.setattr(HEContext, "he_dot", spy_dot)
-        for name in ("reducing_prepare_model", "reducing_prepare_batch"):
-            monkeypatch.setattr(protocols, name, spy_kernel(getattr(protocols, name)))
+        monkeypatch.setattr(protocols, "reducing_prepare_model", spy_prepare)
+        monkeypatch.setattr(protocols, "reducing_field_matmul", spy_product)
         run_secsv(history, parts, HEParams(), FieldParams(), skip=True, seed=1)
-        assert dtypes == {np.dtype(np.uint64)}
+        assert products and dtypes == {np.dtype(np.uint64)}
+        products.clear()
 
         dtypes.clear()
         deep_parts, deep_history = small_world(n=4, test_m=60, train_m=120, d=8, c=3,
@@ -202,7 +215,7 @@ class TestSecsv:
             wide = run_secsv(world_history, world_parts, HEParams(),
                              FieldParams((1 << 89) - 1, 22), skip=False, seed=1)
             assert [r.utilities for r in wide.rounds] == truth
-        assert dtypes == {np.dtype(object)}
+        assert products and dtypes == {np.dtype(object)}
 
     def test_headroom_checked_before_any_work(self, logistic_world, monkeypatch):
         # called without validate(): fail at entry, naming the field, with
@@ -264,6 +277,26 @@ class TestSecretsv:
         assert dtypes == {np.dtype(np.uint64)}
         assert fsv_error(report.fsv, nssv.fsv) <= 1e-2
 
+    def test_headroom_checked_before_any_work(self, logistic_world, monkeypatch):
+        # called without validate(): fail at entry, naming the field, with
+        # no share, triple or product work done
+        parts, history, _ = logistic_world
+        meters, calls = [], []
+
+        def recording_meter():
+            meters.append(CostMeter())
+            return meters[-1]
+
+        monkeypatch.setattr(protocols, "CostMeter", recording_meter)
+        for name in ("split_matrix", "TripleSupply", "share_matmul", "mask_rng"):
+            monkeypatch.setattr(protocols, name, lambda *a, _n=name, **k: calls.append(_n))
+        with pytest.raises(ProtocolError) as err:
+            run_secretsv(history, parts, FieldParams(frac_bits=27), seed=1)
+        assert str(err.value).startswith("prime:")
+        assert str(err.value) == ExperimentConfig(frac_bits=27).validate()[0]
+        assert calls == []
+        assert all(m.as_dict() == CostMeter().as_dict() for m in meters)
+
     def test_triple_exhaustion(self, logistic_world):
         parts, history, _ = logistic_world
         with pytest.raises(SupplyError):
@@ -298,22 +331,23 @@ class TestSecretsv:
 
 
 class TestRandomWorlds:
-    @settings(max_examples=8, deadline=None, derandomize=True)
+    @settings(max_examples=16, deadline=None, derandomize=True)
     @given(
-        n=st.sampled_from([4, 5]),
+        n=st.sampled_from([4, 5, 6]),
         hidden=st.lists(st.tuples(st.sampled_from([4, 6]), st.sampled_from(["sigmoid", "relu"])),
                         max_size=2),
         slot_count=st.sampled_from([256, 1024, 2048]),
+        grid_bits=st.sampled_from([8, 12]),
         seed=st.integers(0, 10_000),
     )
-    def test_noise_off_tables_equal_nssv(self, n, hidden, slot_count, seed):
+    def test_noise_off_tables_equal_nssv(self, n, hidden, slot_count, grid_bits, seed):
         d, c = 8, 3
         sizes = [d, *(width for width, _ in hidden), c]
         acts = [act for _, act in hidden] + ["identity"]
         arch = [LayerSpec("fully-connected", sizes[l], sizes[l + 1], acts[l])
                 for l in range(len(acts))]
         parts, history = small_world(n=n, test_m=60, train_m=120, d=d, c=c, arch=arch,
-                                     rounds=1, seed=seed)
+                                     rounds=1, seed=seed, grid_bits=grid_bits)
         truth = [r.utilities for r in run_nssv(history, parts).rounds]
         he = HEParams(slot_count=slot_count, noise_stddev=0.0)
         reports = [
