@@ -75,7 +75,7 @@ class ExperimentConfig:
     frac_bits: int = 16
     protocols: list = field(default_factory=lambda: ["nssv", "hesv", "secsv", "secretsv"])
     sample_skip: bool = True
-    batch_cap: int = 0  # 0 means the slot-capacity maximum
+    batch_cap: int = 0  # caps secretsv's batches only; 0 means 512
     ps_budget: int = 0  # 0 means clients * ceil(log2(clients)) permutations
     workers: int = 1
     output_dir: str = "out"

@@ -10,6 +10,7 @@ logged with its actor, so an audit can check that only clients did it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -34,7 +35,9 @@ SERVER_A = "server_a"
 KEY_BYTES = 32
 
 
+@cache
 def client_name(i: int) -> str:
+    """One shared string per client: reports log a name per decryption."""
     return f"client_{i}"
 
 

@@ -485,12 +485,14 @@ def _decode_signed_block(raw, field: FieldParams, scale_bits: int, rows: int, co
                   .reshape(rows, cols))
 
 
-def _weighted_sum(ops, terms):
-    """Sum of w * x mod p over (weight, field-element array) pairs."""
-    acc = 0
-    for w, x in terms:
-        acc = ops.reduce(acc + ops.mul(w, x))
-    return acc
+def _weighted_sum(ops, weights, arrays):
+    """Sum of w * x mod p over encoded weights and equal-shape field arrays.
+
+    One field product: the weight row times the stacked, flattened arrays.
+    """
+    row = np.array([weights], dtype=ops.dtype)
+    stacked = np.stack(arrays).reshape(len(arrays), -1)
+    return ops.matmul(row, stacked).reshape(arrays[0].shape)
 
 
 def _split_and_distribute(router, field, owner_name, secret: Matrix, rng):
@@ -509,7 +511,7 @@ def _shared_label_check(router, field, y_sh: SharePair, shared: _SharedData, col
     router.send(SERVER_A, SERVER_P, tilde_a)
     diff = ops.reduce(y_sh.s_prime[0] + (p - shared.y_prime[cols]) + tilde_a)
     gaps = _decode_signed_block(diff, field, field.frac_bits, 1, len(batch_ids)).data[0]
-    return {sid for sid, gap in zip(batch_ids, gaps) if abs(gap) < TOLERANCE}
+    return set(itertools.compress(batch_ids, (np.abs(gaps) < TOLERANCE).tolist()))
 
 
 def _two_server_round(record: RoundModels, shared: _SharedData, m_cap: int, n: int,
@@ -531,16 +533,25 @@ def _two_server_round(record: RoundModels, shared: _SharedData, m_cap: int, n: i
     players = sorted(record.selected)
     actors: list[str] = []
     assignments = itertools.count()  # one running offset per round
+    batch_cache: dict = {}  # sample-id tuple -> [(batch, column array)]
+
+    def batches_for(sample_ids):
+        key = tuple(sample_ids)
+        if key not in batch_cache:
+            positions = [shared.pos_of_id[s] for s in key]
+            batch_cache[key] = [
+                (batch, np.array(batch.columns))
+                for batch in _pooled_batches(shared.owner_by_pos, shared.ids_by_pos,
+                                             positions, m_cap, n)
+            ]
+        return batch_cache[key]
 
     def evaluate(subset, sample_ids) -> set:
         subset = frozenset(subset)
         theta = aggregate(subset)
         owner = next(iter(subset)) if len(subset) == 1 else None
-        positions = [shared.pos_of_id[s] for s in sample_ids]
         correct: set = set()
-        for batch in _pooled_batches(shared.owner_by_pos, shared.ids_by_pos, positions,
-                                     m_cap, n):
-            cols = np.array(batch.columns)
+        for batch, cols in batches_for(sample_ids):
             sequence = assign_decryptors(
                 players, num_layers, owner, batch.owners, level, next(assignments)
             )
@@ -674,16 +685,15 @@ def run_secsv(
             if not subset:
                 # the incoming global model, brought to the same
                 # weight-times-parameter scale as every aggregate
-                members_enc = [(encode(1.0, field), model_enc["global"])]
+                w_enc, members = [encode(1.0, field)], [model_enc["global"]]
             else:
                 w = record.weights_for(subset)
-                members_enc = [
-                    (encode(w[i], field), model_enc[i]) for i in sorted(subset)
-                ]
+                w_enc = [encode(w[i], field) for i in sorted(subset)]
+                members = [model_enc[i] for i in sorted(subset)]
             out = []
             for l in range(num_layers):
-                out.append(_weighted_sum(ops, [(w_enc, enc[l]) for w_enc, enc in members_enc]))
-                ctx.charge_fold(plans[l].d_in, len(members_enc), copies=2)
+                out.append(_weighted_sum(ops, w_enc, [enc[l] for enc in members]))
+                ctx.charge_fold(plans[l].d_in, len(members), copies=2)
             agg_cache[subset] = out
             return out
 
@@ -797,11 +807,11 @@ def run_secretsv(
             w = record.weights_for(subset)
             if len(members) == 1 and w[members[0]] == 1.0:
                 return model_shares[members[0]]
-            w_enc = {i: encode(w[i], field) for i in members}
+            w_enc = [encode(w[i], field) for i in members]
             out = []
             for l in range(num_layers):
-                zp = _weighted_sum(ops, [(w_enc[i], model_shares[i][l].s_prime) for i in members])
-                za = _weighted_sum(ops, [(w_enc[i], model_shares[i][l].s_dprime) for i in members])
+                zp = _weighted_sum(ops, w_enc, [model_shares[i][l].s_prime for i in members])
+                za = _weighted_sum(ops, w_enc, [model_shares[i][l].s_dprime for i in members])
                 out.append(_truncate_shares(SharePair(zp, za), field))
             return out
 

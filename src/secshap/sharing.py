@@ -8,10 +8,13 @@ the last fixed-point bit.
 
 Share arrays are uint64 for the default prime p = 2**61 - 1: masks and
 triples come from one ``Generator.integers`` call per array, sums reduce
-with the Mersenne fold (x & p) + (x >> 61), and matrix products split
-each operand into 21-bit limbs so that float64 matrix products stay
-exact.  Every other prime keeps object arrays of Python ints, exact at
-any size.  ``field_ops`` is the one place that picks between the two.
+with the Mersenne fold (x & p) + (x >> 61) and one conditional
+subtraction, and matrix products split each operand (any value below
+2**63) into three 21-bit limbs so that one float64 matrix product stays
+exact.  The limb coefficients of 2**63 and 2**84 fold onto those of 2**0
+and 2**21, since 2**63 = 4 and 2**84 = 4 * 2**21 (mod p).  Every other
+prime keeps object arrays of Python ints, exact at any size.
+``field_ops`` is the one place that picks between the two.
 """
 
 from __future__ import annotations
@@ -141,6 +144,7 @@ class BeaverTriple:
 
 _LIMB_BITS = 21
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
+_LIMB_SHIFTS = np.arange(0, 3 * _LIMB_BITS, _LIMB_BITS, dtype=np.uint64)  # 0, 21, 42
 _MAX_INNER = 1 << 11  # 2^11 products of two 21-bit limbs sum below 2^53
 
 
@@ -154,9 +158,10 @@ class _Mersenne61:
         return gen.integers(0, self.p, size=shape, dtype=np.uint64)
 
     def reduce(self, x: np.ndarray) -> np.ndarray:
-        """Canonical residues of uint64 values."""
-        x = (x & self.p) + (x >> 61)
-        return np.where(x >= self.p, x - self.p, x)
+        """Canonical residues of a uint64 array (any values)."""
+        x = (x & self.p) + (x >> 61)  # <= p + 7
+        # below p, x - p wraps above x, so the minimum is the residue
+        return np.minimum(x, x - self.p, out=x)
 
     def _rotate(self, x: np.ndarray, k: int) -> np.ndarray:
         """x * 2**k mod p for x < 2**61: a 61-bit rotation."""
@@ -178,8 +183,9 @@ class _Mersenne61:
         )
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint64)
-        for k in range(0, a.shape[1], _MAX_INNER):
+        """Exact a @ b mod p of uint64 operands below 2**63, reduced or not."""
+        out = self._matmul_chunk(a[:, :_MAX_INNER], b[:_MAX_INNER])
+        for k in range(_MAX_INNER, a.shape[1], _MAX_INNER):
             out = self.reduce(out + self._matmul_chunk(a[:, k:k + _MAX_INNER],
                                                        b[k:k + _MAX_INNER]))
         return out
@@ -188,19 +194,20 @@ class _Mersenne61:
         """Exact product for inner width <= 2^11: one float64 matmul of limbs.
 
         With a = sum_i a_i 2^(21 i) and b = sum_j b_j 2^(21 j), block
-        (i, j) of the stacked product is a_i @ b_j, and the coefficient of
-        2^(21 s) sums the blocks with i + j = s.
+        (i, j) of the stacked product is a_i @ b_j, and the coefficient
+        c_s of 2^(21 s) sums the blocks with i + j = s (each below 3 *
+        2^53).  Since 2^63 = 4 and 2^84 = 4 * 2^21 (mod p), c_3 and c_4
+        fold onto c_0 and c_1, leaving two 61-bit rotations.
         """
         r, c = a.shape[0], b.shape[1]
-        shifts = range(0, 3 * _LIMB_BITS, _LIMB_BITS)
-        limbs_a = np.vstack([(a >> s) & _LIMB_MASK for s in shifts]).astype(np.float64)
-        limbs_b = np.hstack([(b >> s) & _LIMB_MASK for s in shifts]).astype(np.float64)
-        blocks = (limbs_a @ limbs_b).astype(np.uint64).reshape(3, r, 3, c)
-        coeff = [sum(blocks[i, :, s - i] for i in range(3) if 0 <= s - i < 3)
-                 for s in range(5)]  # each < 3 * 2^53
-        # 2^(21 s) mod p for s = 0..4 is 2^0, 2^21, 2^42, 2^2, 2^23
-        return self.reduce(coeff[0] + self._rotate(coeff[1], 21) + self._rotate(coeff[2], 42)
-                           + self._rotate(coeff[3], 2) + self._rotate(coeff[4], 23))
+        limbs_a = ((a >> _LIMB_SHIFTS[:, None, None]) & _LIMB_MASK).reshape(3 * r, a.shape[1])
+        limbs_b = ((b[:, None] >> _LIMB_SHIFTS[:, None]) & _LIMB_MASK).reshape(b.shape[0], 3 * c)
+        blocks = limbs_a.astype(np.float64) @ limbs_b.astype(np.float64)
+        blocks = blocks.astype(np.uint64).reshape(3, r, 3, c)
+        low = blocks[0, :, 0] + ((blocks[1, :, 2] + blocks[2, :, 1]) << 2)  # c_0 + 4 c_3
+        mid = blocks[0, :, 1] + blocks[1, :, 0] + (blocks[2, :, 2] << 2)  # c_1 + 4 c_4
+        high = blocks[0, :, 2] + blocks[1, :, 1] + blocks[2, :, 0]  # c_2
+        return self.reduce(low + self._rotate(mid, 21) + self._rotate(high, 42))
 
     def from_rounded(self, scaled: np.ndarray) -> np.ndarray:
         """Field elements of integer-valued floats below 2^63 in magnitude."""
@@ -253,8 +260,9 @@ def field_ops(field: FieldParams):
     """Array arithmetic of the field: uint64 for 2**61 - 1, Python ints otherwise.
 
     Ops: ``random(gen, shape)``, ``reduce`` (sums of canonical elements),
-    ``mul`` (entrywise), ``matmul``, ``from_rounded`` (integer-valued
-    floats) and ``signed``; ``dtype`` is the element dtype.
+    ``mul`` (entrywise), ``matmul`` (operands below 2**63, reduced or
+    not), ``from_rounded`` (integer-valued floats) and ``signed``;
+    ``dtype`` is the element dtype.
     """
     return _M61 if field.prime == DEFAULT_PRIME else _PythonInts(field.prime)
 
@@ -423,25 +431,23 @@ def share_matmul(
     ops = field_ops(field)
     p = field.prime
     triple = supply.take(shape_a, shape_b)
+    u, v, w = triple.u, triple.v, triple.w
 
-    # each server locally masks, then the differences are opened
-    e_prime = ops.reduce(a.s_prime + (p - triple.u.s_prime))
-    f_prime = ops.reduce(b.s_prime + (p - triple.v.s_prime))
-    e_dprime = ops.reduce(a.s_dprime + (p - triple.u.s_dprime))
-    f_dprime = ops.reduce(b.s_dprime + (p - triple.v.s_dprime))
-    e = ops.reduce(e_prime + e_dprime)
-    f = ops.reduce(f_prime + f_dprime)
+    # each server masks its shares locally; the differences e = a - u and
+    # f = b - v are opened, each summed with one reduction
+    e = ops.reduce(a.s_prime + a.s_dprime + (2 * p - u.s_prime - u.s_dprime))
+    f = ops.reduce(b.s_prime + b.s_dprime + (2 * p - v.s_prime - v.s_dprime))
     if meter is not None:
         elem = field_element_bytes(field)
         opened = (e.size + f.size) * elem
         meter.record_bytes(parties[0], parties[1], opened)
         meter.record_bytes(parties[1], parties[0], opened)
 
-    # z' = e@f + u'@f + e@v' + w' at P and z'' = u''@f + e@v'' + w'' at A,
-    # from two stacked products
+    # z' = (e + u')@f + e@v' + w' at P and z'' = u''@f + e@v'' + w'' at A,
+    # from two stacked products (e + u' < 2p is a valid matmul operand)
     r, c = shape_a[0], shape_b[1]
-    by_f = ops.matmul(np.vstack([e, triple.u.s_prime, triple.u.s_dprime]), f)
-    by_e = ops.matmul(e, np.hstack([triple.v.s_prime, triple.v.s_dprime]))
-    z_prime = ops.reduce(by_f[:r] + by_f[r:2 * r] + by_e[:, :c] + triple.w.s_prime)
-    z_dprime = ops.reduce(by_f[2 * r:] + by_e[:, c:] + triple.w.s_dprime)
+    by_f = ops.matmul(np.vstack([e + u.s_prime, u.s_dprime]), f)
+    by_e = ops.matmul(e, np.hstack([v.s_prime, v.s_dprime]))
+    z_prime = ops.reduce(by_f[:r] + by_e[:, :c] + w.s_prime)
+    z_dprime = ops.reduce(by_f[r:] + by_e[:, c:] + w.s_dprime)
     return _truncate_shares(SharePair(z_prime, z_dprime), field)

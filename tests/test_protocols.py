@@ -25,13 +25,14 @@ from secshap.parties import AssignmentError
 from secshap.protocols import (
     ProtocolError,
     _pooled_batches,
+    _weighted_sum,
     run_hesv,
     run_nssv,
     run_secretsv,
     run_secsv,
 )
 from secshap.report import report_to_json
-from secshap.sharing import FieldParams, SupplyError
+from secshap.sharing import FieldParams, SupplyError, field_ops
 from secshap.shapley import fsv_error, ssv_exact, UtilityTable
 
 
@@ -358,6 +359,31 @@ class TestRandomWorlds:
         for report in reports:
             assert [r.utilities for r in report.rounds] == truth, report.protocol
 
+    @settings(max_examples=24, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([4, 5, 6]),
+        hidden=st.lists(st.tuples(st.sampled_from([4, 6]), st.sampled_from(["sigmoid", "relu"])),
+                        max_size=2),
+        grid_bits=st.sampled_from([8, 12]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_secretsv_within_one_flipped_sample(self, n, hidden, grid_bits, seed):
+        # each layer's truncation can be one unit off, so a subset utility
+        # may miss the ground truth by at most one test sample
+        d, c = 8, 3
+        sizes = [d, *(width for width, _ in hidden), c]
+        acts = [act for _, act in hidden] + ["identity"]
+        arch = [LayerSpec("fully-connected", sizes[l], sizes[l + 1], acts[l])
+                for l in range(len(acts))]
+        parts, history = small_world(n=n, test_m=60, train_m=120, d=d, c=c, arch=arch,
+                                     rounds=1, seed=seed, grid_bits=grid_bits)
+        total = sum(ds.size for ds in parts)
+        truth = run_nssv(history, parts).rounds[0].utilities
+        got = run_secretsv(history, parts, FieldParams(), seed=seed).rounds[0].utilities
+        assert got.keys() == truth.keys()
+        for subset, u in truth.items():
+            assert abs(got[subset] - u) * total <= 1 + 1e-9, subset
+
 
 class TestCostDominance:
     def test_secsv_at_least_2x_cheaper_on_cnn_like(self):
@@ -385,6 +411,24 @@ class TestDeterminismAndWorkers:
         a = report_to_json(run_hesv(history, parts, HEParams(noise_stddev=1e-9), seed=5))
         b = report_to_json(run_hesv(history, parts, HEParams(noise_stddev=1e-9), seed=5))
         assert a == b
+
+
+class TestWeightedSum:
+    @pytest.mark.parametrize("prime", [(1 << 61) - 1, (1 << 89) - 1], ids=["m61", "m89"])
+    @pytest.mark.parametrize("terms", range(1, 9))
+    def test_equals_entrywise_loop(self, prime, terms):
+        ops = field_ops(FieldParams(prime=prime))
+        g = np.random.default_rng(terms)
+        weights = [int(w) for w in ops.random(g, (terms,))]
+        weights[0] = prime - 1
+        arrays = [ops.random(g, (3, 5)) for _ in range(terms)]
+        arrays[-1][0] = prime - 1
+        acc = 0
+        for w, x in zip(weights, arrays):
+            acc = ops.reduce(acc + ops.mul(w, x))
+        got = _weighted_sum(ops, weights, arrays)
+        assert got.dtype == ops.dtype and got.shape == (3, 5)
+        assert got.tolist() == acc.tolist()
 
 
 class TestPooledBatches:

@@ -10,6 +10,7 @@ from secshap.matrix import Matrix, matmul_oracle
 from secshap.sharing import (
     CodecError,
     FieldParams,
+    SharePair,
     SupplyError,
     TripleSupply,
     decode,
@@ -174,6 +175,49 @@ class TestShareMatmul:
         assert errors[-1] <= 6 * 3 * 2**-15
 
 
+def _reference_share_matmul(a, b, triple, field):
+    """Output shares of the textbook Beaver formulas, in exact Python ints.
+
+    z' = e@f + u'@f + e@v' + w' at P and z'' = u''@f + e@v'' + w'' at A,
+    then the local truncation.
+    """
+    p, shift = field.prime, field.frac_bits
+    (a1, a2), (b1, b2), (u1, u2), (v1, v2), (w1, w2) = (
+        (np.asarray(x.s_prime, dtype=object), np.asarray(x.s_dprime, dtype=object))
+        for x in (a, b, triple.u, triple.v, triple.w)
+    )
+    e = (a1 - u1 + a2 - u2) % p
+    f = (b1 - v1 + b2 - v2) % p
+    z_prime = (e @ f + u1 @ f + e @ v1 + w1) % p
+    z_dprime = (u2 @ f + e @ v2 + w2) % p
+    return (z_prime >> shift).tolist(), ((p - ((p - z_dprime) >> shift)) % p).tolist()
+
+
+class TestShareMatmulShares:
+    """Each server's output share, not only their sum, is pinned."""
+
+    @pytest.mark.parametrize("field", [FIELD, FieldParams(prime=(1 << 89) - 1, frac_bits=30,
+                                                          seed=5)], ids=["m61", "m89"])
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 49, 31), (3, 7, 1), (8, 49, 256)])
+    @pytest.mark.parametrize("fill", ["random", "max"])
+    def test_shares_match_reference(self, field, shape, fill):
+        r, k, c = shape
+        ops = field_ops(field)
+        g = np.random.default_rng(r * 1000 + k * 10 + c)
+        shapes = [(r, k), (r, k), (k, c), (k, c)]
+        if fill == "max":
+            halves = [np.full(s, field.prime - 1, dtype=ops.dtype) for s in shapes]
+        else:
+            halves = [ops.random(g, s) for s in shapes]
+        a, b = SharePair(*halves[:2]), SharePair(*halves[2:])
+        # a second supply with the same seed hands out the same triple
+        out = share_matmul(a, b, TripleSupply(field), field)
+        triple = TripleSupply(field).take((r, k), (k, c))
+        assert out.s_prime.dtype == out.s_dprime.dtype == ops.dtype
+        assert (out.s_prime.tolist(), out.s_dprime.tolist()) == \
+            _reference_share_matmul(a, b, triple, field)
+
+
 class TestLargerField:
     def test_89_bit_mersenne_supports_f30(self):
         field = FieldParams(prime=(1 << 89) - 1, frac_bits=30, seed=5)
@@ -242,6 +286,52 @@ class TestMersenne61Ops:
             g = np.random.default_rng(21)
             a = g.integers(0, P61, size=(2, k), dtype=np.uint64)
             b = g.integers(0, P61, size=(k, 3), dtype=np.uint64)
+        assert OPS61.matmul(a, b).tolist() == ((_objects(a) @ _objects(b)) % P61).tolist()
+
+    def test_reduce_edge_values(self):
+        edges = [0, 1, P61 - 1, P61, P61 + 1, 2 * P61 - 1, 2 * P61, 1 << 63, (1 << 64) - 1]
+        randoms = np.random.default_rng(22).integers(0, 1 << 64, size=500, dtype=np.uint64)
+        x = np.concatenate([np.array(edges, dtype=np.uint64), randoms])
+        before = x.copy()
+        got = OPS61.reduce(x)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [v % P61 for v in x.tolist()]
+        assert np.array_equal(x, before)  # the argument is left as it was
+
+    @pytest.mark.parametrize("fill", ["max", "random"])
+    def test_matmul_at_one_full_chunk(self, fill):
+        # exactly 2^11 inner terms: the largest width one limb product covers
+        k = 1 << 11
+        if fill == "max":
+            a = np.full((2, k), (1 << 63) - 1, dtype=np.uint64)
+            b = np.full((k, 3), (1 << 63) - 1, dtype=np.uint64)
+        else:
+            g = np.random.default_rng(23)
+            a = g.integers(0, P61, size=(2, k), dtype=np.uint64)
+            b = g.integers(0, P61, size=(k, 3), dtype=np.uint64)
+        assert OPS61.matmul(a, b).tolist() == ((_objects(a) @ _objects(b)) % P61).tolist()
+
+    @pytest.mark.parametrize("shape", [
+        (1, 1, 1), (1, 49, 7), (5, 49, 1), (1, 3, 1),  # a row or a column
+        (2, 49, 31), (2, 49, 169), (4, 49, 256), (8, 49, 256),  # secretsv's products
+    ])
+    def test_matmul_shapes(self, shape):
+        r, k, c = shape
+        g = np.random.default_rng(r * 1000 + k * 10 + c)
+        a = g.integers(0, P61, size=(r, k), dtype=np.uint64)
+        b = g.integers(0, P61, size=(k, c), dtype=np.uint64)
+        got = OPS61.matmul(a, b)
+        assert got.shape == (r, c) and got.dtype == np.uint64
+        assert got.tolist() == ((_objects(a) @ _objects(b)) % P61).tolist()
+
+    def test_matmul_accepts_unreduced_operands_below_2_63(self):
+        # share_matmul multiplies e + u' (up to 2p - 2) without reducing it
+        g = np.random.default_rng(24)
+        edges = np.array([P61, 2 * P61 - 2, 2 * P61, (1 << 63) - 1], dtype=np.uint64)
+        a = g.integers(0, 1 << 63, size=(6, 49), dtype=np.uint64)
+        b = g.integers(0, 1 << 63, size=(49, 5), dtype=np.uint64)
+        a[:, :4] = edges
+        b[:4, 0] = edges
         assert OPS61.matmul(a, b).tolist() == ((_objects(a) @ _objects(b)) % P61).tolist()
 
     def test_other_primes_keep_python_ints(self):
