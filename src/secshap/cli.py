@@ -40,7 +40,7 @@ from .kernels import (
 from .matrix import Matrix
 from .models import arch_cnn_like, arch_logistic, arch_mlp
 from .protocols import (run_hesv, run_nssv, run_secretsv, run_secsv,
-                        secretsv_headroom_error, secsv_headroom_error)
+                        secretsv_headroom_error, secsv_headroom_error, secsv_slot_error)
 from .report import ContributionReport, report_to_json
 from .sharing import DEFAULT_PRIME, FieldParams
 from .shapley import fsv_error, permutation_sampling_ssv, fsv_aggregate
@@ -94,6 +94,10 @@ class ExperimentConfig:
             errors.append("learning_rate: must be finite")
         if not math.isfinite(self.separation):
             errors.append("separation: must be finite")
+        if self.architecture == "mlp" and any(
+            not isinstance(h, int) or h < 1 for h in self.hidden
+        ):
+            errors.append(f"hidden: layer sizes must be positive integers, got {self.hidden}")
         if self.architecture not in ARCHITECTURES:
             errors.append(f"architecture: unknown {self.architecture!r}, "
                           f"expected one of {ARCHITECTURES}")
@@ -118,6 +122,11 @@ class ExperimentConfig:
         headroom = secsv_headroom_error(self.prime, self.frac_bits)
         if "secsv" in self.protocols and headroom:
             errors.append(headroom)
+        unbuildable = any(e.startswith(("architecture:", "hidden:", "features/")) for e in errors)
+        if "secsv" in self.protocols and not unbuildable:
+            slots = secsv_slot_error(self.slot_count, self.build_architecture())
+            if slots:
+                errors.append(slots)
         for proto in self.protocols:
             if proto not in KNOWN_PROTOCOLS:
                 errors.append(f"protocols: unknown protocol {proto!r}")

@@ -1,7 +1,10 @@
 """Simulated SIMD homomorphic-encryption backend.
 
 A ``CipherVector`` holds a stack of ciphertexts: ``slots`` of shape
-(..., N), one N-slot vector per ciphertext along the last axis.  The
+(..., width), one slot vector per ciphertext along the last axis.  The
+width is N unless the caller stores only the *live* slots, the ones its
+decryptor reads (the squaring kernel does); the meters and the wire size
+(``ciphertext_bytes``) count whole N-slot ciphertexts either way.  The
 operations are entrywise add, entrywise multiply (ciphertext-ciphertext
 or ciphertext-plaintext), cyclic slot rotation, ``he_dot``, a
 multiply-accumulate over a sequence of terms, and ``he_fold``, the sum of
@@ -28,7 +31,11 @@ is
   of two noise terms.  The slots themselves stay exact; decryption draws
   once, slots + sqrt(var) * z with z a standard normal clipped to +-0.5,
   so every decrypted slot lies within half a tracked standard deviation
-  of the exact value.
+  of the exact value.  A decryption is charged a draw for every slot of
+  its full block, live or not, so a narrower ciphertext consumes the
+  noise stream as a full one would; ``draw_noise`` takes the draws of
+  many decryptions in one call, and ``decrypt_stack`` applies them to a
+  stack in that order.
 
 Two slot domains exist.  Real payloads use float64 slots and carry
 noise.  Exact integer payloads (field elements from the secret-sharing
@@ -122,12 +129,13 @@ def generate_keypair(tag: str | None = None) -> KeyPair:
 class CipherVector:
     """A stack of ciphertexts bound to a key context.
 
-    ``slots`` of shape (..., N) hold the exact values, one ciphertext per
-    N-slot row; a single ciphertext has shape (N,).  ``var`` is the
-    per-slot noise variance that decryption adds: a float, an array
-    broadcastable to the slots, or ``None`` when the ciphertext is exact
-    (integer slots, or no noise).  Indexing selects ciphertexts of the
-    stack (the slot axis must survive) and meters nothing.
+    ``slots`` of shape (..., width) hold the exact values, one ciphertext
+    per row of at most N slots; a single ciphertext has shape (width,).
+    ``var`` is the per-slot noise variance that decryption adds: a
+    float, an array broadcastable to the slots, or ``None`` when the
+    ciphertext is exact (integer slots, or no noise).  Indexing selects
+    ciphertexts of the stack (the slot axis must survive) and meters
+    nothing.
     """
 
     slots: np.ndarray
@@ -290,25 +298,30 @@ class HEContext:
 
     # -- encryption -----------------------------------------------------
 
-    def encode_slots(self, values, integer: bool = False) -> np.ndarray:
+    def encode_slots(self, values, integer: bool = False, width: int | None = None) -> np.ndarray:
         """Plaintext slots, zero padded: reals, or field elements mod p.
 
         The last axis of ``values`` is the slot axis; leading axes make a
         stack.  A matrix meant for one ciphertext is flattened first.
+        ``width`` is the number of slots stored, N by default; a caller
+        that reads fewer slots back stores only those.
         """
         arr = np.asarray(values, dtype=self.ops.dtype if integer else np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1)
         size = arr.shape[-1]
-        if size > self.params.slot_count:
-            raise BackendError(f"{size} values exceed {self.params.slot_count} slots")
-        slots = np.zeros(arr.shape[:-1] + (self.params.slot_count,), dtype=arr.dtype)
+        width = self.params.slot_count if width is None else width
+        if width > self.params.slot_count:
+            raise BackendError(f"width {width} exceeds {self.params.slot_count} slots")
+        if size > width:
+            raise BackendError(f"{size} values exceed {width} slots")
+        slots = np.zeros(arr.shape[:-1] + (width,), dtype=arr.dtype)
         slots[..., :size] = arr
         return slots
 
-    def encrypt_slots(self, values, key: PublicKey) -> CipherVector:
-        """Encrypt real values (zero padded), one ciphertext per slot row."""
-        slots = self.encode_slots(values)
+    def encrypt_slots(self, values, key: PublicKey, width: int | None = None) -> CipherVector:
+        """Encrypt real values (zero padded to ``width``), one ciphertext per slot row."""
+        slots = self.encode_slots(values, width=width)
         self.meter.enc += slots.size // slots.shape[-1]
         return CipherVector(slots, key.key_id, self._noise_var or None)
 
@@ -339,24 +352,49 @@ class HEContext:
 
     # -- decryption -----------------------------------------------------
 
-    def _unseal(self, ct: CipherVector, count: int, key: PrivateKey,
-                actor: str | None) -> np.ndarray:
-        """The first ``count`` slots, with one clipped noise draw if ``ct`` is noisy."""
+    def draw_noise(self, count: int) -> np.ndarray | None:
+        """``count`` decryption draws: standard normals clipped to +-0.5, in order.
+
+        One call of any size consumes the stream as consecutive smaller
+        calls with the same total would.  A noiseless context draws nothing.
+        """
+        if not self._noise_var:
+            return None
+        z = self._noise_rng.standard_normal(count)
+        return np.clip(z, -0.5, 0.5, out=z)
+
+    def decrypt_stack(
+        self, ct: CipherVector, live: tuple[int, int], block: tuple[int, int],
+        key: PrivateKey, draws: np.ndarray | None = None, actors=(),
+    ) -> np.ndarray:
+        """The live rows x cols entries of every ciphertext, shape (..., rows, cols).
+
+        Slot r * cols + c holds entry (r, c).  A noisy ciphertext is
+        charged a draw for every entry of its full ``block`` (rows' x
+        cols', read row-major), and entry (r, c) gets the draw at
+        r * cols' + c.  ``draws`` holds them laid out (..., rows' * cols')
+        in stack order; without it they are drawn here, ciphertext by
+        ciphertext.  ``actors`` names the decryptor of each ciphertext.
+        """
+        rows, cols = live
+        if rows * cols > ct.width or rows > block[0] or cols > block[1]:
+            raise BackendError(f"{ct.width} slots cannot hold shape {live} of block {block}")
         if ct.key_id != key.key_id:
             raise KeyMismatchError(
                 f"private key {key.key_id} cannot decrypt ciphertext under {ct.key_id}"
             )
-        if ct.slots.ndim != 1:
-            raise BackendError(f"decryption takes one ciphertext, got a stack {ct.slots.shape}")
-        self.meter.dec += 1
-        if actor is not None:
-            self.decrypt_log.append(actor)
-        slots = ct.slots[:count]
+        self.meter.dec += ct.count
+        self.decrypt_log.extend(actors)
+        lead = ct.slots.shape[:-1]
+        slots = ct.slots[..., : rows * cols].reshape(lead + live)
         if ct.var is None:
             return slots
-        z = self._noise_rng.standard_normal(count)
-        np.clip(z, -0.5, 0.5, out=z)
-        var = ct.var[:count] if isinstance(ct.var, np.ndarray) else ct.var
+        if draws is None:
+            draws = self.draw_noise(ct.count * block[0] * block[1])
+        z = np.reshape(draws, lead + block)[..., :rows, :cols]
+        var = ct.var
+        if isinstance(var, np.ndarray):
+            var = np.broadcast_to(var, ct.slots.shape)[..., : rows * cols].reshape(lead + live)
         return slots + np.sqrt(var) * z
 
     def decrypt_matrix(
@@ -364,17 +402,19 @@ class HEContext:
         actor: str | None = None,
     ) -> Matrix:
         """Unpack one ciphertext into a rows x cols matrix."""
-        rows, cols = shape
-        if rows * cols > ct.width:
-            raise BackendError(f"{ct.width} slots cannot hold shape {shape}")
-        flat = self._unseal(ct, rows * cols, key, actor)
-        return Matrix(flat.reshape(rows, cols))
+        if ct.slots.ndim != 1:
+            raise BackendError(f"decryption takes one ciphertext, got a stack {ct.slots.shape}")
+        actors = () if actor is None else (actor,)
+        return Matrix(self.decrypt_stack(ct, shape, shape, key, actors=actors))
 
     def decrypt_int_slots(
         self, ct: CipherVector, count: int, key: PrivateKey, actor: str | None = None
     ) -> np.ndarray:
-        """First ``count`` slots of an exact-integer ciphertext."""
-        return self._unseal(ct, count, key, actor)
+        """First ``count`` slots of one exact-integer ciphertext."""
+        if ct.slots.ndim != 1:
+            raise BackendError(f"decryption takes one ciphertext, got a stack {ct.slots.shape}")
+        return self.decrypt_stack(ct, (1, count), (1, count), key,
+                                  actors=() if actor is None else (actor,))[0]
 
     # -- homomorphic operations ------------------------------------------
 

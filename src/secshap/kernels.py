@@ -8,7 +8,13 @@ B (d_in x m, the batch side) over the slotted backend:
   multiplications plus a rotate-and-sum phase.  Works with both
   operands encrypted.  The model side is one ciphertext stack indexed
   [o, j, k], the batch side one indexed [o, k]; batch axes after o let
-  one evaluation serve many batches.
+  one evaluation serve many batches.  A ciphertext stores only its live
+  slots: of the s x s block, the L = min(d_out, d'_out) rows a decryptor
+  keeps in each of the C = s / d'_out vertical copies, over the plan's m
+  columns, C * L * m slots; so the plan's m fixes the layout of the
+  model side and of every batch side evaluated with it.  The products
+  are entrywise and the fold's kept outputs read no slot past the last
+  copy, so the kept slots equal those of the full block bit for bit.
 - **reducing**: both operands are transformed into d_in pairs of
   d_out x m matrices, one ciphertext each; the product is the
   entrywise multiply-accumulate over the pairs, one ``he_dot``.  Costs
@@ -21,7 +27,8 @@ B (d_in x m, the batch side) over the slotted backend:
 Each squaring step is one ``HEContext`` operation on a whole stack
 (the copy fold is one ``he_fold``), metered per ciphertext, so the
 cost laws below count exactly what a ciphertext-by-ciphertext
-evaluation would.
+evaluation would; a decryption draws noise for the full d'_out x s
+block, as it would at full width.
 
 ``delta_reference`` is the plaintext transform-reduce-accumulate map
 both kernels are anchored to: delta(A, B) == A @ B whenever
@@ -55,6 +62,7 @@ __all__ = [
     "squaring_prepare_batch",
     "squaring_matmul",
     "squaring_decrypt",
+    "squaring_decrypt_stack",
     "reducing_prepare_model",
     "reducing_prepare_batch",
     "reducing_matmul",
@@ -110,12 +118,26 @@ class MatMulPlan:
     j_blocks: int = 1     # row splits (J)
     d_out_block: int = 0  # padded row count per block (d'_out)
 
+    # -- squaring live layout ------------------------------------------
+
+    def copies(self) -> int:
+        """Vertical copies C = s / d'_out of a block, folded onto the top one."""
+        return self.s // self.d_out_block
+
+    def live_rows(self) -> int:
+        """Rows L = min(d_out, d'_out) of a block that a decryptor keeps."""
+        return min(self.d_out, self.d_out_block)
+
+    def live_width(self) -> int:
+        """Slots a squaring ciphertext stores: C x L x m."""
+        return self.copies() * self.live_rows() * self.m
+
     # -- cost laws, used by both the kernels' tests and the bench -------
 
     def rotations_per_block(self) -> int:
         if self.method != "squaring":
             return 0
-        return _rotation_count(self.s // self.d_out_block)
+        return _rotation_count(self.copies())
 
     def expected_hrot(self) -> int:
         if self.method == "reducing":
@@ -194,10 +216,10 @@ def delta_reference(a_bar: Matrix, b: Matrix) -> Matrix:
 # -- squaring kernel --------------------------------------------------------
 
 
-def _check_stack(side, lead: tuple[int, ...], what: str) -> None:
+def _check_stack(side, lead: tuple[int, ...], width: int, what: str) -> None:
     shape = side.slots.shape if isinstance(side, CipherVector) else np.shape(side)
-    if shape[-len(lead) - 1 : -1] != lead:
-        raise PlanError(f"{what} stack {shape[:-1]} does not match plan {lead}")
+    if shape[-len(lead) - 1 :] != lead + (width,):
+        raise PlanError(f"{what} stack {shape} does not match plan {lead + (width,)}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -209,45 +231,69 @@ def _diagonal_shifts(s: int, shifts: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _live_index(s: int, rows: int, live: int, m: int) -> tuple[np.ndarray, ...]:
+    """Block row, block column and diagonal index [o] of every live slot.
+
+    Live slot (c', r, c), for copy c' < s / rows, row r < live and
+    column c < m, sits at (c' * live + r) * m + c and stands for entry
+    (c' * rows + r, c) of the s x s block.
+    """
+    block_rows = np.arange(0, s, rows)[:, None] + np.arange(live)[None, :]
+    r = np.repeat(block_rows.reshape(-1), m)
+    c = np.tile(np.arange(m), block_rows.size)
+    diag = _diagonal_shifts(s, rows)[:, r, c]
+    for arr in (r, c, diag):
+        arr.flags.writeable = False
+    return r, c, diag
+
+
 def squaring_prepare_model(
     a: Matrix, plan: MatMulPlan, ctx: HEContext, key: PublicKey
 ) -> CipherVector:
     """Client-side transform-then-encrypt of the model operand.
 
     Block (j, k) is tiled vertically to s x s, then transformed by sigma
-    and xi^o.  Returns one ciphertext stack indexed [o, j, k]; reusable
-    across batches.
+    and xi^o; only the live slots are stored.  Returns one ciphertext
+    stack indexed [o, j, k]; reusable across batches of the plan's width.
     """
     if a.shape != (plan.d_out, plan.d_in):
         raise PlanError(f"model shape {a.shape} does not match plan")
     s, rows = plan.s, plan.d_out_block
     padded = pad_to(a, plan.j_blocks * rows, plan.k_blocks * s).data
     blocks = padded.reshape(plan.j_blocks, rows, plan.k_blocks, s).transpose(0, 2, 1, 3)
-    a_bar = np.tile(blocks, (1, 1, s // rows, 1))
-    # xi^o(sigma(a_bar))[r, c] = a_bar[r, (c + r + o) mod s]
-    views = a_bar[:, :, np.arange(s)[:, None], _diagonal_shifts(s, rows)]
-    views = views.reshape(plan.j_blocks, plan.k_blocks, rows, s * s)
-    return ctx.encrypt_slots(np.moveaxis(views, 2, 0), key)
+    r, _, diag = _live_index(s, rows, plan.live_rows(), plan.m)
+    # xi^o(sigma(a_bar))[r, c] = a_bar[r, (c + r + o) mod s], a_bar[r] = block[r mod rows]
+    views = blocks[:, :, (r % rows)[None, :], diag]
+    return ctx.encrypt_slots(np.moveaxis(views, 2, 0), key, width=plan.live_width())
 
 
 def squaring_prepare_batch(
-    b: Matrix, plan: MatMulPlan, ctx: HEContext, key: PublicKey, encrypt: bool = True
+    b: Matrix | np.ndarray, plan: MatMulPlan, ctx: HEContext, key: PublicKey,
+    encrypt: bool = True,
 ) -> BatchSide:
     """Transform the batch operand; encrypted for the full scheme, plain slots otherwise.
 
-    Inner block k is padded to s x s, then transformed by tau and psi^o.
-    Returns one stack indexed [o, k]; shared across the J row blocks.
+    Inner block k is padded to s x m, then transformed by tau and psi^o;
+    only the live slots are stored.  ``b`` is a d_in x m' matrix with
+    m' <= m, or an array with leading batch axes, (..., d_in, m').
+    Returns one stack indexed [o, ..., k]; shared across the J row blocks.
     """
-    if b.rows != plan.d_in or b.cols > plan.m:
-        raise PlanError(f"batch shape {b.shape} does not match plan")
+    arr = b.data if isinstance(b, Matrix) else np.asarray(b, dtype=np.float64)
+    if arr.shape[-2] != plan.d_in or arr.shape[-1] > plan.m:
+        raise PlanError(f"batch shape {arr.shape} does not match plan")
     s = plan.s
-    b_bar = np.zeros((plan.k_blocks * s, s))
-    b_bar[: b.rows, : b.cols] = b.data
-    b_bar = b_bar.reshape(plan.k_blocks, s, s)
+    lead = arr.shape[:-2]
+    b_bar = np.zeros(lead + (plan.k_blocks * s, plan.m))
+    b_bar[..., : plan.d_in, : arr.shape[-1]] = arr
+    b_bar = b_bar.reshape(lead + (plan.k_blocks, s, plan.m))
+    _, c, diag = _live_index(s, plan.d_out_block, plan.live_rows(), plan.m)
     # psi^o(tau(b_bar))[r, c] = b_bar[(r + c + o) mod s, c]
-    views = b_bar[:, _diagonal_shifts(s, plan.d_out_block), np.arange(s)[None, :]]
-    views = np.moveaxis(views.reshape(plan.k_blocks, plan.d_out_block, s * s), 1, 0)
-    return ctx.encrypt_slots(views, key) if encrypt else ctx.encode_slots(views)
+    views = np.moveaxis(b_bar[..., diag, c], -2, 0)
+    width = plan.live_width()
+    if encrypt:
+        return ctx.encrypt_slots(views, key, width=width)
+    return ctx.encode_slots(views, width=width)
 
 
 def squaring_matmul(
@@ -260,24 +306,50 @@ def squaring_matmul(
 
     ``batch_side[o]`` is the batch operand of the o-th products: a [k]
     stack, or a [..., k] stack with leading batch axes, which evaluates
-    every batch at once (batches of any width share the plan's
-    blocking).  One batch's [o, k] stack is such a side; so is a list of
-    d'_out [..., k] stacks, which keeps every operand its own array.
-    The result is a stack indexed [..., j].
+    every batch at once; the model side and every batch side come from
+    one plan, whose m fixes the slot layout.  One batch's [o, k] stack is
+    such a side; so is a list of d'_out [..., k] stacks.  The copy fold
+    shifts by L x m: every live output reads slots of copies below C
+    only, so no rotation wraps onto a slot that is kept.  The result is
+    a stack indexed [..., j].
     """
-    _check_stack(model_cts, (plan.d_out_block, plan.j_blocks, plan.k_blocks), "model")
+    width = plan.live_width()
+    _check_stack(model_cts, (plan.d_out_block, plan.j_blocks, plan.k_blocks), width, "model")
     terms = batch_side.slots.shape[0] if isinstance(batch_side, CipherVector) else len(batch_side)
     if terms != plan.d_out_block:
         raise PlanError(f"batch side has {terms} operands, plan needs {plan.d_out_block}")
     b_terms = [batch_side[o][..., None, :, :] for o in range(plan.d_out_block)]
-    _check_stack(b_terms[0], (1, plan.k_blocks), "batch")
+    _check_stack(b_terms[0], (1, plan.k_blocks), width, "batch")
     h = ctx.he_dot([model_cts[o] for o in range(plan.d_out_block)], b_terms)
     # fold the vertical copies down onto the top block
-    acc = ctx.he_fold(h, plan.d_out_block * plan.s, plan.s // plan.d_out_block)
+    acc = ctx.he_fold(h, plan.live_rows() * plan.m, plan.copies())
     band = acc[..., 0, :]
     for k in range(1, plan.k_blocks):
         band = ctx.he_add(band, acc[..., k, :])
     return band
+
+
+def squaring_decrypt_stack(
+    bands: CipherVector,
+    plan: MatMulPlan,
+    ctx: HEContext,
+    key: PrivateKey,
+    actors=(),
+    draws: np.ndarray | None = None,
+) -> np.ndarray:
+    """The d_out x m products of a [..., j] stack of row bands, shape (..., d_out, m).
+
+    Each band is decrypted as its full d'_out x s block would be: under
+    noise it takes d'_out * s draws, and live entry (r, c) gets the one
+    at r * s + c.  ``draws`` lays them out (..., j, d'_out * s); see
+    ``HEContext.decrypt_stack``.  ``actors`` names each band's decryptor.
+    """
+    _check_stack(bands, (plan.j_blocks,), plan.live_width(), "band")
+    live = plan.live_rows()
+    out = ctx.decrypt_stack(bands, (live, plan.m), (plan.d_out_block, plan.s), key,
+                            draws=draws, actors=actors)
+    out = out.reshape(out.shape[:-3] + (plan.j_blocks * live, plan.m))
+    return out[..., : plan.d_out, :]
 
 
 def squaring_decrypt(
@@ -287,13 +359,9 @@ def squaring_decrypt(
     key: PrivateKey,
     actor: str | None = None,
 ) -> Matrix:
-    """Assemble the row bands back into the d_out x m product."""
-    rows = []
-    for j in range(plan.j_blocks):
-        block = ctx.decrypt_matrix(bands[j], (plan.d_out_block, plan.s), key, actor=actor)
-        take = min(plan.d_out_block, plan.d_out - j * plan.d_out_block)
-        rows.append(block.data[:take, : plan.m])
-    return Matrix(np.vstack(rows))
+    """Assemble one batch's row bands back into the d_out x m product."""
+    actors = () if actor is None else (actor,) * plan.j_blocks
+    return Matrix(squaring_decrypt_stack(bands, plan, ctx, key, actors=actors))
 
 
 # -- reducing kernel --------------------------------------------------------

@@ -3,7 +3,12 @@
 - ``run_nssv``: plaintext evaluation of every subset model; the ground
   truth the secure protocols are compared against.
 - ``run_hesv``: one server, everything encrypted; squaring kernel with
-  ciphertext-ciphertext multiplications; per-client batches only.
+  ciphertext-ciphertext multiplications; per-client batches only.  Each
+  subset runs layer by layer over all its batches at once: one
+  ``squaring_matmul``, one stacked decryption whose noise is one block
+  of draws laid out batch by batch, and one activation and re-encryption
+  per layer, then one label check.  Messages, decryptor assignments and
+  the actor log stay per batch, in the per-batch order.
 - ``run_secsv``: two servers; models encrypted, test data additively
   shared, so every multiplication is ciphertext-plaintext and samples
   from different clients share a batch.  Optional sample skipping.  Each
@@ -50,7 +55,7 @@ from .kernels import (
     plan_squaring,
     reducing_field_matmul,
     reducing_prepare_model,
-    squaring_decrypt,
+    squaring_decrypt_stack,
     squaring_matmul,
     squaring_prepare_batch,
     squaring_prepare_model,
@@ -303,43 +308,33 @@ def run_hesv(
 
     slot_count = he_params.slot_count
     m_cap = min(min(spec.in_size + 1 for spec in arch), math.isqrt(slot_count))
-    plans: dict = {}
-
-    def plan_for(layer: int, m: int):
-        key = (layer, m)
-        if key not in plans:
-            spec = arch[layer]
-            plans[key] = plan_squaring(spec.out_size, spec.in_size + 1, m, slot_count)
-        return plans[key]
+    # one plan per layer: its m fixes the slot layout of every batch, and
+    # a narrower batch is zero in the columns past its width
+    plans = [plan_squaring(spec.out_size, spec.in_size + 1, m_cap, slot_count) for spec in arch]
 
     batch_ranges = [
         (i, lo, min(lo + m_cap, ds.size))
         for i, ds in enumerate(test_sets)
         for lo in range(0, ds.size, m_cap)
     ]
+    widths = np.array([hi - lo for _, lo, hi in batch_ranges])
+    valid = np.arange(m_cap) < widths[:, None]  # [batch, column] inside the batch
+    draw_layout = _hesv_draw_layout(plans, widths)
 
-    # test data uploaded once: transformed-and-encrypted first-layer
-    # inputs plus per-batch label ciphertexts.  The server keeps the inputs
-    # of every (client, batch) as one [batch, k] stack per o: layer 0 runs
-    # for all batches at once, and no single array holds every o
-    first_plan = plan_for(0, m_cap)
-    plain = [
-        squaring_prepare_batch(with_ones_row(Matrix(test_sets[i].features.data[:, lo:hi])),
-                               plan_for(0, hi - lo), setup_ctx, keys.public, encrypt=False)
-        for i, lo, hi in batch_ranges
-    ]
-    data_cts = [
-        setup_ctx.encrypt_slots(np.stack([side[o] for side in plain]), keys.public)
-        for o in range(first_plan.d_out_block)
-    ]
-    del plain
-    label_cts = []
+    # test data uploaded once: the transformed-and-encrypted first-layer
+    # inputs of every (client, batch) as one [o, batch, k] stack, so layer
+    # 0 runs for all batches at once, plus a stack of label ciphertexts
+    features = np.zeros((len(batch_ranges), arch[0].in_size, m_cap))
+    labels = np.zeros((len(batch_ranges), m_cap))
     for b, (i, lo, hi) in enumerate(batch_ranges):
-        router.send(client_name(i), SERVER_P, [ct[b] for ct in data_cts])
-        y_ct = setup_ctx.encrypt_slots(test_sets[i].labels.labels[lo:hi].astype(float),
-                                       keys.public)
-        router.send(client_name(i), SERVER_P, y_ct)
-        label_cts.append(y_ct)
+        features[b, :, : hi - lo] = test_sets[i].features.data[:, lo:hi]
+        labels[b, : hi - lo] = test_sets[i].labels.labels[lo:hi]
+    data_cts = squaring_prepare_batch(_with_ones_rows(features, valid), plans[0], setup_ctx,
+                                      keys.public)
+    label_cts = setup_ctx.encrypt_slots(labels, keys.public, width=m_cap)
+    for b, (i, _, _) in enumerate(batch_ranges):
+        router.send(client_name(i), SERVER_P, data_cts[:, b])
+        router.send(client_name(i), SERVER_P, label_cts[b])
 
     def eval_round(record: RoundModels):
         meter = CostMeter()
@@ -351,7 +346,7 @@ def run_hesv(
         def upload(owner, model):
             layers = []
             for l in range(num_layers):
-                cts = squaring_prepare_model(model.params[l], plan_for(l, m_cap), ctx, keys.public)
+                cts = squaring_prepare_model(model.params[l], plans[l], ctx, keys.public)
                 round_router.send(client_name(owner), SERVER_P, cts)
                 layers.append(cts)
             return layers
@@ -372,20 +367,17 @@ def run_hesv(
         assignment_offset = 0
         utilities = {}
         for subset in subsets_ascending(players):
-            agg = aggregated_cts(subset)
             owner = next(iter(subset)) if len(subset) == 1 else None
-            # layer 0 of every batch at once; the rest batch by batch
-            first_bands = squaring_matmul(agg[0], data_cts, first_plan, ctx)
-            correct = 0
-            for b, (i, lo, hi) in enumerate(batch_ranges):
-                sequence = assign_decryptors(
-                    players, num_layers, owner, {i}, level, assignment_offset
+            sequences = []
+            for i, _, _ in batch_ranges:
+                sequences.append(
+                    assign_decryptors(players, num_layers, owner, {i}, level, assignment_offset)
                 )
                 assignment_offset += 1
-                correct += _hesv_eval_batch(
-                    ctx, round_router, keys, record.global_model, plan_for, agg,
-                    first_bands[b], label_cts[b], hi - lo, sequence, actors,
-                )
+            correct = _hesv_eval_subset(
+                ctx, round_router, keys, record.global_model, plans, aggregated_cts(subset),
+                data_cts, label_cts, valid, sequences, draw_layout, actors,
+            )
             utilities[subset] = correct / total
         return _round_report(record, utilities), meter, actors
 
@@ -393,39 +385,84 @@ def run_hesv(
     return _finish_report("hesv", clients, total, results, setup_meter, weights, started)
 
 
-def _hesv_eval_batch(ctx, router, keys, model, plan_for, agg_cts,
-                     bands, label_ct_true, m_b, sequence, decrypt_actors) -> int:
-    """One batch from its layer-0 bands: decrypt, activate, later layers, label check."""
+def _with_ones_rows(x: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """(x; 1) for a [batch] stack of matrices, zero in every column past a batch's width."""
+    out = np.zeros(x.shape[:-2] + (x.shape[-2] + 1, x.shape[-1]))
+    np.copyto(out[..., :-1, :], x, where=valid[:, None, :])
+    out[..., -1, :] = valid
+    return out
+
+
+def _hesv_draw_layout(plans, widths: np.ndarray):
+    """Where each decryption of one subset finds its noise in one block of draws.
+
+    The block is laid out batch by batch: each layer's bands, d'_out * s
+    draws per band (its full block), then the batch's m_b label slots.
+    Returns the block size, a [batch, j, d'_out * s] index array per
+    layer and a [batch, m] one for the labels; a label column past the
+    batch's width repeats one of the batch's draws, and is discarded.
+    """
+    band = [plan.d_out_block * plan.s for plan in plans]
+    per_layer = [plan.j_blocks * size for plan, size in zip(plans, band)]
+    per_batch = sum(per_layer) + widths
+    starts = np.cumsum(per_batch) - per_batch
+    layers, offset = [], 0
+    for plan, size, count in zip(plans, band, per_layer):
+        idx = starts[:, None] + offset + np.arange(count)
+        layers.append(idx.reshape(len(widths), plan.j_blocks, size))
+        offset += count
+    columns = np.minimum(np.arange(plans[0].m), widths[:, None] - 1)
+    return int(per_batch.sum()), layers, starts[:, None] + offset + columns
+
+
+def _hesv_eval_subset(ctx, router, keys, model, plans, agg_cts, data_cts, label_cts,
+                      valid, sequences, draw_layout, decrypt_actors) -> int:
+    """All batches of one subset at once: each layer, decrypt, activate; then the label check.
+
+    Every layer is one ``squaring_matmul`` and one stacked decryption
+    over the batches; the subset's decryption noise is one block of draws
+    in ``_hesv_draw_layout``'s per-batch order.  Messages and the actor
+    log stay per batch.
+    """
     num_layers = model.depth
-    label_ct = None
-    for l in range(num_layers):
-        plan = plan_for(l, m_b)
+    total, layer_draws, label_draws = draw_layout
+    noise = ctx.draw_noise(total)
+    names = [[client_name(seq[l + 1]) for l in range(num_layers)] for seq in sequences]
+    sides = data_cts
+    for l, plan in enumerate(plans):
         if l > 0:
-            bands = squaring_matmul(agg_cts[l], sides, plan, ctx)
-        decryptor = client_name(sequence[l + 1])
-        router.send(SERVER_P, decryptor, bands)
-        decrypt_actors.append(decryptor)
-        yhat = squaring_decrypt(bands, plan, ctx, keys.private, actor=decryptor)
+            sides = squaring_prepare_batch(_with_ones_rows(act, valid), plan, ctx, keys.public)
+            for b, who in enumerate(names):
+                router.send(who[l - 1], SERVER_P, sides[:, b])
+        bands = squaring_matmul(agg_cts[l], sides, plan, ctx)
+        for b, who in enumerate(names):
+            router.send(SERVER_P, who[l], bands[b])
+        yhat = squaring_decrypt_stack(
+            bands, plan, ctx, keys.private,
+            actors=[who[l] for who in names for _ in range(plan.j_blocks)],
+            draws=None if noise is None else noise[layer_draws[l]],
+        )
         if l < num_layers - 1:
-            act = apply_activation(model, l, yhat.data)
-            sides = squaring_prepare_batch(
-                with_ones_row(act), plan_for(l + 1, m_b), ctx, keys.public, encrypt=True
-            )
-            router.send(decryptor, SERVER_P, sides)
-        else:
-            labels = argmax_columns(yhat)
-            label_ct = ctx.encrypt_slots(labels.labels.astype(float), keys.public)
-            router.send(decryptor, SERVER_P, label_ct)
+            act = apply_activation(model, l, yhat)
+    labels = np.where(valid, np.argmax(yhat, axis=-2), 0).astype(float)
+    label_ct = ctx.encrypt_slots(labels, keys.public, width=valid.shape[1])
+    for b, who in enumerate(names):
+        router.send(who[-1], SERVER_P, label_ct[b])
     # difference of predicted and true labels, counted by the last assignee
-    neg = ctx.he_mult(label_ct, -1.0)
-    diff = ctx.he_add(neg, label_ct_true)
-    counter_client = client_name(sequence[num_layers + 1])
-    router.send(SERVER_P, counter_client, diff)
-    decrypt_actors.append(counter_client)
-    plain = ctx.decrypt_matrix(diff, (1, m_b), keys.private, actor=counter_client)
-    cnt = int(np.sum(np.abs(plain.data[0]) < TOLERANCE))
-    router.send(counter_client, SERVER_P, cnt)
-    return cnt
+    diff = ctx.he_add(ctx.he_mult(label_ct, -1.0), label_cts)
+    counters = [client_name(seq[num_layers + 1]) for seq in sequences]
+    for b, who in enumerate(counters):
+        router.send(SERVER_P, who, diff[b])
+    plain = ctx.decrypt_stack(
+        diff, (1, valid.shape[1]), (1, valid.shape[1]), keys.private, actors=counters,
+        draws=None if noise is None else noise[label_draws],
+    )
+    counts = np.sum((np.abs(plain[:, 0]) < TOLERANCE) & valid, axis=1)
+    for who, cnt, counter in zip(names, counts, counters):
+        router.send(counter, SERVER_P, int(cnt))
+        decrypt_actors.extend(who)
+        decrypt_actors.append(counter)
+    return int(counts.sum())
 
 
 # -- two-server data sharing ---------------------------------------------------
@@ -597,6 +634,19 @@ def secsv_headroom_error(prime: int, frac_bits: int) -> str | None:
     return None
 
 
+def secsv_slot_error(slot_count: int, arch) -> str | None:
+    """Why ``slot_count`` cannot carry SecSV's layer outputs, or None if it can.
+
+    A reducing ciphertext packs d_out x m slots, so the widest layer
+    output needs d_out <= slot_count even at a batch of one sample.
+    """
+    widest = max(spec.out_size for spec in arch)
+    if slot_count < widest:
+        return (f"slot_count: {slot_count} slots cannot hold one column of secsv's "
+                f"widest layer output ({widest} rows); needs slot_count >= {widest}")
+    return None
+
+
 def run_secsv(
     rounds: list[RoundModels],
     test_sets: list[ClientDataset],
@@ -614,13 +664,14 @@ def run_secsv(
     kernel; batches pool samples across clients.  With ``skip`` on, the
     sample-skip accelerator prunes aggregate evaluations.
     """
-    field = field_params or FieldParams()
-    headroom = secsv_headroom_error(field.prime, field.frac_bits)
-    if headroom:
-        raise ProtocolError(headroom)
     started = time.perf_counter()
+    field = field_params or FieldParams()
     arch = _common_architecture(rounds)
     he_params = he_params or HEParams()
+    unfit = (secsv_headroom_error(field.prime, field.frac_bits)
+             or secsv_slot_error(he_params.slot_count, arch))
+    if unfit:
+        raise ProtocolError(unfit)
     weights = cost_weights or CostWeights()
     n = len(test_sets)
     clients = list(range(n))

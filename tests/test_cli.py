@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,22 @@ class TestConfig:
         assert any(e.startswith("frac_bits:") for e in errors(18, ["nssv", "secsv"]))
         assert errors(17, ["nssv", "secsv"]) == []
         assert errors(18, ["nssv", "hesv", "secretsv"]) == []
+
+    def test_slot_count_too_small_for_secsv(self):
+        # one column of the 32-row hidden layer needs 32 slots
+        config = ExperimentConfig(test_samples=60, train_samples=120, features=8, rounds=1,
+                                  clients=4, architecture="mlp", hidden=[32], slot_count=16)
+        assert [e for e in config.validate() if e.startswith("slot_count:")]
+        assert replace(config, slot_count=32).validate() == []
+        assert replace(config, protocols=["nssv", "hesv", "secretsv"]).validate() == []
+
+    @pytest.mark.parametrize("hidden", [[0], [-3], [16, 0]])
+    def test_hidden_sizes_must_be_positive(self, hidden):
+        config = ExperimentConfig.from_json(json.dumps(tiny_config(
+            architecture="mlp", hidden=hidden,
+        )))
+        assert [e for e in config.validate() if e.startswith("hidden:")]
+        assert ExperimentConfig.from_json(json.dumps(tiny_config(hidden=hidden))).validate() == []
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-9])
     def test_noise_must_be_finite_and_non_negative(self, bad):

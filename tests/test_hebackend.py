@@ -196,6 +196,19 @@ class TestNoise:
         assert all(0 < abs(e) <= 6 * sigma for e in errors.values())
         assert errors[1] != errors[2]
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
+    def test_one_draw_equals_consecutive_draws(self, seed):
+        # a stacked decryption draws a whole block at once: the stream must
+        # give the same values as the per-ciphertext draws it replaces
+        counts = [2025, 1089, 289, 17, 2025, 1089, 289, 9]
+        one = HEContext(HEParams(noise_stddev=1e-6, seed=seed)).draw_noise(sum(counts))
+        ctx = HEContext(HEParams(noise_stddev=1e-6, seed=seed))
+        assert np.array_equal(one, np.concatenate([ctx.draw_noise(n) for n in counts]))
+        assert np.abs(one).max() <= 0.5
+
+    def test_noiseless_context_draws_nothing(self):
+        assert HEContext(HEParams(noise_stddev=0.0)).draw_noise(10) is None
+
     def test_zero_noise_is_exact_through_mult(self, ctx, keys):
         rng = np.random.default_rng(5)
         u = rng.normal(size=16)

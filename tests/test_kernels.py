@@ -180,7 +180,8 @@ class TestSquaringKernel:
     @pytest.mark.parametrize("shape", [(4, 300), (10, 64), (64, 100)])
     def test_leading_batch_axis_equals_per_batch_calls(self, shape):
         # one evaluation over a stack of batches of different widths equals
-        # one call per batch: same slots, same variance, summed meters
+        # one call per batch: same slots, same variance, summed meters.  The
+        # plan's m fixes the slot layout, so every batch takes plans[0]
         d_out, d_in = shape
         ctx = HEContext(HEParams(noise_stddev=1e-6, seed=2))
         rng = np.random.default_rng(d_out + d_in)
@@ -189,23 +190,61 @@ class TestSquaringKernel:
         batches = [Matrix(rng.uniform(-1, 1, size=(d_in, m))) for m in (m_cap, 3, m_cap - 1)]
         plans = [plan_squaring(d_out, d_in, b.cols, N) for b in batches]
         model = squaring_prepare_model(a, plans[0], ctx, KEYS.public)
-        sides = [squaring_prepare_batch(b, plan, ctx, KEYS.public)
-                 for b, plan in zip(batches, plans)]
-        stacked = [ctx.encrypt_slots(np.stack([side.slots[o] for side in sides]), KEYS.public)
+        sides = [squaring_prepare_batch(b, plans[0], ctx, KEYS.public) for b in batches]
+        stacked = [ctx.encrypt_slots(np.stack([side.slots[o] for side in sides]), KEYS.public,
+                                     width=plans[0].live_width())
                    for o in range(plans[0].d_out_block)]
 
         before = ctx.meter.snapshot()
-        singles = [squaring_matmul(model, side, plan, ctx) for side, plan in zip(sides, plans)]
+        singles = [squaring_matmul(model, side, plans[0], ctx) for side in sides]
         mid = ctx.meter.snapshot()
         bands = squaring_matmul(model, stacked, plans[0], ctx)
         assert ctx.meter.delta(mid).as_dict() == mid.delta(before).as_dict()
-        assert bands.slots.shape == (3, plans[0].j_blocks, N)
+        width = plans[0].copies() * plans[0].live_rows() * m_cap
+        assert bands.slots.shape == (3, plans[0].j_blocks, width)
         for b, single in enumerate(singles):
             assert np.array_equal(bands[b].slots, single.slots)
             assert np.array_equal(bands[b].var, single.var)
-        got = squaring_decrypt(bands[1], plans[1], ctx, KEYS.private)
+        got = squaring_decrypt(bands[1], plans[0], ctx, KEYS.private).data[:, :3]
         want = matmul_oracle(a, batches[1]).data
-        assert np.allclose(got.data, want, atol=1e-4)
+        assert np.allclose(got, want, atol=1e-4)
+
+    @pytest.mark.parametrize(
+        "shape,m,blocks,width",
+        [((2, 48), 7, (15, 1, 2), 210), ((10, 64), 5, (3, 1, 2), 150),
+         ((64, 100), 20, (1, 2, 3), 900)],
+    )
+    def test_live_layout_width_and_product(self, shape, m, blocks, width):
+        # each ciphertext stores C x L x m slots; blocks are (C, J, K), m < s
+        d_out, d_in = shape
+        ctx = HEContext(HEParams())
+        rng = np.random.default_rng(d_out * 7 + d_in + m)
+        a = int_matrix(rng, d_out, d_in)
+        b = int_matrix(rng, d_in, m)
+        plan = plan_squaring(d_out, d_in, m, N)
+        assert (plan.copies(), plan.j_blocks, plan.k_blocks) == blocks and m < plan.s
+        assert plan.live_width() == plan.copies() * plan.live_rows() * m == width
+        model = squaring_prepare_model(a, plan, ctx, KEYS.public)
+        batch = squaring_prepare_batch(b, plan, ctx, KEYS.public)
+        assert model.slots.shape == (plan.d_out_block, plan.j_blocks, plan.k_blocks, width)
+        assert batch.slots.shape == (plan.d_out_block, plan.k_blocks, width)
+        bands = squaring_matmul(model, batch, plan, ctx)
+        assert bands.slots.shape == (plan.j_blocks, width)
+        assert squaring_decrypt(bands, plan, ctx, KEYS.private).allclose(matmul_oracle(a, b))
+        assert ctx.meter.hmult_c2c == plan.expected_hmult()
+        assert ctx.meter.hrot == plan.expected_hrot()
+
+    def test_prepare_batch_with_leading_axis_equals_per_batch_calls(self):
+        ctx = HEContext(HEParams())
+        rng = np.random.default_rng(15)
+        plan = plan_squaring(10, 64, 5, N)
+        stack = rng.uniform(-1, 1, size=(2, 3, 64, 5))
+        got = squaring_prepare_batch(stack, plan, ctx, KEYS.public, encrypt=False)
+        assert got.shape == (plan.d_out_block, 2, 3, plan.k_blocks, plan.live_width())
+        for idx in np.ndindex(2, 3):
+            one = squaring_prepare_batch(Matrix(stack[idx]), plan, ctx, KEYS.public,
+                                         encrypt=False)
+            assert np.array_equal(got[(slice(None),) + idx], one)
 
     def test_stack_shape_checked_against_plan(self):
         ctx = HEContext(HEParams())

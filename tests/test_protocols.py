@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,8 @@ from secshap.federation import (
     make_synthetic_dataset,
 )
 from secshap.cli import ExperimentConfig
-from secshap.hebackend import CostMeter, HEContext, HEParams
+from secshap.hebackend import CipherVector, CostMeter, HEContext, HEParams, generate_keypair
+from secshap.kernels import plan_squaring
 from secshap.matrix import Matrix
 from secshap.models import (
     LayerSpec,
@@ -24,6 +27,7 @@ from secshap import protocols
 from secshap.parties import AssignmentError
 from secshap.protocols import (
     ProtocolError,
+    _hesv_draw_layout,
     _pooled_batches,
     _weighted_sum,
     run_hesv,
@@ -110,6 +114,75 @@ class TestHesv:
         parts, history = small_world(n=3, seed=21)
         with pytest.raises(AssignmentError):
             run_hesv(history, parts, HEParams(), seed=1)
+
+
+    def test_noisy_mlp_report_frozen(self):
+        # a noisy depth-3 MLP whose batches are narrower than the squaring
+        # blocks (m < s) and whose layers keep fewer rows than a padded block
+        # holds (d_out < d'_out); the digest is that of the report at
+        # be59320, before ciphertexts stored only their live slots
+        parts, history = small_world(n=4, test_m=60, train_m=120, d=15, c=3,
+                                     arch=arch_mlp(15, 3, [7, 5]), rounds=1, seed=7)
+        he = HEParams(slot_count=256, noise_stddev=1e-6)
+        report = run_hesv(history, parts, he, seed=3)
+        digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
+        assert digest == "adc8ce53fe9fc5aed1e1005ca218976f8cee234ab541b0dcbf55885361ddb6e2"
+
+
+class TestHesvNoiseOrder:
+    """A subset's one block of draws lands where per-batch decryptions put it."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stacked_decryption_equals_per_ciphertext_calls(self, seed):
+        # plans with J = 2, C = 1 and C = 2; batches of uneven widths
+        slot_count, m = 256, 6
+        plans = [plan_squaring(d_out, d_in, m, slot_count)
+                 for d_out, d_in in ((20, 16), (5, 8), (3, 6))]
+        widths = np.array([6, 2, 6, 5])
+        key = generate_keypair("noise-order")
+        rng = np.random.default_rng(seed)
+        stacks = []
+        for plan in plans:
+            shape = (len(widths), plan.j_blocks, plan.live_width())
+            stacks.append(CipherVector(rng.normal(size=shape), key.public.key_id,
+                                       rng.uniform(0.5, 2.0, size=shape)))
+        labels = CipherVector(rng.normal(size=(len(widths), m)), key.public.key_id, 1.5)
+
+        # the old order: batch by batch, each band decrypted as its full
+        # d'_out x s block, then the batch's label slots
+        old = HEContext(HEParams(slot_count=slot_count, noise_stddev=1e-3, seed=seed))
+        want = []
+        for b, m_b in enumerate(widths):
+            for plan, stack in zip(plans, stacks):
+                rows, s, live = plan.d_out_block, plan.s, plan.live_rows()
+                for j in range(plan.j_blocks):
+                    slots, var = np.zeros((rows, s)), np.ones((rows, s))
+                    slots[:live, :m] = stack.slots[b, j, : live * m].reshape(live, m)
+                    var[:live, :m] = stack.var[b, j, : live * m].reshape(live, m)
+                    band = CipherVector(slots.reshape(-1), key.public.key_id, var.reshape(-1))
+                    want.append(old.decrypt_matrix(band, (rows, s), key.private).data[:live, :m_b])
+            label = CipherVector(labels.slots[b], key.public.key_id, labels.var)
+            want.append(old.decrypt_matrix(label, (1, m_b), key.private).data)
+
+        new = HEContext(HEParams(slot_count=slot_count, noise_stddev=1e-3, seed=seed))
+        total, layer_draws, label_draws = _hesv_draw_layout(plans, widths)
+        noise = new.draw_noise(total)
+        layers = [
+            new.decrypt_stack(stack, (plan.live_rows(), m), (plan.d_out_block, plan.s),
+                              key.private, draws=noise[idx])
+            for plan, stack, idx in zip(plans, stacks, layer_draws)
+        ]
+        plain = new.decrypt_stack(labels, (1, m), (1, m), key.private, draws=noise[label_draws])
+        got = []
+        for b, m_b in enumerate(widths):
+            for plan, out in zip(plans, layers):
+                got.extend(out[b, j, :, :m_b] for j in range(plan.j_blocks))
+            got.append(plain[b, :, :m_b])
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert new.meter.dec == old.meter.dec
+        assert np.array_equal(new.draw_noise(3), old.draw_noise(3))  # same draws consumed
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +308,29 @@ class TestSecsv:
             run_secsv(history, parts, HEParams(), FieldParams(frac_bits=20), seed=1)
         assert str(err.value).startswith("frac_bits:")
         assert str(err.value) == ExperimentConfig(frac_bits=20).validate()[0]
+        assert calls == []
+        assert all(m.as_dict() == CostMeter().as_dict() for m in meters)
+
+    def test_slot_count_checked_before_any_work(self, monkeypatch):
+        # 16 slots cannot hold one column of a 32-row hidden layer: fail at
+        # entry, with validate()'s message and no key, share or HE work
+        parts, history = small_world(n=4, test_m=60, train_m=120, d=8, c=2,
+                                     arch=arch_mlp(8, 2, [32]), rounds=1, seed=2)
+        meters, calls = [], []
+
+        def recording_meter():
+            meters.append(CostMeter())
+            return meters[-1]
+
+        monkeypatch.setattr(protocols, "CostMeter", recording_meter)
+        for name in ("generate_keypair", "split_matrix", "HEContext"):
+            monkeypatch.setattr(protocols, name, lambda *a, _n=name, **k: calls.append(_n))
+        with pytest.raises(ProtocolError) as err:
+            run_secsv(history, parts, HEParams(slot_count=16), FieldParams(), seed=1)
+        config = ExperimentConfig(test_samples=60, train_samples=120, features=8, rounds=1,
+                                  clients=4, architecture="mlp", hidden=[32], slot_count=16)
+        assert str(err.value).startswith("slot_count:")
+        assert str(err.value) in config.validate()
         assert calls == []
         assert all(m.as_dict() == CostMeter().as_dict() for m in meters)
 
