@@ -473,17 +473,19 @@ def reducing_field_matmul(
     the padded columns (the ``delta_reference`` identity).  So one
     ``matmul`` gives the d_out x plan.m slots, metered as the kernel: d_in
     c2p products and d_in - 1 additions.  ``a`` is the model operand the
-    servers hold encrypted, ``b`` the plaintext batch.  Real operands keep
+    servers hold encrypted, ``b`` the plaintext batch, or a stack of
+    batches that gives a stack of ciphertexts.  Real operands keep
     ``reducing_matmul``, whose float sums depend on the order of terms.
     """
     ops = ctx.ops
     a = np.asarray(a, dtype=ops.dtype)
     b = np.asarray(b, dtype=ops.dtype)
-    if a.shape != (plan.d_out, plan.d_in) or b.shape[0] != plan.d_in or b.shape[1] > plan.m:
+    if a.shape != (plan.d_out, plan.d_in) or b.shape[-2] != plan.d_in or b.shape[-1] > plan.m:
         raise PlanError(f"shapes {a.shape} x {b.shape} do not match plan")
-    out = np.zeros((plan.d_out, plan.m), dtype=ops.dtype)
-    out[:, : b.shape[1]] = ops.matmul(a, b)
-    return ctx.fold_int_slots(out.reshape(-1), key, terms=plan.d_in, copies=1)
+    lead = b.shape[:-2]
+    out = np.zeros(lead + (plan.d_out, plan.m), dtype=ops.dtype)
+    out[..., : b.shape[-1]] = ops.matmul(a, b)
+    return ctx.fold_int_slots(out.reshape(lead + (-1,)), key, terms=plan.d_in, copies=1)
 
 
 def reducing_decrypt(

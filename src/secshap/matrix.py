@@ -68,10 +68,6 @@ class Matrix:
         """Entry (j, k) with cyclic wrap on both indices."""
         return float(self.data[j % self.rows, k % self.cols])
 
-    def row_major(self) -> np.ndarray:
-        """Flat row-major copy of the entries."""
-        return self.data.reshape(-1).copy()
-
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
         return Matrix(np.zeros((rows, cols)))

@@ -10,7 +10,7 @@ logged with its actor, so an audit can check that only clients did it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -165,11 +165,20 @@ def assign_decryptors(
     """Deterministic round-robin decryptor sequence satisfying the policy.
 
     ``offset`` rotates the eligible pool so load spreads across batches
-    while staying reproducible.
+    while staying reproducible.  The sequence depends on the offset only
+    modulo the pool size, so it is looked up in a cache keyed on that
+    residue and the other arguments; a failed search raises every time.
     """
-    clients = sorted(clients)
+    clients = tuple(sorted(clients))
+    pool = len(clients) - (model_owner in clients)
+    return list(_decryptor_sequence(clients, num_layers, model_owner, frozenset(batch_owners),
+                                    level, offset % pool if pool else 0))
+
+
+@lru_cache(maxsize=4096)
+def _decryptor_sequence(clients: tuple, num_layers: int, model_owner: int | None,
+                        batch_owners: frozenset, level: str, offset: int) -> tuple[int, ...]:
     n = len(clients)
-    batch_owners = frozenset(batch_owners)
     eligible = [c for c in clients if c != model_owner]
     if not eligible:
         raise AssignmentError("no eligible clients besides the model owner")
@@ -205,4 +214,4 @@ def assign_decryptors(
     )
     if violations:
         raise AssignmentError("; ".join(violations))
-    return sequence
+    return tuple(sequence)

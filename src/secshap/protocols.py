@@ -24,7 +24,11 @@ functions and label extraction always happen at an assigned client on
 decrypted (or reconstructed) values, with the assignment rules of
 ``parties`` enforced throughout.  ``run_secsv`` and ``run_secretsv``
 share one two-server round and differ only in how they aggregate a
-subset model and compute a linear layer.
+subset model and compute a linear layer.  The round has a subset axis
+(see ``_two_server_round``): ``run_secretsv`` passes all of a round's
+subsets and runs one stacked Beaver product per (chunk of subsets,
+batch, layer), each subset with its own triple; ``run_secsv`` with
+sample skipping passes one subset per call through the same code.
 
 Rounds are independent: each runs with its own meter, router, and
 noise stream seeded by the round index, so a worker pool of any size
@@ -60,7 +64,7 @@ from .kernels import (
     squaring_prepare_batch,
     squaring_prepare_model,
 )
-from .matrix import Matrix, argmax_columns
+from .matrix import Matrix
 from .models import apply_activation, evaluate_model, with_ones_row
 from .parties import (
     SERVER_A,
@@ -82,6 +86,7 @@ from .sharing import (
     mask_rng,
     reconstruct_int,
     share_matmul,
+    split_masked,
     split_matrix,
 )
 from .shapley import (
@@ -511,15 +516,14 @@ def _share_test_data(test_sets, field: FieldParams, router: Router, rng) -> _Sha
     )
 
 
-def _decode_signed_block(raw, field: FieldParams, scale_bits: int, rows: int, cols: int) -> Matrix:
-    """Integers (any size) mod p back to signed reals, guarding against wraparound."""
-    signed = field_ops(field).signed(np.asarray(raw).reshape(-1)[: rows * cols])
+def _decode_signed(raw, field: FieldParams, scale_bits: int) -> np.ndarray:
+    """Field elements (any shape) back to signed reals, guarding against wraparound."""
+    signed = field_ops(field).signed(raw)
     if np.any(np.abs(signed) > field.prime // 4):
         raise ProtocolError(
             "fixed-point overflow: intermediate value too large for the field"
         )
-    return Matrix(np.asarray(signed / float(1 << scale_bits), dtype=np.float64)
-                  .reshape(rows, cols))
+    return np.asarray(signed / float(1 << scale_bits), dtype=np.float64)
 
 
 def _weighted_sum(ops, weights, arrays):
@@ -540,15 +544,29 @@ def _split_and_distribute(router, field, owner_name, secret: Matrix, rng):
 
 
 def _shared_label_check(router, field, y_sh: SharePair, shared: _SharedData, cols,
-                        batch_ids) -> set:
-    """Servers compare predicted-label shares with truth shares; P learns ids."""
+                        batch_ids) -> list[set]:
+    """Servers compare predicted-label shares with truth shares; P learns ids.
+
+    ``y_sh`` holds a stack (count, 1, cols) of predicted labels; returns
+    the correct ids of each.
+    """
     ops = field_ops(field)
     p = field.prime
-    tilde_a = ops.reduce(y_sh.s_dprime[0] + (p - shared.y_dprime[cols]))
-    router.send(SERVER_A, SERVER_P, tilde_a)
-    diff = ops.reduce(y_sh.s_prime[0] + (p - shared.y_prime[cols]) + tilde_a)
-    gaps = _decode_signed_block(diff, field, field.frac_bits, 1, len(batch_ids)).data[0]
-    return set(itertools.compress(batch_ids, (np.abs(gaps) < TOLERANCE).tolist()))
+    tilde_a = ops.reduce(y_sh.s_dprime[:, 0] + (p - shared.y_dprime[cols]))
+    for row in tilde_a:
+        router.send(SERVER_A, SERVER_P, row)
+    diff = ops.reduce(y_sh.s_prime[:, 0] + (p - shared.y_prime[cols]) + tilde_a)
+    hits = np.abs(_decode_signed(diff, field, field.frac_bits)) < TOLERANCE
+    return [set(itertools.compress(batch_ids, row)) for row in hits.tolist()]
+
+
+# Subsets per chunk of the two-server round: as many as keep a chunk's
+# layer inputs, over every batch and layer, near this many field elements.
+_CHUNK_ELEMENTS = 1 << 16
+
+
+def _chunk_size(arch, widths) -> int:
+    return max(1, _CHUNK_ELEMENTS // (sum(spec.in_size + 1 for spec in arch) * sum(widths)))
 
 
 def _two_server_round(record: RoundModels, shared: _SharedData, m_cap: int, n: int,
@@ -556,17 +574,31 @@ def _two_server_round(record: RoundModels, shared: _SharedData, m_cap: int, n: i
                       aggregate, linear, skip: bool = False):
     """One round of the two-server evaluation shared by SecSV and SecretSV.
 
-    Servers P and A hold shares of the pooled test data.  Per batch,
-    ``linear(theta, l, x, receiver)`` computes layer ``l`` of the subset
-    model ``theta = aggregate(subset)`` on the shared input ``x`` and
-    returns the plaintext output the assigned receiver learns.  The
-    receiver applies the activation and shares the next input again;
-    after the last layer it shares the predicted labels, which the
-    servers compare with the shared true labels.  Returns the round
-    report and the receivers in order.
+    Servers P and A hold shares of the pooled test data.
+    ``evaluate(subsets, sample_ids)`` runs a list of subsets on one list
+    of sample ids and returns each subset's correct ids.  It takes the
+    subsets in chunks of ``_chunk_size``; per chunk,
+    ``models = aggregate(chunk, widths)`` gives the chunk's subset models,
+    ready for batches of these widths.  Per batch and layer,
+    ``linear(models, l, x, receivers)`` computes layer ``l`` of every
+    model of the chunk on the shared inputs ``x`` (a stack over the
+    chunk) and returns the plaintext outputs (chunk, rows, cols) the
+    assigned receivers learn.  Each receiver applies the activation and
+    shares the next input again; after the last layer it shares the
+    predicted labels, which the servers compare with the shared true
+    labels.  Without skip one call holds every subset of the round; with
+    skip, each call holds one subset.
+
+    Decryptor offsets, messages, the actor log and utilities follow the
+    one-subset-at-a-time order (subset, batch, layer), and a chunk's
+    re-share masks are one block from ``share_rng`` laid out in that
+    order, so stacking changes no value, count or draw.  Returns the
+    round report and the receivers in order.
     """
     model = record.global_model
+    arch = model.layers
     num_layers = model.depth
+    rows = [spec.out_size + 1 for spec in arch[:-1]] + [1]  # re-shared rows per layer
     players = sorted(record.selected)
     actors: list[str] = []
     assignments = itertools.count()  # one running offset per round
@@ -583,39 +615,67 @@ def _two_server_round(record: RoundModels, shared: _SharedData, m_cap: int, n: i
             ]
         return batch_cache[key]
 
-    def evaluate(subset, sample_ids) -> set:
-        subset = frozenset(subset)
-        theta = aggregate(subset)
-        owner = next(iter(subset)) if len(subset) == 1 else None
-        correct: set = set()
-        for batch, cols in batches_for(sample_ids):
-            sequence = assign_decryptors(
-                players, num_layers, owner, batch.owners, level, next(assignments)
-            )
-            x = SharePair(shared.x_prime[:, cols], shared.x_dprime[:, cols])
-            for l in range(num_layers):
-                receiver = client_name(sequence[l + 1])
-                actors.append(receiver)
-                yhat = linear(theta, l, x, receiver)
-                if l < num_layers - 1:
-                    plain = with_ones_row(apply_activation(model, l, yhat.data))
-                else:
-                    plain = Matrix([argmax_columns(yhat).labels])
-                x = _split_and_distribute(router, field, receiver, plain, share_rng)
-            correct |= _shared_label_check(router, field, x, shared, cols, batch.ids)
+    def evaluate(subsets, sample_ids) -> list[set]:
+        subsets = [frozenset(s) for s in subsets]
+        batches = batches_for(sample_ids)
+        widths = [len(batch.ids) for batch, _ in batches]
+        # receivers[subset][batch][layer], assigned in the one-by-one order
+        receivers = []
+        for subset in subsets:
+            owner = next(iter(subset)) if len(subset) == 1 else None
+            per_batch = []
+            for batch, _ in batches:
+                sequence = assign_decryptors(
+                    players, num_layers, owner, batch.owners, level, next(assignments)
+                )
+                per_batch.append([client_name(i) for i in sequence[1:num_layers + 1]])
+                actors.extend(per_batch[-1])
+            receivers.append(per_batch)
+        inputs = [(shared.x_prime[:, cols], shared.x_dprime[:, cols]) for _, cols in batches]
+        sizes = [r * width for width in widths for r in rows]
+        starts = list(itertools.accumulate(sizes, initial=0))
+        ops = field_ops(field)
+        correct = []
+        step = _chunk_size(arch, widths)
+        for lo in range(0, len(subsets), step):
+            chunk = subsets[lo:lo + step]
+            models = aggregate(chunk, widths)
+            masks = ops.random_block(share_rng, len(chunk), sizes)
+            found = [set() for _ in chunk]
+            for b, (batch, cols) in enumerate(batches):
+                x = SharePair(*(np.broadcast_to(half, (len(chunk),) + half.shape)
+                                for half in inputs[b]))
+                for l in range(num_layers):
+                    who = [receivers[lo + g][b][l] for g in range(len(chunk))]
+                    yhat = linear(models, l, x, who)
+                    if l < num_layers - 1:
+                        act = apply_activation(model, l, yhat)
+                        plain = np.concatenate([act, np.ones_like(act[:, :1])], axis=1)
+                    else:
+                        plain = np.argmax(yhat, axis=1)[:, None, :].astype(np.float64)
+                    at = starts[b * num_layers + l]
+                    mask = masks[:, at:at + plain[0].size].reshape(plain.shape)
+                    x = split_masked(encode_matrix(plain, field), mask, field)
+                    for g, receiver in enumerate(who):
+                        router.send(receiver, SERVER_P, x.s_prime[g])
+                        router.send(receiver, SERVER_A, x.s_dprime[g])
+                hits = _shared_label_check(router, field, x, shared, cols, batch.ids)
+                for ids, new in zip(found, hits):
+                    ids |= new
+            correct.extend(found)
         return correct
 
     all_ids = list(shared.ids_by_pos)
     if skip:
-        result = sample_skip_round(record.round_index, players, all_ids, evaluate)
+        result = sample_skip_round(record.round_index, players, all_ids,
+                                   lambda subset, ids: evaluate([subset], ids)[0])
         utilities = dict(result.utilities)
-        utilities[frozenset()] = len(evaluate(frozenset(), all_ids)) / shared.total
+        utilities[frozenset()] = len(evaluate([frozenset()], all_ids)[0]) / shared.total
     else:
         result = None
-        utilities = {
-            subset: len(evaluate(subset, all_ids)) / shared.total
-            for subset in subsets_ascending(players)
-        }
+        subsets = subsets_ascending(players)
+        utilities = {subset: len(ids) / shared.total
+                     for subset, ids in zip(subsets, evaluate(subsets, all_ids))}
     return _round_report(record, utilities, result), actors
 
 
@@ -748,24 +808,27 @@ def run_secsv(
             agg_cache[subset] = out
             return out
 
-        def linear(agg, l, x, receiver):
+        def linear(aggs, l, x, receivers):
+            """Each subset's layer in turn: both servers' reducing products as one stack."""
             plan = plans[l]
-            ct_p, ct_a = (
-                reducing_field_matmul(agg[l], share, plan, ctx, keys.public)
-                for share in (x.s_prime, x.s_dprime)
-            )
-            round_router.send(SERVER_A, SERVER_P, ct_a)
-            ct = ctx.he_add(ct_p, ct_a)
-            round_router.send(SERVER_P, receiver, ct)
-            raw = ctx.decrypt_int_slots(ct, plan.d_out * m_cap, keys.private, actor=receiver)
+            cols = x.s_prime.shape[-1]
+            out = []
+            for agg, share_p, share_a, receiver in zip(aggs, x.s_prime, x.s_dprime, receivers):
+                cts = reducing_field_matmul(agg[l], np.stack([share_p, share_a]), plan, ctx,
+                                            keys.public)
+                ct_p, ct_a = cts[0], cts[1]
+                round_router.send(SERVER_A, SERVER_P, ct_a)
+                ct = ctx.he_add(ct_p, ct_a)
+                round_router.send(SERVER_P, receiver, ct)
+                raw = ctx.decrypt_int_slots(ct, plan.d_out * m_cap, keys.private, actor=receiver)
+                out.append(raw.reshape(plan.d_out, m_cap)[:, :cols])
             # aggregate model at 2f (weight times parameter), share at f
-            yhat = _decode_signed_block(raw, field, 3 * field.frac_bits, plan.d_out, m_cap)
-            return Matrix(yhat.data[:, : x.s_prime.shape[1]])
+            return _decode_signed(np.stack(out), field, 3 * field.frac_bits)
 
         report, actors = _two_server_round(
             record, shared, m_cap, n, level, field, round_router,
             mask_rng(f"secsv-{seed}-round-{record.round_index}"),
-            aggregated, linear, skip,
+            lambda subsets, widths: [aggregated(subset) for subset in subsets], linear, skip,
         )
         return report, meter, actors
 
@@ -851,27 +914,51 @@ def run_secretsv(
             upload_shares(client_name(i), record.local_models[i], i)
         upload_shares(client_name(leader), record.global_model, "global")
 
-        def aggregated_shares(subset):
-            if not subset:
-                return model_shares["global"]
-            members = sorted(subset)
-            w = record.weights_for(subset)
-            if len(members) == 1 and w[members[0]] == 1.0:
-                return model_shares[members[0]]
-            w_enc = [encode(w[i], field) for i in members]
-            out = []
-            for l in range(num_layers):
-                zp = _weighted_sum(ops, w_enc, [model_shares[i][l].s_prime for i in members])
-                za = _weighted_sum(ops, w_enc, [model_shares[i][l].s_dprime for i in members])
-                out.append(_truncate_shares(SharePair(zp, za), field))
-            return out
+        # every model's layers flattened into one row per share half
+        players = sorted(record.selected)
+        column = {i: g for g, i in enumerate(players)}
+        flat = {key: [np.concatenate([theta.s_prime.reshape(-1) for theta in layers]),
+                      np.concatenate([theta.s_dprime.reshape(-1) for theta in layers])]
+                for key, layers in model_shares.items()}
+        members_flat = [np.stack([flat[i][h] for i in players]) for h in (0, 1)]
+        layer_ends = list(itertools.accumulate(math.prod(spec.weight_shape) for spec in arch))
 
-        def linear(theta, l, x, receiver):
-            out = share_matmul(theta[l], x, supply, field, meter=meter)
-            round_router.send(SERVER_P, receiver, out.s_prime)
-            round_router.send(SERVER_A, receiver, out.s_dprime)
-            recon = reconstruct_int(out, field)
-            return _decode_signed_block(recon, field, field.frac_bits, *recon.shape)
+        def aggregated_shares(subsets, widths):
+            """Per layer, the chunk's model shares as one stack; deals the chunk's triples.
+
+            The chunk's aggregates are one field product per share half:
+            its encoded weight rows (zero off each subset) times every
+            member's flattened layers, then one truncation.  The empty
+            subset takes the global model and a single member of weight 1
+            its own shares, untruncated.
+            """
+            weights = np.zeros((len(subsets), len(players)), dtype=ops.dtype)
+            own = {}  # row -> key of the model whose shares it takes unchanged
+            for g, subset in enumerate(subsets):
+                w = record.weights_for(subset) if subset else {}
+                for i in subset:
+                    weights[g, column[i]] = encode(w[i], field)
+                if not subset or list(w.values()) == [1.0]:
+                    own[g] = min(subset, default="global")
+            agg = _truncate_shares(SharePair(*(ops.matmul(weights, members_flat[h])
+                                               for h in (0, 1))), field)
+            for g, key in own.items():
+                agg.s_prime[g], agg.s_dprime[g] = flat[key]
+            layers = [SharePair(*(half[:, lo:hi].reshape((len(subsets),) + spec.weight_shape)
+                                  for half in (agg.s_prime, agg.s_dprime)))
+                      for lo, hi, spec in zip([0] + layer_ends, layer_ends, arch)]
+            supply.deal(len(subsets), [
+                (spec.weight_shape, (spec.in_size + 1, width))
+                for width in widths for spec in arch
+            ])
+            return layers
+
+        def linear(models, l, x, receivers):
+            out = share_matmul(models[l], x, supply, field, meter=meter)
+            for g, receiver in enumerate(receivers):
+                round_router.send(SERVER_P, receiver, out.s_prime[g])
+                round_router.send(SERVER_A, receiver, out.s_dprime[g])
+            return _decode_signed(reconstruct_int(out, field), field, field.frac_bits)
 
         report, actors = _two_server_round(
             record, shared, m_cap, n, level, field, round_router, share_rng,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,13 +43,19 @@ def subsets_ascending(players) -> list[frozenset]:
     """All subsets of the players, ordered by size then lexicographically.
 
     The ordering guarantees both halves of any bipartition appear before
-    their union, which the skip accelerator depends on.
+    their union, which the skip accelerator depends on.  Calls with the
+    same players share the subset objects, so the utility tables of many
+    reports hold one copy of their keys.
     """
-    players = sorted(players)
+    return list(_subsets_ascending(tuple(sorted(players))))
+
+
+@lru_cache(maxsize=64)
+def _subsets_ascending(players: tuple) -> tuple[frozenset, ...]:
     out = [frozenset()]
     for size in range(1, len(players) + 1):
         out.extend(frozenset(c) for c in itertools.combinations(players, size))
-    return out
+    return tuple(out)
 
 
 @dataclass

@@ -7,19 +7,28 @@ followed by the usual local truncation, which can be off by one unit in
 the last fixed-point bit.
 
 Share arrays are uint64 for the default prime p = 2**61 - 1: masks and
-triples come from one ``Generator.integers`` call per array, sums reduce
-with the Mersenne fold (x & p) + (x >> 61) and one conditional
-subtraction, and matrix products split each operand (any value below
-2**63) into three 21-bit limbs so that one float64 matrix product stays
-exact.  The limb coefficients of 2**63 and 2**84 fold onto those of 2**0
-and 2**21, since 2**63 = 4 and 2**84 = 4 * 2**21 (mod p).  Every other
-prime keeps object arrays of Python ints, exact at any size.
-``field_ops`` is the one place that picks between the two.
+triples come from one ``Generator.integers`` block, sums reduce with the
+Mersenne fold (x & p) + (x >> 61) and one conditional subtraction, and
+a matrix product a @ b of any uint64 operands is one float64 matrix
+product that stays exact: b splits into four 16-bit limbs b_j through a
+``uint16`` view, and a @ b = sum_j (a * 2**(16 j) mod p) @ b_j, where
+each turned copy of a (a 61-bit rotation) splits into three 21-bit
+limbs, leaving two rotations to combine.  Every other prime keeps object
+arrays of Python ints, exact at any size.  ``field_ops`` is the one
+place that picks between the two.
+
+Products take leading stack axes: ``share_matmul`` multiplies a stack of
+shared matrices at once, each product with its own Beaver triple.
+``TripleSupply.deal`` draws the triples of a stack of evaluations from
+one block, laid out as one-by-one ``take`` calls would draw them.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +52,7 @@ __all__ = [
     "split",
     "split_int",
     "split_matrix",
+    "split_masked",
     "reconstruct",
     "reconstruct_int",
     "reconstruct_matrix",
@@ -144,8 +154,10 @@ class BeaverTriple:
 
 _LIMB_BITS = 21
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
-_LIMB_SHIFTS = np.arange(0, 3 * _LIMB_BITS, _LIMB_BITS, dtype=np.uint64)  # 0, 21, 42
-_MAX_INNER = 1 << 11  # 2^11 products of two 21-bit limbs sum below 2^53
+_LIMB_SHIFTS = np.arange(0, 3 * _LIMB_BITS, _LIMB_BITS, dtype=np.uint64)[:, None, None, None]
+_TURNS = np.arange(0, 64, 16, dtype=np.uint64)[:, None]  # 2^(16 j), j = 0..3
+_FOLDS = np.array([21, 42], dtype=np.uint64)[:, None, None]  # 2^21, 2^42
+_MAX_INNER = 1 << 14  # 2^16 products of a 21-bit by a 16-bit limb sum below 2^53
 
 
 class _Mersenne61:
@@ -157,14 +169,18 @@ class _Mersenne61:
     def random(self, gen: np.random.Generator, shape) -> np.ndarray:
         return gen.integers(0, self.p, size=shape, dtype=np.uint64)
 
+    def random_block(self, gen: np.random.Generator, count: int, sizes) -> np.ndarray:
+        """``count`` runs of ``random(gen, size)`` for each size in turn, as one (count, sum) block."""
+        return gen.integers(0, self.p, size=(count, sum(sizes)), dtype=np.uint64)
+
     def reduce(self, x: np.ndarray) -> np.ndarray:
         """Canonical residues of a uint64 array (any values)."""
         x = (x & self.p) + (x >> 61)  # <= p + 7
         # below p, x - p wraps above x, so the minimum is the residue
         return np.minimum(x, x - self.p, out=x)
 
-    def _rotate(self, x: np.ndarray, k: int) -> np.ndarray:
-        """x * 2**k mod p for x < 2**61: a 61-bit rotation."""
+    def _rotate(self, x: np.ndarray, k) -> np.ndarray:
+        """x * 2**k mod p for x < 2**61 and 0 <= k < 61: a 61-bit rotation (k may broadcast)."""
         return ((x << k) & self.p) | (x >> (61 - k))
 
     def mul(self, a, b) -> np.ndarray:
@@ -183,31 +199,37 @@ class _Mersenne61:
         )
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact a @ b mod p of uint64 operands below 2**63, reduced or not."""
-        out = self._matmul_chunk(a[:, :_MAX_INNER], b[:_MAX_INNER])
-        for k in range(_MAX_INNER, a.shape[1], _MAX_INNER):
-            out = self.reduce(out + self._matmul_chunk(a[:, k:k + _MAX_INNER],
-                                                       b[k:k + _MAX_INNER]))
+        """Exact a @ b mod p of uint64 operands (any values), over any leading stack axes."""
+        k = a.shape[-1]
+        out = self._matmul_chunk(a[..., :_MAX_INNER], b[..., :_MAX_INNER, :])
+        for lo in range(_MAX_INNER, k, _MAX_INNER):
+            out = self.reduce(out + self._matmul_chunk(a[..., lo:lo + _MAX_INNER],
+                                                       b[..., lo:lo + _MAX_INNER, :]))
         return out
 
     def _matmul_chunk(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact product for inner width <= 2^11: one float64 matmul of limbs.
+        """Exact product for inner width <= 2^14: one float64 matmul of limbs.
 
-        With a = sum_i a_i 2^(21 i) and b = sum_j b_j 2^(21 j), block
-        (i, j) of the stacked product is a_i @ b_j, and the coefficient
-        c_s of 2^(21 s) sums the blocks with i + j = s (each below 3 *
-        2^53).  Since 2^63 = 4 and 2^84 = 4 * 2^21 (mod p), c_3 and c_4
-        fold onto c_0 and c_1, leaving two 61-bit rotations.
+        ``b`` = sum_j b_j 2^(16 j) splits into four 16-bit limbs, read
+        through a little-endian ``uint16`` view with one ``astype``.
+        Then a @ b = sum_j a_j @ b_j, where a_j = a 2^(16 j) mod p is a
+        61-bit rotation of a, and a_j = sum_i a_ji 2^(21 i) splits into
+        three 21-bit limbs.  Row block i of [a_ji] (over columns j, then
+        the inner index) times [b_j] stacked is the coefficient c_i of
+        2^(21 i), each below 4 * 2^14 * 2^37 = 2^53, leaving two
+        rotations.
         """
-        r, c = a.shape[0], b.shape[1]
-        limbs_a = ((a >> _LIMB_SHIFTS[:, None, None]) & _LIMB_MASK).reshape(3 * r, a.shape[1])
-        limbs_b = ((b[:, None] >> _LIMB_SHIFTS[:, None]) & _LIMB_MASK).reshape(b.shape[0], 3 * c)
-        blocks = limbs_a.astype(np.float64) @ limbs_b.astype(np.float64)
-        blocks = blocks.astype(np.uint64).reshape(3, r, 3, c)
-        low = blocks[0, :, 0] + ((blocks[1, :, 2] + blocks[2, :, 1]) << 2)  # c_0 + 4 c_3
-        mid = blocks[0, :, 1] + blocks[1, :, 0] + (blocks[2, :, 2] << 2)  # c_1 + 4 c_4
-        high = blocks[0, :, 2] + blocks[1, :, 1] + blocks[2, :, 0]  # c_2
-        return self.reduce(low + self._rotate(mid, 21) + self._rotate(high, 42))
+        r, k = a.shape[-2:]
+        c = b.shape[-1]
+        turned = self._rotate(self.reduce(a)[..., None, :], _TURNS)  # (..., r, 4, k)
+        limbs_a = ((turned[..., None, :, :, :] >> _LIMB_SHIFTS) & _LIMB_MASK).astype(np.float64)
+        limbs_b = np.ascontiguousarray(b, dtype="<u8").view("<u2").reshape(b.shape + (4,))
+        limbs_b = limbs_b.swapaxes(-1, -2).swapaxes(-2, -3).astype(np.float64, order="C")
+        coeff = np.matmul(limbs_a.reshape(a.shape[:-2] + (3 * r, 4 * k)),
+                          limbs_b.reshape(b.shape[:-2] + (4 * k, c))).astype(np.uint64)
+        coeff = coeff.reshape(coeff.shape[:-2] + (3, r, c))
+        high = self._rotate(coeff[..., 1:, :, :], _FOLDS)
+        return self.reduce(coeff[..., 0, :, :] + high[..., 0, :, :] + high[..., 1, :, :])
 
     def from_rounded(self, scaled: np.ndarray) -> np.ndarray:
         """Field elements of integer-valued floats below 2^63 in magnitude."""
@@ -226,14 +248,30 @@ class _PythonInts:
 
     def __init__(self, prime: int):
         self.p = prime
+        # 64 spare bits keep the bias of the final reduction below 2^-64
+        self._words = -(-(prime.bit_length() + 64) // 64)
 
     def random(self, gen: np.random.Generator, shape) -> np.ndarray:
-        # 64 spare bits keep the bias of the final reduction below 2^-64
-        acc = np.zeros(shape, dtype=object)
-        for _ in range(-(-(self.p.bit_length() + 64) // 64)):
-            word = gen.integers(0, 1 << 64, size=shape, dtype=np.uint64)
-            acc = (acc << 64) | word.astype(object)
-        return acc % self.p
+        return self.random_block(gen, 1, [math.prod(shape)]).reshape(shape)
+
+    def random_block(self, gen: np.random.Generator, count: int, sizes) -> np.ndarray:
+        """``count`` runs of ``random(gen, size)`` for each size in turn, as one (count, sum) block.
+
+        One element is ``_words`` 64-bit words, most significant first;
+        a run draws its words word by word over the whole run.
+        """
+        words = self._words
+        raw = gen.integers(0, 1 << 64, size=(count, words * sum(sizes)), dtype=np.uint64)
+        out = np.empty((count, sum(sizes)), dtype=object)
+        at = 0
+        for size in sizes:
+            run = raw[:, words * at:words * (at + size)].reshape(count, words, size)
+            acc = np.zeros((count, size), dtype=object)
+            for w in range(words):
+                acc = (acc << 64) | run[:, w].astype(object)
+            out[:, at:at + size] = acc % self.p
+            at += size
+        return out
 
     def reduce(self, x: np.ndarray) -> np.ndarray:
         return x % self.p
@@ -242,7 +280,7 @@ class _PythonInts:
         return (a * b) % self.p
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (a @ b) % self.p
+        return np.matmul(a, b) % self.p
 
     def from_rounded(self, scaled: np.ndarray) -> np.ndarray:
         ints = np.array([int(v) for v in scaled.reshape(-1)], dtype=object)
@@ -259,10 +297,12 @@ _M61 = _Mersenne61()
 def field_ops(field: FieldParams):
     """Array arithmetic of the field: uint64 for 2**61 - 1, Python ints otherwise.
 
-    Ops: ``random(gen, shape)``, ``reduce`` (sums of canonical elements),
-    ``mul`` (entrywise), ``matmul`` (operands below 2**63, reduced or
-    not), ``from_rounded`` (integer-valued floats) and ``signed``;
-    ``dtype`` is the element dtype.
+    Ops: ``random(gen, shape)``, ``random_block(gen, count, sizes)``
+    (``count`` runs of draws in one block, as consecutive ``random``
+    calls), ``reduce`` (sums of canonical elements), ``mul``
+    (entrywise), ``matmul`` (any uint64 operands, reduced or not, over
+    leading stack axes), ``from_rounded`` (integer-valued floats) and
+    ``signed``; ``dtype`` is the element dtype.
     """
     return _M61 if field.prime == DEFAULT_PRIME else _PythonInts(field.prime)
 
@@ -301,8 +341,9 @@ def decode(e: int, field: FieldParams, scale_bits: int | None = None) -> float:
     return signed / float(1 << scale)
 
 
-def encode_matrix(m: Matrix, field: FieldParams) -> np.ndarray:
-    data = m.data
+def encode_matrix(m: Matrix | np.ndarray, field: FieldParams) -> np.ndarray:
+    """Field elements of a real matrix, or of a real array of any shape."""
+    data = m.data if isinstance(m, Matrix) else np.asarray(m, dtype=np.float64)
     bad = ~np.isfinite(data)
     if bad.any():
         raise CodecError(f"cannot encode non-finite value {data[bad][0]}")
@@ -341,8 +382,12 @@ def split_matrix(
     """
     ops = field_ops(field)
     enc = encode_matrix(m, field) if isinstance(m, Matrix) else np.asarray(m, dtype=ops.dtype)
-    mask = ops.random(_generator(rng), enc.shape)
-    return SharePair(mask, ops.reduce(enc + (field.prime - mask)))
+    return split_masked(enc, ops.random(_generator(rng), enc.shape), field)
+
+
+def split_masked(enc: np.ndarray, mask: np.ndarray, field: FieldParams) -> SharePair:
+    """Shares (mask, enc - mask) of field elements under masks already drawn."""
+    return SharePair(mask, field_ops(field).reduce(enc + (field.prime - mask)))
 
 
 def reconstruct_int(pair: SharePair, field: FieldParams):
@@ -367,6 +412,15 @@ class TripleSupply:
     multiplications is rows_a * cols_a * cols_b.  An optional budget
     makes exhaustion testable.  Dealer traffic can be metered through
     ``on_bytes(receiver, nbytes)``.
+
+    ``take(shape_a, shape_b)`` hands out one triple, or a stack of
+    ``count`` for shapes (count, r, k) x (count, k, c); ``used`` and the
+    dealer bytes are charged as triples are taken.  Each triple draws u,
+    v, then the masks of u, v and w.  ``deal(count, shapes)`` draws
+    ahead, from one block, the triples of ``count`` evaluations that each
+    make the products ``shapes``, laid out as one-by-one takes would draw
+    them; stacked takes then hand them out product by product.  A budget
+    fails where one-by-one takes would, with the same ``used``.
     """
 
     def __init__(self, field: FieldParams, budget: int | None = None, on_bytes=None):
@@ -380,27 +434,63 @@ class TripleSupply:
         self.used = 0
         self.on_bytes = on_bytes
         self._rng = mask_rng(field.seed ^ 0x5EED)
+        self._dealt: deque = deque()  # ((count, shape_a, shape_b), triple), in take order
+        self._pending = 0  # cost of the dealt triples not yet taken
 
-    def take(self, shape_a: tuple[int, int], shape_b: tuple[int, int]) -> BeaverTriple:
-        if shape_a[1] != shape_b[0]:
-            raise ShapeError(f"triple shapes do not conform: {shape_a} x {shape_b}")
-        cost = shape_a[0] * shape_a[1] * shape_b[1]
-        if self.budget is not None and self.used + cost > self.budget:
-            raise SupplyError(
-                f"triple budget exhausted: need {cost}, have {self.budget - self.used}"
-            )
-        self.used += cost
+    def deal(self, count: int, shapes) -> None:
+        """Draw the triples of ``count`` evaluations, each making the products ``shapes``."""
+        shapes = [(tuple(a), tuple(b)) for a, b in shapes]
+        for shape_a, shape_b in shapes:
+            if shape_a[1] != shape_b[0]:
+                raise ShapeError(f"triple shapes do not conform: {shape_a} x {shape_b}")
+        costs = [a[0] * a[1] * b[1] for a, b in shapes]
+        committed = self.used + self._pending
+        if self.budget is not None and committed + count * sum(costs) > self.budget:
+            for cost in costs * count:  # in take order
+                if committed + cost > self.budget:
+                    self.used = committed
+                    raise SupplyError(
+                        f"triple budget exhausted: need {cost}, have {self.budget - committed}"
+                    )
+                committed += cost
         ops = field_ops(self.field)
-        u = ops.random(self._rng, shape_a)
-        v = ops.random(self._rng, shape_b)
-        w = ops.matmul(u, v)
-        triple = BeaverTriple(*(split_matrix(x, self.field, self._rng) for x in (u, v, w)))
+        # per product: u, v, then the masks of u, v and w
+        parts = [part for a, b in shapes for part in (a, b, a, b, (a[0], b[1]))]
+        sizes = [math.prod(part) for part in parts]
+        block = ops.random_block(self._rng, count, sizes)
+        starts = list(itertools.accumulate(sizes, initial=0))
+        draws = [block[:, at:at + size].reshape((count,) + part)
+                 for at, size, part in zip(starts, sizes, parts)]
+        for j, (shapes_j, cost) in enumerate(zip(shapes, costs)):
+            u, v, mask_u, mask_v, mask_w = draws[5 * j:5 * j + 5]
+            triple = BeaverTriple(*(split_masked(x, mask, self.field) for x, mask in
+                                    ((u, mask_u), (v, mask_v), (ops.matmul(u, v), mask_w))))
+            self._dealt.append(((count,) + shapes_j, triple))
+            self._pending += count * cost
+
+    def take(self, shape_a: tuple, shape_b: tuple) -> BeaverTriple:
+        stacked = len(shape_a) == 3
+        count = shape_a[0] if stacked else 1
+        key = (count, tuple(shape_a[-2:]), tuple(shape_b[-2:]))
+        if stacked and shape_b[0] != count:
+            raise ShapeError(f"triple stacks differ in length: {shape_a} x {shape_b}")
+        if not self._dealt:
+            self.deal(count, [key[1:]])
+        if self._dealt[0][0] != key:
+            raise ShapeError(f"next dealt triple is for {self._dealt[0][0]}, not {key}")
+        _, triple = self._dealt.popleft()
+        cost = count * key[1][0] * key[1][1] * key[2][1]
+        self._pending -= cost
+        self.used += cost
         if self.on_bytes is not None:
             elem = field_element_bytes(self.field)
-            per_server = (u.size + v.size + w.size) * elem
+            per_server = sum(x.s_prime.size for x in (triple.u, triple.v, triple.w)) * elem
             self.on_bytes("server_p", per_server)
             self.on_bytes("server_a", per_server)
-        return triple
+        if stacked:
+            return triple
+        return BeaverTriple(*(SharePair(x.s_prime[0], x.s_dprime[0])
+                              for x in (triple.u, triple.v, triple.w)))
 
 
 def _truncate_shares(pair: SharePair, field: FieldParams) -> SharePair:
@@ -420,17 +510,20 @@ def share_matmul(
 ) -> SharePair:
     """Product of two shared matrices via one Beaver triple, then truncation.
 
-    Both servers open masked differences (metered as exchanged bytes
-    when ``meter`` is given) and combine them with their triple shares.
-    The result is shared at the codec scale again.
+    ``a`` may be a stack (count, r, k) of shared matrices; ``b`` is then
+    a stack (count, k, c), or one (k, c) matrix every product shares.
+    Each product uses its own triple, taken as one stack.  Both servers
+    open masked differences (metered as exchanged bytes when ``meter``
+    is given) and combine them with their triple shares.  The result is
+    shared at the codec scale again.
     """
     shape_a = a.s_prime.shape
     shape_b = b.s_prime.shape
-    if shape_a[1] != shape_b[0]:
+    if shape_a[-1] != shape_b[-2]:
         raise ShapeError(f"cannot multiply shared {shape_a} by {shape_b}")
     ops = field_ops(field)
     p = field.prime
-    triple = supply.take(shape_a, shape_b)
+    triple = supply.take(shape_a, shape_a[:-2] + shape_b[-2:])
     u, v, w = triple.u, triple.v, triple.w
 
     # each server masks its shares locally; the differences e = a - u and
@@ -444,10 +537,10 @@ def share_matmul(
         meter.record_bytes(parties[1], parties[0], opened)
 
     # z' = (e + u')@f + e@v' + w' at P and z'' = u''@f + e@v'' + w'' at A,
-    # from two stacked products (e + u' < 2p is a valid matmul operand)
-    r, c = shape_a[0], shape_b[1]
-    by_f = ops.matmul(np.vstack([e + u.s_prime, u.s_dprime]), f)
-    by_e = ops.matmul(e, np.hstack([v.s_prime, v.s_dprime]))
-    z_prime = ops.reduce(by_f[:r] + by_e[:, :c] + w.s_prime)
-    z_dprime = ops.reduce(by_f[r:] + by_e[:, c:] + w.s_dprime)
+    # from two stacked products
+    r, c = shape_a[-2], shape_b[-1]
+    by_f = ops.matmul(np.concatenate([e + u.s_prime, u.s_dprime], axis=-2), f)
+    by_e = ops.matmul(e, np.concatenate([v.s_prime, v.s_dprime], axis=-1))
+    z_prime = ops.reduce(by_f[..., :r, :] + by_e[..., :c] + w.s_prime)
+    z_dprime = ops.reduce(by_f[..., r:, :] + by_e[..., c:] + w.s_dprime)
     return _truncate_shares(SharePair(z_prime, z_dprime), field)

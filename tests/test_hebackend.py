@@ -47,14 +47,14 @@ P = (1 << 61) - 1  # the default FieldParams prime: the plaintext modulus
 class TestEncryptDecrypt:
     def test_small_matrix_fits_one_ciphertext(self, ctx, keys):
         m = Matrix([[1, 2, 3], [4, 5, 6]])
-        ct = ctx.encrypt_slots(m.row_major(), keys.public)
+        ct = ctx.encrypt_slots(m.data.reshape(-1), keys.public)
         assert np.array_equal(ct.slots[:6], [1, 2, 3, 4, 5, 6])
         assert np.all(ct.slots[6:] == 0)
         assert ctx.meter.enc == 1
 
     def test_round_trip_exact_without_noise(self, ctx, keys):
         m = Matrix(np.random.default_rng(3).normal(size=(5, 7)))
-        back = ctx.decrypt_matrix(ctx.encrypt_slots(m.row_major(), keys.public), (5, 7),
+        back = ctx.decrypt_matrix(ctx.encrypt_slots(m.data.reshape(-1), keys.public), (5, 7),
                                   keys.private)
         assert back.allclose(m)
         assert ctx.meter.dec == 1

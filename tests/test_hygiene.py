@@ -5,9 +5,14 @@
   ``from __future__ import annotations``.
 - Only ``sharing.py`` names the object dtype: how a field element is
   represented is decided behind ``sharing.field_ops`` and nowhere else.
+- No public API whose only caller is its own unit test: every public
+  function or method's name appears somewhere in the package besides
+  its own definition (``__init__.py`` is skipped).
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -90,3 +95,31 @@ def test_scan_finds_object_dtypes():
                          ids=lambda p: p.name)
 def test_object_dtype_only_in_sharing(path):
     assert object_dtype_uses(path.read_text()) == []
+
+
+def public_definitions(source: str) -> list[tuple[str, int]]:
+    """(name, line) of the module's public functions and its classes' public methods."""
+    tree = ast.parse(source)
+    scopes = [tree, *(node for node in tree.body if isinstance(node, ast.ClassDef))]
+    return [(node.name, node.lineno) for scope in scopes for node in scope.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")]
+
+
+def unreferenced(sources: dict[str, str]) -> list[str]:
+    """Public definitions whose name appears, as a word, nowhere but in its own ``def``."""
+    words = Counter(re.findall(r"\w+", "\n".join(sources.values())))
+    return [f"{name}:{line} {word}" for name, source in sorted(sources.items())
+            for word, line in public_definitions(source) if words[word] <= 1]
+
+
+def test_scan_finds_an_unreferenced_function():
+    sources = {
+        "a.py": "def used():\n    pass\n\nclass K:\n    def lonely(self):\n        used()\n",
+        "b.py": "def _private():\n    pass\n\ndef orphan():\n    pass\n",
+    }
+    assert unreferenced(sources) == ["a.py:5 lonely", "b.py:4 orphan"]
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    assert unreferenced({p.name: p.read_text() for p in MODULES}) == []

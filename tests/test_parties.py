@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from secshap import parties
 from secshap.hebackend import CostMeter, HEContext, HEParams, generate_keypair
 from secshap.matrix import LabelVector, Matrix
 from secshap.parties import (
@@ -155,6 +156,33 @@ class TestAssignDecryptors:
 
     def test_client_name(self):
         assert client_name(3) == "client_3"
+
+    def test_cache_matches_uncached_search(self):
+        # the cache keys on offset % pool; the uncached search takes the raw
+        # offset, as every call did before the cache
+        search = parties._decryptor_sequence.__wrapped__
+        failures = 0
+        for n in range(4, 9):
+            clients = list(range(n))
+            for layers in (1, 2, 3):
+                for owner in (None, 0, n - 1):
+                    for batch in ({1}, {1, 2}, {n - 2, n - 1} - {owner}, set(range(1, n - 1))):
+                        for level in ("basic", "full"):
+                            for offset in range(2 * n + 1):
+                                args = (layers, owner, batch, level, offset)
+                                try:
+                                    want = list(search(tuple(clients), layers, owner,
+                                                       frozenset(batch), level, offset))
+                                except AssignmentError as err:
+                                    for _ in range(2):  # an exception is never cached
+                                        with pytest.raises(AssignmentError) as got:
+                                            assign_decryptors(clients, *args)
+                                        assert str(got.value) == str(err)
+                                    failures += 1
+                                    continue
+                                assert assign_decryptors(clients, *args) == want
+                                assert assign_decryptors(reversed(clients), *args) == want
+        assert failures > 0
 
 
 def test_ciphertext_stack_sizes_per_ciphertext():

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from secshap.models import (
     Model,
     arch_cnn_like,
     arch_logistic,
+    apply_activation,
     arch_mlp,
     random_model,
+    with_ones_row,
 )
 from secshap import protocols
 from secshap.parties import AssignmentError
@@ -36,8 +39,19 @@ from secshap.protocols import (
     run_secsv,
 )
 from secshap.report import report_to_json
-from secshap.sharing import FieldParams, SupplyError, field_ops
-from secshap.shapley import fsv_error, ssv_exact, UtilityTable
+from secshap.sharing import (
+    FieldParams,
+    SharePair,
+    SupplyError,
+    TripleSupply,
+    _truncate_shares,
+    encode,
+    field_ops,
+    reconstruct_int,
+    share_matmul,
+    split_matrix,
+)
+from secshap.shapley import fsv_error, ssv_exact, subsets_ascending, UtilityTable
 
 
 def small_world(
@@ -425,6 +439,118 @@ class TestSecretsv:
             rep = run_secretsv(rounds, parts, FieldParams(prime, f), seed=2)
             errors.append(fsv_error(rep.fsv, nssv.fsv))
         assert errors[0] >= errors[1] >= errors[2]
+
+
+def _secretsv_layer_oracle(history, parts, field, seed, batch_capacity):
+    """Every secretsv layer's input share at P and reconstructed output, one subset at a time.
+
+    Follows run_secretsv's draws with one 2-D ``share_matmul`` per
+    (round, subset, batch, layer), each taking its own triple: the test
+    data, model and re-share masks come from the same generators in the
+    same order.  Returns (input share, output) pairs in that order.
+    """
+    n = len(parts)
+    router = protocols._new_router(CostMeter(), HEParams(), field, range(n),
+                                   two_servers=True, with_dealer=True)
+    shared = protocols._share_test_data(parts, field, router,
+                                        protocols.mask_rng(f"secretsv-{seed}-data"))
+    ops = field_ops(field)
+    positions = [shared.pos_of_id[s] for s in shared.ids_by_pos]
+    batches = _pooled_batches(shared.owner_by_pos, shared.ids_by_pos, positions,
+                              min(batch_capacity, shared.total), n)
+    outputs = []
+    for record in history:
+        model = record.global_model
+        share_rng = protocols.mask_rng(f"secretsv-{seed}-round-{record.round_index}")
+        supply = TripleSupply(replace(field, seed=protocols._round_seed(
+            field.seed ^ seed, record.round_index)))
+        players = sorted(record.selected)
+        uploaded = {i: [split_matrix(theta, field, share_rng) for theta in mdl.params]
+                    for i, mdl in [*((i, record.local_models[i]) for i in players),
+                                   ("global", model)]}
+        for subset in subsets_ascending(players):
+            w = record.weights_for(subset) if subset else {}
+            if not subset or list(w.values()) == [1.0]:
+                theta = uploaded[min(subset, default="global")]
+            else:
+                w_enc = [encode(w[i], field) for i in sorted(subset)]
+                theta = [_truncate_shares(SharePair(*(
+                    _weighted_sum(ops, w_enc, [getattr(uploaded[i][l], half) for i in sorted(subset)])
+                    for half in ("s_prime", "s_dprime"))), field) for l in range(model.depth)]
+            for batch in batches:
+                cols = np.array(batch.columns)
+                x = SharePair(shared.x_prime[:, cols], shared.x_dprime[:, cols])
+                for l in range(model.depth):
+                    out = share_matmul(theta[l], x, supply, field)
+                    recon = reconstruct_int(out, field)
+                    outputs.append((x.s_prime.tolist(), recon.tolist()))
+                    y = ops.signed(recon) / float(1 << field.frac_bits)
+                    if l < model.depth - 1:
+                        plain = with_ones_row(apply_activation(model, l, y))
+                    else:
+                        plain = Matrix([np.argmax(y, axis=0)])
+                    x = split_matrix(plain, field, share_rng)
+    return outputs, len(batches), history[0].global_model.depth
+
+
+class TestSecretsvLayerOutputs:
+    """Each (subset, batch, layer) input share and output.
+
+    Report digests cannot see where triples and masks land: a truncation
+    off by one unit rarely flips a label.
+    """
+
+    @pytest.mark.parametrize("chunk", ["rule", 5, 1])
+    def test_outputs_equal_one_subset_oracle(self, chunk, monkeypatch):
+        arch = arch_mlp(8, 3, [6, 5])
+        parts, history = small_world(n=4, test_m=60, train_m=120, d=8, c=3, arch=arch,
+                                     rounds=2, seed=23, grid_bits=12)
+        field, seed, capacity = FieldParams(seed=3), 4, 16
+        want, num_batches, depth = _secretsv_layer_oracle(history, parts, field, seed, capacity)
+        assert num_batches >= 2
+        if chunk != "rule":  # chunks of `chunk` subsets
+            per_subset = sum(spec.in_size + 1 for spec in arch) * sum(ds.size for ds in parts)
+            monkeypatch.setattr(protocols, "_CHUNK_ELEMENTS", chunk * per_subset)
+        stacks = []
+        real = protocols.share_matmul
+
+        def spy(a, b, supply, field, **kwargs):
+            out = real(a, b, supply, field, **kwargs)
+            stacks.append((np.broadcast_to(b.s_prime, out.s_prime.shape[:1] + b.s_prime.shape[-2:]),
+                           reconstruct_int(out, field)))
+            return out
+
+        monkeypatch.setattr(protocols, "share_matmul", spy)
+        run_secretsv(history, parts, field, seed=seed, batch_capacity=capacity)
+        # a chunk makes batch x layer stacked calls; unstack them subset by subset
+        got = []
+        for start in range(0, len(stacks), num_batches * depth):
+            calls = stacks[start:start + num_batches * depth]
+            sizes = {len(out) for _, out in calls}
+            assert len(sizes) == 1
+            if chunk != "rule":
+                assert sizes <= {chunk, 16 % chunk or chunk}
+            got.extend((x[g].tolist(), out[g].tolist())
+                       for g in range(len(calls[0][1])) for x, out in calls)
+        assert len(got) == len(want)
+        for index, (mine, truth) in enumerate(zip(got, want)):
+            assert mine == truth, index
+
+    def test_budget_fails_where_one_subset_at_a_time_fails(self, logistic_world, monkeypatch):
+        parts, history, _ = logistic_world
+        messages = {}
+        for chunk in ("rule", 1):
+            if chunk == 1:
+                monkeypatch.setattr(protocols, "_CHUNK_ELEMENTS", 1)
+            for budget in (10, 3000, 50_000, 123_457, 400_000):
+                try:
+                    run_secretsv(history, parts, FieldParams(), seed=1, triple_budget=budget)
+                    messages[chunk, budget] = None
+                except SupplyError as err:
+                    messages[chunk, budget] = str(err)
+        assert [messages["rule", b] for b in (10, 3000, 50_000, 123_457, 400_000)] == \
+            [messages[1, b] for b in (10, 3000, 50_000, 123_457, 400_000)]
+        assert sum(m is not None for m in messages.values()) >= 6
 
 
 class TestRandomWorlds:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from secshap.matrix import Matrix, matmul_oracle
+from secshap.matrix import Matrix, ShapeError, matmul_oracle
 from secshap.sharing import (
     CodecError,
     FieldParams,
@@ -218,6 +219,119 @@ class TestShareMatmulShares:
             _reference_share_matmul(a, b, triple, field)
 
 
+M89 = FieldParams(prime=(1 << 89) - 1, frac_bits=30, seed=5)
+# the products one subset makes, batch by batch and layer by layer, in
+# secretsv's stock, wide and deep worlds, plus edge shapes
+EVALUATIONS = {
+    "stock": [((2, 49), (49, 131)), ((2, 49), (49, 369))],
+    "wide": [((2, 49), (49, 31)), ((2, 49), (49, 169))],
+    "deep": [((32, 49), (49, 48)), ((16, 33), (33, 48)), ((4, 17), (17, 48)),
+             ((32, 49), (49, 52)), ((16, 33), (33, 52)), ((4, 17), (17, 52))],
+    "edge": [((1, 1), (1, 1)), ((3, 7), (7, 500)), ((1, 49), (49, 1))],
+}
+
+
+def _counting_supply(field, budget=None):
+    seen: dict = {}
+    supply = TripleSupply(field, budget=budget,
+                          on_bytes=lambda who, n: seen.__setitem__(who, seen.get(who, 0) + n))
+    return supply, seen
+
+
+class TestStackedShareMatmul:
+    """A dealt stack of triples and stacked products equal one-by-one takes and products."""
+
+    @staticmethod
+    def _operands(field, count, shapes, fill, shared_b):
+        ops = field_ops(field)
+        g = np.random.default_rng(count * 100 + len(shapes))
+
+        def pair(shape):
+            if fill == "max":
+                return SharePair(*(np.full(shape, field.prime - 1, dtype=ops.dtype)
+                                   for _ in range(2)))
+            return SharePair(ops.random(g, shape), ops.random(g, shape))
+
+        return [(pair((count,) + a), pair(b if shared_b else (count,) + b)) for a, b in shapes]
+
+    # Python-int products are slow, so the 89-bit field stacks 16 only on
+    # the narrower worlds; it covers r = 32 and c = 500 at 1 and 3
+    @pytest.mark.parametrize("field,count,world", [
+        pytest.param(field, count, world, id=f"{name}-{count}-{world}")
+        for field, name in ((FIELD, "m61"), (M89, "m89"))
+        for count in (1, 3, 16)
+        for world in sorted(EVALUATIONS)
+        if name == "m61" or count < 16 or world in ("edge", "wide")
+    ])
+    @pytest.mark.parametrize("fill", ["random", "max"])
+    def test_equals_one_by_one(self, field, count, world, fill):
+        shapes = EVALUATIONS[world]
+        operands = self._operands(field, count, shapes, fill, shared_b=world == "wide")
+        stacked, stacked_bytes = _counting_supply(field)
+        single, single_bytes = _counting_supply(field)
+        stacked.deal(count, shapes)
+        outs = [share_matmul(a, b, stacked, field) for a, b in operands]
+        for g in range(count):  # the one-by-one order: evaluation, then product
+            for (a, b), out in zip(operands, outs):
+                b_g = b if b.s_prime.ndim == 2 else SharePair(b.s_prime[g], b.s_dprime[g])
+                one = share_matmul(SharePair(a.s_prime[g], a.s_dprime[g]), b_g, single, field)
+                assert out.s_prime.dtype == one.s_prime.dtype == field_ops(field).dtype
+                assert out.s_prime[g].tolist() == one.s_prime.tolist()
+                assert out.s_dprime[g].tolist() == one.s_dprime.tolist()
+        assert stacked.used == single.used
+        assert stacked_bytes == single_bytes
+
+    def test_undealt_stack_is_drawn_on_take(self):
+        # a stacked take with nothing dealt draws its own stack, in the same order
+        a = SharePair(*(OPS61.random(np.random.default_rng(h), (3, 2, 5)) for h in (1, 2)))
+        b = SharePair(*(OPS61.random(np.random.default_rng(h), (3, 5, 4)) for h in (3, 4)))
+        dealt, _ = _counting_supply(FIELD)
+        dealt.deal(3, [((2, 5), (5, 4))])
+        want = share_matmul(a, b, dealt, FIELD)
+        got = share_matmul(a, b, TripleSupply(FIELD), FIELD)
+        assert got.s_prime.tolist() == want.s_prime.tolist()
+        assert got.s_dprime.tolist() == want.s_dprime.tolist()
+
+    def test_takes_follow_the_dealt_order(self):
+        supply = TripleSupply(FIELD)
+        supply.deal(2, [((2, 3), (3, 4)), ((1, 3), (3, 4))])
+        with pytest.raises(ShapeError):
+            supply.take((2, 1, 3), (2, 3, 4))  # the next dealt product is (2, 3) x (3, 4)
+        assert supply.used == 0
+        supply.take((2, 2, 3), (2, 3, 4))
+        assert supply.used == 2 * 2 * 3 * 4
+
+    @pytest.mark.parametrize("field", [FIELD, M89], ids=["m61", "m89"])
+    def test_budget_fails_at_the_same_product(self, field):
+        shapes = [((2, 5), (5, 7)), ((3, 4), (4, 2)), ((1, 5), (5, 7))]
+        count = 3
+        costs = [a[0] * a[1] * b[1] for a, b in shapes] * count
+        ends = list(itertools.accumulate(costs))
+        budgets = sorted({0, 1} | {end + d for end in ends for d in (-1, 0, 1)})
+        failures = 0
+        for budget in budgets:
+            single = TripleSupply(field, budget=budget)
+            try:
+                for _ in range(count):
+                    for a, b in shapes:
+                        single.take(a, b)
+                expected = None
+            except SupplyError as err:
+                expected = str(err)
+            stacked = TripleSupply(field, budget=budget)
+            if expected is None:
+                stacked.deal(count, shapes)
+                for a, b in shapes:
+                    stacked.take((count,) + a, (count,) + b)
+            else:
+                failures += 1
+                with pytest.raises(SupplyError) as got:
+                    stacked.deal(count, shapes)
+                assert str(got.value) == expected
+            assert stacked.used == single.used, budget
+        assert 0 < failures < len(budgets)
+
+
 class TestLargerField:
     def test_89_bit_mersenne_supports_f30(self):
         field = FieldParams(prime=(1 << 89) - 1, frac_bits=30, seed=5)
@@ -310,6 +424,30 @@ class TestMersenne61Ops:
             a = g.integers(0, P61, size=(2, k), dtype=np.uint64)
             b = g.integers(0, P61, size=(k, 3), dtype=np.uint64)
         assert OPS61.matmul(a, b).tolist() == ((_objects(a) @ _objects(b)) % P61).tolist()
+
+    @pytest.mark.parametrize("k", [1 << 14, (1 << 14) + 5])
+    @pytest.mark.parametrize("fill", ["max", "random"])
+    def test_stacked_matmul_at_the_inner_width_limit(self, k, fill):
+        # 2^14 inner terms is one float64 product; wider splits the inner axis
+        if fill == "max":  # full limbs: p - 1 turns into 60 of 61 bits set
+            a = np.full((2, 2, k), P61 - 1, dtype=np.uint64)
+            b = np.full((2, k, 3), (1 << 64) - 1, dtype=np.uint64)
+        else:
+            g = np.random.default_rng(k)
+            a = g.integers(0, 1 << 64, size=(2, 2, k), dtype=np.uint64)
+            b = g.integers(0, 1 << 64, size=(2, k, 3), dtype=np.uint64)
+        got = OPS61.matmul(a, b)
+        assert got.shape == (2, 2, 3) and got.dtype == np.uint64
+        for g in range(2):
+            assert got[g].tolist() == ((_objects(a[g]) @ _objects(b[g])) % P61).tolist()
+
+    def test_matmul_broadcasts_a_shared_operand(self):
+        g = np.random.default_rng(25)
+        a = g.integers(0, P61, size=(32, 49), dtype=np.uint64)
+        b = g.integers(0, P61, size=(3, 49, 52), dtype=np.uint64)
+        got = OPS61.matmul(a, b)
+        assert [x.tolist() for x in got] == [OPS61.matmul(a, x).tolist() for x in b]
+        assert got[1].tolist() == ((_objects(a) @ _objects(b[1])) % P61).tolist()
 
     @pytest.mark.parametrize("shape", [
         (1, 1, 1), (1, 49, 7), (5, 49, 1), (1, 3, 1),  # a row or a column
