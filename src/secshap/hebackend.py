@@ -8,9 +8,10 @@ decryptor reads (the squaring kernel does); the meters and the wire size
 operations are entrywise add, entrywise multiply (ciphertext-ciphertext
 or ciphertext-plaintext), cyclic slot rotation, ``he_dot``, a
 multiply-accumulate over a sequence of terms, and ``he_fold``, the sum of
-rotated copies of one ciphertext; all of them broadcast over the stack
-axes, and ``he_add`` / ``he_rotate`` can write into the arrays of an
-``out`` ciphertext.  Indexing a stack is free.  This is a *simulation*: no
+``copies`` rotated copies of one ciphertext, of which it returns only the
+top copy (the first ``shift`` slots, the ones no rotation wraps onto)
+while metering the whole rotate-and-add chain; all of them broadcast over
+the stack axes.  Indexing a stack is free.  This is a *simulation*: no
 lattice arithmetic, no actual security.  What it does provide, exactly,
 is
 
@@ -32,10 +33,11 @@ is
   once, slots + sqrt(var) * z with z a standard normal clipped to +-0.5,
   so every decrypted slot lies within half a tracked standard deviation
   of the exact value.  A decryption is charged a draw for every slot of
-  its full block, live or not, so a narrower ciphertext consumes the
-  noise stream as a full one would; ``draw_noise`` takes the draws of
-  many decryptions in one call, and ``decrypt_stack`` applies them to a
-  stack in that order.
+  its full block, live or not (a folded squaring band, for one, still
+  draws for its full d'_out x s block), so a narrower ciphertext
+  consumes the noise stream as a full one would; ``draw_noise`` takes the
+  draws of many decryptions in one call, and ``decrypt_stack`` applies
+  them to a stack in that order.
 
 Two slot domains exist.  Real payloads use float64 slots and carry
 noise.  Exact integer payloads (field elements from the secret-sharing
@@ -435,19 +437,14 @@ class HEContext:
             return b.slots
         return self._coerce_plain(b, a)
 
-    def he_add(self, a: CipherVector, b: CipherVector | PlainOperand,
-               out: CipherVector | None = None) -> CipherVector:
-        """Entrywise sum; float slots and variance go into ``out``'s arrays if given."""
+    def he_add(self, a: CipherVector, b: CipherVector | PlainOperand) -> CipherVector:
+        """Entrywise sum."""
         other = self._operand(a, b)
         if a.slots.dtype != np.float64:
             out = CipherVector(self.ops.reduce(a.slots + other), a.key_id)
         else:
-            var = None
-            if self._noise_var:
-                var_out = _array(out, "var")
-                var = _var(a) + _var(b) if var_out is None else np.add(_var(a), _var(b), out=var_out)
-                var += self._noise_var
-            out = CipherVector(np.add(a.slots, other, out=_array(out, "slots")), a.key_id, var)
+            var = _var(a) + _var(b) + self._noise_var if self._noise_var else None
+            out = CipherVector(a.slots + other, a.key_id, var)
         self.meter.hadd += out.count
         return out
 
@@ -522,37 +519,65 @@ class HEContext:
             var = var + _var(b) * np.square(a.slots)
         return var
 
-    def he_rotate(self, a: CipherVector, steps: int,
-                  out: CipherVector | None = None) -> CipherVector:
-        """Cyclic left rotation of every ciphertext: slot i holds slot (i + steps) mod N.
-
-        The slots and an array variance go into ``out``'s arrays if given.
-        """
+    def he_rotate(self, a: CipherVector, steps: int) -> CipherVector:
+        """Cyclic left rotation of every ciphertext: slot i holds slot (i + steps) mod N."""
         self.meter.hrot += a.count
-        slots = _rotate(a.slots, steps, out=_array(out, "slots"))
+        slots = _rotate(a.slots, steps)
         if slots.dtype != np.float64 or not self._noise_var:
             return CipherVector(slots, a.key_id)
         var = _var(a)
         if isinstance(var, np.ndarray):
-            var = _rotate(var, steps, out=_array(out, "var"))
-        var += self._noise_var
-        return CipherVector(slots, a.key_id, var)
+            var = _rotate(var, steps)
+        return CipherVector(slots, a.key_id, var + self._noise_var)
 
     def he_fold(self, h: CipherVector, shift: int, copies: int) -> CipherVector:
-        """The sum of ``h`` rotated by 0, shift, ..., (copies - 1) * shift.
+        """The top copy of the sum of ``h`` rotated by 0, shift, ..., (copies - 1) * shift.
 
-        Repeated doubling (acc + rot(acc)) while the copies allow, then
-        single steps (acc + rot(h)): the ``he_rotate`` / ``he_add`` chain,
-        with every rotation written into one buffer and every sum after
-        the first into one accumulator.
+        Stands for the ``he_rotate`` / ``he_add`` chain of repeated
+        doubling (acc + rot(acc)) while the copies allow, then single
+        steps (acc + rot(h)), and returns the first ``shift`` slots of
+        its result, the ones no rotation wraps onto.  On the (...,
+        copies, shift) view of ``h`` those slots are a pairwise tree over
+        the first 2^e copies, then the other copies one at a time, each
+        sum formed as the chain forms it, so the slots and the tracked
+        variance equal the chain's bit for bit.  Metered as the chain:
+        per ciphertext, one rotation and one addition per step.
         """
-        acc, rot, terms = h, None, 1
-        while terms < copies:
-            double = terms * 2 <= copies
-            rot = self.he_rotate(acc if double else h, shift * terms, out=rot)
-            acc = self.he_add(acc, rot, out=None if acc is h else acc)
-            terms = terms * 2 if double else terms + 1
-        return acc
+        width = copies * shift
+        if copies < 1 or shift < 1 or width > h.width:
+            raise BackendError(
+                f"cannot fold copies={copies} shifted by shift={shift} within width "
+                f"{h.width}: needs copies >= 1, shift >= 1 and copies * shift <= {h.width}"
+            )
+        slots = h.slots[..., :width].reshape(h.slots.shape[:-1] + (copies, shift))
+        integer = slots.dtype != np.float64
+        if copies == 1:
+            var = h.var
+        else:
+            var = _var(h) if self._noise_var and not integer else None
+        if isinstance(var, np.ndarray):
+            var = np.broadcast_to(var, var.shape[:-1] + (h.width,))[..., :width]
+            var = var.reshape(var.shape[:-1] + (copies, shift))
+        noise = self._noise_var
+
+        def add(x, var_x, y, var_y):
+            # he_add of x and rot(y): rotation adds sigma^2, then the sum
+            total = self.ops.reduce(x + y) if integer else x + y
+            return total, None if var_x is None else (var_x + (var_y + noise)) + noise
+
+        tree = 1 << (copies.bit_length() - 1)
+        acc, acc_var = slots[..., :tree, :], _take(var, np.s_[..., :tree, :])
+        even, odd = np.s_[..., 0::2, :], np.s_[..., 1::2, :]
+        while acc.shape[-2] > 1:
+            acc, acc_var = add(acc[even], _take(acc_var, even), acc[odd], _take(acc_var, odd))
+        for c in range(tree, copies):
+            copy = np.s_[..., c : c + 1, :]
+            acc, acc_var = add(acc, acc_var, slots[copy], _take(var, copy))
+        steps = copies.bit_length() - 1 + copies - tree
+        self.meter.hrot += h.count * steps
+        self.meter.hadd += h.count * steps
+        top = np.s_[..., 0, :]
+        return CipherVector(acc[top], h.key_id, _take(acc_var, top))
 
 
 def _var(operand) -> float | np.ndarray:
@@ -562,13 +587,12 @@ def _var(operand) -> float | np.ndarray:
     return 0.0
 
 
-def _array(ct: CipherVector | None, name: str) -> np.ndarray | None:
-    """``ct``'s slots or variance as an output buffer, or None to allocate."""
-    arr = None if ct is None else getattr(ct, name)
-    return arr if isinstance(arr, np.ndarray) else None
+def _take(var, index):
+    """``var[index]`` for a per-slot variance; a scalar or ``None`` applies to every slot."""
+    return var[index] if isinstance(var, np.ndarray) else var
 
 
-def _rotate(x: np.ndarray, steps: int, out: np.ndarray | None = None) -> np.ndarray:
-    """``np.roll(x, -steps, axis=-1)`` as one copy of two slices, into ``out`` if given."""
+def _rotate(x: np.ndarray, steps: int) -> np.ndarray:
+    """``np.roll(x, -steps, axis=-1)`` as one copy of two slices."""
     s = steps % x.shape[-1]
-    return np.concatenate((x[..., s:], x[..., :s]), axis=-1, out=out)
+    return np.concatenate((x[..., s:], x[..., :s]), axis=-1)

@@ -12,15 +12,17 @@ B (d_in x m, the batch side) over the slotted backend:
   slots: of the s x s block, the L = min(d_out, d'_out) rows a decryptor
   keeps in each of the C = s / d'_out vertical copies, over the plan's m
   columns, C * L * m slots; so the plan's m fixes the layout of the
-  model side and of every batch side evaluated with it.  The products
-  are entrywise and the fold's kept outputs read no slot past the last
-  copy, so the kept slots equal those of the full block bit for bit.
+  model side and of every batch side evaluated with it.  The fold of the
+  C copies keeps only the top one, so a row band stores the L * m slots
+  its decryptor reads.  The products are entrywise and the fold's kept
+  outputs read no slot past the last copy, so the kept slots equal those
+  of the full block bit for bit.
 - **reducing**: both operands are transformed into d_in pairs of
-  d_out x m matrices, one ciphertext each; the product is the
-  entrywise multiply-accumulate over the pairs, one ``he_dot``.  Costs
-  exactly d_in multiplications and zero rotations, at the price of
-  requiring the transforms to be computed where the operand is
-  plaintext.  Over a prime field that sum is exact, so
+  d_out x m matrices, one ciphertext each (the model side is one [d_in]
+  stack); the product is the entrywise multiply-accumulate over the
+  pairs, one ``he_dot``.  Costs exactly d_in multiplications and zero
+  rotations, at the price of requiring the transforms to be computed
+  where the operand is plaintext.  Over a prime field that sum is exact, so
   ``reducing_field_matmul`` gets the same slots from one field matrix
   product and meters them at the same cost.
 
@@ -46,6 +48,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .hebackend import CipherVector, HEContext, PrivateKey, PublicKey
 from .matrix import Matrix, pad_to, submatrix, transform
@@ -309,9 +312,10 @@ def squaring_matmul(
     every batch at once; the model side and every batch side come from
     one plan, whose m fixes the slot layout.  One batch's [o, k] stack is
     such a side; so is a list of d'_out [..., k] stacks.  The copy fold
-    shifts by L x m: every live output reads slots of copies below C
-    only, so no rotation wraps onto a slot that is kept.  The result is
-    a stack indexed [..., j].
+    shifts by L x m and keeps the top copy: every live output reads
+    slots of copies below C only, so no rotation wraps onto a slot that
+    is kept.  The K inner blocks are summed on those L x m slots.  The
+    result is a stack of bands of L x m slots, indexed [..., j].
     """
     width = plan.live_width()
     _check_stack(model_cts, (plan.d_out_block, plan.j_blocks, plan.k_blocks), width, "model")
@@ -321,7 +325,7 @@ def squaring_matmul(
     b_terms = [batch_side[o][..., None, :, :] for o in range(plan.d_out_block)]
     _check_stack(b_terms[0], (1, plan.k_blocks), width, "batch")
     h = ctx.he_dot([model_cts[o] for o in range(plan.d_out_block)], b_terms)
-    # fold the vertical copies down onto the top block
+    # fold the vertical copies down onto the top one: the L x m slots a decryptor reads
     acc = ctx.he_fold(h, plan.live_rows() * plan.m, plan.copies())
     band = acc[..., 0, :]
     for k in range(1, plan.k_blocks):
@@ -339,13 +343,14 @@ def squaring_decrypt_stack(
 ) -> np.ndarray:
     """The d_out x m products of a [..., j] stack of row bands, shape (..., d_out, m).
 
-    Each band is decrypted as its full d'_out x s block would be: under
-    noise it takes d'_out * s draws, and live entry (r, c) gets the one
-    at r * s + c.  ``draws`` lays them out (..., j, d'_out * s); see
+    A band stores the L x m slots ``squaring_matmul`` keeps, yet is
+    decrypted as its full d'_out x s block would be: under noise it
+    takes d'_out * s draws, and live entry (r, c) gets the one at
+    r * s + c.  ``draws`` lays them out (..., j, d'_out * s); see
     ``HEContext.decrypt_stack``.  ``actors`` names each band's decryptor.
     """
-    _check_stack(bands, (plan.j_blocks,), plan.live_width(), "band")
     live = plan.live_rows()
+    _check_stack(bands, (plan.j_blocks,), live * plan.m, "band")
     out = ctx.decrypt_stack(bands, (live, plan.m), (plan.d_out_block, plan.s), key,
                             draws=draws, actors=actors)
     out = out.reshape(out.shape[:-3] + (plan.j_blocks * live, plan.m))
@@ -377,13 +382,13 @@ def _slot_operand(a: Matrix | np.ndarray) -> tuple[np.ndarray, bool]:
     return arr, arr.dtype.kind in "iuO"
 
 
-def _reducing_model_views(a: np.ndarray, width: int):
-    """View o holds A[j, (j+k+o) mod d_in] at (j, k), flattened into one ciphertext."""
+def _reducing_model_views(a: np.ndarray, width: int) -> np.ndarray:
+    """Row o holds A[j, (j+k+o) mod d_in] at j * width + k: the d_in views, one gather."""
     d_out, d_in = a.shape
-    j = np.arange(d_out)[:, None]
-    k = np.arange(width)[None, :]
-    for o in range(d_in):
-        yield a[j, (j + k + o) % d_in].reshape(-1)
+    tiled = a[:, np.arange(d_out + d_in + width - 2) % d_in]  # column t is A[:, t mod d_in]
+    windows = sliding_window_view(tiled, width, axis=1)  # [j, t, k] = tiled[j, t + k]
+    j = np.arange(d_out)
+    return windows[j, j + np.arange(d_in)[:, None]].reshape(d_in, -1)
 
 
 def _reducing_batch_views(b: np.ndarray, d_out: int, width: int):
@@ -403,20 +408,20 @@ def reducing_prepare_model(
     ctx: HEContext,
     key: PublicKey,
     width: int | None = None,
-) -> list[CipherVector]:
+) -> CipherVector:
     """Transform-then-encrypt the model operand at the plan's batch width.
 
-    Batch-independent: the o-th ciphertext holds A[j, (j+k+o) mod d_in]
-    for every column k, so one preparation serves all batches up to the
-    width.  Accepts a real Matrix or an exact integer (field) array of
-    any integer dtype.
+    Batch-independent: ciphertext o of the [d_in] stack holds
+    A[j, (j+k+o) mod d_in] at slot j * width + k, so one preparation
+    serves all batches up to the width.  Accepts a real Matrix or an
+    exact integer (field) array of any integer dtype.
     """
     arr, integer = _slot_operand(a)
     if arr.shape != (plan.d_out, plan.d_in):
         raise PlanError(f"model shape {arr.shape} does not match plan")
     width = plan.m if width is None else width
     encrypt = ctx.encrypt_int_slots if integer else ctx.encrypt_slots
-    return [encrypt(view, key) for view in _reducing_model_views(arr, width)]
+    return encrypt(_reducing_model_views(arr, width), key)
 
 
 def reducing_prepare_batch(
@@ -445,18 +450,21 @@ def reducing_prepare_batch(
 
 
 def reducing_matmul(
-    model_cts: Sequence[CipherVector],
+    model_cts: CipherVector,
     batch_side: Sequence[BatchSide],
     plan: MatMulPlan,
     ctx: HEContext,
 ) -> CipherVector:
-    """Entrywise multiply-accumulate over the d_in pairs; no rotations."""
-    if len(model_cts) != plan.d_in or len(batch_side) != plan.d_in:
+    """Entrywise multiply-accumulate over the d_in pairs; no rotations.
+
+    ``model_cts`` is ``reducing_prepare_model``'s [d_in] stack.
+    """
+    terms = model_cts.slots.shape[:-1]
+    if terms != (plan.d_in,) or len(batch_side) != plan.d_in:
         raise PlanError(
-            f"expected {plan.d_in} transformed pairs, got "
-            f"{len(model_cts)} and {len(batch_side)}"
+            f"expected {plan.d_in} transformed pairs, got {terms} and {len(batch_side)}"
         )
-    return ctx.he_dot(model_cts, batch_side)
+    return ctx.he_dot([model_cts[o] for o in range(plan.d_in)], batch_side)
 
 
 def reducing_field_matmul(

@@ -3,6 +3,7 @@ import pytest
 
 from secshap.hebackend import (
     BackendError,
+    CipherVector,
     CostMeter,
     CostWeights,
     HEContext,
@@ -408,30 +409,53 @@ class TestStacks:
         with pytest.raises(BackendError):
             ctx.he_dot([a, a], [1.0])
 
-    @pytest.mark.parametrize("copies", [1, 2, 3, 4, 5, 7])
-    @pytest.mark.parametrize("kind", ["exact", "scalar_var", "slot_var", "integer"])
+    @pytest.mark.parametrize("copies", [1, 2, 3, 4, 5, 7, 8, 15, 16, 22])
+    @pytest.mark.parametrize("kind", ["exact", "scalar_var", "slot_var", "stack_var", "integer"])
     def test_fold_equals_rotate_add_chain(self, keys, kind, copies):
-        ctx = self.ctx(sigma=0.0 if kind == "exact" else 0.01)
+        # the fold returns the chain's top copy: its first shift slots and
+        # their variance, bit for bit, at the chain's meter cost
+        shift, width = 3, 128
+        ctx = HEContext(HEParams(slot_count=width, noise_stddev=0.0 if kind == "exact" else 0.01,
+                                 seed=4))
         rng = np.random.default_rng(copies)
-        if kind == "slot_var":
-            h = self.noisy_stack(ctx, keys, rng, (2, 3))
-        elif kind == "integer":
-            h = ctx.encrypt_int_slots(rng.integers(0, P, size=(2, 3, self.N), dtype=np.uint64),
+        shape = (2, 3, width)
+        if kind == "integer":
+            h = ctx.encrypt_int_slots(rng.integers(0, P, size=shape, dtype=np.uint64),
                                       keys.public)
         else:
-            h = ctx.encrypt_slots(rng.normal(size=(2, 3, self.N)), keys.public)
+            h = ctx.encrypt_slots(rng.normal(size=shape), keys.public)
+        if kind == "slot_var":  # a per-slot variance broadcast over the stack
+            h = ctx.he_mult(h, rng.normal(size=width))
+        elif kind == "stack_var":  # a variance per slot of every ciphertext
+            h = ctx.he_mult(h, ctx.encrypt_slots(rng.normal(size=shape), keys.public))
         kept = (h.slots.copy(), np.copy(h.var))
         before = ctx.meter.snapshot()
-        chain = rotate_add_chain(ctx, h, 3, copies)
+        chain = rotate_add_chain(ctx, h, shift, copies)
         mid = ctx.meter.snapshot()
-        fold = ctx.he_fold(h, 3, copies)
-        assert same_ct(fold, chain)
+        fold = ctx.he_fold(h, shift, copies)
+        assert fold.width == shift and fold.slots.shape == shape[:-1] + (shift,)
+        top = CipherVector(chain.slots[..., :shift], chain.key_id,
+                           chain.var[..., :shift] if np.ndim(chain.var) else chain.var)
+        assert same_ct(fold, top)
         assert fold.slots.dtype == chain.slots.dtype
         assert np.ndim(fold.var) == np.ndim(chain.var)
         assert ctx.meter.delta(mid).as_dict() == mid.delta(before).as_dict()
         assert np.array_equal(h.slots, kept[0]) and np.array_equal(np.copy(h.var), kept[1])
         if kind == "exact" or kind == "integer":
             assert fold.var is None
+
+    @pytest.mark.parametrize("shift,copies", [(3, 0), (3, -1), (0, 2), (3, 3), (5, 2), (1, 9)])
+    def test_fold_rejects_copies_that_would_wrap(self, keys, shift, copies):
+        ctx = self.ctx()
+        h = ctx.encrypt_slots(np.ones((2, self.N)), keys.public)
+        before = ctx.meter.as_dict()
+        with pytest.raises(BackendError) as err:
+            ctx.he_fold(h, shift, copies)
+        message = str(err.value)
+        assert f"copies={copies}" in message and f"shift={shift}" in message
+        assert f"width {self.N}" in message
+        assert ctx.meter.as_dict() == before
+        ctx.he_fold(h, 4, 2)  # exactly the width: accepted
 
     def test_stacked_rotation_equals_per_ciphertext(self, keys):
         ctx = self.ctx()

@@ -17,6 +17,7 @@ from secshap.kernels import (
     reducing_prepare_batch,
     reducing_prepare_model,
     squaring_decrypt,
+    squaring_decrypt_stack,
     squaring_matmul,
     squaring_max_batch,
     squaring_prepare_batch,
@@ -33,6 +34,18 @@ KEYS = generate_keypair("kern")
 
 def int_matrix(rng, rows, cols, lo=-8, hi=8):
     return Matrix(rng.integers(lo, hi + 1, size=(rows, cols)).astype(float))
+
+
+def rotate_add_chain(ctx, h, shift, copies):
+    """The full-width he_rotate / he_add chain that he_fold keeps the top copy of."""
+    acc, terms = h, 1
+    while terms * 2 <= copies:
+        acc = ctx.he_add(acc, ctx.he_rotate(acc, shift * terms))
+        terms *= 2
+    while terms < copies:
+        acc = ctx.he_add(acc, ctx.he_rotate(h, shift * terms))
+        terms += 1
+    return acc
 
 
 def run_squaring(a, b, ctx, encrypt_b=True, plan=None):
@@ -200,7 +213,8 @@ class TestSquaringKernel:
         mid = ctx.meter.snapshot()
         bands = squaring_matmul(model, stacked, plans[0], ctx)
         assert ctx.meter.delta(mid).as_dict() == mid.delta(before).as_dict()
-        width = plans[0].copies() * plans[0].live_rows() * m_cap
+        # a band stores only the L x m slots its decryptor reads
+        width = plans[0].live_rows() * m_cap
         assert bands.slots.shape == (3, plans[0].j_blocks, width)
         for b, single in enumerate(singles):
             assert np.array_equal(bands[b].slots, single.slots)
@@ -215,7 +229,7 @@ class TestSquaringKernel:
          ((64, 100), 20, (1, 2, 3), 900)],
     )
     def test_live_layout_width_and_product(self, shape, m, blocks, width):
-        # each ciphertext stores C x L x m slots; blocks are (C, J, K), m < s
+        # operands store C x L x m slots and bands L x m; blocks are (C, J, K), m < s
         d_out, d_in = shape
         ctx = HEContext(HEParams())
         rng = np.random.default_rng(d_out * 7 + d_in + m)
@@ -229,10 +243,54 @@ class TestSquaringKernel:
         assert model.slots.shape == (plan.d_out_block, plan.j_blocks, plan.k_blocks, width)
         assert batch.slots.shape == (plan.d_out_block, plan.k_blocks, width)
         bands = squaring_matmul(model, batch, plan, ctx)
-        assert bands.slots.shape == (plan.j_blocks, width)
+        assert bands.slots.shape == (plan.j_blocks, plan.live_rows() * m)  # L x m per band
         assert squaring_decrypt(bands, plan, ctx, KEYS.private).allclose(matmul_oracle(a, b))
         assert ctx.meter.hmult_c2c == plan.expected_hmult()
         assert ctx.meter.hrot == plan.expected_hrot()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "shape,m,batches,blocks",
+        [((2, 49), 45, 3, (15, 1, 2)),  # stock's logistic layer
+         ((5, 30), 12, 2, (6, 1, 1)),
+         ((64, 100), 20, 2, (1, 2, 3))],
+    )
+    def test_noisy_bands_equal_full_width_chain(self, shape, m, batches, blocks, seed):
+        # the kernel against the evaluation it stands for: the full-width
+        # rotate-and-add chain, he_add band sums, and a decryption with the
+        # same draws; slots, variance, decrypted values and meters bit for bit
+        d_out, d_in = shape
+        ctx = HEContext(HEParams(noise_stddev=1e-3, seed=seed))
+        rng = np.random.default_rng(seed * 100 + d_out)
+        plan = plan_squaring(d_out, d_in, m, N)
+        assert (plan.copies(), plan.j_blocks, plan.k_blocks) == blocks
+        model = squaring_prepare_model(Matrix(rng.uniform(-1, 1, size=shape)), plan, ctx,
+                                       KEYS.public)
+        sides = squaring_prepare_batch(rng.uniform(-1, 1, size=(batches, d_in, m)), plan, ctx,
+                                       KEYS.public)
+        live, s = plan.live_rows(), plan.s
+        draws = rng.standard_normal(batches * plan.j_blocks * plan.d_out_block * s)
+
+        before = ctx.meter.snapshot()
+        terms = range(plan.d_out_block)
+        h = ctx.he_dot([model[o] for o in terms], [sides[o][..., None, :, :] for o in terms])
+        acc = rotate_add_chain(ctx, h, live * m, plan.copies())
+        want = acc[..., 0, :]
+        for k in range(1, plan.k_blocks):
+            want = ctx.he_add(want, acc[..., k, :])
+        want_out = ctx.decrypt_stack(want, (live, m), (plan.d_out_block, s), KEYS.private,
+                                     draws=draws)
+        mid = ctx.meter.snapshot()
+        bands = squaring_matmul(model, sides, plan, ctx)
+        got = squaring_decrypt_stack(bands, plan, ctx, KEYS.private, draws=draws)
+
+        assert ctx.meter.delta(mid).as_dict() == mid.delta(before).as_dict()
+        assert bands.slots.shape == (batches, plan.j_blocks, live * m)
+        assert np.array_equal(bands.slots, want.slots[..., : live * m])
+        full_var = np.broadcast_to(want.var, want.slots.shape)[..., : live * m]
+        assert np.array_equal(np.broadcast_to(bands.var, bands.slots.shape), full_var)
+        assert np.array_equal(got, want_out.reshape(batches, -1, m)[:, :d_out])
+        assert not np.array_equal(got, squaring_decrypt_stack(bands, plan, ctx, KEYS.private))
 
     def test_prepare_batch_with_leading_axis_equals_per_batch_calls(self):
         ctx = HEContext(HEParams())
@@ -402,9 +460,9 @@ class TestReducingFieldMatmul:
 
     @pytest.mark.parametrize("fill", ["top", "random"])
     def test_inner_width_beyond_one_matmul_chunk(self, fill):
-        # d_in > 2^11 splits the uint64 matmul into chunks
+        # d_in > 2^14 splits the uint64 matmul into chunks
         field = FieldParams()
-        d_in = (1 << 11) + 5
+        d_in = (1 << 14) + 5
         if fill == "top":
             a = np.full((2, d_in), field.prime - 1, dtype=np.uint64)
             b = np.full((d_in, 3), field.prime - 1, dtype=np.uint64)

@@ -414,8 +414,8 @@ class TestMersenne61Ops:
 
     @pytest.mark.parametrize("fill", ["max", "random"])
     def test_matmul_at_one_full_chunk(self, fill):
-        # exactly 2^11 inner terms: the largest width one limb product covers
-        k = 1 << 11
+        # exactly 2^14 inner terms: the largest width one limb product covers
+        k = 1 << 14
         if fill == "max":
             a = np.full((2, k), (1 << 63) - 1, dtype=np.uint64)
             b = np.full((k, 3), (1 << 63) - 1, dtype=np.uint64)
