@@ -39,10 +39,10 @@ from .kernels import (
 )
 from .matrix import Matrix
 from .models import arch_cnn_like, arch_logistic, arch_mlp
-from .protocols import (run_hesv, run_nssv, run_secretsv, run_secsv,
-                        secretsv_headroom_error, secsv_headroom_error, secsv_slot_error)
+from .protocols import (run_hesv, run_nssv, run_secretsv, run_secsv, secsv_headroom_error,
+                        secsv_slot_error)
 from .report import ContributionReport, report_to_json
-from .sharing import DEFAULT_PRIME, FieldParams
+from .sharing import DEFAULT_PRIME, FieldParams, secretsv_headroom_error
 from .shapley import fsv_error, permutation_sampling_ssv, fsv_aggregate
 
 CONFIG_VERSION = 1
@@ -114,6 +114,12 @@ class ExperimentConfig:
             errors.append("slot_count: must be a power of two")
         if not (math.isfinite(self.noise_stddev) and self.noise_stddev >= 0):
             errors.append("noise_stddev: must be finite and non-negative")
+        # FieldParams states the rule of each field parameter; check them one at a time
+        for name, value in (("prime", self.prime), ("frac_bits", self.frac_bits)):
+            try:
+                FieldParams(**{name: value})
+            except ValueError as exc:
+                errors.append(str(exc))
         if self.grid_bits < 1 or self.grid_bits > self.frac_bits:
             errors.append("grid_bits: must be in [1, frac_bits]")
         products = secretsv_headroom_error(self.prime, self.frac_bits)

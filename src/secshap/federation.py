@@ -32,7 +32,6 @@ __all__ = [
     "dirichlet_partition",
     "fedavg_train",
     "save_dataset_csv",
-    "load_dataset_csv",
 ]
 
 
@@ -270,17 +269,3 @@ def save_dataset_csv(dataset: ClientDataset, path) -> None:
                 + [repr(float(v)) for v in dataset.features.data[:, k]]
             )
 
-
-def load_dataset_csv(path, num_classes: int | None = None) -> ClientDataset:
-    ids, labels, cols = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["id", "label"]:
-            raise ValueError(f"{path} is not a dataset csv (header {header[:2]})")
-        for row in reader:
-            ids.append(int(row[0]))
-            labels.append(int(row[1]))
-            cols.append([float(v) for v in row[2:]])
-    feats = np.array(cols, dtype=np.float64).T
-    return ClientDataset(Matrix(feats), LabelVector(labels, num_classes), np.array(ids))

@@ -58,7 +58,6 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .matrix import Matrix
 from .sharing import FieldParams, field_ops
 
 __all__ = [
@@ -398,25 +397,6 @@ class HEContext:
         if isinstance(var, np.ndarray):
             var = np.broadcast_to(var, ct.slots.shape)[..., : rows * cols].reshape(lead + live)
         return slots + np.sqrt(var) * z
-
-    def decrypt_matrix(
-        self, ct: CipherVector, shape: tuple[int, int], key: PrivateKey,
-        actor: str | None = None,
-    ) -> Matrix:
-        """Unpack one ciphertext into a rows x cols matrix."""
-        if ct.slots.ndim != 1:
-            raise BackendError(f"decryption takes one ciphertext, got a stack {ct.slots.shape}")
-        actors = () if actor is None else (actor,)
-        return Matrix(self.decrypt_stack(ct, shape, shape, key, actors=actors))
-
-    def decrypt_int_slots(
-        self, ct: CipherVector, count: int, key: PrivateKey, actor: str | None = None
-    ) -> np.ndarray:
-        """First ``count`` slots of one exact-integer ciphertext."""
-        if ct.slots.ndim != 1:
-            raise BackendError(f"decryption takes one ciphertext, got a stack {ct.slots.shape}")
-        return self.decrypt_stack(ct, (1, count), (1, count), key,
-                                  actors=() if actor is None else (actor,))[0]
 
     # -- homomorphic operations ------------------------------------------
 

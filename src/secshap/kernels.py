@@ -64,13 +64,11 @@ __all__ = [
     "squaring_prepare_model",
     "squaring_prepare_batch",
     "squaring_matmul",
-    "squaring_decrypt",
     "squaring_decrypt_stack",
     "reducing_prepare_model",
     "reducing_prepare_batch",
     "reducing_matmul",
     "reducing_field_matmul",
-    "reducing_decrypt",
 ]
 
 BatchSide = Union[CipherVector, np.ndarray]
@@ -357,18 +355,6 @@ def squaring_decrypt_stack(
     return out[..., : plan.d_out, :]
 
 
-def squaring_decrypt(
-    bands: CipherVector,
-    plan: MatMulPlan,
-    ctx: HEContext,
-    key: PrivateKey,
-    actor: str | None = None,
-) -> Matrix:
-    """Assemble one batch's row bands back into the d_out x m product."""
-    actors = () if actor is None else (actor,) * plan.j_blocks
-    return Matrix(squaring_decrypt_stack(bands, plan, ctx, key, actors=actors))
-
-
 # -- reducing kernel --------------------------------------------------------
 
 
@@ -495,15 +481,3 @@ def reducing_field_matmul(
     out[..., : b.shape[-1]] = ops.matmul(a, b)
     return ctx.fold_int_slots(out.reshape(lead + (-1,)), key, terms=plan.d_in, copies=1)
 
-
-def reducing_decrypt(
-    ct: CipherVector,
-    plan: MatMulPlan,
-    ctx: HEContext,
-    key: PrivateKey,
-    actor: str | None = None,
-    width: int | None = None,
-) -> Matrix:
-    width = plan.m if width is None else width
-    full = ctx.decrypt_matrix(ct, (plan.d_out, width), key, actor=actor)
-    return Matrix(full.data[:, : plan.m])

@@ -21,9 +21,6 @@ __all__ = [
     "transform",
     "matmul_oracle",
     "argmax_columns",
-    "concat",
-    "hconcat",
-    "vconcat",
 ]
 
 TRANSFORM_KINDS = ("sigma", "tau", "xi", "psi")
@@ -71,10 +68,6 @@ class Matrix:
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
         return Matrix(np.zeros((rows, cols)))
-
-    @staticmethod
-    def identity(n: int) -> "Matrix":
-        return Matrix(np.eye(n))
 
     def allclose(self, other: "Matrix", tol: float = 0.0) -> bool:
         if self.shape != other.shape:
@@ -166,32 +159,6 @@ def matmul_oracle(a: Matrix, b: Matrix) -> Matrix:
 def argmax_columns(scores: Matrix) -> LabelVector:
     """Per column, the row index of the maximum entry; ties go to the lowest index."""
     return LabelVector(np.argmax(scores.data, axis=0))
-
-
-def hconcat(m1: Matrix, m2: Matrix) -> Matrix:
-    if m1.rows != m2.rows:
-        raise ShapeError(f"row mismatch in horizontal concat: {m1.rows} vs {m2.rows}")
-    return Matrix(np.hstack([m1.data, m2.data]))
-
-
-def vconcat(m1: Matrix, m2: Matrix) -> Matrix:
-    if m1.cols != m2.cols:
-        raise ShapeError(f"column mismatch in vertical concat: {m1.cols} vs {m2.cols}")
-    return Matrix(np.vstack([m1.data, m2.data]))
-
-
-def concat(m1: Matrix, m2: Matrix | None, axis: str) -> Matrix:
-    """Stack two matrices; ``axis`` is 'horizontal' or 'vertical'.
-
-    A None second operand is treated as empty and returns m1 unchanged.
-    """
-    if m2 is None:
-        return m1
-    if axis == "horizontal":
-        return hconcat(m1, m2)
-    if axis == "vertical":
-        return vconcat(m1, m2)
-    raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
 
 
 def pad_to(m: Matrix, rows: int, cols: int) -> Matrix:

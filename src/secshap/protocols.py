@@ -80,11 +80,13 @@ from .sharing import (
     SharePair,
     TripleSupply,
     _truncate_shares,
+    decode_matrix,
     encode,
     encode_matrix,
     field_ops,
     mask_rng,
     reconstruct_int,
+    secretsv_headroom_error,
     share_matmul,
     split_masked,
     split_matrix,
@@ -516,16 +518,6 @@ def _share_test_data(test_sets, field: FieldParams, router: Router, rng) -> _Sha
     )
 
 
-def _decode_signed(raw, field: FieldParams, scale_bits: int) -> np.ndarray:
-    """Field elements (any shape) back to signed reals, guarding against wraparound."""
-    signed = field_ops(field).signed(raw)
-    if np.any(np.abs(signed) > field.prime // 4):
-        raise ProtocolError(
-            "fixed-point overflow: intermediate value too large for the field"
-        )
-    return np.asarray(signed / float(1 << scale_bits), dtype=np.float64)
-
-
 def _weighted_sum(ops, weights, arrays):
     """Sum of w * x mod p over encoded weights and equal-shape field arrays.
 
@@ -556,7 +548,7 @@ def _shared_label_check(router, field, y_sh: SharePair, shared: _SharedData, col
     for row in tilde_a:
         router.send(SERVER_A, SERVER_P, row)
     diff = ops.reduce(y_sh.s_prime[:, 0] + (p - shared.y_prime[cols]) + tilde_a)
-    hits = np.abs(_decode_signed(diff, field, field.frac_bits)) < TOLERANCE
+    hits = np.abs(decode_matrix(diff, field, field.frac_bits)) < TOLERANCE
     return [set(itertools.compress(batch_ids, row)) for row in hits.tolist()]
 
 
@@ -820,10 +812,11 @@ def run_secsv(
                 round_router.send(SERVER_A, SERVER_P, ct_a)
                 ct = ctx.he_add(ct_p, ct_a)
                 round_router.send(SERVER_P, receiver, ct)
-                raw = ctx.decrypt_int_slots(ct, plan.d_out * m_cap, keys.private, actor=receiver)
-                out.append(raw.reshape(plan.d_out, m_cap)[:, :cols])
+                raw = ctx.decrypt_stack(ct, (plan.d_out, m_cap), (plan.d_out, m_cap),
+                                        keys.private, actors=(receiver,))
+                out.append(raw[:, :cols])
             # aggregate model at 2f (weight times parameter), share at f
-            return _decode_signed(np.stack(out), field, 3 * field.frac_bits)
+            return decode_matrix(np.stack(out), field, 3 * field.frac_bits)
 
         report, actors = _two_server_round(
             record, shared, m_cap, n, level, field, round_router,
@@ -840,17 +833,6 @@ def run_secsv(
 
 
 # -- SecretSV ---------------------------------------------------------------------
-
-
-def secretsv_headroom_error(prime: int, frac_bits: int) -> str | None:
-    """Why the field cannot carry one fixed-point product, or None if it can.
-
-    A product of two values at scale frac_bits, before its truncation,
-    needs 2 * frac_bits + 9 prime bits; SecretSV makes one per layer.
-    """
-    if prime.bit_length() < 2 * frac_bits + 9:
-        return "prime: too small for frac_bits (products would wrap)"
-    return None
 
 
 def run_secretsv(
@@ -958,7 +940,7 @@ def run_secretsv(
             for g, receiver in enumerate(receivers):
                 round_router.send(SERVER_P, receiver, out.s_prime[g])
                 round_router.send(SERVER_A, receiver, out.s_dprime[g])
-            return _decode_signed(reconstruct_int(out, field), field, field.frac_bits)
+            return decode_matrix(reconstruct_int(out, field), field, field.frac_bits)
 
         report, actors = _two_server_round(
             record, shared, m_cap, n, level, field, round_router, share_rng,

@@ -44,18 +44,14 @@ __all__ = [
     "SupplyError",
     "DEFAULT_PRIME",
     "encode",
-    "decode",
     "encode_matrix",
     "decode_matrix",
     "field_ops",
     "mask_rng",
-    "split",
-    "split_int",
+    "secretsv_headroom_error",
     "split_matrix",
     "split_masked",
-    "reconstruct",
     "reconstruct_int",
-    "reconstruct_matrix",
     "share_matmul",
     "field_element_bytes",
 ]
@@ -104,13 +100,9 @@ class FieldParams:
 
     def __post_init__(self):
         if not _is_probable_prime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
+            raise ValueError(f"prime: {self.prime} is not prime")
         if self.frac_bits < 0:
-            raise ValueError("frac_bits must be non-negative")
-
-    def supports_multiplication(self) -> bool:
-        """One product plus truncation must not wrap: p > 2^(2f + 8)."""
-        return self.prime > 1 << (2 * self.frac_bits + 8)
+            raise ValueError(f"frac_bits: must be non-negative, got {self.frac_bits}")
 
     @property
     def bits(self) -> int:
@@ -121,6 +113,18 @@ class FieldParams:
         return float(1 << (self.bits - self.frac_bits - 2))
 
 
+def secretsv_headroom_error(prime: int, frac_bits: int) -> str | None:
+    """Why the field cannot carry one fixed-point product, or None if it can.
+
+    A product of two values at scale frac_bits, before its truncation,
+    needs 2 * frac_bits + 9 prime bits; SecretSV makes one per layer, each
+    from a Beaver triple.
+    """
+    if prime.bit_length() < 2 * frac_bits + 9:
+        return "prime: too small for frac_bits (products would wrap)"
+    return None
+
+
 def field_element_bytes(field: FieldParams) -> int:
     return (field.bits + 7) // 8
 
@@ -129,16 +133,11 @@ def field_element_bytes(field: FieldParams) -> int:
 class SharePair:
     """Additive shares: s_prime at server P, s_dprime at server A.
 
-    Each half is either a Python int or an ndarray of field elements
-    (dtype ``field_ops(field).dtype``).
+    Each half is an ndarray of field elements (dtype ``field_ops(field).dtype``).
     """
 
     s_prime: object
     s_dprime: object
-
-    @property
-    def shape(self):
-        return getattr(self.s_prime, "shape", ())
 
 
 @dataclass(frozen=True)
@@ -329,18 +328,6 @@ def encode(x: float, field: FieldParams) -> int:
     return round(float(x) * (1 << field.frac_bits)) % field.prime
 
 
-def decode(e: int, field: FieldParams, scale_bits: int | None = None) -> float:
-    """Map a field element back to a signed real.
-
-    ``scale_bits`` defaults to the codec's frac_bits; products of two
-    encoded values carry twice that scale.
-    """
-    scale = field.frac_bits if scale_bits is None else scale_bits
-    e = int(e) % field.prime
-    signed = e if e <= field.prime // 2 else e - field.prime
-    return signed / float(1 << scale)
-
-
 def encode_matrix(m: Matrix | np.ndarray, field: FieldParams) -> np.ndarray:
     """Field elements of a real matrix, or of a real array of any shape."""
     data = m.data if isinstance(m, Matrix) else np.asarray(m, dtype=np.float64)
@@ -354,22 +341,19 @@ def encode_matrix(m: Matrix | np.ndarray, field: FieldParams) -> np.ndarray:
     return field_ops(field).from_rounded(np.round(data * float(1 << field.frac_bits)))
 
 
-def decode_matrix(arr: np.ndarray, field: FieldParams, scale_bits: int | None = None) -> Matrix:
-    scale = field.frac_bits if scale_bits is None else scale_bits
-    signed = field_ops(field).signed(arr)
-    return Matrix(np.asarray(signed / float(1 << scale), dtype=np.float64))
+def decode_matrix(raw, field: FieldParams, scale_bits: int) -> np.ndarray:
+    """Field elements (any shape) back to signed reals at scale 2**scale_bits.
+
+    A signed representative past p/4 means an intermediate value wrapped
+    the field; that raises instead of decoding to a wrong real.
+    """
+    signed = field_ops(field).signed(raw)
+    if np.any(np.abs(signed) > field.prime // 4):
+        raise CodecError("fixed-point overflow: intermediate value too large for the field")
+    return np.asarray(signed / float(1 << scale_bits), dtype=np.float64)
 
 
 # -- splitting and reconstruction -----------------------------------------
-
-
-def split_int(value: int, field: FieldParams, rng: random.Random) -> SharePair:
-    mask = rng.randrange(field.prime)
-    return SharePair(mask, (value - mask) % field.prime)
-
-
-def split(secret: float, field: FieldParams, rng: random.Random) -> SharePair:
-    return split_int(encode(secret, field), field, rng)
 
 
 def split_matrix(
@@ -394,14 +378,6 @@ def reconstruct_int(pair: SharePair, field: FieldParams):
     return (pair.s_prime + pair.s_dprime) % field.prime
 
 
-def reconstruct(pair: SharePair, field: FieldParams, scale_bits: int | None = None) -> float:
-    return decode(reconstruct_int(pair, field), field, scale_bits)
-
-
-def reconstruct_matrix(pair: SharePair, field: FieldParams, scale_bits: int | None = None) -> Matrix:
-    return decode_matrix(reconstruct_int(pair, field), field, scale_bits)
-
-
 # -- Beaver-triple matrix multiplication -----------------------------------
 
 
@@ -424,11 +400,9 @@ class TripleSupply:
     """
 
     def __init__(self, field: FieldParams, budget: int | None = None, on_bytes=None):
-        if not field.supports_multiplication():
-            raise ValueError(
-                f"field too small for products: prime must exceed "
-                f"2^{2 * field.frac_bits + 8}"
-            )
+        headroom = secretsv_headroom_error(field.prime, field.frac_bits)
+        if headroom:
+            raise ValueError(headroom)
         self.field = field
         self.budget = budget
         self.used = 0

@@ -24,12 +24,11 @@ from secshap.hebackend import CostWeights, HEContext, HEParams, generate_keypair
 from secshap.kernels import (
     plan_reducing,
     plan_squaring,
-    reducing_decrypt,
     reducing_matmul,
     reducing_max_batch,
     reducing_prepare_batch,
     reducing_prepare_model,
-    squaring_decrypt,
+    squaring_decrypt_stack,
     squaring_matmul,
     squaring_max_batch,
     squaring_prepare_batch,
@@ -73,7 +72,8 @@ def run_squaring_case(a, b, noise):
     plan = plan_squaring(a.rows, a.cols, b.cols, N_SLOTS)
     model = squaring_prepare_model(a, plan, ctx, KEYS.public)
     batch = squaring_prepare_batch(b, plan, ctx, KEYS.public, encrypt=True)
-    return squaring_decrypt(squaring_matmul(model, batch, plan, ctx), plan, ctx, KEYS.private)
+    bands = squaring_matmul(model, batch, plan, ctx)
+    return Matrix(squaring_decrypt_stack(bands, plan, ctx, KEYS.private))
 
 
 def run_reducing_case(a, b, noise):
@@ -81,7 +81,9 @@ def run_reducing_case(a, b, noise):
     plan = plan_reducing(a.rows, a.cols, b.cols, N_SLOTS)
     model = reducing_prepare_model(a, plan, ctx, KEYS.public)
     batch = reducing_prepare_batch(b, plan, ctx, KEYS.public, encrypt=True)
-    return reducing_decrypt(reducing_matmul(model, batch, plan, ctx), plan, ctx, KEYS.private)
+    shape = (plan.d_out, plan.m)
+    return Matrix(ctx.decrypt_stack(reducing_matmul(model, batch, plan, ctx), shape, shape,
+                                    KEYS.private))
 
 
 def random_shape_cases(count, seed):

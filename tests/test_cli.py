@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from secshap.cli import ExperimentConfig, bench_shape, main
-from secshap.federation import load_dataset_csv
 from secshap.hebackend import CostWeights
 
 
@@ -72,6 +71,14 @@ class TestConfig:
         assert any(e.startswith("frac_bits:") for e in errors(18, ["nssv", "secsv"]))
         assert errors(17, ["nssv", "secsv"]) == []
         assert errors(18, ["nssv", "hesv", "secretsv"]) == []
+
+    def test_non_prime_rejected_under_prime(self):
+        config = replace(ExperimentConfig(), prime=2**61 + 1)
+        assert config.validate() == ["prime: 2305843009213693953 is not prime"]
+
+    def test_negative_frac_bits_rejected_under_frac_bits(self):
+        errors = replace(ExperimentConfig(), frac_bits=-1).validate()
+        assert "frac_bits: must be non-negative, got -1" in errors
 
     def test_slot_count_too_small_for_secsv(self):
         # one column of the 32-row hidden layer needs 32 slots
@@ -148,6 +155,13 @@ class TestCmdRun:
         config_path.write_text(json.dumps(tiny_config(clients=2)))
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "x")]) == 2
 
+    def test_non_prime_exits_2_before_any_work(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(tiny_config(prime=2**61 + 1)))
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "x")]) == 2
+        assert "config error: prime:" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_default_config_smoke(self, tmp_path):
         # the stock configuration (n=5, T=3, M=500 logistic) end to end
         rc = main(["run", "--out", str(tmp_path / "full"), "--seed", "0"])
@@ -208,7 +222,10 @@ class TestGenData:
         assert manifest["clients"] == 4
         total = 0
         for entry in manifest["files"]:
-            ds = load_dataset_csv(tmp_path / "data" / entry["path"], num_classes=3)
-            assert ds.size == entry["samples"]
-            total += ds.size
+            with open(tmp_path / "data" / entry["path"], newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert header == ["id", "label"] + [f"x{i}" for i in range(6)]
+            assert all(len(row) == 8 and 0 <= int(row[1]) < 3 for row in rows)
+            assert len(rows) == entry["samples"]
+            total += len(rows)
         assert total == 60

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from secshap.federation import (
     TrainingError,
     dirichlet_partition,
     fedavg_train,
-    load_dataset_csv,
     make_synthetic_dataset,
     save_dataset_csv,
 )
@@ -29,10 +30,13 @@ class TestClientDataset:
         ds = make_synthetic_dataset(20, 4, 3, seed=5)
         path = tmp_path / "d.csv"
         save_dataset_csv(ds, path)
-        back = load_dataset_csv(path, num_classes=3)
-        assert back.features.allclose(ds.features)
-        assert back.labels == ds.labels
-        assert np.array_equal(back.ids, ds.ids)
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["id", "label", "x0", "x1", "x2", "x3"]
+        features = Matrix(np.array([[float(v) for v in row[2:]] for row in rows]).T)
+        assert features.allclose(ds.features)
+        assert LabelVector([int(row[1]) for row in rows], 3) == ds.labels
+        assert np.array_equal([int(row[0]) for row in rows], ds.ids)
 
 
 def _expected_synthetic(rng, centers_rng, m, d, c, separation):

@@ -45,6 +45,11 @@ class TestParams:
 P = (1 << 61) - 1  # the default FieldParams prime: the plaintext modulus
 
 
+def decrypt_ints(ctx, ct, count, key):
+    """The first ``count`` slots of one exact-integer ciphertext."""
+    return ctx.decrypt_stack(ct, (1, count), (1, count), key)[0]
+
+
 class TestEncryptDecrypt:
     def test_small_matrix_fits_one_ciphertext(self, ctx, keys):
         m = Matrix([[1, 2, 3], [4, 5, 6]])
@@ -55,31 +60,31 @@ class TestEncryptDecrypt:
 
     def test_round_trip_exact_without_noise(self, ctx, keys):
         m = Matrix(np.random.default_rng(3).normal(size=(5, 7)))
-        back = ctx.decrypt_matrix(ctx.encrypt_slots(m.data.reshape(-1), keys.public), (5, 7),
-                                  keys.private)
-        assert back.allclose(m)
+        back = ctx.decrypt_stack(ctx.encrypt_slots(m.data.reshape(-1), keys.public), (5, 7),
+                                 (5, 7), keys.private)
+        assert Matrix(back).allclose(m)
         assert ctx.meter.dec == 1
 
     def test_key_mismatch_raises(self, ctx, keys):
         other = generate_keypair("other")
         ct = ctx.encrypt_slots([1], keys.public)
         with pytest.raises(KeyMismatchError):
-            ctx.decrypt_matrix(ct, (1, 1), other.private)
+            ctx.decrypt_stack(ct, (1, 1), (1, 1), other.private)
 
     def test_decrypt_log_records_actor(self, ctx, keys):
         ct = ctx.encrypt_slots([1], keys.public)
-        ctx.decrypt_matrix(ct, (1, 1), keys.private, actor="client2")
+        ctx.decrypt_stack(ct, (1, 1), (1, 1), keys.private, actors=("client2",))
         assert ctx.decrypt_log == ["client2"]
 
     def test_integer_slots_are_exact(self, ctx, keys):
         # slots hold field elements mod the plaintext modulus p, exactly
         elems = [P - 1, P - 2, 1, 0, (1 << 60) + 12345]
         ct = ctx.encrypt_int_slots(elems, keys.public)
-        back = ctx.decrypt_int_slots(ct, 5, keys.private)
+        back = decrypt_ints(ctx, ct, 5, keys.private)
         assert back.tolist() == elems
         prod = ctx.he_mult(ct, np.array(elems[::-1], dtype=np.uint64))
         total = ctx.he_add(prod, ct)
-        got = ctx.decrypt_int_slots(total, 5, keys.private)
+        got = decrypt_ints(ctx, total, 5, keys.private)
         assert got.tolist() == [(a * b + a) % P for a, b in zip(elems, elems[::-1])]
 
     def test_other_primes_keep_python_int_slots(self, keys):
@@ -88,7 +93,7 @@ class TestEncryptDecrypt:
         elems = [wide.prime - 1, 1 << 70, 3]
         ct = ctx.he_mult(ctx.encrypt_int_slots(elems, keys.public), elems)
         assert ct.slots.dtype == object
-        got = ctx.decrypt_int_slots(ct, 3, keys.private)
+        got = decrypt_ints(ctx, ct, 3, keys.private)
         assert got.tolist() == [a * a % wide.prime for a in elems]
 
 class TestOps:
@@ -116,7 +121,7 @@ class TestOps:
     def test_fold_meters_the_parties_folds(self, ctx, keys):
         folded = [(3 * 2**70 + 1) % P, P - 5]
         ct = ctx.fold_int_slots(folded, keys.public, terms=3, copies=2)
-        assert ctx.decrypt_int_slots(ct, 2, keys.private).tolist() == folded
+        assert decrypt_ints(ctx, ct, 2, keys.private).tolist() == folded
         assert ct.key_id == keys.public.key_id and ct.width == 2048
         assert (ctx.meter.hmult_c2p, ctx.meter.hadd, ctx.meter.enc) == (6, 4, 0)
 
@@ -181,7 +186,7 @@ class TestNoise:
         worst = 0.0
         for _ in range(1000):
             c, expect = depth4_chain(ctx, keys, *rng.uniform(0.2, 1.0, size=4))
-            got = ctx.decrypt_matrix(c, (1, 1), keys.private).data[0, 0]
+            got = ctx.decrypt_stack(c, (1, 1), (1, 1), keys.private)[0, 0]
             worst = max(worst, abs(float(got) - expect))
         assert worst <= 6 * sigma
 
@@ -193,7 +198,7 @@ class TestNoise:
             ctx = HEContext(HEParams(noise_stddev=sigma, seed=seed))
             c, expect = depth4_chain(ctx, keys, 0.9, 0.7, 0.5, 0.8)
             assert c.slots[0] == expect
-            errors[seed] = float(ctx.decrypt_matrix(c, (1, 1), keys.private).data[0, 0]) - expect
+            errors[seed] = float(ctx.decrypt_stack(c, (1, 1), (1, 1), keys.private)[0, 0]) - expect
         assert all(0 < abs(e) <= 6 * sigma for e in errors.values())
         assert errors[1] != errors[2]
 
@@ -224,8 +229,8 @@ class TestNoise:
         for _ in range(2):
             ctx = HEContext(HEParams(noise_stddev=1e-6, seed=7))
             ct = ctx.encrypt_slots([1.0], keys.public)
-            outs.append(float(ctx.decrypt_matrix(ctx.he_mult(ct, ct), (1, 1),
-                                                 keys.private).data[0, 0]))
+            outs.append(float(ctx.decrypt_stack(ctx.he_mult(ct, ct), (1, 1), (1, 1),
+                                                keys.private)[0, 0]))
         assert outs[0] == outs[1]
 
 
@@ -278,7 +283,7 @@ class TestTrackedVariance:
         f = noisy.fold_int_slots([5, 6], keys.public, terms=2, copies=1)
         outs = [a, f, noisy.he_add(a, f), noisy.he_mult(a, [2, 3]), noisy.he_rotate(a, 1)]
         assert all(ct.var is None for ct in outs)
-        assert noisy.decrypt_int_slots(outs[3], 2, keys.private).tolist() == [P - 2, 9]
+        assert decrypt_ints(noisy, outs[3], 2, keys.private).tolist() == [P - 2, 9]
 
 
 class TestMeter:
@@ -486,10 +491,3 @@ class TestStacks:
         assert stack.slots.shape == (4, self.N) and ctx.meter.enc == 4
         ctx.fold_int_slots(np.ones((2, 3), dtype=np.uint64), keys.public, terms=3, copies=2)
         assert (ctx.meter.hmult_c2p, ctx.meter.hadd) == (12, 8)
-
-    def test_decryption_takes_one_ciphertext(self, keys):
-        ctx = self.ctx()
-        stack = ctx.encrypt_slots(np.ones((2, 3)), keys.public)
-        with pytest.raises(BackendError):
-            ctx.decrypt_matrix(stack, (1, 3), keys.private)
-        assert ctx.decrypt_matrix(stack[1], (1, 3), keys.private).shape == (1, 3)

@@ -10,20 +10,18 @@ from secshap.kernels import (
     delta_reference,
     plan_reducing,
     plan_squaring,
-    reducing_decrypt,
     reducing_field_matmul,
     reducing_matmul,
     reducing_max_batch,
     reducing_prepare_batch,
     reducing_prepare_model,
-    squaring_decrypt,
     squaring_decrypt_stack,
     squaring_matmul,
     squaring_max_batch,
     squaring_prepare_batch,
     squaring_prepare_model,
 )
-from secshap.matrix import Matrix, hconcat, matmul_oracle, submatrix, transform
+from secshap.matrix import Matrix, matmul_oracle, submatrix, transform
 from secshap.sharing import FieldParams, field_ops
 
 TABLE_SHAPES = [(4, 300), (2, 48), (64, 256), (10, 64), (32, 64), (32, 32), (2, 32)]
@@ -53,7 +51,7 @@ def run_squaring(a, b, ctx, encrypt_b=True, plan=None):
     model = squaring_prepare_model(a, plan, ctx, KEYS.public)
     batch = squaring_prepare_batch(b, plan, ctx, KEYS.public, encrypt=encrypt_b)
     bands = squaring_matmul(model, batch, plan, ctx)
-    return squaring_decrypt(bands, plan, ctx, KEYS.private), plan
+    return Matrix(squaring_decrypt_stack(bands, plan, ctx, KEYS.private)), plan
 
 
 def run_reducing(a, b, ctx, encrypt_b=False, plan=None):
@@ -61,7 +59,8 @@ def run_reducing(a, b, ctx, encrypt_b=False, plan=None):
     model = reducing_prepare_model(a, plan, ctx, KEYS.public)
     batch = reducing_prepare_batch(b, plan, ctx, KEYS.public, encrypt=encrypt_b)
     ct = reducing_matmul(model, batch, plan, ctx)
-    return reducing_decrypt(ct, plan, ctx, KEYS.private), plan
+    shape = (plan.d_out, plan.m)
+    return Matrix(ctx.decrypt_stack(ct, shape, shape, KEYS.private)), plan
 
 
 class TestPlans:
@@ -111,7 +110,7 @@ class TestDeltaReference:
         assert delta_reference(a, b).allclose(matmul_oracle(a, b))
 
     def test_identity(self):
-        eye = Matrix.identity(2)
+        eye = Matrix(np.eye(2))
         assert delta_reference(eye, eye).allclose(eye)
 
     def test_horizontal_composition(self):
@@ -120,8 +119,9 @@ class TestDeltaReference:
         a = int_matrix(rng, 3, 4)
         b1 = int_matrix(rng, 4, 4)
         b2 = int_matrix(rng, 4, 2)
-        lhs = delta_reference(hconcat(a, a), hconcat(b1, b2))
-        rhs = hconcat(delta_reference(a, b1), delta_reference(a, b2))
+        lhs = delta_reference(Matrix(np.hstack([a.data, a.data])),
+                              Matrix(np.hstack([b1.data, b2.data])))
+        rhs = Matrix(np.hstack([delta_reference(a, b1).data, delta_reference(a, b2).data]))
         assert lhs.allclose(rhs)
 
     def test_shape_validation(self):
@@ -219,7 +219,7 @@ class TestSquaringKernel:
         for b, single in enumerate(singles):
             assert np.array_equal(bands[b].slots, single.slots)
             assert np.array_equal(bands[b].var, single.var)
-        got = squaring_decrypt(bands[1], plans[0], ctx, KEYS.private).data[:, :3]
+        got = squaring_decrypt_stack(bands[1], plans[0], ctx, KEYS.private)[:, :3]
         want = matmul_oracle(a, batches[1]).data
         assert np.allclose(got, want, atol=1e-4)
 
@@ -244,7 +244,8 @@ class TestSquaringKernel:
         assert batch.slots.shape == (plan.d_out_block, plan.k_blocks, width)
         bands = squaring_matmul(model, batch, plan, ctx)
         assert bands.slots.shape == (plan.j_blocks, plan.live_rows() * m)  # L x m per band
-        assert squaring_decrypt(bands, plan, ctx, KEYS.private).allclose(matmul_oracle(a, b))
+        got = Matrix(squaring_decrypt_stack(bands, plan, ctx, KEYS.private))
+        assert got.allclose(matmul_oracle(a, b))
         assert ctx.meter.hmult_c2c == plan.expected_hmult()
         assert ctx.meter.hrot == plan.expected_hrot()
 
@@ -378,8 +379,8 @@ class TestReducingKernel:
         b = int_matrix(rng, 8, 20)
         batch = reducing_prepare_batch(b, plan, ctx, width=capacity)
         ct = reducing_matmul(model, batch, plan, ctx)
-        got = reducing_decrypt(ct, plan, ctx, KEYS.private, width=capacity)
-        assert Matrix(got.data[:, :20]).allclose(matmul_oracle(a, b))
+        got = ctx.decrypt_stack(ct, (4, capacity), (4, capacity), KEYS.private)
+        assert Matrix(got[:, :20]).allclose(matmul_oracle(a, b))
 
     def test_integer_payload_is_exact(self):
         # Python-int shares (object arrays) take the same field slots, mod p

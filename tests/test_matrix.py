@@ -8,14 +8,11 @@ from secshap.matrix import (
     Matrix,
     ShapeError,
     argmax_columns,
-    concat,
-    hconcat,
     matmul_oracle,
     pad_to,
     quantize,
     submatrix,
     transform,
-    vconcat,
 )
 
 
@@ -90,7 +87,7 @@ class TestTransforms:
         assert transform(m, "sigma").allclose(Matrix([[1, 2], [4, 3]]))
 
     def test_tau_rotates_col_k_by_k(self):
-        eye = Matrix.identity(2)
+        eye = Matrix(np.eye(2))
         assert transform(eye, "tau").allclose(Matrix([[1, 1], [0, 0]]))
 
     def test_xi_full_cycle_is_identity(self):
@@ -122,7 +119,7 @@ class TestTransforms:
 class TestMatmulOracle:
     def test_identity(self):
         b = Matrix([[1, 2, 3], [4, 5, 6]])
-        assert matmul_oracle(Matrix.identity(2), b).allclose(b)
+        assert matmul_oracle(Matrix(np.eye(2)), b).allclose(b)
 
     def test_scalar(self):
         assert matmul_oracle(Matrix([[2]]), Matrix([[3]])).allclose(Matrix([[6]]))
@@ -160,27 +157,6 @@ class TestArgmaxColumns:
     def test_single_column(self):
         got = argmax_columns(Matrix([[0.1], [0.9], [0.3]]))
         assert got == LabelVector([1])
-
-
-class TestConcat:
-    def test_horizontal_tiling(self):
-        a = Matrix(np.arange(8, dtype=float).reshape(2, 4))
-        assert concat(a, a, "horizontal").shape == (2, 8)
-
-    def test_vertical_tiling(self):
-        a = Matrix(np.arange(6, dtype=float).reshape(2, 3))
-        stacked = vconcat(vconcat(a, a), a)
-        assert stacked.allclose(Matrix(np.tile(a.data, (3, 1))))
-
-    def test_none_operand(self):
-        a = Matrix([[1, 2]])
-        assert concat(a, None, "vertical") is a
-
-    def test_mismatch(self):
-        with pytest.raises(ShapeError):
-            hconcat(Matrix([[1], [2]]), Matrix([[1]]))
-        with pytest.raises(ShapeError):
-            vconcat(Matrix([[1, 2]]), Matrix([[1]]))
 
 
 class TestHelpers:

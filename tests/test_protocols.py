@@ -174,9 +174,10 @@ class TestHesvNoiseOrder:
                     slots[:live, :m] = stack.slots[b, j, : live * m].reshape(live, m)
                     var[:live, :m] = stack.var[b, j, : live * m].reshape(live, m)
                     band = CipherVector(slots.reshape(-1), key.public.key_id, var.reshape(-1))
-                    want.append(old.decrypt_matrix(band, (rows, s), key.private).data[:live, :m_b])
+                    want.append(old.decrypt_stack(band, (rows, s), (rows, s),
+                                                  key.private)[:live, :m_b])
             label = CipherVector(labels.slots[b], key.public.key_id, labels.var)
-            want.append(old.decrypt_matrix(label, (1, m_b), key.private).data)
+            want.append(old.decrypt_stack(label, (1, m_b), (1, m_b), key.private))
 
         new = HEContext(HEParams(slot_count=slot_count, noise_stddev=1e-3, seed=seed))
         total, layer_draws, label_draws = _hesv_draw_layout(plans, widths)

@@ -14,37 +14,30 @@ from secshap.sharing import (
     SharePair,
     SupplyError,
     TripleSupply,
-    decode,
+    decode_matrix,
     encode,
     encode_matrix,
     field_element_bytes,
     field_ops,
-    reconstruct,
     reconstruct_int,
-    reconstruct_matrix,
+    secretsv_headroom_error,
     share_matmul,
-    split,
-    split_int,
+    split_masked,
     split_matrix,
 )
 
 FIELD = FieldParams()
 
 
-class ForcedRng:
-    """random.Random stand-in that yields scripted mask values."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def randrange(self, _p):
-        return self.values.pop(0)
+def open_shares(pair, field=FIELD):
+    """The reals a pair of shares stands for, at the codec scale."""
+    return decode_matrix(reconstruct_int(pair, field), field, field.frac_bits)
 
 
 class TestFieldParams:
     def test_default_prime_is_61_bits(self):
         assert FIELD.prime.bit_length() == 61
-        assert FIELD.supports_multiplication()
+        assert secretsv_headroom_error(FIELD.prime, FIELD.frac_bits) is None
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
@@ -52,23 +45,27 @@ class TestFieldParams:
 
     def test_small_field_allowed_but_not_for_products(self):
         tiny = FieldParams(prime=7, frac_bits=0)
-        assert not tiny.supports_multiplication()
-        with pytest.raises(ValueError):
+        assert secretsv_headroom_error(tiny.prime, tiny.frac_bits).startswith("prime:")
+        with pytest.raises(ValueError, match="^prime:"):
             TripleSupply(tiny)
+        # a product at f = 16 needs p > 2^40: the largest 40-bit prime is too small
+        assert secretsv_headroom_error(FieldParams(2**40 - 87).prime, 16) is not None
+        assert secretsv_headroom_error(FieldParams(2**40 + 15).prime, 16) is None
 
 
 class TestCodec:
     def test_integer_round_trip(self):
         f = FieldParams(frac_bits=0)
-        assert decode(encode(12345.0, f), f) == 12345.0
+        assert decode_matrix(encode(12345.0, f), f, f.frac_bits) == 12345.0
 
     def test_fractional_round_trip(self):
         x = 1.5
-        assert abs(reconstruct(split(x, FIELD, random.Random(0)), FIELD) - x) <= 2**-16
+        pair = split_matrix(Matrix([[x]]), FIELD, random.Random(0))
+        assert abs(open_shares(pair)[0, 0] - x) <= 2**-16
 
     def test_negative_values(self):
         x = -3.25
-        assert abs(decode(encode(x, FIELD), FIELD) - x) <= 2**-16
+        assert abs(decode_matrix(encode(x, FIELD), FIELD, FIELD.frac_bits) - x) <= 2**-16
 
     def test_overflow_raises(self):
         with pytest.raises(CodecError):
@@ -76,39 +73,48 @@ class TestCodec:
         with pytest.raises(CodecError):
             encode(float("nan"), FIELD)
 
+    @pytest.mark.parametrize("prime,frac_bits", [((1 << 61) - 1, 16), ((1 << 31) - 1, 8)])
+    def test_decode_guards_against_wraparound(self, prime, frac_bits):
+        # |x| <= p/4 decodes, on both signs; one past it means a wrapped value
+        field = FieldParams(prime, frac_bits)
+        dtype = field_ops(field).dtype
+        edge = prime // 4
+        inside = np.array([edge, prime - edge], dtype=dtype)
+        got = decode_matrix(inside, field, frac_bits)
+        assert got.tolist() == [edge / 2**frac_bits, -edge / 2**frac_bits]
+        for past in (edge + 1, prime - edge - 1):
+            with pytest.raises(CodecError, match="^fixed-point overflow"):
+                decode_matrix(np.array([[0, past]], dtype=dtype), field, frac_bits)
+
 
 class TestSplitReconstruct:
     def test_hand_example(self):
         # pure field arithmetic: secret 5, mask 3 -> shares (3, 2)
         tiny = FieldParams(prime=7, frac_bits=0)
-        pair = split_int(5, tiny, ForcedRng([3]))
-        assert (pair.s_prime, pair.s_dprime) == (3, 2)
-        assert reconstruct_int(pair, tiny) == 5
+        pair = split_masked(np.array([5], dtype=object), np.array([3], dtype=object), tiny)
+        assert (pair.s_prime.tolist(), pair.s_dprime.tolist()) == ([3], [2])
+        assert reconstruct_int(pair, tiny).tolist() == [5]
 
     def test_zero_secret(self):
-        pair = split(0.0, FIELD, random.Random(1))
-        assert reconstruct(pair, FIELD) == 0.0
+        pair = split_matrix(Matrix([[0.0]]), FIELD, random.Random(1))
+        assert open_shares(pair)[0, 0] == 0.0
 
     def test_exact_in_integer_field(self):
-        rng = random.Random(2)
-        for value in [0, 1, FIELD.prime - 1, 123456789]:
-            pair = split_int(value, FIELD, rng)
-            assert reconstruct_int(pair, FIELD) == value
+        values = [0, 1, FIELD.prime - 1, 123456789]
+        pair = split_matrix(np.array(values, dtype=np.uint64), FIELD, random.Random(2))
+        assert reconstruct_int(pair, FIELD).tolist() == values
 
     def test_matrix_round_trip(self):
         m = Matrix(np.random.default_rng(3).uniform(-4, 4, size=(3, 5)))
         pair = split_matrix(m, FIELD, random.Random(3))
-        back = reconstruct_matrix(pair, FIELD)
-        assert np.max(np.abs(back.data - m.data)) <= 2**-16
+        assert np.max(np.abs(open_shares(pair) - m.data)) <= 2**-16
 
     def test_share_uniformity_proxy(self):
         # chi-square over 16 buckets for repeated splits of one secret
-        rng = random.Random(9)
-        buckets = np.zeros(16)
         trials = 8000
-        for _ in range(trials):
-            pair = split(1.5, FIELD, rng)
-            buckets[int(pair.s_prime * 16 // FIELD.prime)] += 1
+        secret = np.full(trials, encode(1.5, FIELD), dtype=np.uint64)
+        pair = split_matrix(secret, FIELD, random.Random(9))
+        buckets = np.bincount([int(s) * 16 // FIELD.prime for s in pair.s_prime], minlength=16)
         expected = trials / 16
         chi2 = float(np.sum((buckets - expected) ** 2 / expected))
         assert chi2 < 40.0  # 15 dof; this is a generous three-sigma-plus bound
@@ -124,25 +130,23 @@ class TestShareMatmul:
 
     def test_identity_times_matrix(self):
         b = Matrix([[1.5, -2.0], [0.25, 3.0]])
-        out = share_matmul(self._share(Matrix.identity(2)), self._share(b), self.supply, FIELD)
-        back = reconstruct_matrix(out, FIELD)
-        assert np.max(np.abs(back.data - b.data)) <= 2 * 2**-16
+        out = share_matmul(self._share(Matrix(np.eye(2))), self._share(b), self.supply, FIELD)
+        assert np.max(np.abs(open_shares(out) - b.data)) <= 2 * 2**-16
 
     def test_scalar_product(self):
         out = share_matmul(
             self._share(Matrix([[2.0]])), self._share(Matrix([[3.0]])), self.supply, FIELD
         )
-        assert abs(reconstruct_matrix(out, FIELD).at(0, 0) - 6.0) <= 2 * 2**-16
+        assert abs(open_shares(out)[0, 0] - 6.0) <= 2 * 2**-16
 
     def test_random_matmul_vs_oracle(self):
         g = np.random.default_rng(4)
         a = Matrix(g.uniform(-2, 2, size=(4, 4)))
         b = Matrix(g.uniform(-2, 2, size=(4, 2)))
         out = share_matmul(self._share(a), self._share(b), self.supply, FIELD)
-        back = reconstruct_matrix(out, FIELD)
         want = matmul_oracle(a, b)
         bound = 4 * 2**-16 * float(np.max(np.abs(np.concatenate([a.data.ravel(), b.data.ravel()]))))
-        assert np.max(np.abs(back.data - want.data)) <= bound + 4 * 2**-16
+        assert np.max(np.abs(open_shares(out) - want.data)) <= bound + 4 * 2**-16
 
     def test_budget_exhaustion(self):
         small = TripleSupply(FIELD, budget=3)
@@ -165,12 +169,12 @@ class TestShareMatmul:
         # at most ~one truncation ulp per step
         g = np.random.default_rng(8)
         x = Matrix(g.uniform(-2, 2, size=(3, 3)))
-        eye = Matrix.identity(3)
+        eye = Matrix(np.eye(3))
         acc = self._share(x)
         errors = []
         for step in range(1, 7):
             acc = share_matmul(self._share(eye), acc, self.supply, FIELD)
-            err = np.max(np.abs(reconstruct_matrix(acc, FIELD).data - x.data))
+            err = np.max(np.abs(open_shares(acc) - x.data))
             errors.append(err)
             assert err <= (step + 1) * 2**-16 * 3
         assert errors[-1] <= 6 * 3 * 2**-15
@@ -335,13 +339,13 @@ class TestStackedShareMatmul:
 class TestLargerField:
     def test_89_bit_mersenne_supports_f30(self):
         field = FieldParams(prime=(1 << 89) - 1, frac_bits=30, seed=5)
-        assert field.supports_multiplication()
+        assert secretsv_headroom_error(field.prime, field.frac_bits) is None
         rng = random.Random(5)
         supply = TripleSupply(field)
         a = split_matrix(Matrix([[1.25, -0.5]]), field, rng)
         b = split_matrix(Matrix([[2.0], [4.0]]), field, rng)
         out = share_matmul(a, b, supply, field)
-        assert abs(reconstruct_matrix(out, field).at(0, 0) - 0.5) <= 2**-28
+        assert abs(open_shares(out, field)[0, 0] - 0.5) <= 2**-28
 
 
 P61 = (1 << 61) - 1
