@@ -16,7 +16,7 @@ from .federation import (
 )
 from .hebackend import CipherVector, CostMeter, CostWeights, HEContext, HEParams
 from .kernels import MatMulPlan, delta_reference, plan_reducing, plan_squaring
-from .matrix import LabelVector, Matrix, matmul_oracle
+from .matrix import matmul_oracle
 from .models import LayerSpec, Model, arch_cnn_like, arch_logistic, arch_mlp
 from .protocols import run_hesv, run_nssv, run_secretsv, run_secsv
 from .report import ContributionReport, report_to_json
@@ -48,8 +48,6 @@ __all__ = [
     "delta_reference",
     "plan_reducing",
     "plan_squaring",
-    "LabelVector",
-    "Matrix",
     "matmul_oracle",
     "LayerSpec",
     "Model",

@@ -37,7 +37,6 @@ from .kernels import (
     squaring_prepare_model,
     PlanError,
 )
-from .matrix import Matrix
 from .models import arch_cnn_like, arch_logistic, arch_mlp
 from .protocols import (run_hesv, run_nssv, run_secretsv, run_secsv, secsv_headroom_error,
                         secsv_slot_error)
@@ -292,7 +291,7 @@ def bench_shape(d_out: int, d_in: int, slot_count: int, weights: CostWeights) ->
     rows = []
     keys = generate_keypair(f"bench-{d_out}x{d_in}")
     rng = np.random.default_rng(d_out * 10007 + d_in)
-    a = Matrix(rng.integers(-4, 5, size=(d_out, d_in)).astype(float))
+    a = rng.integers(-4, 5, size=(d_out, d_in)).astype(float)
     for mode, encrypt_batch in (("full", True), ("half", False)):
         per_sample = {}
         for method in ("squaring", "reducing"):
@@ -300,7 +299,7 @@ def bench_shape(d_out: int, d_in: int, slot_count: int, weights: CostWeights) ->
             if method == "squaring":
                 m = squaring_max_batch(d_in, slot_count)
                 plan = plan_squaring(d_out, d_in, m, slot_count)
-                b = Matrix(rng.integers(-4, 5, size=(d_in, m)).astype(float))
+                b = rng.integers(-4, 5, size=(d_in, m)).astype(float)
                 model = squaring_prepare_model(a, plan, ctx, keys.public)
                 before = ctx.meter.snapshot()
                 batch = squaring_prepare_batch(b, plan, ctx, keys.public, encrypt=encrypt_batch)
@@ -308,7 +307,7 @@ def bench_shape(d_out: int, d_in: int, slot_count: int, weights: CostWeights) ->
             else:
                 m = reducing_max_batch(d_out, slot_count)
                 plan = plan_reducing(d_out, d_in, m, slot_count)
-                b = Matrix(rng.integers(-4, 5, size=(d_in, m)).astype(float))
+                b = rng.integers(-4, 5, size=(d_in, m)).astype(float)
                 model = reducing_prepare_model(a, plan, ctx, keys.public)
                 before = ctx.meter.snapshot()
                 batch = reducing_prepare_batch(b, plan, ctx, keys.public, encrypt=encrypt_batch)

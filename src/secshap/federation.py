@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import LabelVector, Matrix, ShapeError, quantize
+from .matrix import ShapeError, quantize
 from .models import (
     ACTIVATION_GRADS,
     ACTIVATIONS,
@@ -41,21 +41,35 @@ class TrainingError(RuntimeError):
 
 @dataclass(frozen=True)
 class ClientDataset:
-    """Feature matrix (d x m), labels, and globally unique sample ids."""
+    """Feature matrix (d x m), labels, and globally unique sample ids.
 
-    features: Matrix
-    labels: LabelVector
+    All three are stored as read-only copies: float64 features, int64
+    labels and ids.
+    """
+
+    features: np.ndarray
+    labels: np.ndarray
     ids: np.ndarray
 
     def __post_init__(self):
-        if self.features.cols != len(self.labels):
+        features = np.array(self.features, dtype=np.float64)
+        labels = np.array(self.labels, dtype=np.int64)
+        ids = np.array(self.ids, dtype=np.int64)
+        if features.ndim != 2:
+            raise ShapeError(f"features must be 2-D, got ndim={features.ndim}")
+        if labels.ndim != 1:
+            raise ShapeError(f"labels must be 1-D, got ndim={labels.ndim}")
+        if labels.size and labels.min() < 0:
+            raise ValueError("labels must be non-negative")
+        if features.shape[1] != labels.size:
             raise ShapeError("one label per feature column required")
-        ids = np.asarray(self.ids, dtype=np.int64)
-        if ids.size != len(self.labels):
+        if ids.size != labels.size:
             raise ShapeError("one id per sample required")
         if len(np.unique(ids)) != ids.size:
             raise ValueError("sample ids must be unique")
-        object.__setattr__(self, "ids", ids)
+        for name, arr in (("features", features), ("labels", labels), ("ids", ids)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def size(self) -> int:
@@ -64,8 +78,8 @@ class ClientDataset:
     def subset(self, positions) -> "ClientDataset":
         positions = np.asarray(positions, dtype=np.int64)
         return ClientDataset(
-            Matrix(self.features.data[:, positions]),
-            LabelVector(self.labels.labels[positions]),
+            self.features[:, positions],
+            self.labels[positions],
             self.ids[positions],
         )
 
@@ -96,7 +110,7 @@ def make_synthetic_dataset(
     feats = centers[labels].T + rng.normal(0.0, 1.0, size=(num_features, num_samples))
     if grid_bits is not None:
         feats = quantize(feats, grid_bits)
-    return ClientDataset(Matrix(feats), LabelVector(labels, num_classes), np.arange(num_samples))
+    return ClientDataset(feats, labels, np.arange(num_samples))
 
 
 def dirichlet_partition(
@@ -116,7 +130,7 @@ def dirichlet_partition(
     if n == 1:
         return [dataset]
     rng = np.random.default_rng(seed)
-    labels = dataset.labels.labels
+    labels = dataset.labels
     classes = np.unique(labels)
     for _ in range(max_retries):
         assignment: list[list[int]] = [[] for _ in range(n)]
@@ -230,7 +244,7 @@ def fedavg_train(
     sizes = {i: ds.size for i, ds in enumerate(train_sets)}
     history: list[RoundModels] = []
     for t in range(1, rounds + 1):
-        global_model = Model(arch, [Matrix(p) for p in global_params])
+        global_model = Model(arch, global_params)
         if grid_bits is not None:
             global_model = quantize_model(global_model, grid_bits)
         locals_: dict[int, Model] = {}
@@ -239,10 +253,10 @@ def fedavg_train(
             client_rng = np.random.default_rng((seed, t, i))
             for _ in range(local_epochs):
                 params = _sgd_epoch(
-                    params, arch, ds.features.data, ds.labels.labels,
+                    params, arch, ds.features, ds.labels,
                     lr, batch_size, client_rng, num_classes,
                 )
-            local = Model(arch, [Matrix(p) for p in params])
+            local = Model(arch, params)
             locals_[i] = quantize_model(local, grid_bits) if grid_bits is not None else local
         record = RoundModels(
             round_index=t,
@@ -254,7 +268,7 @@ def fedavg_train(
         )
         history.append(record)
         new_global = record.aggregated(record.selected)
-        global_params = [p.data.copy() for p in new_global.params]
+        global_params = list(new_global.params)
     return history
 
 
@@ -262,10 +276,10 @@ def save_dataset_csv(dataset: ClientDataset, path) -> None:
     """id, label, then the feature values, one sample per row."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id", "label"] + [f"x{i}" for i in range(dataset.features.rows)])
+        writer.writerow(["id", "label"] + [f"x{i}" for i in range(dataset.features.shape[0])])
         for k in range(dataset.size):
             writer.writerow(
-                [int(dataset.ids[k]), int(dataset.labels.labels[k])]
-                + [repr(float(v)) for v in dataset.features.data[:, k]]
+                [int(dataset.ids[k]), int(dataset.labels[k])]
+                + [repr(float(v)) for v in dataset.features[:, k]]
             )
 

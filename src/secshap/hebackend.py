@@ -326,19 +326,21 @@ class HEContext:
         self.meter.enc += slots.size // slots.shape[-1]
         return CipherVector(slots, key.key_id, self._noise_var or None)
 
-    def encrypt_int_slots(self, values, key: PublicKey) -> CipherVector:
-        """Encrypt field elements exactly into integer slots."""
-        slots = self.encode_slots(values, integer=True)
+    def encrypt_int_slots(self, values, key: PublicKey, width: int | None = None) -> CipherVector:
+        """Encrypt field elements exactly into integer slots (zero padded to ``width``)."""
+        slots = self.encode_slots(values, integer=True, width=width)
         self.meter.enc += slots.size // slots.shape[-1]
         return CipherVector(slots, key.key_id)
 
-    def fold_int_slots(self, values, key: PublicKey, terms: int, copies: int) -> CipherVector:
+    def fold_int_slots(self, values, key: PublicKey, terms: int, copies: int,
+                       width: int | None = None) -> CipherVector:
         """Ciphertexts of a plaintext-weighted sum of ``terms`` integer ciphertexts.
 
         ``values`` are the already-folded slot values, computed once by
-        the caller.  Metered by ``charge_fold``; no encryption.
+        the caller, zero padded to ``width``.  Metered by ``charge_fold``;
+        no encryption.
         """
-        ct = CipherVector(self.encode_slots(values, integer=True), key.key_id)
+        ct = CipherVector(self.encode_slots(values, integer=True, width=width), key.key_id)
         self.charge_fold(ct.count, terms, copies)
         return ct
 

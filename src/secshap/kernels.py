@@ -51,7 +51,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .hebackend import CipherVector, HEContext, PrivateKey, PublicKey
-from .matrix import Matrix, pad_to, submatrix, transform
+from .matrix import pad_to, submatrix, transform
 
 __all__ = [
     "MatMulPlan",
@@ -192,7 +192,7 @@ def plan_reducing(d_out: int, d_in: int, m: int, slot_count: int) -> MatMulPlan:
 # -- plaintext reference ----------------------------------------------------
 
 
-def delta_reference(a_bar: Matrix, b: Matrix) -> Matrix:
+def delta_reference(a_bar: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Transform, reduce to d_out x m, then multiply-accumulate over d_in pairs.
 
     ``a_bar`` is d_out x d with d a multiple of b's row count d_in and
@@ -210,8 +210,8 @@ def delta_reference(a_bar: Matrix, b: Matrix) -> Matrix:
     for o in range(d_in):
         a_tilde = submatrix(transform(sigma_a, "xi", o), 0, d_out, 0, m)
         b_tilde = submatrix(transform(tau_b, "psi", o), 0, d_out, 0, m)
-        acc += a_tilde.data * b_tilde.data
-    return Matrix(acc)
+        acc += a_tilde * b_tilde
+    return acc
 
 
 # -- squaring kernel --------------------------------------------------------
@@ -250,7 +250,7 @@ def _live_index(s: int, rows: int, live: int, m: int) -> tuple[np.ndarray, ...]:
 
 
 def squaring_prepare_model(
-    a: Matrix, plan: MatMulPlan, ctx: HEContext, key: PublicKey
+    a: np.ndarray, plan: MatMulPlan, ctx: HEContext, key: PublicKey
 ) -> CipherVector:
     """Client-side transform-then-encrypt of the model operand.
 
@@ -261,7 +261,7 @@ def squaring_prepare_model(
     if a.shape != (plan.d_out, plan.d_in):
         raise PlanError(f"model shape {a.shape} does not match plan")
     s, rows = plan.s, plan.d_out_block
-    padded = pad_to(a, plan.j_blocks * rows, plan.k_blocks * s).data
+    padded = pad_to(a, plan.j_blocks * rows, plan.k_blocks * s)
     blocks = padded.reshape(plan.j_blocks, rows, plan.k_blocks, s).transpose(0, 2, 1, 3)
     r, _, diag = _live_index(s, rows, plan.live_rows(), plan.m)
     # xi^o(sigma(a_bar))[r, c] = a_bar[r, (c + r + o) mod s], a_bar[r] = block[r mod rows]
@@ -270,7 +270,7 @@ def squaring_prepare_model(
 
 
 def squaring_prepare_batch(
-    b: Matrix | np.ndarray, plan: MatMulPlan, ctx: HEContext, key: PublicKey,
+    b: np.ndarray, plan: MatMulPlan, ctx: HEContext, key: PublicKey,
     encrypt: bool = True,
 ) -> BatchSide:
     """Transform the batch operand; encrypted for the full scheme, plain slots otherwise.
@@ -280,7 +280,7 @@ def squaring_prepare_batch(
     m' <= m, or an array with leading batch axes, (..., d_in, m').
     Returns one stack indexed [o, ..., k]; shared across the J row blocks.
     """
-    arr = b.data if isinstance(b, Matrix) else np.asarray(b, dtype=np.float64)
+    arr = np.asarray(b, dtype=np.float64)
     if arr.shape[-2] != plan.d_in or arr.shape[-1] > plan.m:
         raise PlanError(f"batch shape {arr.shape} does not match plan")
     s = plan.s
@@ -358,16 +358,6 @@ def squaring_decrypt_stack(
 # -- reducing kernel --------------------------------------------------------
 
 
-def _slot_operand(a: Matrix | np.ndarray) -> tuple[np.ndarray, bool]:
-    """The operand as an array, and whether it holds field elements.
-
-    Any integer dtype (uint64 or Python-int shares) takes the context's
-    exact integer slots, mod its plaintext modulus.
-    """
-    arr = a.data if isinstance(a, Matrix) else np.asarray(a)
-    return arr, arr.dtype.kind in "iuO"
-
-
 def _reducing_model_views(a: np.ndarray, width: int) -> np.ndarray:
     """Row o holds A[j, (j+k+o) mod d_in] at j * width + k: the d_in views, one gather."""
     d_out, d_in = a.shape
@@ -389,7 +379,7 @@ def _reducing_batch_views(b: np.ndarray, d_out: int, width: int):
 
 
 def reducing_prepare_model(
-    a: Matrix | np.ndarray,
+    a: np.ndarray,
     plan: MatMulPlan,
     ctx: HEContext,
     key: PublicKey,
@@ -399,19 +389,21 @@ def reducing_prepare_model(
 
     Batch-independent: ciphertext o of the [d_in] stack holds
     A[j, (j+k+o) mod d_in] at slot j * width + k, so one preparation
-    serves all batches up to the width.  Accepts a real Matrix or an
-    exact integer (field) array of any integer dtype.
+    serves all batches up to the width; it stores those d_out * width
+    slots only.  A float operand takes real slots; an operand of any
+    integer dtype holds field elements and takes the context's exact
+    integer slots, mod its plaintext modulus.
     """
-    arr, integer = _slot_operand(a)
-    if arr.shape != (plan.d_out, plan.d_in):
-        raise PlanError(f"model shape {arr.shape} does not match plan")
+    a = np.asarray(a)
+    if a.shape != (plan.d_out, plan.d_in):
+        raise PlanError(f"model shape {a.shape} does not match plan")
     width = plan.m if width is None else width
-    encrypt = ctx.encrypt_int_slots if integer else ctx.encrypt_slots
-    return encrypt(_reducing_model_views(arr, width), key)
+    encrypt = ctx.encrypt_int_slots if a.dtype.kind in "iuO" else ctx.encrypt_slots
+    return encrypt(_reducing_model_views(a, width), key, width=plan.d_out * width)
 
 
 def reducing_prepare_batch(
-    b: Matrix | np.ndarray,
+    b: np.ndarray,
     plan: MatMulPlan,
     ctx: HEContext,
     key: PublicKey | None = None,
@@ -422,16 +414,20 @@ def reducing_prepare_batch(
 
     Plain slot arrays by default (the shares are plaintext at the
     servers); encrypted when both operands must be hidden.  Columns are
-    aligned with the model's width.
+    aligned with the model's width, and each view stores d_out * width
+    slots; the dtype picks real or integer slots as for the model.
     """
-    arr, integer = _slot_operand(b)
-    if arr.shape[0] != plan.d_in or arr.shape[1] > plan.m:
-        raise PlanError(f"batch shape {arr.shape} does not match plan")
+    b = np.asarray(b)
+    if b.shape[0] != plan.d_in or b.shape[1] > plan.m:
+        raise PlanError(f"batch shape {b.shape} does not match plan")
     width = plan.m if width is None else width
+    integer = b.dtype.kind in "iuO"
     encrypt_view = ctx.encrypt_int_slots if integer else ctx.encrypt_slots
+    slots = plan.d_out * width
     return [
-        encrypt_view(view, key) if encrypt else ctx.encode_slots(view, integer)
-        for view in _reducing_batch_views(arr, plan.d_out, width)
+        encrypt_view(view, key, width=slots) if encrypt
+        else ctx.encode_slots(view, integer, width=slots)
+        for view in _reducing_batch_views(b, plan.d_out, width)
     ]
 
 
@@ -465,8 +461,9 @@ def reducing_field_matmul(
     Over Z_p the multiply-accumulate has no rounding: slot (j, k) of
     sum_o view_o(A) * view_o(B) is (A @ B mod p)[j, k] for k < m and 0 in
     the padded columns (the ``delta_reference`` identity).  So one
-    ``matmul`` gives the d_out x plan.m slots, metered as the kernel: d_in
-    c2p products and d_in - 1 additions.  ``a`` is the model operand the
+    ``matmul`` gives the d_out x plan.m slots, stored at that width as the
+    kernel's ciphertexts are, and metered as the kernel: d_in c2p products
+    and d_in - 1 additions.  ``a`` is the model operand the
     servers hold encrypted, ``b`` the plaintext batch, or a stack of
     batches that gives a stack of ciphertexts.  Real operands keep
     ``reducing_matmul``, whose float sums depend on the order of terms.
@@ -479,5 +476,6 @@ def reducing_field_matmul(
     lead = b.shape[:-2]
     out = np.zeros(lead + (plan.d_out, plan.m), dtype=ops.dtype)
     out[..., : b.shape[-1]] = ops.matmul(a, b)
-    return ctx.fold_int_slots(out.reshape(lead + (-1,)), key, terms=plan.d_in, copies=1)
+    return ctx.fold_int_slots(out.reshape(lead + (-1,)), key, terms=plan.d_in, copies=1,
+                              width=plan.d_out * plan.m)
 

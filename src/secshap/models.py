@@ -19,13 +19,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .matrix import LabelVector, Matrix, ShapeError, argmax_columns, quantize
+from .matrix import ShapeError, quantize
 
 __all__ = [
     "LayerSpec",
     "Model",
     "ACTIVATIONS",
-    "with_ones_row",
     "forward",
     "predict",
     "count_correct",
@@ -80,19 +79,23 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class Model:
-    """Parameters plus architecture; immutable value."""
+    """Parameters plus architecture; immutable value.
+
+    Each parameter matrix is stored as a read-only float64 copy.
+    """
 
     layers: tuple[LayerSpec, ...]
-    params: tuple[Matrix, ...]
+    params: tuple[np.ndarray, ...]
     act_grid_bits: int | None = None
 
-    def __init__(self, layers: Sequence[LayerSpec], params: Sequence[Matrix],
+    def __init__(self, layers: Sequence[LayerSpec], params: Sequence[np.ndarray],
                  act_grid_bits: int | None = None):
         layers = tuple(layers)
-        params = tuple(params)
+        params = tuple(np.array(p, dtype=np.float64) for p in params)
         if len(layers) != len(params):
             raise ShapeError("one parameter matrix per layer required")
         for spec, mat in zip(layers, params):
+            mat.flags.writeable = False
             if mat.shape != spec.weight_shape:
                 raise ShapeError(
                     f"layer {spec} expects weights {spec.weight_shape}, got {mat.shape}"
@@ -122,11 +125,6 @@ class Model:
         return self.layers == other.layers
 
 
-def with_ones_row(x: Matrix | np.ndarray) -> Matrix:
-    arr = x.data if isinstance(x, Matrix) else np.asarray(x, dtype=np.float64)
-    return Matrix(np.vstack([arr, np.ones((1, arr.shape[1]))]))
-
-
 def apply_activation(model: Model, layer_index: int, z: np.ndarray) -> np.ndarray:
     """Activation for layer ``layer_index`` including the model's grid rounding."""
     act = ACTIVATIONS[model.layers[layer_index].activation](z)
@@ -135,22 +133,23 @@ def apply_activation(model: Model, layer_index: int, z: np.ndarray) -> np.ndarra
     return act
 
 
-def forward(model: Model, x: Matrix) -> Matrix:
+def forward(model: Model, x: np.ndarray) -> np.ndarray:
     """Score matrix (out_size x m) for a d x m feature batch."""
-    if x.rows != model.in_size:
-        raise ShapeError(f"features have {x.rows} rows, model expects {model.in_size}")
-    cur = x.data
-    for l, (spec, theta) in enumerate(zip(model.layers, model.params)):
-        z = theta.data @ with_ones_row(cur).data
+    if x.shape[0] != model.in_size:
+        raise ShapeError(f"features have {x.shape[0]} rows, model expects {model.in_size}")
+    cur = x
+    for l, theta in enumerate(model.params):
+        z = theta @ np.vstack([cur, np.ones((1, cur.shape[1]))])
         cur = apply_activation(model, l, z) if l < model.depth - 1 else z
-    return Matrix(cur)
+    return cur
 
 
-def predict(model: Model, x: Matrix) -> LabelVector:
-    return argmax_columns(forward(model, x))
+def predict(model: Model, x: np.ndarray) -> np.ndarray:
+    """Per column, the row of the highest score; ties go to the lowest row."""
+    return np.argmax(forward(model, x), axis=0)
 
 
-def count_correct(predicted: LabelVector, truth: LabelVector, tolerance: float = 0.5) -> int:
+def count_correct(predicted: np.ndarray, truth: np.ndarray, tolerance: float = 0.5) -> int:
     """Predictions within the tolerance of the true label count as correct.
 
     The strict inequality matters: an absolute difference of exactly the
@@ -158,7 +157,7 @@ def count_correct(predicted: LabelVector, truth: LabelVector, tolerance: float =
     """
     if len(predicted) != len(truth):
         raise ShapeError("prediction/label length mismatch")
-    diff = np.abs(predicted.labels.astype(float) - truth.labels.astype(float))
+    diff = np.abs(predicted.astype(float) - truth.astype(float))
     return int(np.sum(diff < tolerance))
 
 
@@ -187,8 +186,8 @@ def aggregate(models: dict[int, Model], weights: dict[int, float]) -> Model:
     for l in range(first.depth):
         acc = np.zeros(first.params[l].shape)
         for i in members:
-            acc = acc + weights[i] * models[i].params[l].data
-        params.append(Matrix(acc))
+            acc = acc + weights[i] * models[i].params[l]
+        params.append(acc)
     return Model(first.layers, params, act_grid_bits=first.act_grid_bits)
 
 
@@ -244,7 +243,7 @@ def random_model(
     params = []
     for spec in arch:
         w = rng.normal(0.0, scale / np.sqrt(spec.in_size), size=spec.weight_shape)
-        params.append(quantize(Matrix(w), grid_bits) if grid_bits is not None else Matrix(w))
+        params.append(quantize(w, grid_bits) if grid_bits is not None else w)
     return Model(arch, params, act_grid_bits=grid_bits)
 
 

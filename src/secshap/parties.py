@@ -15,7 +15,6 @@ from functools import cache, lru_cache
 import numpy as np
 
 from .hebackend import CipherVector, CostMeter, HEParams, PrivateKey, PublicKey, ciphertext_bytes
-from .matrix import LabelVector, Matrix
 from .sharing import FieldParams, field_element_bytes
 
 __all__ = [
@@ -57,10 +56,6 @@ def payload_bytes(payload, he_params: HEParams, field: FieldParams | None = None
         return payload.count * ciphertext_bytes(he_params)
     if isinstance(payload, (PublicKey, PrivateKey)):
         return KEY_BYTES
-    if isinstance(payload, Matrix):
-        return payload.rows * payload.cols * 8
-    if isinstance(payload, LabelVector):
-        return len(payload) * 8
     if isinstance(payload, np.ndarray):
         # integer arrays are field elements: their wire size never depends on the dtype
         if payload.dtype.kind in "iuO" and field is not None:

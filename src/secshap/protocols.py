@@ -64,8 +64,7 @@ from .kernels import (
     squaring_prepare_batch,
     squaring_prepare_model,
 )
-from .matrix import Matrix
-from .models import apply_activation, evaluate_model, with_ones_row
+from .models import apply_activation, evaluate_model
 from .parties import (
     SERVER_A,
     SERVER_P,
@@ -334,8 +333,8 @@ def run_hesv(
     features = np.zeros((len(batch_ranges), arch[0].in_size, m_cap))
     labels = np.zeros((len(batch_ranges), m_cap))
     for b, (i, lo, hi) in enumerate(batch_ranges):
-        features[b, :, : hi - lo] = test_sets[i].features.data[:, lo:hi]
-        labels[b, : hi - lo] = test_sets[i].labels.labels[lo:hi]
+        features[b, :, : hi - lo] = test_sets[i].features[:, lo:hi]
+        labels[b, : hi - lo] = test_sets[i].labels[lo:hi]
     data_cts = squaring_prepare_batch(_with_ones_rows(features, valid), plans[0], setup_ctx,
                                       keys.public)
     label_cts = setup_ctx.encrypt_slots(labels, keys.public, width=m_cap)
@@ -495,8 +494,8 @@ def _share_test_data(test_sets, field: FieldParams, router: Router, rng) -> _Sha
     xp_parts, xa_parts, yp_parts, ya_parts = [], [], [], []
     ids, owners = [], []
     for i, ds in enumerate(test_sets):
-        pair = split_matrix(with_ones_row(ds.features), field, rng)
-        y_pair = split_matrix(Matrix([ds.labels.labels]), field, rng)
+        pair = split_matrix(np.vstack([ds.features, np.ones((1, ds.size))]), field, rng)
+        y_pair = split_matrix(ds.labels[None, :].astype(np.float64), field, rng)
         router.send(client_name(i), SERVER_P, pair.s_prime)
         router.send(client_name(i), SERVER_A, pair.s_dprime)
         router.send(client_name(i), SERVER_P, y_pair.s_prime)
@@ -528,7 +527,7 @@ def _weighted_sum(ops, weights, arrays):
     return ops.matmul(row, stacked).reshape(arrays[0].shape)
 
 
-def _split_and_distribute(router, field, owner_name, secret: Matrix, rng):
+def _split_and_distribute(router, field, owner_name, secret: np.ndarray, rng):
     pair = split_matrix(secret, field, rng)
     router.send(owner_name, SERVER_P, pair.s_prime)
     router.send(owner_name, SERVER_A, pair.s_dprime)

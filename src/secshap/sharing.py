@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import Matrix, ShapeError
+from .matrix import ShapeError
 
 __all__ = [
     "FieldParams",
@@ -328,9 +328,9 @@ def encode(x: float, field: FieldParams) -> int:
     return round(float(x) * (1 << field.frac_bits)) % field.prime
 
 
-def encode_matrix(m: Matrix | np.ndarray, field: FieldParams) -> np.ndarray:
-    """Field elements of a real matrix, or of a real array of any shape."""
-    data = m.data if isinstance(m, Matrix) else np.asarray(m, dtype=np.float64)
+def encode_matrix(m: np.ndarray, field: FieldParams) -> np.ndarray:
+    """Field elements of a real array of any shape."""
+    data = np.asarray(m, dtype=np.float64)
     bad = ~np.isfinite(data)
     if bad.any():
         raise CodecError(f"cannot encode non-finite value {data[bad][0]}")
@@ -357,16 +357,19 @@ def decode_matrix(raw, field: FieldParams, scale_bits: int) -> np.ndarray:
 
 
 def split_matrix(
-    m: Matrix | np.ndarray, field: FieldParams, rng: np.random.Generator | random.Random
+    m: np.ndarray, field: FieldParams, rng: np.random.Generator | random.Random
 ) -> SharePair:
-    """Share a real matrix (or an array of already-encoded field elements).
+    """Encode and share a real array; an integer array is refused.
 
     Masks come from ``rng``, a numpy Generator; a ``random.Random``
-    seeds a fresh Generator per call.
+    seeds a fresh Generator per call.  Field elements that are already
+    encoded are shared with ``split_masked``.
     """
-    ops = field_ops(field)
-    enc = encode_matrix(m, field) if isinstance(m, Matrix) else np.asarray(m, dtype=ops.dtype)
-    return split_masked(enc, ops.random(_generator(rng), enc.shape), field)
+    if np.asarray(m).dtype.kind in "iuO":
+        raise CodecError("split_matrix shares reals; share encoded field elements "
+                         "with split_masked")
+    enc = encode_matrix(m, field)
+    return split_masked(enc, field_ops(field).random(_generator(rng), enc.shape), field)
 
 
 def split_masked(enc: np.ndarray, mask: np.ndarray, field: FieldParams) -> SharePair:

@@ -34,7 +34,7 @@ from secshap.kernels import (
     squaring_prepare_batch,
     squaring_prepare_model,
 )
-from secshap.matrix import Matrix, matmul_oracle
+from secshap.matrix import matmul_oracle
 from secshap.models import LayerSpec, Model, arch_logistic, arch_mlp, random_model
 from secshap.parties import AssignmentError, validate_assignment
 from secshap.protocols import run_hesv, run_nssv, run_secretsv, run_secsv
@@ -64,26 +64,26 @@ def criterion(num: int, description: str):
 
 
 def int_matrix(rng, rows, cols, span=6):
-    return Matrix(rng.integers(-span, span + 1, size=(rows, cols)).astype(float))
+    return rng.integers(-span, span + 1, size=(rows, cols)).astype(float)
 
 
 def run_squaring_case(a, b, noise):
     ctx = HEContext(HEParams(N_SLOTS, noise, seed=11))
-    plan = plan_squaring(a.rows, a.cols, b.cols, N_SLOTS)
+    plan = plan_squaring(a.shape[0], a.shape[1], b.shape[1], N_SLOTS)
     model = squaring_prepare_model(a, plan, ctx, KEYS.public)
     batch = squaring_prepare_batch(b, plan, ctx, KEYS.public, encrypt=True)
     bands = squaring_matmul(model, batch, plan, ctx)
-    return Matrix(squaring_decrypt_stack(bands, plan, ctx, KEYS.private))
+    return squaring_decrypt_stack(bands, plan, ctx, KEYS.private)
 
 
 def run_reducing_case(a, b, noise):
     ctx = HEContext(HEParams(N_SLOTS, noise, seed=12))
-    plan = plan_reducing(a.rows, a.cols, b.cols, N_SLOTS)
+    plan = plan_reducing(a.shape[0], a.shape[1], b.shape[1], N_SLOTS)
     model = reducing_prepare_model(a, plan, ctx, KEYS.public)
     batch = reducing_prepare_batch(b, plan, ctx, KEYS.public, encrypt=True)
     shape = (plan.d_out, plan.m)
-    return Matrix(ctx.decrypt_stack(reducing_matmul(model, batch, plan, ctx), shape, shape,
-                                    KEYS.private))
+    return ctx.decrypt_stack(reducing_matmul(model, batch, plan, ctx), shape, shape,
+                             KEYS.private)
 
 
 def random_shape_cases(count, seed):
@@ -159,23 +159,23 @@ def test_criterion_1_matmul_correctness():
             # exact integer payloads, noise off
             a = int_matrix(rng, d_out, d_in)
             b_s = int_matrix(rng, d_in, m_s)
-            assert run_squaring_case(a, b_s, 0.0).allclose(matmul_oracle(a, b_s)), \
+            assert np.array_equal(run_squaring_case(a, b_s, 0.0), matmul_oracle(a, b_s)), \
                 f"squaring mismatch at {d_out}x{d_in}"
             b_r = int_matrix(rng, d_in, m_r)
-            assert run_reducing_case(a, b_r, 0.0).allclose(matmul_oracle(a, b_r)), \
+            assert np.array_equal(run_reducing_case(a, b_r, 0.0), matmul_oracle(a, b_r)), \
                 f"reducing mismatch at {d_out}x{d_in}"
             # real payloads under the default noise level
             if idx < len(TABLE_SHAPES) + 40:
-                af = Matrix(rng.uniform(-1, 1, size=(d_out, d_in)))
-                bf = Matrix(rng.uniform(-1, 1, size=(d_in, m_s)))
+                af = rng.uniform(-1, 1, size=(d_out, d_in))
+                bf = rng.uniform(-1, 1, size=(d_in, m_s))
                 want = matmul_oracle(af, bf)
-                rel = np.linalg.norm(run_squaring_case(af, bf, DEFAULT_NOISE).data - want.data) \
-                    / np.linalg.norm(want.data)
+                rel = np.linalg.norm(run_squaring_case(af, bf, DEFAULT_NOISE) - want) \
+                    / np.linalg.norm(want)
                 assert rel <= 1e-6, f"squaring noise overflow at {d_out}x{d_in}: {rel}"
-                bf_r = Matrix(rng.uniform(-1, 1, size=(d_in, m_r)))
+                bf_r = rng.uniform(-1, 1, size=(d_in, m_r))
                 want = matmul_oracle(af, bf_r)
-                rel = np.linalg.norm(run_reducing_case(af, bf_r, DEFAULT_NOISE).data - want.data) \
-                    / np.linalg.norm(want.data)
+                rel = np.linalg.norm(run_reducing_case(af, bf_r, DEFAULT_NOISE) - want) \
+                    / np.linalg.norm(want)
                 assert rel <= 1e-6, f"reducing noise overflow at {d_out}x{d_in}: {rel}"
         elapsed = time.perf_counter() - started
         assert elapsed < 120.0, f"criterion 1 took {elapsed:.1f}s"
@@ -353,7 +353,7 @@ def linear_chain_rounds(depth, n, num_rounds, seed, scale, d=12, h=16, c=3):
         for spec in specs:
             w = rng.normal(0.0, scale / np.sqrt(spec.in_size), size=spec.weight_shape)
             w[:, -1] = 0.0  # bias-free: signal contracts layer by layer
-            params.append(Matrix(np.round(w * 4096) / 4096))
+            params.append(np.round(w * 4096) / 4096)
         return Model(specs, params, act_grid_bits=None)
 
     return [RoundModels(t, tuple(range(n)), mk(), {i: mk() for i in range(n)},

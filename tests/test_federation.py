@@ -11,14 +11,39 @@ from secshap.federation import (
     make_synthetic_dataset,
     save_dataset_csv,
 )
-from secshap.matrix import LabelVector, Matrix
+from secshap.matrix import ShapeError
 from secshap.models import arch_logistic, arch_mlp, evaluate_model
 
 
 class TestClientDataset:
     def test_id_uniqueness_enforced(self):
         with pytest.raises(ValueError):
-            ClientDataset(Matrix([[1, 2]]), LabelVector([0, 1]), np.array([1, 1]))
+            ClientDataset(np.array([[1, 2]]), np.array([0, 1]), np.array([1, 1]))
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ShapeError):
+            ClientDataset(np.zeros((1, 2, 2)), np.array([0, 1]), np.array([0, 1]))
+        with pytest.raises(ShapeError):
+            ClientDataset(np.zeros(2), np.array([0, 1]), np.array([0, 1]))
+        with pytest.raises(ShapeError):
+            ClientDataset(np.zeros((1, 2)), np.array([[0, 1]]), np.array([0, 1]))
+        with pytest.raises(ShapeError):
+            ClientDataset(np.zeros((1, 2)), np.array([0, 1, 1]), np.array([0, 1, 2]))
+
+    def test_rejects_negative_labels(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ClientDataset(np.zeros((1, 2)), np.array([0, -1]), np.array([0, 1]))
+
+    def test_stores_read_only_copies(self):
+        features, labels = np.array([[1, 2]]), np.array([0, 1])
+        ds = ClientDataset(features, labels, [3, 4])
+        assert (ds.features.dtype, ds.labels.dtype, ds.ids.dtype) == (
+            np.float64, np.int64, np.int64)
+        for arr in (ds.features, ds.labels, ds.ids):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        features[0, 0] = labels[0] = 9  # the caller's arrays stay the caller's
+        assert ds.features[0, 0] == 1.0 and ds.labels[0] == 0
 
     def test_subset(self):
         ds = make_synthetic_dataset(10, 3, 2, seed=0)
@@ -33,9 +58,9 @@ class TestClientDataset:
         with open(path, newline="") as fh:
             header, *rows = csv.reader(fh)
         assert header == ["id", "label", "x0", "x1", "x2", "x3"]
-        features = Matrix(np.array([[float(v) for v in row[2:]] for row in rows]).T)
-        assert features.allclose(ds.features)
-        assert LabelVector([int(row[1]) for row in rows], 3) == ds.labels
+        features = np.array([[float(v) for v in row[2:]] for row in rows]).T
+        assert np.array_equal(features, ds.features)
+        assert np.array_equal([int(row[1]) for row in rows], ds.labels)
         assert np.array_equal([int(row[0]) for row in rows], ds.ids)
 
 
@@ -54,16 +79,16 @@ class TestSyntheticDataset:
             labels, feats = _expected_synthetic(
                 np.random.default_rng(seed), np.random.default_rng(7), m, d, c, sep
             )
-            assert np.array_equal(ds.labels.labels, labels)
-            assert np.array_equal(ds.features.data, feats)
+            assert np.array_equal(ds.labels, labels)
+            assert np.array_equal(ds.features, feats)
 
     def test_without_centers_seed_one_stream(self):
         m, d, c, sep = 40, 5, 3, 1.5
         ds = make_synthetic_dataset(m, d, c, seed=3, separation=sep, grid_bits=None)
         rng = np.random.default_rng(3)
         labels, feats = _expected_synthetic(rng, rng, m, d, c, sep)
-        assert np.array_equal(ds.labels.labels, labels)
-        assert np.array_equal(ds.features.data, feats)
+        assert np.array_equal(ds.labels, labels)
+        assert np.array_equal(ds.features, feats)
 
 
 class TestDirichletPartition:
@@ -91,7 +116,7 @@ class TestDirichletPartition:
         parts = dirichlet_partition(ds, 5, alpha=0.5, seed=42)
         assert [p.size for p in parts] == [55, 30, 60, 27, 28]
         assert parts[0].ids[:5].tolist() == [1, 15, 20, 21, 22]
-        hist = [np.bincount(p.labels.labels, minlength=4).tolist() for p in parts]
+        hist = [np.bincount(p.labels, minlength=4).tolist() for p in parts]
         assert hist[0] == [30, 22, 0, 3]
         assert hist[2] == [26, 0, 30, 4]
 
@@ -115,7 +140,7 @@ class TestFedavg:
         record = rounds[0]
         agg = record.aggregated((0,))
         local = record.local_models[0]
-        assert all(a.allclose(b) for a, b in zip(agg.params, local.params))
+        assert all(np.array_equal(a, b) for a, b in zip(agg.params, local.params))
 
     def test_zero_local_epochs_keeps_global(self):
         ds = make_synthetic_dataset(40, 3, 2, seed=11)
@@ -126,7 +151,7 @@ class TestFedavg:
         for record in rounds:
             agg = record.aggregated(record.selected)
             for a, b in zip(agg.params, record.global_model.params):
-                assert a.allclose(b)
+                assert np.array_equal(a, b)
 
     def test_separable_data_reaches_high_accuracy(self):
         pool = make_synthetic_dataset(400, 8, 2, seed=1, separation=3.0)
@@ -149,10 +174,10 @@ class TestFedavg:
         assert len(a) == 3
         for ra, rb in zip(a, b):
             for pa, pb in zip(ra.global_model.params, rb.global_model.params):
-                assert np.array_equal(pa.data, pb.data)
+                assert np.array_equal(pa, pb)
             for i in ra.local_models:
                 for pa, pb in zip(ra.local_models[i].params, rb.local_models[i].params):
-                    assert np.array_equal(pa.data, pb.data)
+                    assert np.array_equal(pa, pb)
 
     def test_divergence_raises(self):
         ds = make_synthetic_dataset(30, 3, 2, seed=15)
@@ -172,4 +197,4 @@ class TestFedavg:
         rounds = fedavg_train([ds], arch_logistic(3, 2), rounds=1, seed=21)
         agg = rounds[0].aggregated(())
         for a, b in zip(agg.params, rounds[0].global_model.params):
-            assert a.allclose(b)
+            assert np.array_equal(a, b)

@@ -6,11 +6,14 @@
 - Only ``sharing.py`` names the object dtype: how a field element is
   represented is decided behind ``sharing.field_ops`` and nowhere else.
 - No public API whose only caller is its own unit test: every public
-  function or method's name appears as a name in the package's code
-  besides its own definition (``__init__.py`` is skipped).  String
-  literals, ``__all__`` and docstrings included, and comments do not
-  count as callers.  The only exceptions are the references and
-  fixtures in ``TEST_REFERENCES``, which tests check code against.
+  function's name appears as a name in the package's code besides its
+  own definition, and every public method's name appears as an
+  attribute, ``.name``, of an owner that is not a module the file
+  imports (so ``np.zeros`` does not count as a call of a method
+  ``zeros``).  ``__init__.py`` is skipped.  String literals, ``__all__``
+  and docstrings included, and comments do not count as callers.  The
+  only exceptions are the references and fixtures in
+  ``TEST_REFERENCES``, which tests check code against.
 """
 
 import ast
@@ -120,12 +123,27 @@ def code_names(source: str) -> list[str]:
     return [tok.string for tok in tokens if tok.type == tokenize.NAME]
 
 
+def method_names(source: str) -> list[str]:
+    """Every attribute ``.name`` of the code whose owner is not an imported module."""
+    tree = ast.parse(source)
+    modules = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names}
+    return [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and not (isinstance(node.value, ast.Name) and node.value.id in modules)]
+
+
 def unreferenced(sources: dict[str, str]) -> list[str]:
-    """Public definitions whose name the code uses nowhere but in its own ``def``."""
+    """Public functions whose name the code uses nowhere but in their own ``def``,
+    and public methods that the code never calls as an attribute."""
     names = Counter(name for source in sources.values() for name in code_names(source))
-    return [f"{module}:{line} {qualified}" for module, source in sorted(sources.items())
-            for qualified, line in public_definitions(source)
-            if names[qualified.rpartition(".")[2]] <= 1]
+    methods = Counter(name for source in sources.values() for name in method_names(source))
+    found = []
+    for module, source in sorted(sources.items()):
+        for qualified, line in public_definitions(source):
+            owner, _, name = qualified.rpartition(".")
+            if (methods[name] == 0) if owner else (names[name] <= 1):
+                found.append(f"{module}:{line} {qualified}")
+    return found
 
 
 # Public code that no package code calls, kept as what tests check the package against.
@@ -146,10 +164,17 @@ def test_scan_finds_an_unreferenced_function():
                  '    """Unlike ``described()``, this one is named only in __all__."""\n'
                  "\ndef described():\n    pass\n"
                  "\ndef commented():\n    pass  # commented() is never called\n"),
+        # a method spelled like a numpy function: np.zeros does not call Grid.zeros
+        "d.py": ("import numpy as np\n\n"
+                 "class Grid:\n"
+                 "    def zeros(self):\n        return np.zeros(1)\n"
+                 "    def used(self):\n        pass\n"
+                 "\ndef _run(grid):\n    grid.used()\n"),
     }
     assert unreferenced(sources) == [
         "a.py:5 K.lonely", "b.py:4 orphan",
         "c.py:3 exported", "c.py:6 described", "c.py:9 commented",
+        "d.py:4 Grid.zeros",
     ]
 
 

@@ -21,7 +21,7 @@ from secshap.kernels import (
     squaring_prepare_batch,
     squaring_prepare_model,
 )
-from secshap.matrix import Matrix, matmul_oracle, submatrix, transform
+from secshap.matrix import matmul_oracle, submatrix, transform
 from secshap.sharing import FieldParams, field_ops
 
 TABLE_SHAPES = [(4, 300), (2, 48), (64, 256), (10, 64), (32, 64), (32, 32), (2, 32)]
@@ -31,7 +31,7 @@ KEYS = generate_keypair("kern")
 
 
 def int_matrix(rng, rows, cols, lo=-8, hi=8):
-    return Matrix(rng.integers(lo, hi + 1, size=(rows, cols)).astype(float))
+    return rng.integers(lo, hi + 1, size=(rows, cols)).astype(float)
 
 
 def rotate_add_chain(ctx, h, shift, copies):
@@ -47,20 +47,20 @@ def rotate_add_chain(ctx, h, shift, copies):
 
 
 def run_squaring(a, b, ctx, encrypt_b=True, plan=None):
-    plan = plan or plan_squaring(a.rows, a.cols, b.cols, ctx.params.slot_count)
+    plan = plan or plan_squaring(a.shape[0], a.shape[1], b.shape[1], ctx.params.slot_count)
     model = squaring_prepare_model(a, plan, ctx, KEYS.public)
     batch = squaring_prepare_batch(b, plan, ctx, KEYS.public, encrypt=encrypt_b)
     bands = squaring_matmul(model, batch, plan, ctx)
-    return Matrix(squaring_decrypt_stack(bands, plan, ctx, KEYS.private)), plan
+    return squaring_decrypt_stack(bands, plan, ctx, KEYS.private), plan
 
 
 def run_reducing(a, b, ctx, encrypt_b=False, plan=None):
-    plan = plan or plan_reducing(a.rows, a.cols, b.cols, ctx.params.slot_count)
+    plan = plan or plan_reducing(a.shape[0], a.shape[1], b.shape[1], ctx.params.slot_count)
     model = reducing_prepare_model(a, plan, ctx, KEYS.public)
     batch = reducing_prepare_batch(b, plan, ctx, KEYS.public, encrypt=encrypt_b)
     ct = reducing_matmul(model, batch, plan, ctx)
     shape = (plan.d_out, plan.m)
-    return Matrix(ctx.decrypt_stack(ct, shape, shape, KEYS.private)), plan
+    return ctx.decrypt_stack(ct, shape, shape, KEYS.private), plan
 
 
 class TestPlans:
@@ -107,11 +107,11 @@ class TestDeltaReference:
         rng = np.random.default_rng(0)
         a = int_matrix(rng, 3, 5)
         b = int_matrix(rng, 5, 4)
-        assert delta_reference(a, b).allclose(matmul_oracle(a, b))
+        assert np.array_equal(delta_reference(a, b), matmul_oracle(a, b))
 
     def test_identity(self):
-        eye = Matrix(np.eye(2))
-        assert delta_reference(eye, eye).allclose(eye)
+        eye = np.eye(2)
+        assert np.array_equal(delta_reference(eye, eye), eye)
 
     def test_horizontal_composition(self):
         # delta((A || A), (B1 || B2)) == (delta(A, B1) || delta(A, B2))
@@ -119,14 +119,13 @@ class TestDeltaReference:
         a = int_matrix(rng, 3, 4)
         b1 = int_matrix(rng, 4, 4)
         b2 = int_matrix(rng, 4, 2)
-        lhs = delta_reference(Matrix(np.hstack([a.data, a.data])),
-                              Matrix(np.hstack([b1.data, b2.data])))
-        rhs = Matrix(np.hstack([delta_reference(a, b1).data, delta_reference(a, b2).data]))
-        assert lhs.allclose(rhs)
+        lhs = delta_reference(np.hstack([a, a]), np.hstack([b1, b2]))
+        rhs = np.hstack([delta_reference(a, b1), delta_reference(a, b2)])
+        assert np.array_equal(lhs, rhs)
 
     def test_shape_validation(self):
         with pytest.raises(PlanError):
-            delta_reference(Matrix.zeros(2, 5), Matrix.zeros(4, 2))
+            delta_reference(np.zeros((2, 5)), np.zeros((4, 2)))
 
 
 class TestSquaringKernel:
@@ -137,7 +136,7 @@ class TestSquaringKernel:
         a = int_matrix(rng, 2, 4)
         b = int_matrix(rng, 4, 3)
         got, plan = run_squaring(a, b, ctx)
-        assert got.allclose(matmul_oracle(a, b))
+        assert np.array_equal(got, matmul_oracle(a, b))
         assert plan.d_out_block == 2 and plan.expected_hrot() == 1
         assert ctx.meter.hrot == 1
 
@@ -146,25 +145,24 @@ class TestSquaringKernel:
         rng = np.random.default_rng(3)
         a = int_matrix(rng, 2, 4)
         b = int_matrix(rng, 4, 3)
-        a_bar = Matrix(np.vstack([a.data, a.data]))
-        b_bar = Matrix(np.hstack([b.data, np.zeros((4, 1))]))
+        a_bar = np.vstack([a, a])
+        b_bar = np.hstack([b, np.zeros((4, 1))])
         h = np.zeros((4, 4))
         for o in range(2):
             h += (
-                transform(transform(a_bar, "sigma"), "xi", o).data
-                * transform(transform(b_bar, "tau"), "psi", o).data
+                transform(transform(a_bar, "sigma"), "xi", o)
+                * transform(transform(b_bar, "tau"), "psi", o)
             )
-        h = Matrix(h)
-        total = submatrix(h, 0, 2, 0, 3).data + submatrix(h, 2, 4, 0, 3).data
-        assert Matrix(total).allclose(matmul_oracle(a, b))
+        total = submatrix(h, 0, 2, 0, 3) + submatrix(h, 2, 4, 0, 3)
+        assert np.array_equal(total, matmul_oracle(a, b))
 
     def test_identity_model_returns_batch_rows(self):
         ctx = HEContext(HEParams())
         rng = np.random.default_rng(4)
         b = int_matrix(rng, 8, 5)
-        eye = Matrix(np.eye(3, 8))
+        eye = np.eye(3, 8)
         got, _ = run_squaring(eye, b, ctx)
-        assert got.allclose(Matrix(b.data[:3]))
+        assert np.array_equal(got, b[:3])
 
     @pytest.mark.parametrize("shape", TABLE_SHAPES)
     def test_table_shapes_match_oracle(self, shape):
@@ -175,7 +173,7 @@ class TestSquaringKernel:
         a = int_matrix(rng, d_out, d_in)
         b = int_matrix(rng, d_in, m)
         got, plan = run_squaring(a, b, ctx)
-        assert got.allclose(matmul_oracle(a, b))
+        assert np.array_equal(got, matmul_oracle(a, b))
         assert ctx.meter.hmult_c2c == plan.expected_hmult()
         assert ctx.meter.hrot == plan.expected_hrot()
 
@@ -185,7 +183,7 @@ class TestSquaringKernel:
         a = int_matrix(rng, 2, 32)
         b = int_matrix(rng, 32, 16)
         got, plan = run_squaring(a, b, ctx, encrypt_b=False)
-        assert got.allclose(matmul_oracle(a, b))
+        assert np.array_equal(got, matmul_oracle(a, b))
         assert ctx.meter.hmult_c2c == 0
         assert ctx.meter.hmult_c2p == plan.expected_hmult()
 
@@ -199,9 +197,9 @@ class TestSquaringKernel:
         ctx = HEContext(HEParams(noise_stddev=1e-6, seed=2))
         rng = np.random.default_rng(d_out + d_in)
         m_cap = squaring_max_batch(d_in, N)
-        a = Matrix(rng.uniform(-1, 1, size=(d_out, d_in)))
-        batches = [Matrix(rng.uniform(-1, 1, size=(d_in, m))) for m in (m_cap, 3, m_cap - 1)]
-        plans = [plan_squaring(d_out, d_in, b.cols, N) for b in batches]
+        a = rng.uniform(-1, 1, size=(d_out, d_in))
+        batches = [rng.uniform(-1, 1, size=(d_in, m)) for m in (m_cap, 3, m_cap - 1)]
+        plans = [plan_squaring(d_out, d_in, b.shape[1], N) for b in batches]
         model = squaring_prepare_model(a, plans[0], ctx, KEYS.public)
         sides = [squaring_prepare_batch(b, plans[0], ctx, KEYS.public) for b in batches]
         stacked = [ctx.encrypt_slots(np.stack([side.slots[o] for side in sides]), KEYS.public,
@@ -220,7 +218,7 @@ class TestSquaringKernel:
             assert np.array_equal(bands[b].slots, single.slots)
             assert np.array_equal(bands[b].var, single.var)
         got = squaring_decrypt_stack(bands[1], plans[0], ctx, KEYS.private)[:, :3]
-        want = matmul_oracle(a, batches[1]).data
+        want = matmul_oracle(a, batches[1])
         assert np.allclose(got, want, atol=1e-4)
 
     @pytest.mark.parametrize(
@@ -244,8 +242,8 @@ class TestSquaringKernel:
         assert batch.slots.shape == (plan.d_out_block, plan.k_blocks, width)
         bands = squaring_matmul(model, batch, plan, ctx)
         assert bands.slots.shape == (plan.j_blocks, plan.live_rows() * m)  # L x m per band
-        got = Matrix(squaring_decrypt_stack(bands, plan, ctx, KEYS.private))
-        assert got.allclose(matmul_oracle(a, b))
+        got = squaring_decrypt_stack(bands, plan, ctx, KEYS.private)
+        assert np.array_equal(got, matmul_oracle(a, b))
         assert ctx.meter.hmult_c2c == plan.expected_hmult()
         assert ctx.meter.hrot == plan.expected_hrot()
 
@@ -265,7 +263,7 @@ class TestSquaringKernel:
         rng = np.random.default_rng(seed * 100 + d_out)
         plan = plan_squaring(d_out, d_in, m, N)
         assert (plan.copies(), plan.j_blocks, plan.k_blocks) == blocks
-        model = squaring_prepare_model(Matrix(rng.uniform(-1, 1, size=shape)), plan, ctx,
+        model = squaring_prepare_model(rng.uniform(-1, 1, size=shape), plan, ctx,
                                        KEYS.public)
         sides = squaring_prepare_batch(rng.uniform(-1, 1, size=(batches, d_in, m)), plan, ctx,
                                        KEYS.public)
@@ -301,7 +299,7 @@ class TestSquaringKernel:
         got = squaring_prepare_batch(stack, plan, ctx, KEYS.public, encrypt=False)
         assert got.shape == (plan.d_out_block, 2, 3, plan.k_blocks, plan.live_width())
         for idx in np.ndindex(2, 3):
-            one = squaring_prepare_batch(Matrix(stack[idx]), plan, ctx, KEYS.public,
+            one = squaring_prepare_batch(stack[idx], plan, ctx, KEYS.public,
                                          encrypt=False)
             assert np.array_equal(got[(slice(None),) + idx], one)
 
@@ -328,7 +326,7 @@ class TestReducingKernel:
         a = int_matrix(rng, 2, 4)
         b = int_matrix(rng, 4, 6)
         got, plan = run_reducing(a, b, ctx)
-        assert got.allclose(matmul_oracle(a, b))
+        assert np.array_equal(got, matmul_oracle(a, b))
 
     def test_zero_rotations_exact_mults(self):
         ctx = HEContext(HEParams())
@@ -336,7 +334,7 @@ class TestReducingKernel:
         a = int_matrix(rng, 10, 64)
         b = int_matrix(rng, 64, 100)
         got, plan = run_reducing(a, b, ctx)
-        assert got.allclose(matmul_oracle(a, b))
+        assert np.array_equal(got, matmul_oracle(a, b))
         assert ctx.meter.hrot == 0
         assert ctx.meter.hmult_c2p == 64  # one per transformed pair
         assert ctx.meter.hmult_c2c == 0
@@ -347,7 +345,7 @@ class TestReducingKernel:
         a = int_matrix(rng, 3, 6)
         b = int_matrix(rng, 6, 6)
         got, _ = run_reducing(a, b, ctx)
-        assert got.allclose(delta_reference(a, b))
+        assert np.array_equal(got, delta_reference(a, b))
 
     @pytest.mark.parametrize("shape", TABLE_SHAPES)
     def test_table_shapes_match_oracle(self, shape):
@@ -358,7 +356,7 @@ class TestReducingKernel:
         a = int_matrix(rng, d_out, d_in, -4, 4)
         b = int_matrix(rng, d_in, m, -4, 4)
         got, _ = run_reducing(a, b, ctx)
-        assert got.allclose(matmul_oracle(a, b))
+        assert np.array_equal(got, matmul_oracle(a, b))
 
     def test_encrypted_batch_uses_c2c(self):
         ctx = HEContext(HEParams())
@@ -366,7 +364,7 @@ class TestReducingKernel:
         a = int_matrix(rng, 4, 8)
         b = int_matrix(rng, 8, 8)
         got, _ = run_reducing(a, b, ctx, encrypt_b=True)
-        assert got.allclose(matmul_oracle(a, b))
+        assert np.array_equal(got, matmul_oracle(a, b))
         assert ctx.meter.hmult_c2c == 8
 
     def test_cached_model_at_capacity_serves_narrow_batches(self):
@@ -380,7 +378,7 @@ class TestReducingKernel:
         batch = reducing_prepare_batch(b, plan, ctx, width=capacity)
         ct = reducing_matmul(model, batch, plan, ctx)
         got = ctx.decrypt_stack(ct, (4, capacity), (4, capacity), KEYS.private)
-        assert Matrix(got[:, :20]).allclose(matmul_oracle(a, b))
+        assert np.array_equal(got[:, :20], matmul_oracle(a, b))
 
     def test_integer_payload_is_exact(self):
         # Python-int shares (object arrays) take the same field slots, mod p
@@ -487,10 +485,10 @@ class TestNoiseTolerance:
         d_out, d_in = shape
         ctx = HEContext(HEParams(noise_stddev=1e-9, seed=3))
         rng = np.random.default_rng(12)
-        a = Matrix(rng.uniform(-1, 1, size=(d_out, d_in)))
+        a = rng.uniform(-1, 1, size=(d_out, d_in))
         m = squaring_max_batch(d_in, N)
-        b = Matrix(rng.uniform(-1, 1, size=(d_in, m)))
+        b = rng.uniform(-1, 1, size=(d_in, m))
         got, _ = run_squaring(a, b, ctx)
         want = matmul_oracle(a, b)
-        rel = np.linalg.norm(got.data - want.data) / np.linalg.norm(want.data)
+        rel = np.linalg.norm(got - want) / np.linalg.norm(want)
         assert rel <= 1e-6

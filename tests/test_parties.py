@@ -3,7 +3,6 @@ import pytest
 
 from secshap import parties
 from secshap.hebackend import CostMeter, HEContext, HEParams, generate_keypair
-from secshap.matrix import LabelVector, Matrix
 from secshap.parties import (
     SERVER_A,
     SERVER_P,
@@ -30,8 +29,9 @@ class TestPayloadBytes:
         assert payload_bytes(ct, self.he) == 2 * 2048 * 8
 
     def test_matrix_and_labels(self):
-        assert payload_bytes(Matrix.zeros(3, 4), self.he) == 96
-        assert payload_bytes(LabelVector([1, 2, 3]), self.he) == 24
+        # a real matrix (float64) and a label vector (int64), 8 B per entry without a field
+        assert payload_bytes(np.zeros((3, 4)), self.he) == 96
+        assert payload_bytes(np.array([1, 2, 3], dtype=np.int64), self.he) == 24
 
     def test_field_share_array(self):
         arr = np.empty((2, 3), dtype=object)
@@ -61,8 +61,8 @@ class TestRouter:
         router = Router(meter, HEParams())
         a = router.register(Party("client_0", "client"))
         b = router.register(Party(SERVER_P, "server"))
-        router.send("client_0", SERVER_P, Matrix.zeros(2, 2))
-        router.send("client_0", SERVER_P, Matrix.zeros(1, 1))
+        router.send("client_0", SERVER_P, np.zeros((2, 2)))
+        router.send("client_0", SERVER_P, np.zeros((1, 1)))
         assert meter.bytes_sent[("client_0", SERVER_P)] == 32 + 8
         assert a.bytes_out == 40 and b.bytes_in == 40
 
@@ -74,7 +74,7 @@ class TestRouter:
         router.register(Party(SERVER_A, "server"))
         sizes = []
         for k in range(1, 5):
-            payload = Matrix.zeros(k, k)
+            payload = np.zeros((k, k))
             sizes.append(payload_bytes(payload, HEParams()))
             router.send("client_0", SERVER_P if k % 2 else SERVER_A, payload)
         assert meter.total_bytes() == sum(sizes)

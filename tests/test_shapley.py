@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secshap.matrix import Matrix, argmax_columns
-from secshap.models import aggregate, arch_logistic, forward, random_model
+from secshap.models import aggregate, arch_logistic, predict, random_model
 from secshap.shapley import (
     IncompleteTableError,
     SampleSkipResult,
@@ -211,14 +210,14 @@ class TestLinearAggregationRule:
         for _ in range(200):
             m1 = random_model(arch, rng, scale=1.0)
             m2 = random_model(arch, rng, scale=1.0)
-            x = Matrix(rng.normal(size=(6, 1)))
-            y1 = int(argmax_columns(forward(m1, x)).labels[0])
-            y2 = int(argmax_columns(forward(m2, x)).labels[0])
+            x = rng.normal(size=(6, 1))
+            y1 = int(predict(m1, x)[0])
+            y2 = int(predict(m2, x)[0])
             if y1 != y2:
                 continue
             w = float(rng.uniform(0, 1))
             mix = aggregate({1: m1, 2: m2}, {1: w, 2: 1.0 - w})
-            assert int(argmax_columns(forward(mix, x)).labels[0]) == y1
+            assert int(predict(mix, x)[0]) == y1
             hits += 1
         assert hits > 20  # the property was actually exercised
 

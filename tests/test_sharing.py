@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from secshap.matrix import Matrix, ShapeError, matmul_oracle
+from secshap.matrix import ShapeError, matmul_oracle
 from secshap.sharing import (
     CodecError,
     FieldParams,
@@ -60,7 +60,7 @@ class TestCodec:
 
     def test_fractional_round_trip(self):
         x = 1.5
-        pair = split_matrix(Matrix([[x]]), FIELD, random.Random(0))
+        pair = split_matrix(np.array([[x]]), FIELD, random.Random(0))
         assert abs(open_shares(pair)[0, 0] - x) <= 2**-16
 
     def test_negative_values(self):
@@ -96,24 +96,32 @@ class TestSplitReconstruct:
         assert reconstruct_int(pair, tiny).tolist() == [5]
 
     def test_zero_secret(self):
-        pair = split_matrix(Matrix([[0.0]]), FIELD, random.Random(1))
+        pair = split_matrix(np.array([[0.0]]), FIELD, random.Random(1))
         assert open_shares(pair)[0, 0] == 0.0
 
     def test_exact_in_integer_field(self):
         values = [0, 1, FIELD.prime - 1, 123456789]
-        pair = split_matrix(np.array(values, dtype=np.uint64), FIELD, random.Random(2))
+        masks = field_ops(FIELD).random(np.random.default_rng(2), (len(values),))
+        pair = split_masked(np.array(values, dtype=np.uint64), masks, FIELD)
         assert reconstruct_int(pair, FIELD).tolist() == values
 
+    @pytest.mark.parametrize("dtype", [np.uint64, np.int64, object])
+    def test_split_matrix_refuses_field_elements(self, dtype):
+        # an integer array is already encoded: sharing it again as reals would be wrong
+        with pytest.raises(CodecError, match="split_masked"):
+            split_matrix(np.array([[1, 2]], dtype=dtype), FIELD, random.Random(2))
+
     def test_matrix_round_trip(self):
-        m = Matrix(np.random.default_rng(3).uniform(-4, 4, size=(3, 5)))
+        m = np.random.default_rng(3).uniform(-4, 4, size=(3, 5))
         pair = split_matrix(m, FIELD, random.Random(3))
-        assert np.max(np.abs(open_shares(pair) - m.data)) <= 2**-16
+        assert np.max(np.abs(open_shares(pair) - m)) <= 2**-16
 
     def test_share_uniformity_proxy(self):
         # chi-square over 16 buckets for repeated splits of one secret
         trials = 8000
         secret = np.full(trials, encode(1.5, FIELD), dtype=np.uint64)
-        pair = split_matrix(secret, FIELD, random.Random(9))
+        pair = split_masked(secret, field_ops(FIELD).random(np.random.default_rng(9), (trials,)),
+                            FIELD)
         buckets = np.bincount([int(s) * 16 // FIELD.prime for s in pair.s_prime], minlength=16)
         expected = trials / 16
         chi2 = float(np.sum((buckets - expected) ** 2 / expected))
@@ -129,29 +137,29 @@ class TestShareMatmul:
         return split_matrix(m, FIELD, self.rng)
 
     def test_identity_times_matrix(self):
-        b = Matrix([[1.5, -2.0], [0.25, 3.0]])
-        out = share_matmul(self._share(Matrix(np.eye(2))), self._share(b), self.supply, FIELD)
-        assert np.max(np.abs(open_shares(out) - b.data)) <= 2 * 2**-16
+        b = np.array([[1.5, -2.0], [0.25, 3.0]])
+        out = share_matmul(self._share(np.eye(2)), self._share(b), self.supply, FIELD)
+        assert np.max(np.abs(open_shares(out) - b)) <= 2 * 2**-16
 
     def test_scalar_product(self):
         out = share_matmul(
-            self._share(Matrix([[2.0]])), self._share(Matrix([[3.0]])), self.supply, FIELD
+            self._share(np.array([[2.0]])), self._share(np.array([[3.0]])), self.supply, FIELD
         )
         assert abs(open_shares(out)[0, 0] - 6.0) <= 2 * 2**-16
 
     def test_random_matmul_vs_oracle(self):
         g = np.random.default_rng(4)
-        a = Matrix(g.uniform(-2, 2, size=(4, 4)))
-        b = Matrix(g.uniform(-2, 2, size=(4, 2)))
+        a = g.uniform(-2, 2, size=(4, 4))
+        b = g.uniform(-2, 2, size=(4, 2))
         out = share_matmul(self._share(a), self._share(b), self.supply, FIELD)
         want = matmul_oracle(a, b)
-        bound = 4 * 2**-16 * float(np.max(np.abs(np.concatenate([a.data.ravel(), b.data.ravel()]))))
-        assert np.max(np.abs(open_shares(out) - want.data)) <= bound + 4 * 2**-16
+        bound = 4 * 2**-16 * float(np.max(np.abs(np.concatenate([a.ravel(), b.ravel()]))))
+        assert np.max(np.abs(open_shares(out) - want)) <= bound + 4 * 2**-16
 
     def test_budget_exhaustion(self):
         small = TripleSupply(FIELD, budget=3)
-        a = self._share(Matrix([[1.0, 2.0]]))
-        b = self._share(Matrix([[1.0], [1.0]]))
+        a = self._share(np.array([[1.0, 2.0]]))
+        b = self._share(np.array([[1.0], [1.0]]))
         small.take((1, 2), (2, 1))  # costs 2
         with pytest.raises(SupplyError):
             share_matmul(a, b, small, FIELD)
@@ -168,13 +176,13 @@ class TestShareMatmul:
         # repeated multiplication by shares of the identity accumulates
         # at most ~one truncation ulp per step
         g = np.random.default_rng(8)
-        x = Matrix(g.uniform(-2, 2, size=(3, 3)))
-        eye = Matrix(np.eye(3))
+        x = g.uniform(-2, 2, size=(3, 3))
+        eye = np.eye(3)
         acc = self._share(x)
         errors = []
         for step in range(1, 7):
             acc = share_matmul(self._share(eye), acc, self.supply, FIELD)
-            err = np.max(np.abs(open_shares(acc) - x.data))
+            err = np.max(np.abs(open_shares(acc) - x))
             errors.append(err)
             assert err <= (step + 1) * 2**-16 * 3
         assert errors[-1] <= 6 * 3 * 2**-15
@@ -342,8 +350,8 @@ class TestLargerField:
         assert secretsv_headroom_error(field.prime, field.frac_bits) is None
         rng = random.Random(5)
         supply = TripleSupply(field)
-        a = split_matrix(Matrix([[1.25, -0.5]]), field, rng)
-        b = split_matrix(Matrix([[2.0], [4.0]]), field, rng)
+        a = split_matrix(np.array([[1.25, -0.5]]), field, rng)
+        b = split_matrix(np.array([[2.0], [4.0]]), field, rng)
         out = share_matmul(a, b, supply, field)
         assert abs(open_shares(out, field)[0, 0] - 0.5) <= 2**-28
 
@@ -487,12 +495,12 @@ class TestMersenne61Ops:
 
 class TestDefaultFieldIsUint64:
     def test_split_matrix_reconstructs_exactly(self):
-        m = Matrix(np.random.default_rng(5).uniform(-4, 4, size=(3, 7)))
+        m = np.random.default_rng(5).uniform(-4, 4, size=(3, 7))
         enc = encode_matrix(m, FIELD)
         pair = split_matrix(m, FIELD, np.random.default_rng(5))
         assert enc.dtype == pair.s_prime.dtype == pair.s_dprime.dtype == np.uint64
         assert reconstruct_int(pair, FIELD).tolist() == enc.tolist()
-        assert enc.tolist() == [[encode(x, FIELD) for x in row] for row in m.data]
+        assert enc.tolist() == [[encode(x, FIELD) for x in row] for row in m]
 
     def test_triples_are_uint64_and_consistent(self):
         triple = TripleSupply(FIELD).take((2, 3), (3, 4))
