@@ -87,6 +87,8 @@ class ExperimentConfig:
             errors.append("clients: secure protocols need at least 4 clients")
         if self.rounds < 1:
             errors.append("rounds: need at least one training round")
+        if self.local_epochs < 0:
+            errors.append(f"local_epochs: must be non-negative, got {self.local_epochs}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             errors.append("alpha: Dirichlet concentration must be finite and positive")
         if not math.isfinite(self.learning_rate):

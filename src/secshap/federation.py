@@ -228,10 +228,13 @@ def fedavg_train(
     """Standard FedAvg: broadcast, local SGD, size-weighted aggregate.
 
     Every round's incoming global and trained locals are retained (the
-    contribution calculation needs all of them).  ``rounds >= 1``.
+    contribution calculation needs all of them).  ``rounds >= 1`` and
+    ``local_epochs >= 0``; zero epochs keeps every local model at the global.
     """
     if rounds < 1:
         raise ValueError("need at least one round")
+    if local_epochs < 0:
+        raise ValueError(f"local_epochs must be non-negative, got {local_epochs}")
     if not train_sets:
         raise ValueError("need at least one client")
     num_classes = max(spec.out_size for spec in arch[-1:])

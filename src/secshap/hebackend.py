@@ -7,11 +7,12 @@ decryptor reads (the squaring kernel does); the meters and the wire size
 (``ciphertext_bytes``) count whole N-slot ciphertexts either way.  The
 operations are entrywise add, entrywise multiply (ciphertext-ciphertext
 or ciphertext-plaintext), cyclic slot rotation, ``he_dot``, a
-multiply-accumulate over a sequence of terms, and ``he_fold``, the sum of
-``copies`` rotated copies of one ciphertext, of which it returns only the
-top copy (the first ``shift`` slots, the ones no rotation wraps onto)
-while metering the whole rotate-and-add chain; all of them broadcast over
-the stack axes.  Indexing a stack is free.  This is a *simulation*: no
+multiply-accumulate over the term axis (axis 0) of a stack, computed one
+term at a time into buffers allocated once per call, and ``he_fold``,
+the sum of ``copies`` rotated copies of one ciphertext, of which it
+returns only the top copy (the first ``shift`` slots, the ones no
+rotation wraps onto) while metering the whole rotate-and-add chain; all
+of them broadcast over the stack axes.  Indexing a stack is free.  This is a *simulation*: no
 lattice arithmetic, no actual security.  What it does provide, exactly,
 is
 
@@ -392,8 +393,14 @@ class HEContext:
         slots = ct.slots[..., : rows * cols].reshape(lead + live)
         if ct.var is None:
             return slots
+        needed = ct.count * block[0] * block[1]
         if draws is None:
-            draws = self.draw_noise(ct.count * block[0] * block[1])
+            draws = self.draw_noise(needed)
+        elif np.size(draws) != needed:
+            raise BackendError(
+                f"draws block holds {np.size(draws)} draws, expected {needed}: "
+                f"{ct.count} ciphertexts of {block[0]} x {block[1]}"
+            )
         z = np.reshape(draws, lead + block)[..., :rows, :cols]
         var = ct.var
         if isinstance(var, np.ndarray):
@@ -410,7 +417,7 @@ class HEContext:
         arr = np.asarray(operand, dtype=like.slots.dtype)
         if arr.shape[-1:] == (like.width,):
             return arr
-        return self.encode_slots(arr, integer=like.slots.dtype != np.float64)
+        return self.encode_slots(arr, integer=like.slots.dtype != np.float64, width=like.width)
 
     def _operand(self, a: CipherVector, b: CipherVector | PlainOperand):
         """The slots ``b`` contributes to an operation on ``a``, checked."""
@@ -443,55 +450,122 @@ class HEContext:
             self.meter.hmult_c2p += out.count
         return out
 
-    def he_dot(self, a_terms: Sequence[CipherVector],
-               b_terms: Sequence[CipherVector | PlainOperand]) -> CipherVector:
-        """Multiply-accumulate: the sum over t of a_t * b_t, entrywise.
+    def he_dot(self, a: CipherVector, b: CipherVector | PlainOperand,
+               terms: Sequence[int] | None = None) -> CipherVector:
+        """Multiply-accumulate over a term axis: the sum over t of a[t] * b[t], entrywise.
 
-        Each ``a_t`` is a ciphertext, a stack or a view of one; each
-        ``b_t`` a ciphertext, a plaintext array or a scalar; every product
-        broadcasts over the stack axes.  Metered as the ``he_mult`` /
-        ``he_add`` chain it replaces: per output ciphertext, one product
-        per term (c2c or c2p by the kind of ``b_t``) and one addition
-        fewer.  The terms accumulate in order, so the slots and the
-        tracked variance equal the chain's bit for bit; no temporary
-        holds more than one term.
+        ``a`` is a ciphertext stack whose axis 0 is the term axis; ``b``
+        a ciphertext stack or a plaintext array with the same leading
+        term axis, or a vector of one scalar weight per term.  Each
+        product broadcasts over the axes after the term axis.
+        ``terms``, if given, picks the entries of ``a``'s term axis to
+        multiply, in order, without copying them; ``b`` then holds one
+        entry per pick.  Metered as the ``he_mult`` / ``he_add`` chain it
+        replaces: per output ciphertext, one product per term (c2c or
+        c2p by the kind of ``b``) and one addition fewer.  The terms
+        accumulate in order, with the chain's operations in the chain's
+        order, so the slots and the tracked variance equal the chain's
+        bit for bit.  Each term is computed into buffers allocated once
+        per call: no temporary holds more than one term, and no (T, ...)
+        array is formed.
         """
-        if not a_terms or len(a_terms) != len(b_terms):
+        if a.slots.ndim < 2:
+            raise BackendError("he_dot needs a term axis before the slot axis")
+        picks = range(a.slots.shape[0]) if terms is None else terms
+        other = self._term_operand(a, b)
+        if len(picks) == 0 or len(picks) != len(other):
             raise BackendError(
-                f"he_dot needs two equal, non-empty term lists, got "
-                f"{len(a_terms)} and {len(b_terms)}"
+                f"he_dot needs two equal, non-empty term axes, got "
+                f"{len(picks)} and {len(other)}"
             )
-        first = a_terms[0]
-        others = []
-        for a, b in zip(a_terms, b_terms):
-            self._check_same_context(first, a)
-            others.append(self._operand(a, b))
-        if first.slots.dtype != np.float64:
+        if a.slots.dtype != np.float64:
             acc = None
-            for a, other in zip(a_terms, others):
-                prod = self.ops.mul(a.slots, other)
+            for t, p in enumerate(picks):
+                prod = self.ops.mul(a.slots[p], other[t])
                 acc = prod if acc is None else self.ops.reduce(acc + prod)
-            out = CipherVector(acc, first.key_id)
+            out = CipherVector(acc, a.key_id)
         else:
-            shape = np.broadcast_shapes(*(a.slots.shape for a in a_terms),
-                                        *(np.shape(o) for o in others))
-            acc = np.multiply(first.slots, others[0], out=np.empty(shape))
-            tmp = np.empty(shape)
-            for a, other in zip(a_terms[1:], others[1:]):
-                acc += np.multiply(a.slots, other, out=tmp)
-            var = None
-            if self._noise_var:
-                for a, b, other in zip(a_terms, b_terms, others):
-                    term = self._product_var(a, b, other)
-                    # the chain's addition: v_acc + v_term + sigma^2
-                    var = term if var is None else var + term + self._noise_var
-            out = CipherVector(acc, first.key_id, var)
-        count = out.count
-        c2c = sum(isinstance(b, CipherVector) for b in b_terms)
-        self.meter.hmult_c2c += count * c2c
-        self.meter.hmult_c2p += count * (len(b_terms) - c2c)
-        self.meter.hadd += count * (len(b_terms) - 1)
+            out = self._float_dot(a, b, other, picks)
+        c2c = isinstance(b, CipherVector)
+        products = out.count * len(picks)
+        if c2c:
+            self.meter.hmult_c2c += products
+        else:
+            self.meter.hmult_c2p += products
+        self.meter.hadd += out.count * (len(picks) - 1)
         return out
+
+    def _term_operand(self, a: CipherVector, b) -> np.ndarray:
+        """The slots ``b`` contributes to ``he_dot``, term axis first, checked.
+
+        A vector of scalar weights stays one entry per term; integer
+        weights get a slot axis of one to broadcast over.
+        """
+        if isinstance(b, CipherVector):
+            self._check_same_context(a, b)
+            return b.slots
+        arr = np.asarray(b, dtype=a.slots.dtype)
+        if arr.ndim == 0:
+            raise BackendError("he_dot needs a term axis on the plaintext operand")
+        if arr.ndim == 1:
+            return arr if arr.dtype == np.float64 else arr[:, None]
+        return self._coerce_plain(arr, a)
+
+    def _float_dot(self, a: CipherVector, b, other: np.ndarray, picks) -> CipherVector:
+        """``he_dot`` on real slots: the chain's products, sums and variances, in place.
+
+        Term t's variance is (v_a * b_t^2 + sigma^2) + v_b * a_t^2 (the
+        second part for a ciphertext ``b`` only), and the chain adds it
+        as (v_acc + v_t) + sigma^2.  Each part is computed in a buffer of
+        its own operand's shape, so a scalar variance stays a scalar.
+        """
+        shape = np.broadcast_shapes(a.slots.shape[1:], other.shape[1:])
+        acc = np.empty(shape)
+        tmp = np.empty(shape)
+        noise = self._noise_var
+        c2c = isinstance(b, CipherVector)
+        var_a, var_b = _var(a), _var(b)
+        if noise:
+            b_shape = np.broadcast_shapes(np.shape(_term_of(var_a, picks[0], a)), other.shape[1:])
+            a_shape = np.broadcast_shapes(np.shape(_term_of(var_b, 0, b)), a.slots.shape[1:])
+            var_shape = np.broadcast_shapes(b_shape, a_shape) if c2c else b_shape
+            b_side = np.empty(b_shape) if b_shape else None
+            a_side = np.empty(a_shape) if c2c else None
+            var = np.empty(var_shape) if var_shape else None
+            # a c2c term's variance goes in tmp once the slots are done with it
+            var_tmp = tmp if var_shape == shape else np.empty(var_shape) if c2c else None
+        for t, p in enumerate(picks):
+            a_t, b_t = a.slots[p], other[t]
+            if t == 0:
+                np.multiply(a_t, b_t, out=acc)
+            else:
+                np.multiply(a_t, b_t, out=tmp)
+                acc += tmp
+            if not noise:
+                continue
+            # (a + e_a)(b + e_b) ~ ab + e_a*b + e_b*a: each noise term
+            # scales by the other factor squared
+            va_t = _term_of(var_a, p, a)
+            # term 0 of a c2p dot is its b side, so it goes straight into var
+            into = var if t == 0 and not c2c else b_side
+            if into is None:
+                term = va_t * np.square(b_t) + noise
+            else:
+                term = np.square(b_t, out=into)
+                term *= va_t
+                term += noise
+            if c2c:
+                np.square(a_t, out=a_side)
+                a_side *= _term_of(var_b, t, b)
+                term = np.add(term, a_side, out=var if t == 0 else var_tmp)
+            if t == 0:
+                var = term
+            elif np.ndim(var) == 0:
+                var = var + term + noise
+            else:
+                var += term
+                var += noise
+        return CipherVector(acc, a.key_id, var if noise else None)
 
     def _product_var(self, a: CipherVector, b, other) -> float | np.ndarray:
         # (a + e_a)(b + e_b) ~ ab + e_a*b + e_b*a: each noise term scales by
@@ -567,6 +641,13 @@ def _var(operand) -> float | np.ndarray:
     if isinstance(operand, CipherVector) and operand.var is not None:
         return operand.var
     return 0.0
+
+
+def _term_of(var, t, owner) -> float | np.ndarray:
+    """Term ``t``'s part of a stack's variance: one shared by every term unless it has the term axis."""
+    if isinstance(var, np.ndarray) and var.ndim == owner.slots.ndim:
+        return var[t] if var.shape[0] > 1 else var[0]
+    return var
 
 
 def _take(var, index):

@@ -45,7 +45,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -217,8 +217,12 @@ def delta_reference(a_bar: np.ndarray, b: np.ndarray) -> np.ndarray:
 # -- squaring kernel --------------------------------------------------------
 
 
+def _shape(side: BatchSide) -> tuple[int, ...]:
+    return side.slots.shape if isinstance(side, CipherVector) else np.shape(side)
+
+
 def _check_stack(side, lead: tuple[int, ...], width: int, what: str) -> None:
-    shape = side.slots.shape if isinstance(side, CipherVector) else np.shape(side)
+    shape = _shape(side)
     if shape[-len(lead) - 1 :] != lead + (width,):
         raise PlanError(f"{what} stack {shape} does not match plan {lead + (width,)}")
 
@@ -255,18 +259,23 @@ def squaring_prepare_model(
     """Client-side transform-then-encrypt of the model operand.
 
     Block (j, k) is tiled vertically to s x s, then transformed by sigma
-    and xi^o; only the live slots are stored.  Returns one ciphertext
-    stack indexed [o, j, k]; reusable across batches of the plan's width.
+    and xi^o; only the live slots are stored.  ``a`` is a d_out x d_in
+    matrix, or an array of them with leading axes (..., d_out, d_in).
+    Returns one ciphertext stack indexed [..., o, j, k]; reusable across
+    batches of the plan's width.
     """
-    if a.shape != (plan.d_out, plan.d_in):
+    a = np.asarray(a, dtype=np.float64)
+    if a.shape[-2:] != (plan.d_out, plan.d_in):
         raise PlanError(f"model shape {a.shape} does not match plan")
     s, rows = plan.s, plan.d_out_block
+    lead = a.shape[:-2]
     padded = pad_to(a, plan.j_blocks * rows, plan.k_blocks * s)
-    blocks = padded.reshape(plan.j_blocks, rows, plan.k_blocks, s).transpose(0, 2, 1, 3)
+    blocks = padded.reshape(lead + (plan.j_blocks, rows, plan.k_blocks, s))
+    blocks = np.swapaxes(blocks, -3, -2)  # [..., j, k, row, column]
     r, _, diag = _live_index(s, rows, plan.live_rows(), plan.m)
     # xi^o(sigma(a_bar))[r, c] = a_bar[r, (c + r + o) mod s], a_bar[r] = block[r mod rows]
-    views = blocks[:, :, (r % rows)[None, :], diag]
-    return ctx.encrypt_slots(np.moveaxis(views, 2, 0), key, width=plan.live_width())
+    views = blocks[..., (r % rows)[None, :], diag]
+    return ctx.encrypt_slots(np.moveaxis(views, -2, -4), key, width=plan.live_width())
 
 
 def squaring_prepare_batch(
@@ -299,17 +308,17 @@ def squaring_prepare_batch(
 
 def squaring_matmul(
     model_cts: CipherVector,
-    batch_side: BatchSide | Sequence[BatchSide],
+    batch_side: BatchSide,
     plan: MatMulPlan,
     ctx: HEContext,
 ) -> CipherVector:
     """Server-side evaluation; returns a stack of one ciphertext per row block.
 
-    ``batch_side[o]`` is the batch operand of the o-th products: a [k]
-    stack, or a [..., k] stack with leading batch axes, which evaluates
-    every batch at once; the model side and every batch side come from
-    one plan, whose m fixes the slot layout.  One batch's [o, k] stack is
-    such a side; so is a list of d'_out [..., k] stacks.  The copy fold
+    ``batch_side`` is one batch's [o, k] stack, or an [o, ..., k] stack
+    with batch axes after o, which evaluates every batch at once; the
+    model side and every batch side come from one plan, whose m fixes
+    the slot layout.  The products are one ``he_dot`` over o, the
+    model's [j, k] against the batch's [..., 1, k].  The copy fold
     shifts by L x m and keeps the top copy: every live output reads
     slots of copies below C only, so no rotation wraps onto a slot that
     is kept.  The K inner blocks are summed on those L x m slots.  The
@@ -317,12 +326,11 @@ def squaring_matmul(
     """
     width = plan.live_width()
     _check_stack(model_cts, (plan.d_out_block, plan.j_blocks, plan.k_blocks), width, "model")
-    terms = batch_side.slots.shape[0] if isinstance(batch_side, CipherVector) else len(batch_side)
+    terms = _shape(batch_side)[0]
     if terms != plan.d_out_block:
         raise PlanError(f"batch side has {terms} operands, plan needs {plan.d_out_block}")
-    b_terms = [batch_side[o][..., None, :, :] for o in range(plan.d_out_block)]
-    _check_stack(b_terms[0], (1, plan.k_blocks), width, "batch")
-    h = ctx.he_dot([model_cts[o] for o in range(plan.d_out_block)], b_terms)
+    _check_stack(batch_side, (plan.k_blocks,), width, "batch")
+    h = ctx.he_dot(model_cts, batch_side[..., None, :, :])
     # fold the vertical copies down onto the top one: the L x m slots a decryptor reads
     acc = ctx.he_fold(h, plan.live_rows() * plan.m, plan.copies())
     band = acc[..., 0, :]
@@ -367,15 +375,14 @@ def _reducing_model_views(a: np.ndarray, width: int) -> np.ndarray:
     return windows[j, j + np.arange(d_in)[:, None]].reshape(d_in, -1)
 
 
-def _reducing_batch_views(b: np.ndarray, d_out: int, width: int):
-    """View o holds B[(j+k+o) mod d_in, k] at (j, k), zero padded to the width, flattened."""
+def _reducing_batch_views(b: np.ndarray, d_out: int, width: int) -> np.ndarray:
+    """Row o holds B[(j+k+o) mod d_in, k] at j * width + k, zero past column m: one gather."""
     d_in, m = b.shape
     j = np.arange(d_out)[:, None]
     k = np.arange(m)[None, :]
-    for o in range(d_in):
-        view = np.zeros((d_out, width), dtype=b.dtype)
-        view[:, :m] = b[(j + k + o) % d_in, k]
-        yield view.reshape(-1)
+    views = np.zeros((d_in, d_out, width), dtype=b.dtype)
+    views[..., :m] = b[(j + k + np.arange(d_in)[:, None, None]) % d_in, k]
+    return views.reshape(d_in, -1)
 
 
 def reducing_prepare_model(
@@ -409,8 +416,8 @@ def reducing_prepare_batch(
     key: PublicKey | None = None,
     encrypt: bool = False,
     width: int | None = None,
-) -> list[BatchSide]:
-    """Transform the batch operand into d_in reduced matrices.
+) -> BatchSide:
+    """Transform the batch operand into one [d_in] stack of reduced matrices.
 
     Plain slot arrays by default (the shares are plaintext at the
     servers); encrypted when both operands must be hidden.  Columns are
@@ -422,31 +429,30 @@ def reducing_prepare_batch(
         raise PlanError(f"batch shape {b.shape} does not match plan")
     width = plan.m if width is None else width
     integer = b.dtype.kind in "iuO"
-    encrypt_view = ctx.encrypt_int_slots if integer else ctx.encrypt_slots
+    views = _reducing_batch_views(b, plan.d_out, width)
     slots = plan.d_out * width
-    return [
-        encrypt_view(view, key, width=slots) if encrypt
-        else ctx.encode_slots(view, integer, width=slots)
-        for view in _reducing_batch_views(b, plan.d_out, width)
-    ]
+    if encrypt:
+        encrypt_views = ctx.encrypt_int_slots if integer else ctx.encrypt_slots
+        return encrypt_views(views, key, width=slots)
+    return ctx.encode_slots(views, integer, width=slots)
 
 
 def reducing_matmul(
     model_cts: CipherVector,
-    batch_side: Sequence[BatchSide],
+    batch_side: BatchSide,
     plan: MatMulPlan,
     ctx: HEContext,
 ) -> CipherVector:
-    """Entrywise multiply-accumulate over the d_in pairs; no rotations.
+    """Entrywise multiply-accumulate over the d_in pairs, one ``he_dot``; no rotations.
 
-    ``model_cts`` is ``reducing_prepare_model``'s [d_in] stack.
+    ``model_cts`` is ``reducing_prepare_model``'s [d_in] stack and
+    ``batch_side`` ``reducing_prepare_batch``'s.
     """
     terms = model_cts.slots.shape[:-1]
-    if terms != (plan.d_in,) or len(batch_side) != plan.d_in:
-        raise PlanError(
-            f"expected {plan.d_in} transformed pairs, got {terms} and {len(batch_side)}"
-        )
-    return ctx.he_dot([model_cts[o] for o in range(plan.d_in)], batch_side)
+    sides = _shape(batch_side)[:-1]
+    if terms != (plan.d_in,) or sides != (plan.d_in,):
+        raise PlanError(f"expected {plan.d_in} transformed pairs, got {terms} and {sides}")
+    return ctx.he_dot(model_cts, batch_side)
 
 
 def reducing_field_matmul(

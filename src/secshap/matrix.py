@@ -81,11 +81,11 @@ def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def pad_to(m: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Zero-pad on the bottom/right edges up to the requested shape."""
-    if rows < m.shape[0] or cols < m.shape[1]:
+    """Zero-pad on the bottom/right edges up to the requested shape; leading axes stay."""
+    if rows < m.shape[-2] or cols < m.shape[-1]:
         raise ShapeError(f"cannot pad {m.shape} down to ({rows}, {cols})")
-    out = np.zeros((rows, cols))
-    out[: m.shape[0], : m.shape[1]] = m
+    out = np.zeros(m.shape[:-2] + (rows, cols))
+    out[..., : m.shape[-2], : m.shape[-1]] = m
     return out
 
 

@@ -349,25 +349,30 @@ def run_hesv(
         actors: list[str] = []
         players = sorted(record.selected)
 
-        def upload(owner, model):
+        def upload(owners, models):
+            # each layer of every owner's model as one [owner, o, j, k] stack
             layers = []
             for l in range(num_layers):
-                cts = squaring_prepare_model(model.params[l], plans[l], ctx, keys.public)
-                round_router.send(client_name(owner), SERVER_P, cts)
+                params = np.stack([model.params[l] for model in models])
+                cts = squaring_prepare_model(params, plans[l], ctx, keys.public)
+                for p, owner in enumerate(owners):
+                    round_router.send(client_name(owner), SERVER_P, cts[p])
                 layers.append(cts)
             return layers
 
-        model_cts = {i: upload(i, record.local_models[i]) for i in players}
-        global_cts = upload(leader, record.global_model)
+        player_cts = upload(players, [record.local_models[i] for i in players])
+        global_cts = [cts[0] for cts in upload([leader], [record.global_model])]
+        position = {i: p for p, i in enumerate(players)}
 
         def aggregated_cts(subset):
             if not subset:
                 return global_cts
             w = record.weights_for(subset)
             members = sorted(subset)
+            # the members' entries of each layer's owner axis, in place: no copy
             return [
-                ctx.he_dot([model_cts[i][l] for i in members], [w[i] for i in members])
-                for l in range(num_layers)
+                ctx.he_dot(cts, [w[i] for i in members], terms=[position[i] for i in members])
+                for cts in player_cts
             ]
 
         assignment_offset = 0

@@ -80,6 +80,12 @@ class TestConfig:
         errors = replace(ExperimentConfig(), frac_bits=-1).validate()
         assert "frac_bits: must be non-negative, got -1" in errors
 
+    def test_negative_local_epochs_rejected(self):
+        assert replace(ExperimentConfig(), local_epochs=-1).validate() == [
+            "local_epochs: must be non-negative, got -1"
+        ]
+        assert replace(ExperimentConfig(), local_epochs=0).validate() == []
+
     def test_slot_count_too_small_for_secsv(self):
         # one column of the 32-row hidden layer needs 32 slots
         config = ExperimentConfig(test_samples=60, train_samples=120, features=8, rounds=1,

@@ -153,6 +153,11 @@ class TestFedavg:
             for a, b in zip(agg.params, record.global_model.params):
                 assert np.array_equal(a, b)
 
+    def test_negative_local_epochs_rejected(self):
+        ds = make_synthetic_dataset(40, 3, 2, seed=11)
+        with pytest.raises(ValueError, match="local_epochs"):
+            fedavg_train([ds], arch_logistic(3, 2), rounds=1, local_epochs=-1, seed=12)
+
     def test_separable_data_reaches_high_accuracy(self):
         pool = make_synthetic_dataset(400, 8, 2, seed=1, separation=3.0)
         parts = dirichlet_partition(pool, 2, alpha=1e6, seed=2)

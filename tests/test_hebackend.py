@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,14 @@ class TestEncryptDecrypt:
         with pytest.raises(KeyMismatchError):
             ctx.decrypt_stack(ct, (1, 1), (1, 1), other.private)
 
+    def test_draws_block_of_wrong_size_rejected(self, keys):
+        ctx = HEContext(HEParams(slot_count=8, noise_stddev=0.01, seed=1))
+        ct = ctx.encrypt_slots(np.ones((2, 8)), keys.public)
+        with pytest.raises(BackendError, match="holds 5 draws, expected 16"):
+            ctx.decrypt_stack(ct, (2, 4), (2, 4), keys.private, draws=np.zeros(5))
+        out = ctx.decrypt_stack(ct, (2, 4), (2, 4), keys.private, draws=np.zeros(16))
+        assert np.array_equal(out, np.ones((2, 2, 4)))
+
     def test_decrypt_log_records_actor(self, ctx, keys):
         ct = ctx.encrypt_slots([1], keys.public)
         ctx.decrypt_stack(ct, (1, 1), (1, 1), keys.private, actors=("client2",))
@@ -123,6 +133,16 @@ class TestOps:
         assert decrypt_ints(ctx, ct, 2, keys.private).tolist() == folded
         assert ct.key_id == keys.public.key_id and ct.width == 2048
         assert (ctx.meter.hmult_c2p, ctx.meter.hadd, ctx.meter.enc) == (6, 4, 0)
+
+    def test_short_plaintext_pads_to_the_ciphertext_width(self, keys):
+        # a ciphertext storing 4 of 8 slots takes a 3-value plaintext padded to 4
+        ctx = HEContext(HEParams(slot_count=8))
+        ct = ctx.encrypt_slots([1.0, 2.0, 3.0], keys.public, width=4)
+        assert ctx.he_mult(ct, [2.0, 2.0, 2.0]).slots.tolist() == [2.0, 4.0, 6.0, 0.0]
+        assert ctx.he_add(ct, [1.0, 1.0]).slots.tolist() == [2.0, 3.0, 3.0, 0.0]
+        stack = ctx.encrypt_slots(np.ones((2, 3)), keys.public, width=4)
+        dot = ctx.he_dot(stack, [[1.0, 2.0, 3.0], [1.0, 1.0, 1.0]])
+        assert dot.slots.tolist() == [2.0, 3.0, 4.0, 0.0]
 
     def test_cross_context_ops_rejected(self, ctx, keys):
         other = generate_keypair("x")
@@ -308,11 +328,12 @@ class TestMeter:
         assert ciphertext_bytes(HEParams(slot_count=2048)) == 2 * 2048 * 8
 
 
-def mult_add_chain(ctx, a_terms, b_terms):
-    """The he_mult / he_add chain that he_dot stands for."""
+def mult_add_chain(ctx, a, b, terms=None):
+    """The he_mult / he_add chain that he_dot stands for, term by term along axis 0."""
+    picks = range(a.slots.shape[0]) if terms is None else terms
     acc = None
-    for a, b in zip(a_terms, b_terms):
-        prod = ctx.he_mult(a, b)
+    for t, p in enumerate(picks):
+        prod = ctx.he_mult(a[p], b[t])
         acc = prod if acc is None else ctx.he_add(acc, prod)
     return acc
 
@@ -345,16 +366,17 @@ class TestStacks:
     def ctx(self, sigma=0.01, field=None):
         return HEContext(HEParams(slot_count=self.N, noise_stddev=sigma, seed=4), field=field)
 
-    def noisy_stack(self, ctx, keys, rng, shape):
-        # a product with a plaintext makes the variance per slot
+    def noisy_stack(self, ctx, keys, rng, shape, var_shape=None):
+        # a product with a plaintext makes the variance per slot, of the
+        # plaintext's shape: (N,) by default
         ct = ctx.encrypt_slots(rng.normal(size=shape + (self.N,)), keys.public)
-        return ctx.he_mult(ct, rng.normal(size=self.N))
+        return ctx.he_mult(ct, rng.normal(size=var_shape or (self.N,)))
 
-    def check_dot_equals_chain(self, ctx, a_terms, b_terms):
+    def check_dot_equals_chain(self, ctx, a, b, terms=None):
         before = ctx.meter.snapshot()
-        chain = mult_add_chain(ctx, a_terms, b_terms)
+        chain = mult_add_chain(ctx, a, b, terms)
         mid = ctx.meter.snapshot()
-        dot = ctx.he_dot(a_terms, b_terms)
+        dot = ctx.he_dot(a, b, terms=terms)
         assert same_ct(dot, chain)
         assert ctx.meter.delta(mid).as_dict() == mid.delta(before).as_dict()
         return dot
@@ -362,56 +384,134 @@ class TestStacks:
     def test_dot_c2c_float(self, keys):
         ctx = self.ctx()
         rng = np.random.default_rng(0)
-        a_terms = [self.noisy_stack(ctx, keys, rng, (2, 3)) for _ in range(4)]
-        b_terms = [self.noisy_stack(ctx, keys, rng, (3,)) for _ in range(4)]
-        dot = self.check_dot_equals_chain(ctx, a_terms, b_terms)
+        # every term its own per-slot variance on both sides
+        a = self.noisy_stack(ctx, keys, rng, (4, 2, 3), var_shape=(4, 1, 1, self.N))
+        b = self.noisy_stack(ctx, keys, rng, (4, 3), var_shape=(4, 1, self.N))
+        dot = self.check_dot_equals_chain(ctx, a, b)
         assert dot.slots.shape == (2, 3, self.N) and dot.count == 6
         before = ctx.meter.snapshot()
-        ctx.he_dot(a_terms, b_terms)
+        ctx.he_dot(a, b)
         assert ctx.meter.delta(before).hmult_c2c == 6 * 4
         assert ctx.meter.delta(before).hadd == 6 * 3
+
+    def test_dot_per_slot_variance_on_b_side_only(self, keys):
+        ctx = self.ctx()
+        rng = np.random.default_rng(6)
+        a = ctx.encrypt_slots(rng.normal(size=(3, 2, self.N)), keys.public)
+        b = self.noisy_stack(ctx, keys, rng, (3, 2), var_shape=(3, 2, self.N))
+        dot = self.check_dot_equals_chain(ctx, a, b)
+        assert np.shape(dot.var) == (2, self.N)
 
     @pytest.mark.parametrize("vector", [False, True])
     def test_dot_c2p_float(self, keys, vector):
         ctx = self.ctx()
         rng = np.random.default_rng(1)
-        a_terms = [self.noisy_stack(ctx, keys, rng, (3,)) for _ in range(5)]
-        b_terms = ([rng.normal(size=(3, self.N)) for _ in range(5)] if vector
-                   else [float(w) for w in rng.normal(size=5)])
-        self.check_dot_equals_chain(ctx, a_terms, b_terms)
+        a = self.noisy_stack(ctx, keys, rng, (5, 3))
+        b = (rng.normal(size=(5, 3, self.N)) if vector
+             else [float(w) for w in rng.normal(size=5)])
+        self.check_dot_equals_chain(ctx, a, b)
+
+    def test_dot_weight_vector(self, keys):
+        # a T-vector of scalar weights, on per-slot and on scalar variances
+        ctx = self.ctx()
+        rng = np.random.default_rng(11)
+        a = self.noisy_stack(ctx, keys, rng, (5, 3), var_shape=(5, 1, self.N))
+        self.check_dot_equals_chain(ctx, a, rng.normal(size=5))
+        fresh = ctx.encrypt_slots(rng.normal(size=(5, 3, self.N)), keys.public)
+        dot = self.check_dot_equals_chain(ctx, fresh, rng.normal(size=5))
+        assert np.ndim(dot.var) == 0
 
     def test_dot_scalar_variance_stays_scalar(self, keys):
         # fresh ciphertexts times scalar weights: the aggregation case
         ctx = self.ctx()
-        a_terms = [ctx.encrypt_slots(np.full((2, 3), float(t)), keys.public) for t in range(4)]
-        dot = self.check_dot_equals_chain(ctx, a_terms, [0.5, -1.25, 3.0, 0.125])
+        a = ctx.encrypt_slots(np.arange(4.0)[:, None, None] * np.ones((4, 2, 3)), keys.public)
+        dot = self.check_dot_equals_chain(ctx, a, [0.5, -1.25, 3.0, 0.125])
         assert np.ndim(dot.var) == 0
+
+    def test_dot_picks_terms_in_place(self, keys):
+        # the aggregation of a subset: some entries of the term axis, in order
+        ctx = self.ctx()
+        rng = np.random.default_rng(7)
+        a = self.noisy_stack(ctx, keys, rng, (5, 2), var_shape=(5, 2, self.N))
+        picks = [3, 0, 4]
+        self.check_dot_equals_chain(ctx, a, rng.normal(size=3), terms=picks)
+        self.check_dot_equals_chain(ctx, a, self.noisy_stack(ctx, keys, rng, (3, 2)), terms=picks)
+
+    @pytest.mark.parametrize("sigma", [0.01, 0.0])
+    def test_dot_squaring_broadcast_shapes(self, keys, sigma):
+        # the squaring kernel's products: model (T, 1, j, k, w) x batches (T, B, 1, k, w)
+        ctx = self.ctx(sigma=sigma)
+        rng = np.random.default_rng(8)
+        model = ctx.encrypt_slots(rng.normal(size=(4, 1, 3, 2, self.N)), keys.public)
+        batch = ctx.encrypt_slots(rng.normal(size=(4, 5, 1, 2, self.N)), keys.public)
+        dot = self.check_dot_equals_chain(ctx, model, batch)
+        assert dot.slots.shape == (5, 3, 2, self.N) and dot.count == 30
 
     def test_dot_without_noise_tracks_nothing(self, keys):
         ctx = self.ctx(sigma=0.0)
         rng = np.random.default_rng(2)
-        a_terms = [ctx.encrypt_slots(rng.normal(size=(2, self.N)), keys.public) for _ in range(3)]
-        b_terms = [ctx.encrypt_slots(rng.normal(size=self.N), keys.public), 2.5,
-                   rng.normal(size=self.N)]
-        dot = self.check_dot_equals_chain(ctx, a_terms, b_terms)
-        assert dot.var is None
+        a = ctx.encrypt_slots(rng.normal(size=(3, 2, self.N)), keys.public)
+        for b in (ctx.encrypt_slots(rng.normal(size=(3, self.N)), keys.public),
+                  [2.5, -1.0, 0.75], rng.normal(size=(3, self.N))):
+            dot = self.check_dot_equals_chain(ctx, a, b)
+            assert dot.var is None
 
     def test_dot_integer_slots(self, keys):
         ctx = self.ctx()
         rng = np.random.default_rng(3)
-        a_terms = [ctx.encrypt_int_slots(rng.integers(0, P, size=self.N, dtype=np.uint64),
-                                         keys.public) for _ in range(6)]
-        b_terms = [rng.integers(0, P, size=self.N, dtype=np.uint64) for _ in range(6)]
-        b_terms[0] = np.full(self.N, P - 1, dtype=np.uint64)
-        dot = self.check_dot_equals_chain(ctx, a_terms, b_terms)
-        want = sum(a.slots.astype(object) * b.astype(object) for a, b in zip(a_terms, b_terms))
+        a = ctx.encrypt_int_slots(rng.integers(0, P, size=(6, self.N), dtype=np.uint64),
+                                  keys.public)
+        b = rng.integers(0, P, size=(6, self.N), dtype=np.uint64)
+        b[0] = P - 1
+        dot = self.check_dot_equals_chain(ctx, a, b)
+        want = sum(a.slots[t].astype(object) * b[t].astype(object) for t in range(6))
+        assert dot.slots.tolist() == (want % P).tolist()
+        assert dot.var is None
+
+    def test_dot_integer_weights(self, keys):
+        ctx = self.ctx()
+        rng = np.random.default_rng(9)
+        a = ctx.encrypt_int_slots(rng.integers(0, P, size=(3, 2, self.N), dtype=np.uint64),
+                                  keys.public)
+        weights = [P - 1, 2, 0]
+        dot = self.check_dot_equals_chain(ctx, a, weights)
+        want = sum(a.slots[t].astype(object) * w for t, w in enumerate(weights))
         assert dot.slots.tolist() == (want % P).tolist()
 
     def test_dot_rejects_uneven_terms(self, keys):
         ctx = self.ctx()
-        a = ctx.encrypt_slots([1.0], keys.public)
-        with pytest.raises(BackendError):
-            ctx.he_dot([a, a], [1.0])
+        a = ctx.encrypt_slots(np.ones((2, 1)), keys.public)
+        with pytest.raises(BackendError, match="got 2 and 1"):
+            ctx.he_dot(a, [1.0])
+        with pytest.raises(BackendError, match="got 2 and 3"):
+            ctx.he_dot(a, ctx.encrypt_slots(np.ones((3, 1)), keys.public))
+        with pytest.raises(BackendError, match="got 1 and 2"):
+            ctx.he_dot(a, [1.0, 2.0], terms=[1])
+
+    def test_dot_rejects_empty_terms(self, keys):
+        ctx = self.ctx()
+        a = ctx.encrypt_slots(np.ones((2, 1)), keys.public)
+        with pytest.raises(BackendError, match="got 0 and 0"):
+            ctx.he_dot(a[:0], np.zeros((0, self.N)))
+        with pytest.raises(BackendError, match="got 0 and 0"):
+            ctx.he_dot(a, [], terms=[])
+
+    def test_dot_holds_no_stack_of_terms(self, keys):
+        # T = 16 noisy c2c products: the buffers are a few outputs' worth,
+        # where stacking every product at once would take 16
+        ctx = self.ctx()
+        rng = np.random.default_rng(10)
+        a = ctx.encrypt_slots(rng.normal(size=(16, 512, self.N)), keys.public)
+        b = ctx.encrypt_slots(rng.normal(size=(16, 512, self.N)), keys.public)
+        out_bytes = 512 * self.N * 8
+        tracemalloc.start()
+        try:
+            dot = ctx.he_dot(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dot.slots.nbytes == out_bytes and np.shape(dot.var) == (512, self.N)
+        assert peak < 6 * out_bytes
 
     @pytest.mark.parametrize("copies", [1, 2, 3, 4, 5, 7, 8, 15, 16, 22])
     @pytest.mark.parametrize("kind", ["exact", "scalar_var", "slot_var", "stack_var", "integer"])

@@ -202,9 +202,8 @@ class TestSquaringKernel:
         plans = [plan_squaring(d_out, d_in, b.shape[1], N) for b in batches]
         model = squaring_prepare_model(a, plans[0], ctx, KEYS.public)
         sides = [squaring_prepare_batch(b, plans[0], ctx, KEYS.public) for b in batches]
-        stacked = [ctx.encrypt_slots(np.stack([side.slots[o] for side in sides]), KEYS.public,
-                                     width=plans[0].live_width())
-                   for o in range(plans[0].d_out_block)]
+        stacked = ctx.encrypt_slots(np.stack([side.slots for side in sides], axis=1),
+                                    KEYS.public, width=plans[0].live_width())
 
         before = ctx.meter.snapshot()
         singles = [squaring_matmul(model, side, plans[0], ctx) for side in sides]
@@ -220,6 +219,22 @@ class TestSquaringKernel:
         got = squaring_decrypt_stack(bands[1], plans[0], ctx, KEYS.private)[:, :3]
         want = matmul_oracle(a, batches[1])
         assert np.allclose(got, want, atol=1e-4)
+
+    @pytest.mark.parametrize("shape", [(10, 64), (64, 100)])
+    def test_model_stack_equals_per_model_calls(self, shape):
+        # hesv uploads every client's layer as one [owner, o, j, k] stack
+        ctx = HEContext(HEParams())
+        rng = np.random.default_rng(shape[0])
+        plan = plan_squaring(*shape, 5, N)
+        models = rng.uniform(-1, 1, size=(3,) + shape)
+        before = ctx.meter.snapshot()
+        stack = squaring_prepare_model(models, plan, ctx, KEYS.public)
+        mid = ctx.meter.snapshot()
+        singles = [squaring_prepare_model(a, plan, ctx, KEYS.public) for a in models]
+        assert ctx.meter.delta(mid).as_dict() == mid.delta(before).as_dict()
+        assert stack.slots.shape == (3,) + singles[0].slots.shape
+        for p, single in enumerate(singles):
+            assert np.array_equal(stack.slots[p], single.slots)
 
     @pytest.mark.parametrize(
         "shape,m,blocks,width",
@@ -271,8 +286,7 @@ class TestSquaringKernel:
         draws = rng.standard_normal(batches * plan.j_blocks * plan.d_out_block * s)
 
         before = ctx.meter.snapshot()
-        terms = range(plan.d_out_block)
-        h = ctx.he_dot([model[o] for o in terms], [sides[o][..., None, :, :] for o in terms])
+        h = ctx.he_dot(model, sides[..., None, :, :])
         acc = rotate_add_chain(ctx, h, live * m, plan.copies())
         want = acc[..., 0, :]
         for k in range(1, plan.k_blocks):

@@ -132,6 +132,8 @@ class TestHelpers:
         m = real([[1, 2]])
         padded = pad_to(m, 2, 3)
         assert np.array_equal(padded, real([[1, 2, 0], [0, 0, 0]]))
+        stacked = pad_to(np.stack([m, 2 * m]), 2, 3)  # leading axes stay
+        assert np.array_equal(stacked, np.stack([padded, 2 * padded]))
         with pytest.raises(ShapeError):
             pad_to(m, 1, 1)
 

@@ -264,11 +264,9 @@ class TestSecsv:
             dtypes.update((a.slots.dtype, np.asarray(b).dtype, out.slots.dtype))
             return out
 
-        def spy_dot(self, a_terms, b_terms):
-            out = real_dot(self, a_terms, b_terms)
-            dtypes.update(a.slots.dtype for a in a_terms)
-            dtypes.update(np.asarray(b).dtype for b in b_terms)
-            dtypes.add(out.slots.dtype)
+        def spy_dot(self, a, b, terms=None):
+            out = real_dot(self, a, b, terms)
+            dtypes.update((a.slots.dtype, np.asarray(b).dtype, out.slots.dtype))
             return out
 
         real_prepare = protocols.reducing_prepare_model
