@@ -123,10 +123,10 @@ class ExperimentConfig:
                 errors.append(str(exc))
         if self.grid_bits < 1 or self.grid_bits > self.frac_bits:
             errors.append("grid_bits: must be in [1, frac_bits]")
-        products = secretsv_headroom_error(self.prime, self.frac_bits)
+        products = secretsv_headroom_error(self.frac_bits)
         if products:
             errors.append(products)
-        headroom = secsv_headroom_error(self.prime, self.frac_bits)
+        headroom = secsv_headroom_error(self.frac_bits)
         if "secsv" in self.protocols and headroom:
             errors.append(headroom)
         unbuildable = any(e.startswith(("architecture:", "hidden:", "features/")) for e in errors)

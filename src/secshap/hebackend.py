@@ -43,9 +43,8 @@ is
 Two slot domains exist.  Real payloads use float64 slots and carry
 noise.  Exact integer payloads (field elements from the secret-sharing
 layer) live modulo a plaintext modulus, as in an integer scheme such as
-BFV: the context's ``FieldParams`` prime.  Their slots hold elements of
-that field in the representation ``sharing.field_ops`` picks (uint64
-for the default prime), every product and sum is reduced mod p, and
+BFV: the prime p = 2**61 - 1 of ``sharing``.  Their slots hold uint64
+elements of that field, every product and sum is reduced mod p, and
 they are computed exactly, since sub-integer noise would be lost to
 rounding anyway.
 """
@@ -59,7 +58,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .sharing import FieldParams, field_ops
+from .sharing import M61
 
 __all__ = [
     "HEParams",
@@ -274,15 +273,13 @@ class HEContext:
     """Holds parameters, the meter, and the noise source for one run.
 
     All homomorphic operations go through a context so that metering is
-    exact and noise is reproducible from the seed.  ``field`` sets the
-    plaintext modulus of integer slots.
+    exact and noise is reproducible from the seed.  Integer slots live
+    modulo the field prime of ``sharing``.
     """
 
-    def __init__(self, params: HEParams, meter: CostMeter | None = None,
-                 field: FieldParams | None = None):
+    def __init__(self, params: HEParams, meter: CostMeter | None = None):
         self.params = params
         self.meter = meter if meter is not None else CostMeter()
-        self.ops = field_ops(field or FieldParams())  # arithmetic of integer slots
         self._noise_var = params.noise_stddev ** 2  # fresh noise added by each float op
         self._noise_rng = np.random.default_rng(params.seed)
         self.decrypt_log: list[str] = []  # actor names, for role audits
@@ -308,7 +305,7 @@ class HEContext:
         ``width`` is the number of slots stored, N by default; a caller
         that reads fewer slots back stores only those.
         """
-        arr = np.asarray(values, dtype=self.ops.dtype if integer else np.float64)
+        arr = np.asarray(values, dtype=np.uint64 if integer else np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1)
         size = arr.shape[-1]
@@ -430,7 +427,7 @@ class HEContext:
         """Entrywise sum."""
         other = self._operand(a, b)
         if a.slots.dtype != np.float64:
-            out = CipherVector(self.ops.reduce(a.slots + other), a.key_id)
+            out = CipherVector(M61.reduce(a.slots + other), a.key_id)
         else:
             var = _var(a) + _var(b) + self._noise_var if self._noise_var else None
             out = CipherVector(a.slots + other, a.key_id, var)
@@ -440,7 +437,7 @@ class HEContext:
     def he_mult(self, a: CipherVector, b: CipherVector | PlainOperand) -> CipherVector:
         other = self._operand(a, b)
         if a.slots.dtype != np.float64:
-            out = CipherVector(self.ops.mul(a.slots, other), a.key_id)
+            out = CipherVector(M61.mul(a.slots, other), a.key_id)
         else:
             var = self._product_var(a, b, other) if self._noise_var else None
             out = CipherVector(a.slots * other, a.key_id, var)
@@ -481,8 +478,8 @@ class HEContext:
         if a.slots.dtype != np.float64:
             acc = None
             for t, p in enumerate(picks):
-                prod = self.ops.mul(a.slots[p], other[t])
-                acc = prod if acc is None else self.ops.reduce(acc + prod)
+                prod = M61.mul(a.slots[p], other[t])
+                acc = prod if acc is None else M61.reduce(acc + prod)
             out = CipherVector(acc, a.key_id)
         else:
             out = self._float_dot(a, b, other, picks)
@@ -618,7 +615,7 @@ class HEContext:
 
         def add(x, var_x, y, var_y):
             # he_add of x and rot(y): rotation adds sigma^2, then the sum
-            total = self.ops.reduce(x + y) if integer else x + y
+            total = M61.reduce(x + y) if integer else x + y
             return total, None if var_x is None else (var_x + (var_y + noise)) + noise
 
         tree = 1 << (copies.bit_length() - 1)

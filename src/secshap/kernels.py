@@ -52,6 +52,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .hebackend import CipherVector, HEContext, PrivateKey, PublicKey
 from .matrix import pad_to, submatrix, transform
+from .sharing import M61
 
 __all__ = [
     "MatMulPlan",
@@ -399,13 +400,13 @@ def reducing_prepare_model(
     serves all batches up to the width; it stores those d_out * width
     slots only.  A float operand takes real slots; an operand of any
     integer dtype holds field elements and takes the context's exact
-    integer slots, mod its plaintext modulus.
+    integer slots, mod the field prime.
     """
     a = np.asarray(a)
     if a.shape != (plan.d_out, plan.d_in):
         raise PlanError(f"model shape {a.shape} does not match plan")
     width = plan.m if width is None else width
-    encrypt = ctx.encrypt_int_slots if a.dtype.kind in "iuO" else ctx.encrypt_slots
+    encrypt = ctx.encrypt_int_slots if a.dtype.kind in "iu" else ctx.encrypt_slots
     return encrypt(_reducing_model_views(a, width), key, width=plan.d_out * width)
 
 
@@ -428,7 +429,7 @@ def reducing_prepare_batch(
     if b.shape[0] != plan.d_in or b.shape[1] > plan.m:
         raise PlanError(f"batch shape {b.shape} does not match plan")
     width = plan.m if width is None else width
-    integer = b.dtype.kind in "iuO"
+    integer = b.dtype.kind in "iu"
     views = _reducing_batch_views(b, plan.d_out, width)
     slots = plan.d_out * width
     if encrypt:
@@ -474,14 +475,13 @@ def reducing_field_matmul(
     batches that gives a stack of ciphertexts.  Real operands keep
     ``reducing_matmul``, whose float sums depend on the order of terms.
     """
-    ops = ctx.ops
-    a = np.asarray(a, dtype=ops.dtype)
-    b = np.asarray(b, dtype=ops.dtype)
+    a = np.asarray(a, dtype=np.uint64)
+    b = np.asarray(b, dtype=np.uint64)
     if a.shape != (plan.d_out, plan.d_in) or b.shape[-2] != plan.d_in or b.shape[-1] > plan.m:
         raise PlanError(f"shapes {a.shape} x {b.shape} do not match plan")
     lead = b.shape[:-2]
-    out = np.zeros(lead + (plan.d_out, plan.m), dtype=ops.dtype)
-    out[..., : b.shape[-1]] = ops.matmul(a, b)
+    out = np.zeros(lead + (plan.d_out, plan.m), dtype=np.uint64)
+    out[..., : b.shape[-1]] = M61.matmul(a, b)
     return ctx.fold_int_slots(out.reshape(lead + (-1,)), key, terms=plan.d_in, copies=1,
                               width=plan.d_out * plan.m)
 

@@ -9,13 +9,12 @@ logged with its actor, so an audit can check that only clients did it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, lru_cache
 
 import numpy as np
 
 from .hebackend import CipherVector, CostMeter, HEParams, PrivateKey, PublicKey, ciphertext_bytes
-from .sharing import FieldParams, field_element_bytes
 
 __all__ = [
     "Party",
@@ -48,7 +47,7 @@ class Party:
     bytes_out: int = 0
 
 
-def payload_bytes(payload, he_params: HEParams, field: FieldParams | None = None) -> int:
+def payload_bytes(payload, he_params: HEParams) -> int:
     """Wire size of a payload, by type; a ciphertext stack sizes as its ciphertexts."""
     if payload is None:
         return 0
@@ -57,26 +56,22 @@ def payload_bytes(payload, he_params: HEParams, field: FieldParams | None = None
     if isinstance(payload, (PublicKey, PrivateKey)):
         return KEY_BYTES
     if isinstance(payload, np.ndarray):
-        # integer arrays are field elements: their wire size never depends on the dtype
-        if payload.dtype.kind in "iuO" and field is not None:
-            return payload.size * field_element_bytes(field)
-        return payload.size * payload.itemsize
+        return payload.nbytes
     if isinstance(payload, (int, float, np.integer, np.floating)):
         return 8
     if isinstance(payload, (list, tuple)):
-        return sum(payload_bytes(p, he_params, field) for p in payload)
+        return sum(payload_bytes(p, he_params) for p in payload)
     if isinstance(payload, dict):
-        return sum(payload_bytes(p, he_params, field) for p in payload.values())
+        return sum(payload_bytes(p, he_params) for p in payload.values())
     raise TypeError(f"cannot size payload of type {type(payload).__name__}")
 
 
 class Router:
     """Delivers payloads between registered parties and meters the bytes."""
 
-    def __init__(self, meter: CostMeter, he_params: HEParams, field: FieldParams | None = None):
+    def __init__(self, meter: CostMeter, he_params: HEParams):
         self.meter = meter
         self.he_params = he_params
-        self.field = field
         self.parties: dict[str, Party] = {}
 
     def register(self, party: Party) -> Party:
@@ -89,7 +84,7 @@ class Router:
         if sender not in self.parties or receiver not in self.parties:
             missing = sender if sender not in self.parties else receiver
             raise KeyError(f"unknown party {missing}")
-        nbytes = payload_bytes(payload, self.he_params, self.field)
+        nbytes = payload_bytes(payload, self.he_params)
         self.meter.record_bytes(sender, receiver, nbytes)
         self.parties[sender].bytes_out += nbytes
         self.parties[receiver].bytes_in += nbytes

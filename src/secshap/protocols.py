@@ -75,6 +75,8 @@ from .parties import (
 )
 from .report import ContributionReport, RoundReport
 from .sharing import (
+    DEFAULT_PRIME,
+    M61,
     FieldParams,
     SharePair,
     TripleSupply,
@@ -82,7 +84,6 @@ from .sharing import (
     decode_matrix,
     encode,
     encode_matrix,
-    field_ops,
     mask_rng,
     reconstruct_int,
     secretsv_headroom_error,
@@ -161,9 +162,9 @@ def _pooled_batches(owner_by_pos, ids_by_pos, positions, capacity, n_clients,
     return batches
 
 
-def _new_router(meter: CostMeter, he_params: HEParams, field, clients,
+def _new_router(meter: CostMeter, he_params: HEParams, clients,
                 two_servers: bool, with_dealer: bool = False) -> Router:
-    router = Router(meter, he_params, field)
+    router = Router(meter, he_params)
     router.register(Party(SERVER_P, "server"))
     if two_servers:
         router.register(Party(SERVER_A, "server"))
@@ -264,13 +265,13 @@ def run_nssv(
     total = sum(ds.size for ds in test_sets)
 
     setup_meter = CostMeter()
-    router = _new_router(setup_meter, HEParams(), None, clients, two_servers=False)
+    router = _new_router(setup_meter, HEParams(), clients, two_servers=False)
     for i, ds in enumerate(test_sets):
         router.send(client_name(i), SERVER_P, [ds.features, ds.labels])
 
     def eval_round(record: RoundModels):
         meter = CostMeter()
-        round_router = _new_router(meter, HEParams(), None, clients, two_servers=False)
+        round_router = _new_router(meter, HEParams(), clients, two_servers=False)
         for i in record.selected:
             round_router.send(client_name(i), SERVER_P, list(record.local_models[i].params))
         utilities = {
@@ -307,7 +308,7 @@ def run_hesv(
 
     setup_meter = CostMeter()
     setup_ctx = HEContext(replace(he_params, seed=_round_seed(seed, 0)), setup_meter)
-    router = _new_router(setup_meter, he_params, None, clients, two_servers=False)
+    router = _new_router(setup_meter, he_params, clients, two_servers=False)
 
     leader = int(np.random.default_rng(seed).integers(n))
     keys = _distribute_keys(router, f"hesv-{seed}", leader, clients, [SERVER_P])
@@ -345,7 +346,7 @@ def run_hesv(
     def eval_round(record: RoundModels):
         meter = CostMeter()
         ctx = HEContext(replace(he_params, seed=_round_seed(seed, record.round_index)), meter)
-        round_router = _new_router(meter, he_params, None, clients, two_servers=False)
+        round_router = _new_router(meter, he_params, clients, two_servers=False)
         actors: list[str] = []
         players = sorted(record.selected)
 
@@ -522,14 +523,14 @@ def _share_test_data(test_sets, field: FieldParams, router: Router, rng) -> _Sha
     )
 
 
-def _weighted_sum(ops, weights, arrays):
+def _weighted_sum(weights, arrays):
     """Sum of w * x mod p over encoded weights and equal-shape field arrays.
 
     One field product: the weight row times the stacked, flattened arrays.
     """
-    row = np.array([weights], dtype=ops.dtype)
+    row = np.array([weights], dtype=np.uint64)
     stacked = np.stack(arrays).reshape(len(arrays), -1)
-    return ops.matmul(row, stacked).reshape(arrays[0].shape)
+    return M61.matmul(row, stacked).reshape(arrays[0].shape)
 
 
 def _split_and_distribute(router, field, owner_name, secret: np.ndarray, rng):
@@ -546,12 +547,11 @@ def _shared_label_check(router, field, y_sh: SharePair, shared: _SharedData, col
     ``y_sh`` holds a stack (count, 1, cols) of predicted labels; returns
     the correct ids of each.
     """
-    ops = field_ops(field)
     p = field.prime
-    tilde_a = ops.reduce(y_sh.s_dprime[:, 0] + (p - shared.y_dprime[cols]))
+    tilde_a = M61.reduce(y_sh.s_dprime[:, 0] + (p - shared.y_dprime[cols]))
     for row in tilde_a:
         router.send(SERVER_A, SERVER_P, row)
-    diff = ops.reduce(y_sh.s_prime[:, 0] + (p - shared.y_prime[cols]) + tilde_a)
+    diff = M61.reduce(y_sh.s_prime[:, 0] + (p - shared.y_prime[cols]) + tilde_a)
     hits = np.abs(decode_matrix(diff, field, field.frac_bits)) < TOLERANCE
     return [set(itertools.compress(batch_ids, row)) for row in hits.tolist()]
 
@@ -630,13 +630,12 @@ def _two_server_round(record: RoundModels, shared: _SharedData, m_cap: int, n: i
         inputs = [(shared.x_prime[:, cols], shared.x_dprime[:, cols]) for _, cols in batches]
         sizes = [r * width for width in widths for r in rows]
         starts = list(itertools.accumulate(sizes, initial=0))
-        ops = field_ops(field)
         correct = []
         step = _chunk_size(arch, widths)
         for lo in range(0, len(subsets), step):
             chunk = subsets[lo:lo + step]
             models = aggregate(chunk, widths)
-            masks = ops.random_block(share_rng, len(chunk), sizes)
+            masks = M61.random_block(share_rng, len(chunk), sizes)
             found = [set() for _ in chunk]
             for b, (batch, cols) in enumerate(batches):
                 x = SharePair(*(np.broadcast_to(half, (len(chunk),) + half.shape)
@@ -678,15 +677,15 @@ def _two_server_round(record: RoundModels, shared: _SharedData, m_cap: int, n: i
 # -- SecSV ----------------------------------------------------------------------
 
 
-def secsv_headroom_error(prime: int, frac_bits: int) -> str | None:
-    """Why the field cannot carry SecSV's layer outputs, or None if it can.
+def secsv_headroom_error(frac_bits: int) -> str | None:
+    """Why ``frac_bits`` is too large for SecSV's layer outputs, or None.
 
     SecSV decodes at scale 3 * frac_bits (weight times parameter times
-    share), which needs 3 * frac_bits + 9 prime bits.
+    share), which needs 3 * frac_bits + 9 of the prime's 61 bits.
     """
-    if prime.bit_length() < 3 * frac_bits + 9:
+    if 3 * frac_bits + 9 > DEFAULT_PRIME.bit_length():
         return ("frac_bits: too large for secsv, which decodes at 3 * frac_bits "
-                "(needs 3 * frac_bits + 9 prime bits)")
+                "(needs 3 * frac_bits + 9 prime bits: frac_bits <= 17)")
     return None
 
 
@@ -724,7 +723,7 @@ def run_secsv(
     field = field_params or FieldParams()
     arch = _common_architecture(rounds)
     he_params = he_params or HEParams()
-    unfit = (secsv_headroom_error(field.prime, field.frac_bits)
+    unfit = (secsv_headroom_error(field.frac_bits)
              or secsv_slot_error(he_params.slot_count, arch))
     if unfit:
         raise ProtocolError(unfit)
@@ -740,13 +739,12 @@ def run_secsv(
         )
 
     setup_meter = CostMeter()
-    router = _new_router(setup_meter, he_params, field, clients, two_servers=True)
+    router = _new_router(setup_meter, he_params, clients, two_servers=True)
     leader = int(np.random.default_rng(seed).integers(n))
     keys = _distribute_keys(router, f"secsv-{seed}", leader, clients, [SERVER_P, SERVER_A])
 
     shared = _share_test_data(test_sets, field, router, mask_rng(f"secsv-{seed}-data"))
     total = shared.total
-    ops = field_ops(field)
 
     slot_count = he_params.slot_count
     m_cap = min(slot_count // spec.out_size for spec in arch)
@@ -758,9 +756,8 @@ def run_secsv(
 
     def eval_round(record: RoundModels):
         meter = CostMeter()
-        ctx = HEContext(replace(he_params, seed=_round_seed(seed, record.round_index)), meter,
-                        field)
-        round_router = _new_router(meter, he_params, field, clients, two_servers=True)
+        ctx = HEContext(replace(he_params, seed=_round_seed(seed, record.round_index)), meter)
+        round_router = _new_router(meter, he_params, clients, two_servers=True)
         model_enc: dict = {}
 
         def upload_model(owner_name, model, store_key):
@@ -799,7 +796,7 @@ def run_secsv(
                 members = [model_enc[i] for i in sorted(subset)]
             out = []
             for l in range(num_layers):
-                out.append(_weighted_sum(ops, w_enc, [enc[l] for enc in members]))
+                out.append(_weighted_sum(w_enc, [enc[l] for enc in members]))
                 ctx.charge_fold(plans[l].d_in, len(members), copies=2)
             agg_cache[subset] = out
             return out
@@ -858,7 +855,7 @@ def run_secretsv(
     depth.
     """
     field = field_params or FieldParams()
-    headroom = secretsv_headroom_error(field.prime, field.frac_bits)
+    headroom = secretsv_headroom_error(field.frac_bits)
     if headroom:
         raise ProtocolError(headroom)
     started = time.perf_counter()
@@ -869,18 +866,17 @@ def run_secretsv(
     num_layers = len(arch)
 
     setup_meter = CostMeter()
-    router = _new_router(setup_meter, HEParams(), field, clients,
+    router = _new_router(setup_meter, HEParams(), clients,
                          two_servers=True, with_dealer=True)
     leader = int(np.random.default_rng(seed).integers(n))
     shared = _share_test_data(test_sets, field, router, mask_rng(f"secretsv-{seed}-data"))
     total = shared.total
     m_cap = min(batch_capacity, total)
-    ops = field_ops(field)
     per_round_budget = None if triple_budget is None else triple_budget // len(rounds)
 
     def eval_round(record: RoundModels):
         meter = CostMeter()
-        round_router = _new_router(meter, HEParams(), field, clients,
+        round_router = _new_router(meter, HEParams(), clients,
                                    two_servers=True, with_dealer=True)
         share_rng = mask_rng(f"secretsv-{seed}-round-{record.round_index}")
         supply = TripleSupply(
@@ -918,7 +914,7 @@ def run_secretsv(
             subset takes the global model and a single member of weight 1
             its own shares, untruncated.
             """
-            weights = np.zeros((len(subsets), len(players)), dtype=ops.dtype)
+            weights = np.zeros((len(subsets), len(players)), dtype=np.uint64)
             own = {}  # row -> key of the model whose shares it takes unchanged
             for g, subset in enumerate(subsets):
                 w = record.weights_for(subset) if subset else {}
@@ -926,7 +922,7 @@ def run_secretsv(
                     weights[g, column[i]] = encode(w[i], field)
                 if not subset or list(w.values()) == [1.0]:
                     own[g] = min(subset, default="global")
-            agg = _truncate_shares(SharePair(*(ops.matmul(weights, members_flat[h])
+            agg = _truncate_shares(SharePair(*(M61.matmul(weights, members_flat[h])
                                                for h in (0, 1))), field)
             for g, key in own.items():
                 agg.s_prime[g], agg.s_dprime[g] = flat[key]

@@ -6,16 +6,15 @@ Multiplication of shared matrices uses dealer-provided Beaver triples
 followed by the usual local truncation, which can be off by one unit in
 the last fixed-point bit.
 
-Share arrays are uint64 for the default prime p = 2**61 - 1: masks and
-triples come from one ``Generator.integers`` block, sums reduce with the
-Mersenne fold (x & p) + (x >> 61) and one conditional subtraction, and
-a matrix product a @ b of any uint64 operands is one float64 matrix
-product that stays exact: b splits into four 16-bit limbs b_j through a
-``uint16`` view, and a @ b = sum_j (a * 2**(16 j) mod p) @ b_j, where
-each turned copy of a (a 61-bit rotation) splits into three 21-bit
-limbs, leaving two rotations to combine.  Every other prime keeps object
-arrays of Python ints, exact at any size.  ``field_ops`` is the one
-place that picks between the two.
+The field is Z_p for the Mersenne prime p = 2**61 - 1, and share arrays
+are uint64: masks and triples come from one ``Generator.integers``
+block, sums reduce with the Mersenne fold (x & p) + (x >> 61) and one
+conditional subtraction, and a matrix product a @ b of any uint64
+operands is one float64 matrix product that stays exact: b splits into
+four 16-bit limbs b_j through a ``uint16`` view, and
+a @ b = sum_j (a * 2**(16 j) mod p) @ b_j, where each turned copy of a
+(a 61-bit rotation) splits into three 21-bit limbs, leaving two
+rotations to combine.  ``M61`` holds that arithmetic.
 
 Products take leading stack axes: ``share_matmul`` multiplies a stack of
 shared matrices at once, each product with its own Beaver triple.
@@ -46,14 +45,13 @@ __all__ = [
     "encode",
     "encode_matrix",
     "decode_matrix",
-    "field_ops",
+    "M61",
     "mask_rng",
     "secretsv_headroom_error",
     "split_matrix",
     "split_masked",
     "reconstruct_int",
     "share_matmul",
-    "field_element_bytes",
 ]
 
 DEFAULT_PRIME = (1 << 61) - 1  # Mersenne prime, 61 bits
@@ -101,6 +99,8 @@ class FieldParams:
     def __post_init__(self):
         if not _is_probable_prime(self.prime):
             raise ValueError(f"prime: {self.prime} is not prime")
+        if self.prime != DEFAULT_PRIME:
+            raise ValueError("prime: only 2**61 - 1 is supported")
         if self.frac_bits < 0:
             raise ValueError(f"frac_bits: must be non-negative, got {self.frac_bits}")
 
@@ -113,31 +113,28 @@ class FieldParams:
         return float(1 << (self.bits - self.frac_bits - 2))
 
 
-def secretsv_headroom_error(prime: int, frac_bits: int) -> str | None:
-    """Why the field cannot carry one fixed-point product, or None if it can.
+def secretsv_headroom_error(frac_bits: int) -> str | None:
+    """Why ``frac_bits`` is too large for one fixed-point product, or None.
 
     A product of two values at scale frac_bits, before its truncation,
-    needs 2 * frac_bits + 9 prime bits; SecretSV makes one per layer, each
-    from a Beaver triple.
+    needs 2 * frac_bits + 9 of the prime's 61 bits; SecretSV makes one per
+    layer, each from a Beaver triple.
     """
-    if prime.bit_length() < 2 * frac_bits + 9:
-        return "prime: too small for frac_bits (products would wrap)"
+    if 2 * frac_bits + 9 > DEFAULT_PRIME.bit_length():
+        return ("frac_bits: too large for secretsv, whose products need 2 * frac_bits + 9 "
+                "prime bits (frac_bits <= 26)")
     return None
-
-
-def field_element_bytes(field: FieldParams) -> int:
-    return (field.bits + 7) // 8
 
 
 @dataclass(frozen=True)
 class SharePair:
     """Additive shares: s_prime at server P, s_dprime at server A.
 
-    Each half is an ndarray of field elements (dtype ``field_ops(field).dtype``).
+    Each half is a uint64 ndarray of field elements.
     """
 
-    s_prime: object
-    s_dprime: object
+    s_prime: np.ndarray
+    s_dprime: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -160,9 +157,16 @@ _MAX_INNER = 1 << 14  # 2^16 products of a 21-bit by a 16-bit limb sum below 2^5
 
 
 class _Mersenne61:
-    """uint64 arrays modulo p = 2**61 - 1, where 2**61 = 1 (mod p)."""
+    """uint64 arrays modulo p = 2**61 - 1, where 2**61 = 1 (mod p).
 
-    dtype = np.uint64
+    Ops: ``random(gen, shape)``, ``random_block(gen, count, sizes)``
+    (``count`` runs of draws in one block, as consecutive ``random``
+    calls), ``reduce`` (sums of canonical elements), ``mul``
+    (entrywise), ``matmul`` (any uint64 operands, reduced or not, over
+    leading stack axes), ``from_rounded`` (integer-valued floats) and
+    ``signed``.
+    """
+
     p = DEFAULT_PRIME
 
     def random(self, gen: np.random.Generator, shape) -> np.ndarray:
@@ -240,70 +244,7 @@ class _Mersenne61:
         return np.where(e > self.p // 2, e - self.p, e)
 
 
-class _PythonInts:
-    """Object arrays of Python ints modulo any prime."""
-
-    dtype = object
-
-    def __init__(self, prime: int):
-        self.p = prime
-        # 64 spare bits keep the bias of the final reduction below 2^-64
-        self._words = -(-(prime.bit_length() + 64) // 64)
-
-    def random(self, gen: np.random.Generator, shape) -> np.ndarray:
-        return self.random_block(gen, 1, [math.prod(shape)]).reshape(shape)
-
-    def random_block(self, gen: np.random.Generator, count: int, sizes) -> np.ndarray:
-        """``count`` runs of ``random(gen, size)`` for each size in turn, as one (count, sum) block.
-
-        One element is ``_words`` 64-bit words, most significant first;
-        a run draws its words word by word over the whole run.
-        """
-        words = self._words
-        raw = gen.integers(0, 1 << 64, size=(count, words * sum(sizes)), dtype=np.uint64)
-        out = np.empty((count, sum(sizes)), dtype=object)
-        at = 0
-        for size in sizes:
-            run = raw[:, words * at:words * (at + size)].reshape(count, words, size)
-            acc = np.zeros((count, size), dtype=object)
-            for w in range(words):
-                acc = (acc << 64) | run[:, w].astype(object)
-            out[:, at:at + size] = acc % self.p
-            at += size
-        return out
-
-    def reduce(self, x: np.ndarray) -> np.ndarray:
-        return x % self.p
-
-    def mul(self, a, b) -> np.ndarray:
-        return (a * b) % self.p
-
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.matmul(a, b) % self.p
-
-    def from_rounded(self, scaled: np.ndarray) -> np.ndarray:
-        ints = np.array([int(v) for v in scaled.reshape(-1)], dtype=object)
-        return ints.reshape(scaled.shape) % self.p
-
-    def signed(self, x) -> np.ndarray:
-        e = np.asarray(x, dtype=object) % self.p
-        return np.where(e > self.p // 2, e - self.p, e)
-
-
-_M61 = _Mersenne61()
-
-
-def field_ops(field: FieldParams):
-    """Array arithmetic of the field: uint64 for 2**61 - 1, Python ints otherwise.
-
-    Ops: ``random(gen, shape)``, ``random_block(gen, count, sizes)``
-    (``count`` runs of draws in one block, as consecutive ``random``
-    calls), ``reduce`` (sums of canonical elements), ``mul``
-    (entrywise), ``matmul`` (any uint64 operands, reduced or not, over
-    leading stack axes), ``from_rounded`` (integer-valued floats) and
-    ``signed``; ``dtype`` is the element dtype.
-    """
-    return _M61 if field.prime == DEFAULT_PRIME else _PythonInts(field.prime)
+M61 = _Mersenne61()
 
 
 def mask_rng(seed: int | str) -> np.random.Generator:
@@ -338,7 +279,7 @@ def encode_matrix(m: np.ndarray, field: FieldParams) -> np.ndarray:
     big = np.abs(data) >= bound
     if big.any():
         raise CodecError(f"|{data[big][0]}| exceeds codec range {bound}")
-    return field_ops(field).from_rounded(np.round(data * float(1 << field.frac_bits)))
+    return M61.from_rounded(np.round(data * float(1 << field.frac_bits)))
 
 
 def decode_matrix(raw, field: FieldParams, scale_bits: int) -> np.ndarray:
@@ -347,7 +288,7 @@ def decode_matrix(raw, field: FieldParams, scale_bits: int) -> np.ndarray:
     A signed representative past p/4 means an intermediate value wrapped
     the field; that raises instead of decoding to a wrong real.
     """
-    signed = field_ops(field).signed(raw)
+    signed = M61.signed(raw)
     if np.any(np.abs(signed) > field.prime // 4):
         raise CodecError("fixed-point overflow: intermediate value too large for the field")
     return np.asarray(signed / float(1 << scale_bits), dtype=np.float64)
@@ -369,12 +310,12 @@ def split_matrix(
         raise CodecError("split_matrix shares reals; share encoded field elements "
                          "with split_masked")
     enc = encode_matrix(m, field)
-    return split_masked(enc, field_ops(field).random(_generator(rng), enc.shape), field)
+    return split_masked(enc, M61.random(_generator(rng), enc.shape), field)
 
 
 def split_masked(enc: np.ndarray, mask: np.ndarray, field: FieldParams) -> SharePair:
     """Shares (mask, enc - mask) of field elements under masks already drawn."""
-    return SharePair(mask, field_ops(field).reduce(enc + (field.prime - mask)))
+    return SharePair(mask, M61.reduce(enc + (field.prime - mask)))
 
 
 def reconstruct_int(pair: SharePair, field: FieldParams):
@@ -403,7 +344,7 @@ class TripleSupply:
     """
 
     def __init__(self, field: FieldParams, budget: int | None = None, on_bytes=None):
-        headroom = secretsv_headroom_error(field.prime, field.frac_bits)
+        headroom = secretsv_headroom_error(field.frac_bits)
         if headroom:
             raise ValueError(headroom)
         self.field = field
@@ -430,18 +371,17 @@ class TripleSupply:
                         f"triple budget exhausted: need {cost}, have {self.budget - committed}"
                     )
                 committed += cost
-        ops = field_ops(self.field)
         # per product: u, v, then the masks of u, v and w
         parts = [part for a, b in shapes for part in (a, b, a, b, (a[0], b[1]))]
         sizes = [math.prod(part) for part in parts]
-        block = ops.random_block(self._rng, count, sizes)
+        block = M61.random_block(self._rng, count, sizes)
         starts = list(itertools.accumulate(sizes, initial=0))
         draws = [block[:, at:at + size].reshape((count,) + part)
                  for at, size, part in zip(starts, sizes, parts)]
         for j, (shapes_j, cost) in enumerate(zip(shapes, costs)):
             u, v, mask_u, mask_v, mask_w = draws[5 * j:5 * j + 5]
             triple = BeaverTriple(*(split_masked(x, mask, self.field) for x, mask in
-                                    ((u, mask_u), (v, mask_v), (ops.matmul(u, v), mask_w))))
+                                    ((u, mask_u), (v, mask_v), (M61.matmul(u, v), mask_w))))
             self._dealt.append(((count,) + shapes_j, triple))
             self._pending += count * cost
 
@@ -460,8 +400,7 @@ class TripleSupply:
         self._pending -= cost
         self.used += cost
         if self.on_bytes is not None:
-            elem = field_element_bytes(self.field)
-            per_server = sum(x.s_prime.size for x in (triple.u, triple.v, triple.w)) * elem
+            per_server = sum(x.s_prime.nbytes for x in (triple.u, triple.v, triple.w))
             self.on_bytes("server_p", per_server)
             self.on_bytes("server_a", per_server)
         if stacked:
@@ -498,26 +437,24 @@ def share_matmul(
     shape_b = b.s_prime.shape
     if shape_a[-1] != shape_b[-2]:
         raise ShapeError(f"cannot multiply shared {shape_a} by {shape_b}")
-    ops = field_ops(field)
     p = field.prime
     triple = supply.take(shape_a, shape_a[:-2] + shape_b[-2:])
     u, v, w = triple.u, triple.v, triple.w
 
     # each server masks its shares locally; the differences e = a - u and
     # f = b - v are opened, each summed with one reduction
-    e = ops.reduce(a.s_prime + a.s_dprime + (2 * p - u.s_prime - u.s_dprime))
-    f = ops.reduce(b.s_prime + b.s_dprime + (2 * p - v.s_prime - v.s_dprime))
+    e = M61.reduce(a.s_prime + a.s_dprime + (2 * p - u.s_prime - u.s_dprime))
+    f = M61.reduce(b.s_prime + b.s_dprime + (2 * p - v.s_prime - v.s_dprime))
     if meter is not None:
-        elem = field_element_bytes(field)
-        opened = (e.size + f.size) * elem
+        opened = e.nbytes + f.nbytes
         meter.record_bytes(parties[0], parties[1], opened)
         meter.record_bytes(parties[1], parties[0], opened)
 
     # z' = (e + u')@f + e@v' + w' at P and z'' = u''@f + e@v'' + w'' at A,
     # from two stacked products
     r, c = shape_a[-2], shape_b[-1]
-    by_f = ops.matmul(np.concatenate([e + u.s_prime, u.s_dprime], axis=-2), f)
-    by_e = ops.matmul(e, np.concatenate([v.s_prime, v.s_dprime], axis=-1))
-    z_prime = ops.reduce(by_f[..., :r, :] + by_e[..., :c] + w.s_prime)
-    z_dprime = ops.reduce(by_f[..., r:, :] + by_e[..., c:] + w.s_dprime)
+    by_f = M61.matmul(np.concatenate([e + u.s_prime, u.s_dprime], axis=-2), f)
+    by_e = M61.matmul(e, np.concatenate([v.s_prime, v.s_dprime], axis=-1))
+    z_prime = M61.reduce(by_f[..., :r, :] + by_e[..., :c] + w.s_prime)
+    z_dprime = M61.reduce(by_f[..., r:, :] + by_e[..., c:] + w.s_dprime)
     return _truncate_shares(SharePair(z_prime, z_dprime), field)

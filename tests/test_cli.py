@@ -76,6 +76,11 @@ class TestConfig:
         config = replace(ExperimentConfig(), prime=2**61 + 1)
         assert config.validate() == ["prime: 2305843009213693953 is not prime"]
 
+    def test_other_prime_rejected_under_prime(self):
+        # 2^89 - 1 is prime, but 2^61 - 1 is the one field
+        config = replace(ExperimentConfig(), prime=(1 << 89) - 1)
+        assert config.validate() == ["prime: only 2**61 - 1 is supported"]
+
     def test_negative_frac_bits_rejected_under_frac_bits(self):
         errors = replace(ExperimentConfig(), frac_bits=-1).validate()
         assert "frac_bits: must be non-negative, got -1" in errors
@@ -166,6 +171,13 @@ class TestCmdRun:
         config_path.write_text(json.dumps(tiny_config(prime=2**61 + 1)))
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "x")]) == 2
         assert "config error: prime:" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_other_prime_exits_2_before_any_work(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(tiny_config(prime=(1 << 89) - 1)))
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "x")]) == 2
+        assert "config error: prime: only 2**61 - 1 is supported" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_default_config_smoke(self, tmp_path):

@@ -14,7 +14,6 @@ from secshap.hebackend import (
     ciphertext_bytes,
     generate_keypair,
 )
-from secshap.sharing import FieldParams
 
 
 @pytest.fixture
@@ -43,7 +42,7 @@ class TestParams:
             HEParams(noise_stddev=bad)
 
 
-P = (1 << 61) - 1  # the default FieldParams prime: the plaintext modulus
+P = (1 << 61) - 1  # the field prime: the plaintext modulus of integer slots
 
 
 def decrypt_ints(ctx, ct, count, key):
@@ -96,14 +95,6 @@ class TestEncryptDecrypt:
         got = decrypt_ints(ctx, total, 5, keys.private)
         assert got.tolist() == [(a * b + a) % P for a, b in zip(elems, elems[::-1])]
 
-    def test_other_primes_keep_python_int_slots(self, keys):
-        wide = FieldParams(prime=(1 << 89) - 1)
-        ctx = HEContext(HEParams(slot_count=8), field=wide)
-        elems = [wide.prime - 1, 1 << 70, 3]
-        ct = ctx.he_mult(ctx.encrypt_int_slots(elems, keys.public), elems)
-        assert ct.slots.dtype == object
-        got = decrypt_ints(ctx, ct, 3, keys.private)
-        assert got.tolist() == [a * a % wide.prime for a in elems]
 
 class TestOps:
     def test_mult_by_ones_is_identity_and_metered_c2p(self, ctx, keys):
@@ -363,8 +354,8 @@ def same_ct(x, y):
 class TestStacks:
     N = 8
 
-    def ctx(self, sigma=0.01, field=None):
-        return HEContext(HEParams(slot_count=self.N, noise_stddev=sigma, seed=4), field=field)
+    def ctx(self, sigma=0.01):
+        return HEContext(HEParams(slot_count=self.N, noise_stddev=sigma, seed=4))
 
     def noisy_stack(self, ctx, keys, rng, shape, var_shape=None):
         # a product with a plaintext makes the variance per slot, of the

@@ -3,8 +3,8 @@
 - No module of the package imports a name it never uses.
   ``__init__.py`` is skipped (its imports are re-exports), and so is
   ``from __future__ import annotations``.
-- Only ``sharing.py`` names the object dtype: how a field element is
-  represented is decided behind ``sharing.field_ops`` and nowhere else.
+- No module names the object dtype, ``sharing.py`` included: a field
+  element is a uint64 in every module.
 - No public API whose only caller is its own unit test: every public
   function's name appears as a name in the package's code besides its
   own definition, and every public method's name appears as an
@@ -98,9 +98,9 @@ def test_scan_finds_object_dtypes():
     assert object_dtype_uses(source) == ["line 2", "line 3", "line 4", "line 5", "line 6"]
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "sharing.py"],
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_object_dtype_only_in_sharing(path):
+    """No module names the object dtype; the name is from when sharing.py was exempt."""
     assert object_dtype_uses(path.read_text()) == []
 
 

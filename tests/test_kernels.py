@@ -22,7 +22,7 @@ from secshap.kernels import (
     squaring_prepare_model,
 )
 from secshap.matrix import matmul_oracle, submatrix, transform
-from secshap.sharing import FieldParams, field_ops
+from secshap.sharing import M61
 
 TABLE_SHAPES = [(4, 300), (2, 48), (64, 256), (10, 64), (32, 64), (32, 32), (2, 32)]
 N = 2048
@@ -395,18 +395,19 @@ class TestReducingKernel:
         assert np.array_equal(got[:, :20], matmul_oracle(a, b))
 
     def test_integer_payload_is_exact(self):
-        # Python-int shares (object arrays) take the same field slots, mod p
+        # field elements held as int64 take the same exact field slots, mod p
         ctx = HEContext(HEParams(noise_stddev=1e-6))
         rng = np.random.default_rng(11)
         p = (1 << 61) - 1
-        a = np.array(rng.integers(0, p, size=(2, 4)), dtype=object)
-        b = np.array(rng.integers(0, p, size=(4, 6)), dtype=object)
+        a = rng.integers(0, p, size=(2, 4), dtype=np.int64)
+        b = rng.integers(0, p, size=(4, 6), dtype=np.int64)
         a[0, 0] = b[0, 0] = p - 1
         plan = plan_reducing(2, 4, 6, N)
         model = reducing_prepare_model(a, plan, ctx, KEYS.public)
         batch = reducing_prepare_batch(b, plan, ctx)
         ct = reducing_matmul(model, batch, plan, ctx)
-        want = (a @ b) % p
+        assert ct.slots.dtype == np.uint64
+        want = (a.astype(object) @ b.astype(object)) % p
         assert ct.slots[:12].reshape(2, 6).tolist() == want.tolist()
 
     def test_uint64_payload_is_exact(self):
@@ -430,18 +431,18 @@ class TestReducingFieldMatmul:
     """The one-product integer path against the views + he_dot kernel it replaces."""
 
     @staticmethod
-    def field_operand(rng, field, shape):
+    def field_operand(rng, shape):
         # random elements, with about a third each forced to 0 and p - 1
-        arr = field_ops(field).random(rng, shape)
+        arr = M61.random(rng, shape)
         pick = rng.integers(0, 3, size=shape)
         arr[pick == 1] = 0
-        arr[pick == 2] = field.prime - 1
+        arr[pick == 2] = M61.p - 1
         return arr
 
     @staticmethod
-    def check_equals_kernel(field, a, b, width, slot_count):
+    def check_equals_kernel(a, b, width, slot_count):
         d_out, d_in = a.shape
-        ctx = HEContext(HEParams(slot_count=slot_count), field=field)
+        ctx = HEContext(HEParams(slot_count=slot_count))
         plan = plan_reducing(d_out, d_in, width, slot_count)
         model = reducing_prepare_model(a, plan, ctx, KEYS.public, width=width)
         batch = reducing_prepare_batch(b, plan, ctx, width=width)
@@ -449,41 +450,38 @@ class TestReducingFieldMatmul:
         want = reducing_matmul(model, batch, plan, ctx)
         mid = ctx.meter.snapshot()
         got = reducing_field_matmul(a, b, plan, ctx, KEYS.public)
-        assert got.slots.dtype == want.slots.dtype == field_ops(field).dtype
+        assert got.slots.dtype == want.slots.dtype == np.uint64
         assert np.array_equal(got.slots, want.slots)
         assert got.key_id == want.key_id and got.var is None
         assert ctx.meter.delta(mid).as_dict() == mid.delta(before).as_dict()
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
-        prime=st.sampled_from([(1 << 61) - 1, (1 << 89) - 1]),
         d_out=st.integers(1, 6),
         d_in=st.integers(1, 12),
         data=st.data(),
     )
-    def test_equals_views_and_he_dot(self, prime, d_out, d_in, data):
+    def test_equals_views_and_he_dot(self, d_out, d_in, data):
         slot_count = 64
         width = data.draw(st.integers(2, slot_count // d_out), label="width")
         m = data.draw(st.integers(1, width - 1), label="m")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        field = FieldParams(prime)
-        a = self.field_operand(rng, field, (d_out, d_in))
-        b = self.field_operand(rng, field, (d_in, m))
-        self.check_equals_kernel(field, a, b, width, slot_count)
+        a = self.field_operand(rng, (d_out, d_in))
+        b = self.field_operand(rng, (d_in, m))
+        self.check_equals_kernel(a, b, width, slot_count)
 
     @pytest.mark.parametrize("fill", ["top", "random"])
     def test_inner_width_beyond_one_matmul_chunk(self, fill):
         # d_in > 2^14 splits the uint64 matmul into chunks
-        field = FieldParams()
         d_in = (1 << 14) + 5
         if fill == "top":
-            a = np.full((2, d_in), field.prime - 1, dtype=np.uint64)
-            b = np.full((d_in, 3), field.prime - 1, dtype=np.uint64)
+            a = np.full((2, d_in), M61.p - 1, dtype=np.uint64)
+            b = np.full((d_in, 3), M61.p - 1, dtype=np.uint64)
         else:
             rng = np.random.default_rng(13)
-            a = self.field_operand(rng, field, (2, d_in))
-            b = self.field_operand(rng, field, (d_in, 3))
-        self.check_equals_kernel(field, a, b, 5, 16)
+            a = self.field_operand(rng, (2, d_in))
+            b = self.field_operand(rng, (d_in, 3))
+        self.check_equals_kernel(a, b, 5, 16)
 
     def test_batch_wider_than_plan_rejected(self):
         ctx = HEContext(HEParams(slot_count=64))

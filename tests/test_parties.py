@@ -14,13 +14,11 @@ from secshap.parties import (
     payload_bytes,
     validate_assignment,
 )
-from secshap.sharing import FieldParams
 
 
 class TestPayloadBytes:
     def setup_method(self):
         self.he = HEParams(slot_count=2048)
-        self.field = FieldParams()
 
     def test_ciphertext_size(self):
         ctx = HEContext(self.he)
@@ -29,20 +27,13 @@ class TestPayloadBytes:
         assert payload_bytes(ct, self.he) == 2 * 2048 * 8
 
     def test_matrix_and_labels(self):
-        # a real matrix (float64) and a label vector (int64), 8 B per entry without a field
+        # a real matrix (float64) and a label vector (int64), 8 B per entry
         assert payload_bytes(np.zeros((3, 4)), self.he) == 96
         assert payload_bytes(np.array([1, 2, 3], dtype=np.int64), self.he) == 24
 
     def test_field_share_array(self):
-        arr = np.empty((2, 3), dtype=object)
-        arr[:, :] = 1
-        assert payload_bytes(arr, self.he, self.field) == 6 * 8  # 61-bit prime -> 8 bytes
         shares = np.ones((2, 3), dtype=np.uint64)
-        assert payload_bytes(shares, self.he, self.field) == 6 * 8
-        wide = FieldParams(prime=(1 << 89) - 1)
-        assert payload_bytes(arr, self.he, wide) == 6 * 12  # 89-bit prime -> 12 bytes
-        # the wire size follows the field, never the array dtype
-        assert payload_bytes(shares, self.he, wide) == 6 * 12
+        assert payload_bytes(shares, self.he) == 6 * 8  # one uint64 per 61-bit element
 
     def test_composites_and_scalars(self):
         keys = generate_keypair("pb2")

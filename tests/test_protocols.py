@@ -38,13 +38,13 @@ from secshap.protocols import (
 )
 from secshap.report import report_to_json
 from secshap.sharing import (
+    M61,
     FieldParams,
     SharePair,
     SupplyError,
     TripleSupply,
     _truncate_shares,
     encode,
-    field_ops,
     reconstruct_int,
     share_matmul,
     split_matrix,
@@ -252,8 +252,7 @@ class TestSecsv:
             assert all(a.startswith("client_") for a in report.decrypt_actors)
 
     def test_slots_hold_the_fields_representation(self, logistic_world, monkeypatch):
-        # default prime: uint64 from the shares into the HE slots; any
-        # other prime: Python ints, with tables still equal to nssv
+        # uint64 from the shares into the HE slots
         parts, history, _ = logistic_world
         dtypes = set()
         real_mult = HEContext.he_mult
@@ -290,17 +289,6 @@ class TestSecsv:
         monkeypatch.setattr(protocols, "reducing_field_matmul", spy_product)
         run_secsv(history, parts, HEParams(), FieldParams(), skip=True, seed=1)
         assert products and dtypes == {np.dtype(np.uint64)}
-        products.clear()
-
-        dtypes.clear()
-        deep_parts, deep_history = small_world(n=4, test_m=60, train_m=120, d=8, c=3,
-                                               arch=arch_mlp(8, 3, [6]), rounds=1, seed=3)
-        for world_parts, world_history in ((parts, history), (deep_parts, deep_history)):
-            truth = [r.utilities for r in run_nssv(world_history, world_parts).rounds]
-            wide = run_secsv(world_history, world_parts, HEParams(),
-                             FieldParams((1 << 89) - 1, 22), skip=False, seed=1)
-            assert [r.utilities for r in wide.rounds] == truth
-        assert products and dtypes == {np.dtype(object)}
 
     def test_headroom_checked_before_any_work(self, logistic_world, monkeypatch):
         # called without validate(): fail at entry, naming the field, with
@@ -413,7 +401,7 @@ class TestSecretsv:
             monkeypatch.setattr(protocols, name, lambda *a, _n=name, **k: calls.append(_n))
         with pytest.raises(ProtocolError) as err:
             run_secretsv(history, parts, FieldParams(frac_bits=27), seed=1)
-        assert str(err.value).startswith("prime:")
+        assert str(err.value).startswith("frac_bits:")
         assert str(err.value) == ExperimentConfig(frac_bits=27).validate()[0]
         assert calls == []
         assert all(m.as_dict() == CostMeter().as_dict() for m in meters)
@@ -445,10 +433,10 @@ class TestSecretsv:
                               {i: 10 for i in range(4)}, 12)]
         nssv = run_nssv(rounds, parts)
         errors = []
-        for prime, f in [((1 << 61) - 1, 16), ((1 << 89) - 1, 22), ((1 << 89) - 1, 30)]:
-            rep = run_secretsv(rounds, parts, FieldParams(prime, f), seed=2)
+        for f in (12, 16, 20, 24):
+            rep = run_secretsv(rounds, parts, FieldParams(frac_bits=f), seed=2)
             errors.append(fsv_error(rep.fsv, nssv.fsv))
-        assert errors[0] >= errors[1] >= errors[2]
+        assert errors[0] >= errors[1] >= errors[2] >= errors[3]
 
 
 def _secretsv_layer_oracle(history, parts, field, seed, batch_capacity):
@@ -460,11 +448,10 @@ def _secretsv_layer_oracle(history, parts, field, seed, batch_capacity):
     same order.  Returns (input share, output) pairs in that order.
     """
     n = len(parts)
-    router = protocols._new_router(CostMeter(), HEParams(), field, range(n),
+    router = protocols._new_router(CostMeter(), HEParams(), range(n),
                                    two_servers=True, with_dealer=True)
     shared = protocols._share_test_data(parts, field, router,
                                         protocols.mask_rng(f"secretsv-{seed}-data"))
-    ops = field_ops(field)
     positions = [shared.pos_of_id[s] for s in shared.ids_by_pos]
     batches = _pooled_batches(shared.owner_by_pos, shared.ids_by_pos, positions,
                               min(batch_capacity, shared.total), n)
@@ -485,7 +472,7 @@ def _secretsv_layer_oracle(history, parts, field, seed, batch_capacity):
             else:
                 w_enc = [encode(w[i], field) for i in sorted(subset)]
                 theta = [_truncate_shares(SharePair(*(
-                    _weighted_sum(ops, w_enc, [getattr(uploaded[i][l], half) for i in sorted(subset)])
+                    _weighted_sum(w_enc, [getattr(uploaded[i][l], half) for i in sorted(subset)])
                     for half in ("s_prime", "s_dprime"))), field) for l in range(model.depth)]
             for batch in batches:
                 cols = np.array(batch.columns)
@@ -494,7 +481,7 @@ def _secretsv_layer_oracle(history, parts, field, seed, batch_capacity):
                     out = share_matmul(theta[l], x, supply, field)
                     recon = reconstruct_int(out, field)
                     outputs.append((x.s_prime.tolist(), recon.tolist()))
-                    y = ops.signed(recon) / float(1 << field.frac_bits)
+                    y = M61.signed(recon) / float(1 << field.frac_bits)
                     if l < model.depth - 1:
                         act = apply_activation(model, l, y)
                         plain = np.vstack([act, np.ones((1, act.shape[1]))])
@@ -647,20 +634,19 @@ class TestDeterminismAndWorkers:
 
 
 class TestWeightedSum:
-    @pytest.mark.parametrize("prime", [(1 << 61) - 1, (1 << 89) - 1], ids=["m61", "m89"])
+    @pytest.mark.parametrize("prime", [(1 << 61) - 1], ids=["m61"])
     @pytest.mark.parametrize("terms", range(1, 9))
     def test_equals_entrywise_loop(self, prime, terms):
-        ops = field_ops(FieldParams(prime=prime))
         g = np.random.default_rng(terms)
-        weights = [int(w) for w in ops.random(g, (terms,))]
+        weights = [int(w) for w in M61.random(g, (terms,))]
         weights[0] = prime - 1
-        arrays = [ops.random(g, (3, 5)) for _ in range(terms)]
+        arrays = [M61.random(g, (3, 5)) for _ in range(terms)]
         arrays[-1][0] = prime - 1
         acc = 0
         for w, x in zip(weights, arrays):
-            acc = ops.reduce(acc + ops.mul(w, x))
-        got = _weighted_sum(ops, weights, arrays)
-        assert got.dtype == ops.dtype and got.shape == (3, 5)
+            acc = M61.reduce(acc + M61.mul(w, x))
+        got = _weighted_sum(weights, arrays)
+        assert got.dtype == np.uint64 and got.shape == (3, 5)
         assert got.tolist() == acc.tolist()
 
 

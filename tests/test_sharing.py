@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from secshap.matrix import ShapeError, matmul_oracle
 from secshap.sharing import (
+    M61,
     CodecError,
     FieldParams,
     SharePair,
@@ -17,8 +18,6 @@ from secshap.sharing import (
     decode_matrix,
     encode,
     encode_matrix,
-    field_element_bytes,
-    field_ops,
     reconstruct_int,
     secretsv_headroom_error,
     share_matmul,
@@ -37,20 +36,24 @@ def open_shares(pair, field=FIELD):
 class TestFieldParams:
     def test_default_prime_is_61_bits(self):
         assert FIELD.prime.bit_length() == 61
-        assert secretsv_headroom_error(FIELD.prime, FIELD.frac_bits) is None
+        assert secretsv_headroom_error(FIELD.frac_bits) is None
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             FieldParams(prime=2**61 - 3)
 
-    def test_small_field_allowed_but_not_for_products(self):
-        tiny = FieldParams(prime=7, frac_bits=0)
-        assert secretsv_headroom_error(tiny.prime, tiny.frac_bits).startswith("prime:")
-        with pytest.raises(ValueError, match="^prime:"):
-            TripleSupply(tiny)
-        # a product at f = 16 needs p > 2^40: the largest 40-bit prime is too small
-        assert secretsv_headroom_error(FieldParams(2**40 - 87).prime, 16) is not None
-        assert secretsv_headroom_error(FieldParams(2**40 + 15).prime, 16) is None
+    @pytest.mark.parametrize("prime", [7, (1 << 31) - 1, (1 << 89) - 1])
+    def test_rejects_other_primes(self, prime):
+        with pytest.raises(ValueError, match=r"^prime: only 2\*\*61 - 1 is supported$"):
+            FieldParams(prime=prime)
+
+    def test_product_headroom_names_frac_bits(self):
+        # a product needs 2 * frac_bits + 9 of the prime's 61 bits
+        assert secretsv_headroom_error(26) is None
+        assert secretsv_headroom_error(27).startswith("frac_bits:")
+        assert "frac_bits <= 26" in secretsv_headroom_error(27)
+        with pytest.raises(ValueError, match="^frac_bits:"):
+            TripleSupply(FieldParams(frac_bits=27))
 
 
 class TestCodec:
@@ -73,11 +76,11 @@ class TestCodec:
         with pytest.raises(CodecError):
             encode(float("nan"), FIELD)
 
-    @pytest.mark.parametrize("prime,frac_bits", [((1 << 61) - 1, 16), ((1 << 31) - 1, 8)])
+    @pytest.mark.parametrize("prime,frac_bits", [((1 << 61) - 1, 16)])
     def test_decode_guards_against_wraparound(self, prime, frac_bits):
         # |x| <= p/4 decodes, on both signs; one past it means a wrapped value
         field = FieldParams(prime, frac_bits)
-        dtype = field_ops(field).dtype
+        dtype = np.uint64
         edge = prime // 4
         inside = np.array([edge, prime - edge], dtype=dtype)
         got = decode_matrix(inside, field, frac_bits)
@@ -89,11 +92,11 @@ class TestCodec:
 
 class TestSplitReconstruct:
     def test_hand_example(self):
-        # pure field arithmetic: secret 5, mask 3 -> shares (3, 2)
-        tiny = FieldParams(prime=7, frac_bits=0)
-        pair = split_masked(np.array([5], dtype=object), np.array([3], dtype=object), tiny)
-        assert (pair.s_prime.tolist(), pair.s_dprime.tolist()) == ([3], [2])
-        assert reconstruct_int(pair, tiny).tolist() == [5]
+        # pure field arithmetic: secret 5, mask 3 -> shares (3, 2); mask 7 wraps
+        pair = split_masked(np.array([5, 5], dtype=np.uint64), np.array([3, 7], dtype=np.uint64),
+                            FIELD)
+        assert (pair.s_prime.tolist(), pair.s_dprime.tolist()) == ([3, 7], [2, FIELD.prime - 2])
+        assert reconstruct_int(pair, FIELD).tolist() == [5, 5]
 
     def test_zero_secret(self):
         pair = split_matrix(np.array([[0.0]]), FIELD, random.Random(1))
@@ -101,7 +104,7 @@ class TestSplitReconstruct:
 
     def test_exact_in_integer_field(self):
         values = [0, 1, FIELD.prime - 1, 123456789]
-        masks = field_ops(FIELD).random(np.random.default_rng(2), (len(values),))
+        masks = M61.random(np.random.default_rng(2), (len(values),))
         pair = split_masked(np.array(values, dtype=np.uint64), masks, FIELD)
         assert reconstruct_int(pair, FIELD).tolist() == values
 
@@ -120,7 +123,7 @@ class TestSplitReconstruct:
         # chi-square over 16 buckets for repeated splits of one secret
         trials = 8000
         secret = np.full(trials, encode(1.5, FIELD), dtype=np.uint64)
-        pair = split_masked(secret, field_ops(FIELD).random(np.random.default_rng(9), (trials,)),
+        pair = split_masked(secret, M61.random(np.random.default_rng(9), (trials,)),
                             FIELD)
         buckets = np.bincount([int(s) * 16 // FIELD.prime for s in pair.s_prime], minlength=16)
         expected = trials / 16
@@ -168,8 +171,7 @@ class TestShareMatmul:
         seen = {}
         supply = TripleSupply(FIELD, on_bytes=lambda who, n: seen.__setitem__(who, seen.get(who, 0) + n))
         supply.take((2, 3), (3, 2))
-        elem = field_element_bytes(FIELD)
-        expected = (6 + 6 + 4) * elem
+        expected = (6 + 6 + 4) * 8  # one uint64 per field element
         assert seen == {"server_p": expected, "server_a": expected}
 
     def test_truncation_error_grows_linearly_in_chain_length(self):
@@ -209,29 +211,26 @@ def _reference_share_matmul(a, b, triple, field):
 class TestShareMatmulShares:
     """Each server's output share, not only their sum, is pinned."""
 
-    @pytest.mark.parametrize("field", [FIELD, FieldParams(prime=(1 << 89) - 1, frac_bits=30,
-                                                          seed=5)], ids=["m61", "m89"])
+    @pytest.mark.parametrize("field", [FIELD], ids=["m61"])
     @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 49, 31), (3, 7, 1), (8, 49, 256)])
     @pytest.mark.parametrize("fill", ["random", "max"])
     def test_shares_match_reference(self, field, shape, fill):
         r, k, c = shape
-        ops = field_ops(field)
         g = np.random.default_rng(r * 1000 + k * 10 + c)
         shapes = [(r, k), (r, k), (k, c), (k, c)]
         if fill == "max":
-            halves = [np.full(s, field.prime - 1, dtype=ops.dtype) for s in shapes]
+            halves = [np.full(s, field.prime - 1, dtype=np.uint64) for s in shapes]
         else:
-            halves = [ops.random(g, s) for s in shapes]
+            halves = [M61.random(g, s) for s in shapes]
         a, b = SharePair(*halves[:2]), SharePair(*halves[2:])
         # a second supply with the same seed hands out the same triple
         out = share_matmul(a, b, TripleSupply(field), field)
         triple = TripleSupply(field).take((r, k), (k, c))
-        assert out.s_prime.dtype == out.s_dprime.dtype == ops.dtype
+        assert out.s_prime.dtype == out.s_dprime.dtype == np.uint64
         assert (out.s_prime.tolist(), out.s_dprime.tolist()) == \
             _reference_share_matmul(a, b, triple, field)
 
 
-M89 = FieldParams(prime=(1 << 89) - 1, frac_bits=30, seed=5)
 # the products one subset makes, batch by batch and layer by layer, in
 # secretsv's stock, wide and deep worlds, plus edge shapes
 EVALUATIONS = {
@@ -255,25 +254,20 @@ class TestStackedShareMatmul:
 
     @staticmethod
     def _operands(field, count, shapes, fill, shared_b):
-        ops = field_ops(field)
         g = np.random.default_rng(count * 100 + len(shapes))
 
         def pair(shape):
             if fill == "max":
-                return SharePair(*(np.full(shape, field.prime - 1, dtype=ops.dtype)
+                return SharePair(*(np.full(shape, field.prime - 1, dtype=np.uint64)
                                    for _ in range(2)))
-            return SharePair(ops.random(g, shape), ops.random(g, shape))
+            return SharePair(M61.random(g, shape), M61.random(g, shape))
 
         return [(pair((count,) + a), pair(b if shared_b else (count,) + b)) for a, b in shapes]
 
-    # Python-int products are slow, so the 89-bit field stacks 16 only on
-    # the narrower worlds; it covers r = 32 and c = 500 at 1 and 3
     @pytest.mark.parametrize("field,count,world", [
-        pytest.param(field, count, world, id=f"{name}-{count}-{world}")
-        for field, name in ((FIELD, "m61"), (M89, "m89"))
+        pytest.param(FIELD, count, world, id=f"m61-{count}-{world}")
         for count in (1, 3, 16)
         for world in sorted(EVALUATIONS)
-        if name == "m61" or count < 16 or world in ("edge", "wide")
     ])
     @pytest.mark.parametrize("fill", ["random", "max"])
     def test_equals_one_by_one(self, field, count, world, fill):
@@ -287,7 +281,7 @@ class TestStackedShareMatmul:
             for (a, b), out in zip(operands, outs):
                 b_g = b if b.s_prime.ndim == 2 else SharePair(b.s_prime[g], b.s_dprime[g])
                 one = share_matmul(SharePair(a.s_prime[g], a.s_dprime[g]), b_g, single, field)
-                assert out.s_prime.dtype == one.s_prime.dtype == field_ops(field).dtype
+                assert out.s_prime.dtype == one.s_prime.dtype == np.uint64
                 assert out.s_prime[g].tolist() == one.s_prime.tolist()
                 assert out.s_dprime[g].tolist() == one.s_dprime.tolist()
         assert stacked.used == single.used
@@ -295,8 +289,8 @@ class TestStackedShareMatmul:
 
     def test_undealt_stack_is_drawn_on_take(self):
         # a stacked take with nothing dealt draws its own stack, in the same order
-        a = SharePair(*(OPS61.random(np.random.default_rng(h), (3, 2, 5)) for h in (1, 2)))
-        b = SharePair(*(OPS61.random(np.random.default_rng(h), (3, 5, 4)) for h in (3, 4)))
+        a = SharePair(*(M61.random(np.random.default_rng(h), (3, 2, 5)) for h in (1, 2)))
+        b = SharePair(*(M61.random(np.random.default_rng(h), (3, 5, 4)) for h in (3, 4)))
         dealt, _ = _counting_supply(FIELD)
         dealt.deal(3, [((2, 5), (5, 4))])
         want = share_matmul(a, b, dealt, FIELD)
@@ -313,7 +307,7 @@ class TestStackedShareMatmul:
         supply.take((2, 2, 3), (2, 3, 4))
         assert supply.used == 2 * 2 * 3 * 4
 
-    @pytest.mark.parametrize("field", [FIELD, M89], ids=["m61", "m89"])
+    @pytest.mark.parametrize("field", [FIELD], ids=["m61"])
     def test_budget_fails_at_the_same_product(self, field):
         shapes = [((2, 5), (5, 7)), ((3, 4), (4, 2)), ((1, 5), (5, 7))]
         count = 3
@@ -344,20 +338,7 @@ class TestStackedShareMatmul:
         assert 0 < failures < len(budgets)
 
 
-class TestLargerField:
-    def test_89_bit_mersenne_supports_f30(self):
-        field = FieldParams(prime=(1 << 89) - 1, frac_bits=30, seed=5)
-        assert secretsv_headroom_error(field.prime, field.frac_bits) is None
-        rng = random.Random(5)
-        supply = TripleSupply(field)
-        a = split_matrix(np.array([[1.25, -0.5]]), field, rng)
-        b = split_matrix(np.array([[2.0], [4.0]]), field, rng)
-        out = share_matmul(a, b, supply, field)
-        assert abs(open_shares(out, field)[0, 0] - 0.5) <= 2**-28
-
-
 P61 = (1 << 61) - 1
-OPS61 = field_ops(FIELD)
 # edge values first, so every draw can hit 0 and p - 1
 ELEMENTS = st.one_of(st.sampled_from([0, 1, P61 - 1]), st.integers(0, P61 - 1))
 
@@ -389,7 +370,7 @@ class TestMersenne61Ops:
     @given(_matmul_operands())
     def test_matmul_matches_object_reference(self, operands):
         a, b = operands
-        got = OPS61.matmul(a, b)
+        got = M61.matmul(a, b)
         assert got.dtype == np.uint64
         assert got.tolist() == ((_objects(a) @ _objects(b)) % P61).tolist()
 
@@ -397,7 +378,7 @@ class TestMersenne61Ops:
     @given(_mul_operands())
     def test_entrywise_product_matches_object_reference(self, operands):
         a, b = operands
-        got = OPS61.mul(a, b)
+        got = M61.mul(a, b)
         assert got.dtype == np.uint64
         assert got.tolist() == ((_objects(a) * _objects(b)) % P61).tolist()
 
@@ -412,14 +393,14 @@ class TestMersenne61Ops:
             g = np.random.default_rng(21)
             a = g.integers(0, P61, size=(2, k), dtype=np.uint64)
             b = g.integers(0, P61, size=(k, 3), dtype=np.uint64)
-        assert OPS61.matmul(a, b).tolist() == ((_objects(a) @ _objects(b)) % P61).tolist()
+        assert M61.matmul(a, b).tolist() == ((_objects(a) @ _objects(b)) % P61).tolist()
 
     def test_reduce_edge_values(self):
         edges = [0, 1, P61 - 1, P61, P61 + 1, 2 * P61 - 1, 2 * P61, 1 << 63, (1 << 64) - 1]
         randoms = np.random.default_rng(22).integers(0, 1 << 64, size=500, dtype=np.uint64)
         x = np.concatenate([np.array(edges, dtype=np.uint64), randoms])
         before = x.copy()
-        got = OPS61.reduce(x)
+        got = M61.reduce(x)
         assert got.dtype == np.uint64
         assert got.tolist() == [v % P61 for v in x.tolist()]
         assert np.array_equal(x, before)  # the argument is left as it was
@@ -435,7 +416,7 @@ class TestMersenne61Ops:
             g = np.random.default_rng(23)
             a = g.integers(0, P61, size=(2, k), dtype=np.uint64)
             b = g.integers(0, P61, size=(k, 3), dtype=np.uint64)
-        assert OPS61.matmul(a, b).tolist() == ((_objects(a) @ _objects(b)) % P61).tolist()
+        assert M61.matmul(a, b).tolist() == ((_objects(a) @ _objects(b)) % P61).tolist()
 
     @pytest.mark.parametrize("k", [1 << 14, (1 << 14) + 5])
     @pytest.mark.parametrize("fill", ["max", "random"])
@@ -448,7 +429,7 @@ class TestMersenne61Ops:
             g = np.random.default_rng(k)
             a = g.integers(0, 1 << 64, size=(2, 2, k), dtype=np.uint64)
             b = g.integers(0, 1 << 64, size=(2, k, 3), dtype=np.uint64)
-        got = OPS61.matmul(a, b)
+        got = M61.matmul(a, b)
         assert got.shape == (2, 2, 3) and got.dtype == np.uint64
         for g in range(2):
             assert got[g].tolist() == ((_objects(a[g]) @ _objects(b[g])) % P61).tolist()
@@ -457,8 +438,8 @@ class TestMersenne61Ops:
         g = np.random.default_rng(25)
         a = g.integers(0, P61, size=(32, 49), dtype=np.uint64)
         b = g.integers(0, P61, size=(3, 49, 52), dtype=np.uint64)
-        got = OPS61.matmul(a, b)
-        assert [x.tolist() for x in got] == [OPS61.matmul(a, x).tolist() for x in b]
+        got = M61.matmul(a, b)
+        assert [x.tolist() for x in got] == [M61.matmul(a, x).tolist() for x in b]
         assert got[1].tolist() == ((_objects(a) @ _objects(b[1])) % P61).tolist()
 
     @pytest.mark.parametrize("shape", [
@@ -470,7 +451,7 @@ class TestMersenne61Ops:
         g = np.random.default_rng(r * 1000 + k * 10 + c)
         a = g.integers(0, P61, size=(r, k), dtype=np.uint64)
         b = g.integers(0, P61, size=(k, c), dtype=np.uint64)
-        got = OPS61.matmul(a, b)
+        got = M61.matmul(a, b)
         assert got.shape == (r, c) and got.dtype == np.uint64
         assert got.tolist() == ((_objects(a) @ _objects(b)) % P61).tolist()
 
@@ -482,15 +463,7 @@ class TestMersenne61Ops:
         b = g.integers(0, 1 << 63, size=(49, 5), dtype=np.uint64)
         a[:, :4] = edges
         b[:4, 0] = edges
-        assert OPS61.matmul(a, b).tolist() == ((_objects(a) @ _objects(b)) % P61).tolist()
-
-    def test_other_primes_keep_python_ints(self):
-        wide = FieldParams(prime=(1 << 89) - 1, frac_bits=30)
-        assert field_ops(FIELD).dtype == np.uint64
-        assert field_ops(wide).dtype == object
-        draws = field_ops(wide).random(np.random.default_rng(1), (64,))
-        assert all(0 <= int(v) < wide.prime for v in draws)
-        assert max(int(v) for v in draws).bit_length() > 64
+        assert M61.matmul(a, b).tolist() == ((_objects(a) @ _objects(b)) % P61).tolist()
 
 
 class TestDefaultFieldIsUint64:
