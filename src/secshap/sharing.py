@@ -11,10 +11,12 @@ are uint64: masks and triples come from one ``Generator.integers``
 block, sums reduce with the Mersenne fold (x & p) + (x >> 61) and one
 conditional subtraction, and a matrix product a @ b of any uint64
 operands is one float64 matrix product that stays exact: b splits into
-four 16-bit limbs b_j through a ``uint16`` view, and
-a @ b = sum_j (a * 2**(16 j) mod p) @ b_j, where each turned copy of a
-(a 61-bit rotation) splits into three 21-bit limbs, leaving two
-rotations to combine.  ``M61`` holds that arithmetic.
+two 32-bit halves b_j through a ``uint32`` view, and
+a @ b = sum_j (a * 2**(32 j) mod p) @ b_j, where each turned copy of a
+(a 61-bit rotation) splits into five 13-bit limbs; every coefficient
+stays below 2**53 up to an inner width of 2**7 (wider products sum
+chunks), and four rotations combine them.  ``M61`` holds that
+arithmetic.
 
 Products take leading stack axes: ``share_matmul`` multiplies a stack of
 shared matrices at once, each product with its own Beaver triple.
@@ -148,12 +150,12 @@ class BeaverTriple:
 
 # -- field arithmetic on arrays -----------------------------------------------
 
-_LIMB_BITS = 21
+_LIMB_BITS = 13
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
-_LIMB_SHIFTS = np.arange(0, 3 * _LIMB_BITS, _LIMB_BITS, dtype=np.uint64)[:, None, None, None]
-_TURNS = np.arange(0, 64, 16, dtype=np.uint64)[:, None]  # 2^(16 j), j = 0..3
-_FOLDS = np.array([21, 42], dtype=np.uint64)[:, None, None]  # 2^21, 2^42
-_MAX_INNER = 1 << 14  # 2^16 products of a 21-bit by a 16-bit limb sum below 2^53
+_LIMB_SHIFTS = np.arange(0, 5 * _LIMB_BITS, _LIMB_BITS, dtype=np.uint64)[:, None, None, None]
+_TURNS = np.array([0, 32], dtype=np.uint64)[:, None]  # 2^(32 j), j = 0, 1
+_FOLDS = _LIMB_SHIFTS[1:, :, :, 0]  # 2^13, 2^26, 2^39, 2^52
+_MAX_INNER = 1 << 7  # 2^8 products of a 13-bit limb by a 32-bit half sum below 2^53
 
 
 class _Mersenne61:
@@ -184,7 +186,10 @@ class _Mersenne61:
 
     def _rotate(self, x: np.ndarray, k) -> np.ndarray:
         """x * 2**k mod p for x < 2**61 and 0 <= k < 61: a 61-bit rotation (k may broadcast)."""
-        return ((x << k) & self.p) | (x >> (61 - k))
+        out = x << k
+        out &= self.p
+        out |= x >> (61 - k)
+        return out
 
     def mul(self, a, b) -> np.ndarray:
         """Entrywise product (broadcasting) from 32-bit halves."""
@@ -211,28 +216,29 @@ class _Mersenne61:
         return out
 
     def _matmul_chunk(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact product for inner width <= 2^14: one float64 matmul of limbs.
+        """Exact product for inner width <= 2^7: one float64 matmul of limbs.
 
-        ``b`` = sum_j b_j 2^(16 j) splits into four 16-bit limbs, read
-        through a little-endian ``uint16`` view with one ``astype``.
-        Then a @ b = sum_j a_j @ b_j, where a_j = a 2^(16 j) mod p is a
-        61-bit rotation of a, and a_j = sum_i a_ji 2^(21 i) splits into
-        three 21-bit limbs.  Row block i of [a_ji] (over columns j, then
+        ``b`` = b_0 + b_1 2^32 splits into two 32-bit halves, read through
+        a little-endian ``uint32`` view with one ``astype``.  Then
+        a @ b = a_0 @ b_0 + a_1 @ b_1, where a_j = a 2^(32 j) mod p is a
+        61-bit rotation of a, and a_j = sum_i a_ji 2^(13 i) splits into
+        five 13-bit limbs.  Row block i of [a_ji] (over columns j, then
         the inner index) times [b_j] stacked is the coefficient c_i of
-        2^(21 i), each below 4 * 2^14 * 2^37 = 2^53, leaving two
-        rotations.
+        2^(13 i), each below 2 * 2^7 * 2^13 * 2^32 = 2^53; four rotations
+        take them below 2^61, so their sum fits one reduction.
         """
         r, k = a.shape[-2:]
         c = b.shape[-1]
-        turned = self._rotate(self.reduce(a)[..., None, :], _TURNS)  # (..., r, 4, k)
+        turned = self._rotate(self.reduce(a)[..., None, :], _TURNS)  # (..., r, 2, k)
         limbs_a = ((turned[..., None, :, :, :] >> _LIMB_SHIFTS) & _LIMB_MASK).astype(np.float64)
-        limbs_b = np.ascontiguousarray(b, dtype="<u8").view("<u2").reshape(b.shape + (4,))
-        limbs_b = limbs_b.swapaxes(-1, -2).swapaxes(-2, -3).astype(np.float64, order="C")
-        coeff = np.matmul(limbs_a.reshape(a.shape[:-2] + (3 * r, 4 * k)),
-                          limbs_b.reshape(b.shape[:-2] + (4 * k, c))).astype(np.uint64)
-        coeff = coeff.reshape(coeff.shape[:-2] + (3, r, c))
-        high = self._rotate(coeff[..., 1:, :, :], _FOLDS)
-        return self.reduce(coeff[..., 0, :, :] + high[..., 0, :, :] + high[..., 1, :, :])
+        halves = np.ascontiguousarray(b, dtype="<u8").view("<u4").reshape(b.shape + (2,))
+        halves = halves.swapaxes(-1, -2).swapaxes(-2, -3).astype(np.float64, order="C")
+        coeff = np.matmul(limbs_a.reshape(a.shape[:-2] + (5 * r, 2 * k)),
+                          halves.reshape(b.shape[:-2] + (2 * k, c))).astype(np.uint64)
+        coeff = coeff.reshape(coeff.shape[:-2] + (5, r, c))
+        folded = self._rotate(coeff[..., 1:, :, :], _FOLDS).sum(axis=-3)
+        folded += coeff[..., 0, :, :]
+        return self.reduce(folded)
 
     def from_rounded(self, scaled: np.ndarray) -> np.ndarray:
         """Field elements of integer-valued floats below 2^63 in magnitude."""
@@ -319,7 +325,7 @@ def split_masked(enc: np.ndarray, mask: np.ndarray, field: FieldParams) -> Share
 
 
 def reconstruct_int(pair: SharePair, field: FieldParams):
-    return (pair.s_prime + pair.s_dprime) % field.prime
+    return M61.reduce(pair.s_prime + pair.s_dprime)
 
 
 # -- Beaver-triple matrix multiplication -----------------------------------
@@ -413,7 +419,7 @@ def _truncate_shares(pair: SharePair, field: FieldParams) -> SharePair:
     """Local truncation by 2**frac_bits after a product (off-by-one possible)."""
     p = field.prime
     shift = field.frac_bits
-    return SharePair(pair.s_prime >> shift, (p - ((p - pair.s_dprime) >> shift)) % p)
+    return SharePair(pair.s_prime >> shift, M61.reduce(p - ((p - pair.s_dprime) >> shift)))
 
 
 def share_matmul(

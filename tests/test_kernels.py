@@ -472,7 +472,7 @@ class TestReducingFieldMatmul:
 
     @pytest.mark.parametrize("fill", ["top", "random"])
     def test_inner_width_beyond_one_matmul_chunk(self, fill):
-        # d_in > 2^14 splits the uint64 matmul into chunks
+        # d_in = 2^14 + 5 spans 2^7 full chunks of the uint64 matmul's inner axis and a partial one
         d_in = (1 << 14) + 5
         if fill == "top":
             a = np.full((2, d_in), M61.p - 1, dtype=np.uint64)

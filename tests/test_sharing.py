@@ -15,6 +15,12 @@ from secshap.sharing import (
     SharePair,
     SupplyError,
     TripleSupply,
+    _LIMB_BITS,
+    _LIMB_MASK,
+    _LIMB_SHIFTS,
+    _MAX_INNER,
+    _TURNS,
+    _truncate_shares,
     decode_matrix,
     encode,
     encode_matrix,
@@ -113,6 +119,17 @@ class TestSplitReconstruct:
         # an integer array is already encoded: sharing it again as reals would be wrong
         with pytest.raises(CodecError, match="split_masked"):
             split_matrix(np.array([[1, 2]], dtype=dtype), FIELD, random.Random(2))
+
+    def test_reconstruct_and_truncate_at_the_share_edges(self):
+        # shares (p - 1, p - 1) sum to 2p - 2, and (0, 0) to 0
+        p, shift = FIELD.prime, FIELD.frac_bits
+        edges = np.array([p - 1, 0], dtype=np.uint64)
+        pair = SharePair(edges, edges.copy())
+        assert reconstruct_int(pair, FIELD).tolist() == [p - 2, 0]
+        cut = _truncate_shares(pair, FIELD)
+        assert cut.s_prime.tolist() == [(p - 1) >> shift, 0]
+        # p - 1 truncates to p - 0, which must come back as 0
+        assert cut.s_dprime.tolist() == [0, p - (p >> shift)]
 
     def test_matrix_round_trip(self):
         m = np.random.default_rng(3).uniform(-4, 4, size=(3, 5))
@@ -384,7 +401,7 @@ class TestMersenne61Ops:
 
     @pytest.mark.parametrize("fill", ["max", "random"])
     def test_matmul_beyond_one_chunk(self, fill):
-        # 2^11 + 3 inner terms: one float64 limb product would pass 2^53
+        # 2^11 + 3 inner terms: sixteen full chunks of the inner axis and a partial one
         k = (1 << 11) + 3
         if fill == "max":
             a = np.full((2, k), P61 - 1, dtype=np.uint64)
@@ -407,7 +424,7 @@ class TestMersenne61Ops:
 
     @pytest.mark.parametrize("fill", ["max", "random"])
     def test_matmul_at_one_full_chunk(self, fill):
-        # exactly 2^14 inner terms: the largest width one limb product covers
+        # 2^14 inner terms: 2^7 full chunks of the inner axis, summed
         k = 1 << 14
         if fill == "max":
             a = np.full((2, k), (1 << 63) - 1, dtype=np.uint64)
@@ -421,7 +438,7 @@ class TestMersenne61Ops:
     @pytest.mark.parametrize("k", [1 << 14, (1 << 14) + 5])
     @pytest.mark.parametrize("fill", ["max", "random"])
     def test_stacked_matmul_at_the_inner_width_limit(self, k, fill):
-        # 2^14 inner terms is one float64 product; wider splits the inner axis
+        # 2^14 inner terms fill whole chunks of the inner axis; 2^14 + 5 leaves a partial one
         if fill == "max":  # full limbs: p - 1 turns into 60 of 61 bits set
             a = np.full((2, 2, k), P61 - 1, dtype=np.uint64)
             b = np.full((2, k, 3), (1 << 64) - 1, dtype=np.uint64)
@@ -433,6 +450,40 @@ class TestMersenne61Ops:
         assert got.shape == (2, 2, 3) and got.dtype == np.uint64
         for g in range(2):
             assert got[g].tolist() == ((_objects(a[g]) @ _objects(b[g])) % P61).tolist()
+
+    @pytest.mark.parametrize("k", [_MAX_INNER, _MAX_INNER + 1])
+    @pytest.mark.parametrize("layout", ["plain", "stacked", "broadcast"])
+    @pytest.mark.parametrize("fill", ["max", "near_max"])
+    def test_matmul_at_the_chunk_edge_with_full_limbs(self, k, layout, fill):
+        # max: b = 2^64 - 1 fills both 32-bit halves, and a is 2^64 - 1 unreduced,
+        # with one row of p - 1; near_max takes a little off each, so that the sums
+        # carry more bits than a float64 holds should a chunk pass 2^53 (uniform
+        # fills sum exactly even then)
+        top = (1 << 64) - 1
+        shape_a, shape_b = {"plain": ((3, k), (k, 4)),
+                            "stacked": ((2, 3, k), (2, k, 4)),
+                            "broadcast": ((3, k), (2, k, 4))}[layout]
+        if fill == "max":
+            a = np.full(shape_a, top, dtype=np.uint64)
+            a[..., 1, :] = P61 - 1
+            b = np.full(shape_b, top, dtype=np.uint64)
+        else:
+            g = np.random.default_rng(k)
+            a = P61 - 1 - g.integers(0, 1 << 12, size=shape_a, dtype=np.uint64)
+            b = top - g.integers(0, 1 << 12, size=shape_b, dtype=np.uint64)
+        got = M61.matmul(a, b)
+        assert got.dtype == np.uint64
+        assert got.tolist() == ((_objects(a) @ _objects(b)) % P61).tolist()
+
+    def test_limb_constants_keep_the_float64_product_exact(self):
+        halves, limbs = len(_TURNS), len(_LIMB_SHIFTS)
+        assert halves * 32 == 64  # b's 32-bit halves cover every uint64
+        assert limbs * _LIMB_BITS >= 61  # a's limbs cover every residue
+        # a coefficient sums halves * _MAX_INNER products of a limb by a half,
+        # and float64 holds every integer below 2^53 exactly
+        assert halves * _MAX_INNER * _LIMB_MASK * (2**32 - 1) < 2**53
+        # the rotated coefficients, each below 2^61, sum without wrapping a uint64
+        assert limbs * 2**61 < 2**64
 
     def test_matmul_broadcasts_a_shared_operand(self):
         g = np.random.default_rng(25)
