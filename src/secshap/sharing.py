@@ -13,15 +13,15 @@ conditional subtraction, and a matrix product a @ b of any uint64
 operands is one float64 matrix product that stays exact: b splits into
 two 32-bit halves b_j through a ``uint32`` view, and
 a @ b = sum_j (a * 2**(32 j) mod p) @ b_j, where each turned copy of a
-(a 61-bit rotation) splits into five 13-bit limbs; every coefficient
-stays below 2**53 up to an inner width of 2**7 (wider products sum
-chunks), and four rotations combine them.  ``M61`` holds that
-arithmetic.
+splits into five 13-bit limbs; every coefficient stays below 2**53 up to
+an inner width of 2**7 (wider products add chunks), and rotations
+combine them.  ``M61`` holds that arithmetic.
 
 Products take leading stack axes: ``share_matmul`` multiplies a stack of
 shared matrices at once, each product with its own Beaver triple.
 ``TripleSupply.deal`` draws the triples of a stack of evaluations from
-one block, laid out as one-by-one ``take`` calls would draw them.
+one block, laid out as one-by-one ``take`` calls would draw them.  A
+supply's products and dealer take their temporaries from one reused buffer.
 """
 
 from __future__ import annotations
@@ -150,11 +150,40 @@ class BeaverTriple:
 
 # -- field arithmetic on arrays -----------------------------------------------
 
+
+class _Arena:
+    """Scratch arrays bumped off one buffer: ``alloc`` hands out the next piece (a
+    fresh array past the buffer's end), ``rewind(mark)`` gives back the pieces since
+    ``mark = arena.top``, and ``rewind(0)`` gives back all and grows the buffer to the
+    deepest top seen.  Nothing that leaves a product may be a piece."""
+
+    def __init__(self):
+        self._buf, self.top, self._deepest = np.empty(0, dtype=np.uint8), 0, 0
+
+    def alloc(self, shape: tuple, dtype=np.uint64) -> np.ndarray:
+        at = self.top
+        self.top = top = at + -(-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 64
+        if top <= self._buf.size:
+            return np.ndarray(shape, dtype, self._buf, at)
+        self._deepest = max(self._deepest, top)
+        return np.empty(shape, dtype)
+
+    def rewind(self, mark: int) -> None:
+        self.top = mark
+        if mark == 0 and self._buf.size < self._deepest:
+            self._buf = np.empty(self._deepest, dtype=np.uint8)
+
+
+class _Fresh:
+    """The arena of a one-off product: its pieces are fresh arrays, freed with their last view."""
+    top, alloc, rewind = 0, staticmethod(np.empty), staticmethod(lambda mark: None)
+
+
 _LIMB_BITS = 13
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 _LIMB_SHIFTS = np.arange(0, 5 * _LIMB_BITS, _LIMB_BITS, dtype=np.uint64)[:, None, None, None]
 _TURNS = np.array([0, 32], dtype=np.uint64)[:, None]  # 2^(32 j), j = 0, 1
-_FOLDS = _LIMB_SHIFTS[1:, :, :, 0]  # 2^13, 2^26, 2^39, 2^52
+_TURN_SHIFTS, _FOLD_SHIFTS = ((k, 61 - k) for k in (_TURNS, _LIMB_SHIFTS[..., 0]))  # (k, 61 - k)
 _MAX_INNER = 1 << 7  # 2^8 products of a 13-bit limb by a 32-bit half sum below 2^53
 
 
@@ -184,11 +213,21 @@ class _Mersenne61:
         # below p, x - p wraps above x, so the minimum is the residue
         return np.minimum(x, x - self.p, out=x)
 
-    def _rotate(self, x: np.ndarray, k) -> np.ndarray:
-        """x * 2**k mod p for x < 2**61 and 0 <= k < 61: a 61-bit rotation (k may broadcast)."""
-        out = x << k
+    def _reduce_into(self, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """``reduce`` of x written to ``out`` (which may be x); x and scratch are clobbered."""
+        np.right_shift(x, 61, out=scratch)
+        x &= self.p
+        x += scratch
+        np.subtract(x, self.p, out=scratch)
+        return np.minimum(x, scratch, out=out)
+
+    def _rotate(self, x: np.ndarray, k, back, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """((x << k) & p) + (x >> back), a residue of x 2^k below 2^61 + 2^(k + 3), into ``out``
+        (which may be x) for any uint64 x, 0 <= k < 61 and back = 61 - k (both may broadcast)."""
+        np.right_shift(x, back, out=scratch)
+        np.left_shift(x, k, out=out)
         out &= self.p
-        out |= x >> (61 - k)
+        out += scratch
         return out
 
     def mul(self, a, b) -> np.ndarray:
@@ -208,37 +247,56 @@ class _Mersenne61:
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Exact a @ b mod p of uint64 operands (any values), over any leading stack axes."""
-        k = a.shape[-1]
-        out = self._matmul_chunk(a[..., :_MAX_INNER], b[..., :_MAX_INNER, :])
-        for lo in range(_MAX_INNER, k, _MAX_INNER):
-            out = self.reduce(out + self._matmul_chunk(a[..., lo:lo + _MAX_INNER],
-                                                       b[..., lo:lo + _MAX_INNER, :]))
+        lead_a, lead_b = a.shape[:-2], b.shape[:-2]
+        lead = np.broadcast_shapes(lead_a, lead_b) if lead_a and lead_b else lead_a or lead_b
+        return self._matmul(a, b, np.empty(lead + (a.shape[-2], b.shape[-1]), np.uint64), _Fresh())
+
+    def _matmul(self, a: np.ndarray, b: np.ndarray, out: np.ndarray, arena: _Arena) -> np.ndarray:
+        """``matmul`` written to ``out``, its temporaries taken from ``arena``."""
+        self._matmul_chunk(a[..., :_MAX_INNER], b[..., :_MAX_INNER, :], out, arena)
+        if a.shape[-1] > _MAX_INNER:
+            mark, part = arena.top, arena.alloc(out.shape, np.uint64)
+            for lo in range(_MAX_INNER, a.shape[-1], _MAX_INNER):
+                self._matmul_chunk(a[..., lo:lo + _MAX_INNER], b[..., lo:lo + _MAX_INNER, :],
+                                   part, arena)
+                out += part
+                self._reduce_into(out, out, part)
+            arena.rewind(mark)
         return out
 
-    def _matmul_chunk(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact product for inner width <= 2^7: one float64 matmul of limbs.
+    def _matmul_chunk(self, a: np.ndarray, b: np.ndarray, out: np.ndarray, arena: _Arena) -> None:
+        """Exact product for inner width <= 2^7 into ``out``: one float64 matmul of limbs.
 
         ``b`` = b_0 + b_1 2^32 splits into two 32-bit halves, read through
-        a little-endian ``uint32`` view with one ``astype``.  Then
-        a @ b = a_0 @ b_0 + a_1 @ b_1, where a_j = a 2^(32 j) mod p is a
-        61-bit rotation of a, and a_j = sum_i a_ji 2^(13 i) splits into
-        five 13-bit limbs.  Row block i of [a_ji] (over columns j, then
-        the inner index) times [b_j] stacked is the coefficient c_i of
-        2^(13 i), each below 2 * 2^7 * 2^13 * 2^32 = 2^53; four rotations
-        take them below 2^61, so their sum fits one reduction.
+        a little-endian ``uint32`` view.  Then a @ b = a_0 @ b_0 + a_1 @ b_1
+        mod p, where a_j = ``_rotate(a, 32 j)`` < 2^62 is a residue of
+        a 2^(32 j), and a_j = sum_i a_ji 2^(13 i) splits into five 13-bit
+        limbs.  Row block i of [a_ji] (over columns j, then the inner index)
+        times [b_j] stacked is the coefficient c_i of 2^(13 i), each below
+        2 * 2^7 * 2^13 * 2^32 = 2^53; rotations by 13 i take them below
+        2^61, so their sum fits one reduction.  Temporaries come from ``arena``.
         """
-        r, k = a.shape[-2:]
-        c = b.shape[-1]
-        turned = self._rotate(self.reduce(a)[..., None, :], _TURNS)  # (..., r, 2, k)
-        limbs_a = ((turned[..., None, :, :, :] >> _LIMB_SHIFTS) & _LIMB_MASK).astype(np.float64)
-        halves = np.ascontiguousarray(b, dtype="<u8").view("<u4").reshape(b.shape + (2,))
-        halves = halves.swapaxes(-1, -2).swapaxes(-2, -3).astype(np.float64, order="C")
-        coeff = np.matmul(limbs_a.reshape(a.shape[:-2] + (5 * r, 2 * k)),
-                          halves.reshape(b.shape[:-2] + (2 * k, c))).astype(np.uint64)
-        coeff = coeff.reshape(coeff.shape[:-2] + (5, r, c))
-        folded = self._rotate(coeff[..., 1:, :, :], _FOLDS).sum(axis=-3)
-        folded += coeff[..., 0, :, :]
-        return self.reduce(folded)
+        (r, k), c = a.shape[-2:], b.shape[-1]
+        mark, product = arena.top, arena.alloc(out.shape[:-2] + (5 * r, c), np.float64)
+        limbs = arena.alloc(a.shape[:-2] + (5 * r, 2 * k), np.float64)
+        temps, (turned, scratch) = arena.top, arena.alloc((2,) + a.shape[:-1] + (2, k), np.uint64)
+        self._rotate(a[..., None, :], *_TURN_SHIFTS, turned, scratch)  # (..., r, 2, k)
+        shifted = arena.alloc(a.shape[:-2] + (5, r, 2, k), np.uint16)  # low 16 bits of each shift
+        np.right_shift(turned[..., None, :, :, :], _LIMB_SHIFTS, out=shifted, casting="unsafe")
+        shifted &= _LIMB_MASK
+        np.copyto(limbs, shifted.reshape(limbs.shape))
+        arena.rewind(temps)
+        b = b if b.strides[-1] == 8 and b.dtype.str == "<u8" else np.ascontiguousarray(b, "<u8")
+        halves = arena.alloc(b.shape[:-2] + (2, k, c), np.float64)
+        np.copyto(halves, b.view("<u4").reshape(b.shape + (2,)).swapaxes(-1, -2).swapaxes(-2, -3))
+        np.matmul(limbs, halves.reshape(b.shape[:-2] + (2 * k, c)), out=product)
+        coeff = arena.alloc(out.shape[:-2] + (5, r, c), np.uint64)
+        np.copyto(coeff.reshape(product.shape), product, casting="unsafe")
+        scratch = product.view(np.uint64).reshape(coeff.shape)
+        self._rotate(coeff, *_FOLD_SHIFTS, coeff, scratch)
+        np.add.reduce(coeff, axis=-3, out=out)
+        self._reduce_into(out, out, scratch[..., 0, :, :])
+        arena.rewind(mark)
 
     def from_rounded(self, scaled: np.ndarray) -> np.ndarray:
         """Field elements of integer-valued floats below 2^63 in magnitude."""
@@ -345,8 +403,8 @@ class TripleSupply:
     v, then the masks of u, v and w.  ``deal(count, shapes)`` draws
     ahead, from one block, the triples of ``count`` evaluations that each
     make the products ``shapes``, laid out as one-by-one takes would draw
-    them; stacked takes then hand them out product by product.  A budget
-    fails where one-by-one takes would, with the same ``used``.
+    them; stacked takes then form them in the block, product by product.
+    A budget fails where one-by-one takes would, with the same ``used``.
     """
 
     def __init__(self, field: FieldParams, budget: int | None = None, on_bytes=None):
@@ -358,7 +416,8 @@ class TripleSupply:
         self.used = 0
         self.on_bytes = on_bytes
         self._rng = mask_rng(field.seed ^ 0x5EED)
-        self._dealt: deque = deque()  # ((count, shape_a, shape_b), triple), in take order
+        self._arena = _Arena()  # scratch of the dealer and of share_matmul
+        self._dealt: deque = deque()  # ((count, shape_a, shape_b), draws), in take order
         self._pending = 0  # cost of the dealt triples not yet taken
 
     def deal(self, count: int, shapes) -> None:
@@ -384,12 +443,8 @@ class TripleSupply:
         starts = list(itertools.accumulate(sizes, initial=0))
         draws = [block[:, at:at + size].reshape((count,) + part)
                  for at, size, part in zip(starts, sizes, parts)]
-        for j, (shapes_j, cost) in enumerate(zip(shapes, costs)):
-            u, v, mask_u, mask_v, mask_w = draws[5 * j:5 * j + 5]
-            triple = BeaverTriple(*(split_masked(x, mask, self.field) for x, mask in
-                                    ((u, mask_u), (v, mask_v), (M61.matmul(u, v), mask_w))))
-            self._dealt.append(((count,) + shapes_j, triple))
-            self._pending += count * cost
+        self._dealt.extend(((count,) + s, draws[5 * j:5 * j + 5]) for j, s in enumerate(shapes))
+        self._pending += count * sum(costs)
 
     def take(self, shape_a: tuple, shape_b: tuple) -> BeaverTriple:
         stacked = len(shape_a) == 3
@@ -401,18 +456,25 @@ class TripleSupply:
             self.deal(count, [key[1:]])
         if self._dealt[0][0] != key:
             raise ShapeError(f"next dealt triple is for {self._dealt[0][0]}, not {key}")
-        _, triple = self._dealt.popleft()
+        _, (u, v, mask_u, mask_v, mask_w) = self._dealt.popleft()
         cost = count * key[1][0] * key[1][1] * key[2][1]
         self._pending -= cost
         self.used += cost
         if self.on_bytes is not None:
-            per_server = sum(x.s_prime.nbytes for x in (triple.u, triple.v, triple.w))
+            per_server = mask_u.nbytes + mask_v.nbytes + mask_w.nbytes
             self.on_bytes("server_p", per_server)
             self.on_bytes("server_a", per_server)
-        if stacked:
-            return triple
-        return BeaverTriple(*(SharePair(x.s_prime[0], x.s_dprime[0])
-                              for x in (triple.u, triple.v, triple.w)))
+        # w = u @ v goes to a fresh w''; u'' and v'' overwrite u and v in the block
+        pairs = [SharePair(mask_u, u), SharePair(mask_v, v), split_masked(
+            M61._matmul(u, v, self._arena.alloc(mask_w.shape), self._arena), mask_w, self.field)]
+        for x, mask in ((u, mask_u), (v, mask_v)):
+            x, mask = x.reshape(count, -1), mask.reshape(count, -1)  # rows numpy updates in place
+            x -= mask
+            x += self.field.prime
+            M61._reduce_into(x, x, self._arena.alloc(x.shape))
+        self._arena.rewind(0)
+        return BeaverTriple(*(pairs if stacked else
+                              (SharePair(x.s_prime[0], x.s_dprime[0]) for x in pairs)))
 
 
 def _truncate_shares(pair: SharePair, field: FieldParams) -> SharePair:
@@ -420,6 +482,18 @@ def _truncate_shares(pair: SharePair, field: FieldParams) -> SharePair:
     p = field.prime
     shift = field.frac_bits
     return SharePair(pair.s_prime >> shift, M61.reduce(p - ((p - pair.s_dprime) >> shift)))
+
+
+def _opened(x: SharePair, mask: SharePair, out: np.ndarray, arena: _Arena) -> np.ndarray:
+    """x - mask from both servers' shares, x' + x'' + 2p - m' - m'' in one reduction, to ``out``."""
+    mark, total, scratch = arena.top, arena.alloc(out.shape), arena.alloc(out.shape)
+    np.add(x.s_prime, x.s_dprime, out=total)
+    np.subtract(2 * M61.p, mask.s_prime, out=scratch)
+    scratch -= mask.s_dprime
+    total += scratch
+    M61._reduce_into(total, out, scratch)
+    arena.rewind(mark)
+    return out
 
 
 def share_matmul(
@@ -436,31 +510,37 @@ def share_matmul(
     a stack (count, k, c), or one (k, c) matrix every product shares.
     Each product uses its own triple, taken as one stack.  Both servers
     open masked differences (metered as exchanged bytes when ``meter``
-    is given) and combine them with their triple shares.  The result is
-    shared at the codec scale again.
+    is given) and combine them with their triple shares, with the
+    temporaries in the supply's arena.  The result is shared at the codec
+    scale again.
     """
     shape_a = a.s_prime.shape
     shape_b = b.s_prime.shape
     if shape_a[-1] != shape_b[-2]:
         raise ShapeError(f"cannot multiply shared {shape_a} by {shape_b}")
-    p = field.prime
     triple = supply.take(shape_a, shape_a[:-2] + shape_b[-2:])
     u, v, w = triple.u, triple.v, triple.w
+    arena, (r, k), c, lead = supply._arena, shape_a[-2:], shape_b[-1], u.s_prime.shape[:-2]
+    # z' = [e + u' | e] @ [f ; v'] + w' at P and z'' = [u'' | e] @ [f ; v''] + w'' at A,
+    # each one product over both halves of its inner axis
+    left, right = arena.alloc(lead + (r, 2 * k)), arena.alloc(lead + (2 * k, c))
 
     # each server masks its shares locally; the differences e = a - u and
-    # f = b - v are opened, each summed with one reduction
-    e = M61.reduce(a.s_prime + a.s_dprime + (2 * p - u.s_prime - u.s_dprime))
-    f = M61.reduce(b.s_prime + b.s_dprime + (2 * p - v.s_prime - v.s_dprime))
+    # f = b - v are opened
+    e = _opened(a, u, left[..., k:], arena)
+    f = _opened(b, v, right[..., :k, :], arena)
     if meter is not None:
         opened = e.nbytes + f.nbytes
         meter.record_bytes(parties[0], parties[1], opened)
         meter.record_bytes(parties[1], parties[0], opened)
 
-    # z' = (e + u')@f + e@v' + w' at P and z'' = u''@f + e@v'' + w'' at A,
-    # from two stacked products
-    r, c = shape_a[-2], shape_b[-1]
-    by_f = M61.matmul(np.concatenate([e + u.s_prime, u.s_dprime], axis=-2), f)
-    by_e = M61.matmul(e, np.concatenate([v.s_prime, v.s_dprime], axis=-1))
-    z_prime = M61.reduce(by_f[..., :r, :] + by_e[..., :c] + w.s_prime)
-    z_dprime = M61.reduce(by_f[..., r:, :] + by_e[..., c:] + w.s_dprime)
-    return _truncate_shares(SharePair(z_prime, z_dprime), field)
+    z = []
+    for u_j, v_j, w_j in ((np.add(e, u.s_prime, out=arena.alloc(e.shape)), v.s_prime, w.s_prime),
+                          (u.s_dprime, v.s_dprime, w.s_dprime)):
+        left[..., :k], right[..., k:, :] = u_j, v_j
+        half = M61._matmul(left, right, arena.alloc(lead + (r, c)), arena)
+        half += w_j
+        z.append(M61._reduce_into(half, half, arena.alloc(half.shape)))
+    out = _truncate_shares(SharePair(*z), field)
+    arena.rewind(0)
+    return out

@@ -626,6 +626,14 @@ class TestDeterminismAndWorkers:
                                             FieldParams(), skip=True, seed=9, workers=4))
         assert base == threaded
 
+    def test_secretsv_reports_identical_across_worker_counts(self, logistic_world):
+        # each round draws its own triples and keeps its own scratch arena
+        parts, history, _ = logistic_world
+        assert len(history) >= 2
+        base = report_to_json(run_secretsv(history, parts, FieldParams(), seed=9, workers=1))
+        threaded = report_to_json(run_secretsv(history, parts, FieldParams(), seed=9, workers=4))
+        assert base == threaded
+
     def test_same_seed_same_report(self, logistic_world):
         parts, history, _ = logistic_world
         a = report_to_json(run_hesv(history, parts, HEParams(noise_stddev=1e-9), seed=5))

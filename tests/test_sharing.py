@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from secshap.matrix import ShapeError, matmul_oracle
 from secshap.sharing import (
     M61,
+    BeaverTriple,
     CodecError,
     FieldParams,
     SharePair,
@@ -20,6 +22,7 @@ from secshap.sharing import (
     _LIMB_SHIFTS,
     _MAX_INNER,
     _TURNS,
+    _Arena,
     _truncate_shares,
     decode_matrix,
     encode,
@@ -515,6 +518,95 @@ class TestMersenne61Ops:
         a[:, :4] = edges
         b[:4, 0] = edges
         assert M61.matmul(a, b).tolist() == ((_objects(a) @ _objects(b)) % P61).tolist()
+
+
+class TestScratchArena:
+    """Products that share one arena give every result exactly, and leave it alone."""
+
+    @staticmethod
+    def _products():
+        g = np.random.default_rng(31)
+
+        def field(*shape):
+            return g.integers(0, 1 << 64, size=shape, dtype=np.uint64)
+
+        shared_b = field(49, 200)
+        return [
+            (field(4, 8, 49), field(4, 49, 300)),  # big, stacked
+            (field(2, 3), field(3, 4)),  # small
+            (field(3, 5, 49), np.broadcast_to(shared_b, (3, 49, 200))),  # broadcast b
+            (field(2, _MAX_INNER + 45), field(_MAX_INNER + 45, 3)),  # past one chunk
+            (field(4, 8, 49), field(4, 49, 300).T.copy().T),  # big again, b column-major
+        ]
+
+    def test_mixed_products_on_one_arena(self):
+        arena = _Arena()
+        products = self._products()
+        kept = []
+        for sweep in range(2):
+            for a, b in products:
+                out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+                               + (a.shape[-2], b.shape[-1]), dtype=np.uint64)
+                got = M61._matmul(a, b, out, arena)
+                assert arena.top == 0  # the product gave back every temporary
+                arena.rewind(0)
+                kept.append((a, b, got, got.copy()))
+            if sweep == 0:
+                grown = arena._buf
+        assert arena._buf is grown  # the second sweep fit the buffer the first one left
+        for a, b, got, first in kept:
+            assert np.array_equal(got, first)
+            want = _objects(a) @ _objects(b) % P61
+            assert got.tolist() == want.tolist()
+
+    def test_shares_and_triples_survive_later_products(self):
+        # one supply, so one arena, through big, small, broadcast and wide products;
+        # a twin supply with the same seed hands out the same triples
+        supply, twin = TripleSupply(FIELD), TripleSupply(FIELD)
+        g = np.random.default_rng(32)
+        kept = []
+        for a, b in self._products():
+            if b.strides[0] == 0:
+                b = b[0]  # one (k, c) matrix that every product of the stack shares
+            a_pair = SharePair(M61.reduce(a), M61.random(g, a.shape))
+            b_pair = SharePair(M61.reduce(b), M61.random(g, b.shape))
+            out = share_matmul(a_pair, b_pair, supply, FIELD)
+            triple = twin.take(a.shape, a.shape[:-2] + b.shape[-2:])
+            halves = [h for x in (triple.u, triple.v, triple.w) for h in (x.s_prime, x.s_dprime)]
+            kept.append((a_pair, b_pair, triple, out, [h.copy() for h in halves],
+                         (out.s_prime.copy(), out.s_dprime.copy())))
+        for a_pair, b_pair, triple, out, halves, (s_prime, s_dprime) in kept:
+            assert all(np.array_equal(h, x) for h, x in zip(halves, (
+                triple.u.s_prime, triple.u.s_dprime, triple.v.s_prime, triple.v.s_dprime,
+                triple.w.s_prime, triple.w.s_dprime)))
+            assert np.array_equal(out.s_prime, s_prime) and np.array_equal(out.s_dprime, s_dprime)
+            if out.s_prime.ndim == 2:
+                want = _reference_share_matmul(a_pair, b_pair, triple, FIELD)
+            else:
+                stacks = [_reference_share_matmul(
+                    *(SharePair(x.s_prime[i], x.s_dprime[i]) if x.s_prime.ndim == 3 else x
+                      for x in (a_pair, b_pair)),
+                    BeaverTriple(*(SharePair(x.s_prime[i], x.s_dprime[i])
+                                   for x in (triple.u, triple.v, triple.w))), FIELD)
+                          for i in range(out.s_prime.shape[0])]
+                want = ([z[0] for z in stacks], [z[1] for z in stacks])
+            assert (out.s_prime.tolist(), out.s_dprime.tolist()) == want
+
+    def test_warm_stacked_product_allocates_less_than_one_operand(self):
+        # stock's products: a stack of 2 models (2, 49) times its 2 batch inputs (49, 250)
+        g = np.random.default_rng(33)
+        supply = TripleSupply(FIELD)
+        supply.deal(2, [((2, 49), (49, 250))] * 2)
+        a, b = (SharePair(M61.random(g, shape), M61.random(g, shape))
+                for shape in ((2, 2, 49), (2, 49, 250)))
+        share_matmul(a, b, supply, FIELD)  # the first product sizes the arena
+        tracemalloc.start()
+        try:
+            share_matmul(a, b, supply, FIELD)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < b.s_prime.nbytes, peak
 
 
 class TestDefaultFieldIsUint64:
