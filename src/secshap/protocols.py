@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -80,6 +81,8 @@ from .sharing import (
     FieldParams,
     SharePair,
     TripleSupply,
+    _Arena,
+    _beaver_bytes,
     _truncate_shares,
     decode_matrix,
     encode,
@@ -556,13 +559,17 @@ def _shared_label_check(router, field, y_sh: SharePair, shared: _SharedData, col
     return [set(itertools.compress(batch_ids, row)) for row in hits.tolist()]
 
 
-# Subsets per chunk of the two-server round: as many as keep a chunk's
-# layer inputs, over every batch and layer, near this many field elements.
-_CHUNK_ELEMENTS = 1 << 16
+# A chunk's Beaver working set (dealt triples, deepest product's scratch), 3.5 MiB.
+_CHUNK_BYTES = 7 << 19
+
+
+def _triple_shapes(arch, widths) -> list:
+    """The products of one subset's evaluation, batch by batch and layer by layer."""
+    return [(spec.weight_shape, (spec.in_size + 1, width)) for width in widths for spec in arch]
 
 
 def _chunk_size(arch, widths) -> int:
-    return max(1, _CHUNK_ELEMENTS // (sum(spec.in_size + 1 for spec in arch) * sum(widths)))
+    return max(1, _CHUNK_BYTES // _beaver_bytes(_triple_shapes(arch, widths)))
 
 
 def _two_server_round(record: RoundModels, shared: _SharedData, m_cap: int, n: int,
@@ -573,7 +580,7 @@ def _two_server_round(record: RoundModels, shared: _SharedData, m_cap: int, n: i
     Servers P and A hold shares of the pooled test data.
     ``evaluate(subsets, sample_ids)`` runs a list of subsets on one list
     of sample ids and returns each subset's correct ids.  It takes the
-    subsets in chunks of ``_chunk_size``; per chunk,
+    subsets in chunks of ``_chunk_size`` (bytes, ``_CHUNK_BYTES``); per chunk,
     ``models = aggregate(chunk, widths)`` gives the chunk's subset models,
     ready for batches of these widths.  Per batch and layer,
     ``linear(models, l, x, receivers)`` computes layer ``l`` of every
@@ -873,16 +880,20 @@ def run_secretsv(
     total = shared.total
     m_cap = min(batch_capacity, total)
     per_round_budget = None if triple_budget is None else triple_budget // len(rounds)
+    scratch = threading.local()  # one arena per thread, shared by the rounds it runs
 
     def eval_round(record: RoundModels):
         meter = CostMeter()
         round_router = _new_router(meter, HEParams(), clients,
                                    two_servers=True, with_dealer=True)
         share_rng = mask_rng(f"secretsv-{seed}-round-{record.round_index}")
+        if not hasattr(scratch, "arena"):
+            scratch.arena = _Arena()
         supply = TripleSupply(
             replace(field, seed=_round_seed(field.seed ^ seed, record.round_index)),
             budget=per_round_budget,
             on_bytes=lambda receiver, nbytes: meter.record_bytes("dealer", receiver, nbytes),
+            arena=scratch.arena,
         )
         model_shares: dict = {}
 
@@ -929,10 +940,7 @@ def run_secretsv(
             layers = [SharePair(*(half[:, lo:hi].reshape((len(subsets),) + spec.weight_shape)
                                   for half in (agg.s_prime, agg.s_dprime)))
                       for lo, hi, spec in zip([0] + layer_ends, layer_ends, arch)]
-            supply.deal(len(subsets), [
-                (spec.weight_shape, (spec.in_size + 1, width))
-                for width in widths for spec in arch
-            ])
+            supply.deal(len(subsets), _triple_shapes(arch, widths))
             return layers
 
         def linear(models, l, x, receivers):

@@ -20,8 +20,9 @@ combine them.  ``M61`` holds that arithmetic.
 Products take leading stack axes: ``share_matmul`` multiplies a stack of
 shared matrices at once, each product with its own Beaver triple.
 ``TripleSupply.deal`` draws the triples of a stack of evaluations from
-one block, laid out as one-by-one ``take`` calls would draw them.  A
-supply's products and dealer take their temporaries from one reused buffer.
+one block, laid out as one-by-one ``take`` calls would draw them, and sizes
+the scratch buffer (``_Arena``, supplies may share one) of its products and
+dealer; ``share_matmul`` never forms [f ; v_j] as one array.
 """
 
 from __future__ import annotations
@@ -153,9 +154,9 @@ class BeaverTriple:
 
 class _Arena:
     """Scratch arrays bumped off one buffer: ``alloc`` hands out the next piece (a
-    fresh array past the buffer's end), ``rewind(mark)`` gives back the pieces since
-    ``mark = arena.top``, and ``rewind(0)`` gives back all and grows the buffer to the
-    deepest top seen.  Nothing that leaves a product may be a piece."""
+    fresh array past the buffer's end), ``rewind(mark, reserve=0)`` gives back the pieces
+    since ``mark = arena.top`` and, at 0, grows the buffer to the deepest top seen or
+    reserved.  Nothing that leaves a product may be a piece."""
 
     def __init__(self):
         self._buf, self.top, self._deepest = np.empty(0, dtype=np.uint8), 0, 0
@@ -168,8 +169,8 @@ class _Arena:
         self._deepest = max(self._deepest, top)
         return np.empty(shape, dtype)
 
-    def rewind(self, mark: int) -> None:
-        self.top = mark
+    def rewind(self, mark: int, reserve: int = 0) -> None:
+        self.top, self._deepest = mark, max(self._deepest, reserve)
         if mark == 0 and self._buf.size < self._deepest:
             self._buf = np.empty(self._deepest, dtype=np.uint8)
 
@@ -249,34 +250,43 @@ class _Mersenne61:
         """Exact a @ b mod p of uint64 operands (any values), over any leading stack axes."""
         lead_a, lead_b = a.shape[:-2], b.shape[:-2]
         lead = np.broadcast_shapes(lead_a, lead_b) if lead_a and lead_b else lead_a or lead_b
-        return self._matmul(a, b, np.empty(lead + (a.shape[-2], b.shape[-1]), np.uint64), _Fresh())
+        return self._matmul(a, (b,), np.empty(lead + (a.shape[-2], b.shape[-1]), np.uint64),
+                            _Fresh())
 
-    def _matmul(self, a: np.ndarray, b: np.ndarray, out: np.ndarray, arena: _Arena) -> np.ndarray:
-        """``matmul`` written to ``out``, its temporaries taken from ``arena``."""
-        self._matmul_chunk(a[..., :_MAX_INNER], b[..., :_MAX_INNER, :], out, arena)
-        if a.shape[-1] > _MAX_INNER:
-            mark, part = arena.top, arena.alloc(out.shape, np.uint64)
-            for lo in range(_MAX_INNER, a.shape[-1], _MAX_INNER):
-                self._matmul_chunk(a[..., lo:lo + _MAX_INNER], b[..., lo:lo + _MAX_INNER, :],
-                                   part, arena)
+    def _matmul(self, a: np.ndarray, blocks, out: np.ndarray, arena: _Arena) -> np.ndarray:
+        """``matmul`` by b's row ``blocks`` (one leading shape) into ``out``, via ``arena``."""
+        (r, k), c = a.shape[-2:], out.shape[-1]
+        split = len(blocks) > 1 and _splits_planes(r, min(k, _MAX_INNER), c)
+        if k <= _MAX_INNER:
+            self._matmul_chunk(a, blocks, out, arena, split)
+            return out
+        mark, part = arena.top, arena.alloc(out.shape, np.uint64)
+        starts = list(itertools.accumulate((x.shape[-2] for x in blocks), initial=0))
+        for lo in range(0, k, _MAX_INNER):
+            hi = lo + _MAX_INNER
+            rows = [x[..., max(lo - at, 0):hi - at, :] for x, at in zip(blocks, starts)
+                    if at < hi and at + x.shape[-2] > lo]
+            self._matmul_chunk(a[..., lo:hi], rows, part if lo else out, arena, split)
+            if lo:
                 out += part
                 self._reduce_into(out, out, part)
-            arena.rewind(mark)
+        arena.rewind(mark)
         return out
 
-    def _matmul_chunk(self, a: np.ndarray, b: np.ndarray, out: np.ndarray, arena: _Arena) -> None:
-        """Exact product for inner width <= 2^7 into ``out``: one float64 matmul of limbs.
+    def _matmul_chunk(self, a: np.ndarray, blocks, out: np.ndarray, arena: _Arena, split) -> None:
+        """Exact product for inner width <= 2^7 into ``out``: float64 matmuls of limbs.
 
-        ``b`` = b_0 + b_1 2^32 splits into two 32-bit halves, read through
-        a little-endian ``uint32`` view.  Then a @ b = a_0 @ b_0 + a_1 @ b_1
+        b (its row ``blocks`` stacked) = b_0 + b_1 2^32 splits into two 32-bit
+        words, read through ``uint32`` views.  Then a @ b = a_0 @ b_0 + a_1 @ b_1
         mod p, where a_j = ``_rotate(a, 32 j)`` < 2^62 is a residue of
         a 2^(32 j), and a_j = sum_i a_ji 2^(13 i) splits into five 13-bit
         limbs.  Row block i of [a_ji] (over columns j, then the inner index)
         times [b_j] stacked is the coefficient c_i of 2^(13 i), each below
         2 * 2^7 * 2^13 * 2^32 = 2^53; rotations by 13 i take them below
-        2^61, so their sum fits one reduction.  Temporaries come from ``arena``.
+        2^61, so their sum fits one reduction.  The float plane of [b_j]
+        holds both words, or with ``split`` one (word, block) at a time.
         """
-        (r, k), c = a.shape[-2:], b.shape[-1]
+        (r, k), c = a.shape[-2:], blocks[0].shape[-1]
         mark, product = arena.top, arena.alloc(out.shape[:-2] + (5 * r, c), np.float64)
         limbs = arena.alloc(a.shape[:-2] + (5 * r, 2 * k), np.float64)
         temps, (turned, scratch) = arena.top, arena.alloc((2,) + a.shape[:-1] + (2, k), np.uint64)
@@ -286,11 +296,25 @@ class _Mersenne61:
         shifted &= _LIMB_MASK
         np.copyto(limbs, shifted.reshape(limbs.shape))
         arena.rewind(temps)
-        b = b if b.strides[-1] == 8 and b.dtype.str == "<u8" else np.ascontiguousarray(b, "<u8")
-        halves = arena.alloc(b.shape[:-2] + (2, k, c), np.float64)
-        np.copyto(halves, b.view("<u4").reshape(b.shape + (2,)).swapaxes(-1, -2).swapaxes(-2, -3))
-        np.matmul(limbs, halves.reshape(b.shape[:-2] + (2 * k, c)), out=product)
-        coeff = arena.alloc(out.shape[:-2] + (5, r, c), np.uint64)
+        blocks = [x if x.strides[-1] == 8 else np.ascontiguousarray(x) for x in blocks]
+        lead, starts = blocks[0].shape[:-2], [0, *itertools.accumulate(x.shape[-2] for x in blocks)]
+        if not split:  # one matmul
+            plane = arena.alloc(lead + (2, k, c), np.float64)
+            for x, at in zip(blocks, starts):
+                words = x.view("<u4").reshape(x.shape + (2,)).swapaxes(-1, -2).swapaxes(-2, -3)
+                np.copyto(plane[..., at:at + x.shape[-2], :], words)
+            np.matmul(limbs, plane.reshape(lead + (2 * k, c)), out=product)
+            coeff = arena.alloc(out.shape[:-2] + (5, r, c), np.uint64)
+        else:  # the matmuls summed in float64, each below 2^53
+            coeff = arena.alloc(out.shape[:-2] + (5, r, c), np.uint64)
+            partial = coeff.view(np.float64).reshape(product.shape)  # until the fold
+            plane = arena.alloc(lead + (max(x.shape[-2] for x in blocks), c), np.float64)
+            for n, (j, (x, at)) in enumerate(itertools.product((0, 1), zip(blocks, starts))):
+                rows, at = plane[..., :x.shape[-2], :], j * k + at
+                np.copyto(rows, x.view("<u4")[..., j::2])
+                np.matmul(limbs[..., at:at + x.shape[-2]], rows, out=partial if n else product)
+                if n:
+                    product += partial
         np.copyto(coeff.reshape(product.shape), product, casting="unsafe")
         scratch = product.view(np.uint64).reshape(coeff.shape)
         self._rotate(coeff, *_FOLD_SHIFTS, coeff, scratch)
@@ -407,7 +431,7 @@ class TripleSupply:
     A budget fails where one-by-one takes would, with the same ``used``.
     """
 
-    def __init__(self, field: FieldParams, budget: int | None = None, on_bytes=None):
+    def __init__(self, field: FieldParams, budget: int | None = None, on_bytes=None, arena=None):
         headroom = secretsv_headroom_error(field.frac_bits)
         if headroom:
             raise ValueError(headroom)
@@ -416,7 +440,7 @@ class TripleSupply:
         self.used = 0
         self.on_bytes = on_bytes
         self._rng = mask_rng(field.seed ^ 0x5EED)
-        self._arena = _Arena()  # scratch of the dealer and of share_matmul
+        self._arena = arena or _Arena()  # scratch of the dealer and of share_matmul
         self._dealt: deque = deque()  # ((count, shape_a, shape_b), draws), in take order
         self._pending = 0  # cost of the dealt triples not yet taken
 
@@ -445,6 +469,7 @@ class TripleSupply:
                  for at, size, part in zip(starts, sizes, parts)]
         self._dealt.extend(((count,) + s, draws[5 * j:5 * j + 5]) for j, s in enumerate(shapes))
         self._pending += count * sum(costs)
+        self._arena.rewind(self._arena.top, max(_product_bytes(count, a, b) for a, b in shapes))
 
     def take(self, shape_a: tuple, shape_b: tuple) -> BeaverTriple:
         stacked = len(shape_a) == 3
@@ -466,7 +491,7 @@ class TripleSupply:
             self.on_bytes("server_a", per_server)
         # w = u @ v goes to a fresh w''; u'' and v'' overwrite u and v in the block
         pairs = [SharePair(mask_u, u), SharePair(mask_v, v), split_masked(
-            M61._matmul(u, v, self._arena.alloc(mask_w.shape), self._arena), mask_w, self.field)]
+            M61._matmul(u, (v,), self._arena.alloc(mask_w.shape), self._arena), mask_w, self.field)]
         for x, mask in ((u, mask_u), (v, mask_v)):
             x, mask = x.reshape(count, -1), mask.reshape(count, -1)  # rows numpy updates in place
             x -= mask
@@ -486,14 +511,42 @@ def _truncate_shares(pair: SharePair, field: FieldParams) -> SharePair:
 
 def _opened(x: SharePair, mask: SharePair, out: np.ndarray, arena: _Arena) -> np.ndarray:
     """x - mask from both servers' shares, x' + x'' + 2p - m' - m'' in one reduction, to ``out``."""
-    mark, total, scratch = arena.top, arena.alloc(out.shape), arena.alloc(out.shape)
-    np.add(x.s_prime, x.s_dprime, out=total)
+    mark, scratch = arena.top, arena.alloc(out.shape)
+    np.add(x.s_prime, x.s_dprime, out=out)
     np.subtract(2 * M61.p, mask.s_prime, out=scratch)
     scratch -= mask.s_dprime
-    total += scratch
-    M61._reduce_into(total, out, scratch)
+    out += scratch
+    M61._reduce_into(out, out, scratch)
     arena.rewind(mark)
     return out
+
+
+def _splits_planes(r: int, inner: int, c: int) -> bool:
+    """Split b's float planes by (word, block) where a word's outweighs limbs and coefficients."""
+    return inner * c > 10 * r * (inner + c)
+
+
+def _product_bytes(count: int, shape_a: tuple, shape_b: tuple) -> int:
+    """Deepest arena top of ``share_matmul`` and its dealer on ``count`` stacked
+    products shape_a x shape_b (2-D shapes), each piece rounded up to 64 bytes."""
+    (r, k), c = shape_a, shape_b[1]
+    inner = min(2 * k, _MAX_INNER)
+    rc, rk, ri = 8 * r * c, 8 * r * k, 8 * r * inner
+    plane = 8 * c * (min(k, inner) if _splits_planes(r, inner, c) else 2 * inner)
+
+    def size(*nbytes):
+        return sum(-(-count * n // 64) * 64 for n in nbytes)
+    # e + u', both servers' results (and an inner chunk's), the kernel's product and
+    # limbs, then its coefficients and a float plane, or the limbs' temporaries
+    deepest = (size(rk, rc, rc, rc, rc * (2 * k > _MAX_INNER), 5 * rc, 10 * ri)
+               + max(size(5 * rc, plane), size(4 * ri, 5 * ri // 2)))
+    return size(2 * rk, 8 * k * c) + max(size(8 * k * c), deepest)  # left, f, f's opening
+
+
+def _beaver_bytes(shapes) -> int:
+    """One evaluation's Beaver working set: its dealt triples and its deepest product's scratch."""
+    dealt = sum(2 * r * k + 2 * k * c + r * c for (r, k), (_, c) in shapes)  # u, v, 3 masks
+    return 8 * dealt + max(_product_bytes(1, a, b) for a, b in shapes)
 
 
 def share_matmul(
@@ -522,13 +575,13 @@ def share_matmul(
     u, v, w = triple.u, triple.v, triple.w
     arena, (r, k), c, lead = supply._arena, shape_a[-2:], shape_b[-1], u.s_prime.shape[:-2]
     # z' = [e + u' | e] @ [f ; v'] + w' at P and z'' = [u'' | e] @ [f ; v''] + w'' at A,
-    # each one product over both halves of its inner axis
-    left, right = arena.alloc(lead + (r, 2 * k)), arena.alloc(lead + (2 * k, c))
+    # each one product over both halves of its inner axis, [f ; v_j] as two row blocks
+    left = arena.alloc(lead + (r, 2 * k))
 
     # each server masks its shares locally; the differences e = a - u and
     # f = b - v are opened
     e = _opened(a, u, left[..., k:], arena)
-    f = _opened(b, v, right[..., :k, :], arena)
+    f = _opened(b, v, arena.alloc(lead + (k, c)), arena)
     if meter is not None:
         opened = e.nbytes + f.nbytes
         meter.record_bytes(parties[0], parties[1], opened)
@@ -537,8 +590,8 @@ def share_matmul(
     z = []
     for u_j, v_j, w_j in ((np.add(e, u.s_prime, out=arena.alloc(e.shape)), v.s_prime, w.s_prime),
                           (u.s_dprime, v.s_dprime, w.s_dprime)):
-        left[..., :k], right[..., k:, :] = u_j, v_j
-        half = M61._matmul(left, right, arena.alloc(lead + (r, c)), arena)
+        left[..., :k] = u_j
+        half = M61._matmul(left, (f, v_j), arena.alloc(lead + (r, c)), arena)
         half += w_j
         z.append(M61._reduce_into(half, half, arena.alloc(half.shape)))
     out = _truncate_shares(SharePair(*z), field)

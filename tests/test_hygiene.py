@@ -181,3 +181,54 @@ def test_scan_finds_an_unreferenced_function():
 def test_every_public_function_has_a_caller_in_the_package():
     found = unreferenced({p.name: p.read_text() for p in MODULES})
     assert sorted(entry.split()[1] for entry in found) == sorted(TEST_REFERENCES)
+
+
+def module_level_scratch(source: str) -> list[str]:
+    """Lines that build an ``_Arena`` or a ``threading.local`` outside a function body.
+
+    Such an object is made once, at import, and every caller and every
+    thread of the process would share it; a class body and a default
+    argument run at import too, so they count.
+    """
+    found = set()
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            defaults = [*node.args.defaults, *filter(None, node.args.kw_defaults)]
+            children = [*getattr(node, "decorator_list", []), *defaults]
+        else:
+            children = list(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            # a bare local() is threading's, imported by name
+            owner = ast.unparse(func.value) if isinstance(func, ast.Attribute) else "threading"
+            if name == "_Arena" or (name == "local" and owner == "threading"):
+                found.add(node.lineno)
+        for child in children:
+            visit(child)
+
+    visit(ast.parse(source))
+    return [f"line {line}" for line in sorted(found)]
+
+
+def test_scan_finds_module_level_scratch():
+    source = ("import threading\n"
+              "from threading import local\n"
+              "from . import sharing\n"
+              "ARENA = _Arena()\n"
+              "TLS = threading.local()\n"
+              "class Holder:\n"
+              "    tls = local()\n"
+              "def run(arena=sharing._Arena()):\n"
+              "    mine = _Arena()\n"
+              "    scratch = threading.local()\n"
+              "    return lambda: _Arena()\n"
+              "cache = obj.local()\n")
+    assert module_level_scratch(source) == ["line 4", "line 5", "line 7", "line 8"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_scratch(path):
+    """Rounds run on threads: scratch buffers belong to a run, never to the module."""
+    assert module_level_scratch(path.read_text()) == []

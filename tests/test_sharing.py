@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from secshap import sharing
 from secshap.matrix import ShapeError, matmul_oracle
 from secshap.sharing import (
     M61,
@@ -23,6 +24,8 @@ from secshap.sharing import (
     _MAX_INNER,
     _TURNS,
     _Arena,
+    _product_bytes,
+    _splits_planes,
     _truncate_shares,
     decode_matrix,
     encode,
@@ -547,7 +550,7 @@ class TestScratchArena:
             for a, b in products:
                 out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
                                + (a.shape[-2], b.shape[-1]), dtype=np.uint64)
-                got = M61._matmul(a, b, out, arena)
+                got = M61._matmul(a, (b,), out, arena)
                 assert arena.top == 0  # the product gave back every temporary
                 arena.rewind(0)
                 kept.append((a, b, got, got.copy()))
@@ -593,12 +596,12 @@ class TestScratchArena:
             assert (out.s_prime.tolist(), out.s_dprime.tolist()) == want
 
     def test_warm_stacked_product_allocates_less_than_one_operand(self):
-        # stock's products: a stack of 2 models (2, 49) times its 2 batch inputs (49, 250)
+        # stock's products: a chunk of 4 models (2, 49) times its widest batch input (49, 369)
         g = np.random.default_rng(33)
         supply = TripleSupply(FIELD)
-        supply.deal(2, [((2, 49), (49, 250))] * 2)
+        supply.deal(4, [((2, 49), (49, 369))] * 2)
         a, b = (SharePair(M61.random(g, shape), M61.random(g, shape))
-                for shape in ((2, 2, 49), (2, 49, 250)))
+                for shape in ((4, 2, 49), (4, 49, 369)))
         share_matmul(a, b, supply, FIELD)  # the first product sizes the arena
         tracemalloc.start()
         try:
@@ -607,6 +610,45 @@ class TestScratchArena:
         finally:
             tracemalloc.stop()
         assert peak < b.s_prime.nbytes, peak
+
+    @pytest.mark.parametrize("count, r, k, c", [
+        (3, 2, 49, 369), (2, 1, 100, 50), (1, 2, 150, 300), (2, 5, 49, 200)])
+    def test_split_planes_give_the_textbook_shares(self, count, r, k, c):
+        # b's float planes one (word, block) at a time, chunked or not, and a shared b
+        assert _splits_planes(r, min(2 * k, _MAX_INNER), c)
+        g = np.random.default_rng(36)
+        supply, twin = TripleSupply(FIELD), TripleSupply(FIELD)
+        a = SharePair(M61.random(g, (count, r, k)), M61.random(g, (count, r, k)))
+        b = SharePair(M61.random(g, (k, c)), M61.random(g, (k, c)))
+        out = share_matmul(a, b, supply, FIELD)
+        triple = twin.take((count, r, k), (count, k, c))
+        for i in range(count):
+            want = _reference_share_matmul(
+                SharePair(a.s_prime[i], a.s_dprime[i]), b,
+                BeaverTriple(*(SharePair(x.s_prime[i], x.s_dprime[i])
+                               for x in (triple.u, triple.v, triple.w))), FIELD)
+            assert (out.s_prime[i].tolist(), out.s_dprime[i].tolist()) == want
+
+    @pytest.mark.parametrize("count, r, k, c", [
+        (4, 2, 49, 369), (5, 32, 49, 52), (3, 16, 33, 48), (2, 4, 17, 31),  # stock, deep
+        (1, 1, 1, 1), (3, 5, 70, 20), (2, 3, 200, 7), (2, 40, 130, 3),  # chunked inner axis
+        (2, 1, 100, 50), (1, 2, 150, 300),  # split planes over chunks
+    ])
+    def test_deal_sizes_the_arena_for_its_products(self, count, r, k, c, monkeypatch):
+        # the buffer grows once, at the deal, to exactly the products' deepest top
+        g = np.random.default_rng(34)
+        supply = TripleSupply(FIELD)
+        supply.deal(count, [((r, k), (k, c))])
+        buf = supply._arena._buf
+        assert buf.nbytes == _product_bytes(count, (r, k), (k, c))
+        a, b = (SharePair(M61.random(g, shape), M61.random(g, shape))
+                for shape in ((count, r, k), (count, k, c)))
+        share_matmul(a, b, supply, FIELD)
+        assert supply._arena._buf is buf
+        monkeypatch.setattr(sharing, "_product_bytes", lambda *shapes: 0)
+        unreserved = TripleSupply(FIELD)  # its first product finds the deepest top
+        share_matmul(a, b, unreserved, FIELD)
+        assert unreserved._arena._deepest == buf.nbytes
 
 
 class TestDefaultFieldIsUint64:
