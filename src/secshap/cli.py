@@ -39,7 +39,7 @@ from .kernels import (
 )
 from .models import arch_cnn_like, arch_logistic, arch_mlp
 from .protocols import (run_hesv, run_nssv, run_secretsv, run_secsv, secsv_headroom_error,
-                        secsv_slot_error)
+                        secsv_slot_error, workers_error)
 from .report import ContributionReport, report_to_json
 from .sharing import DEFAULT_PRIME, FieldParams, secretsv_headroom_error
 from .shapley import fsv_error, permutation_sampling_ssv, fsv_aggregate
@@ -76,7 +76,7 @@ class ExperimentConfig:
     sample_skip: bool = True
     batch_cap: int = 0  # caps secretsv's batches only; 0 means 512
     ps_budget: int = 0  # 0 means clients * ceil(log2(clients)) permutations
-    workers: int = 1
+    workers: int = 1  # deprecated: rounds run in order, so it must be 1
     output_dir: str = "out"
 
     def validate(self) -> list[str]:
@@ -137,8 +137,9 @@ class ExperimentConfig:
         for proto in self.protocols:
             if proto not in KNOWN_PROTOCOLS:
                 errors.append(f"protocols: unknown protocol {proto!r}")
-        if self.workers < 1:
-            errors.append("workers: must be at least 1")
+        workers = workers_error(self.workers)
+        if workers:
+            errors.append(workers)
         if self.batch_cap < 0 or self.ps_budget < 0:
             errors.append("batch_cap/ps_budget: must be non-negative")
         return errors
@@ -191,20 +192,18 @@ def _run_protocols(config: ExperimentConfig, rounds, test_sets) -> dict[str, Con
     reports: dict[str, ContributionReport] = {}
     for proto in config.protocols:
         if proto == "nssv":
-            reports[proto] = run_nssv(rounds, test_sets, weights, seed=config.seed,
-                                      workers=config.workers)
+            reports[proto] = run_nssv(rounds, test_sets, weights, seed=config.seed)
         elif proto == "hesv":
-            reports[proto] = run_hesv(rounds, test_sets, he, weights, seed=config.seed,
-                                      workers=config.workers)
+            reports[proto] = run_hesv(rounds, test_sets, he, weights, seed=config.seed)
         elif proto == "secsv":
             reports[proto] = run_secsv(
                 rounds, test_sets, he, fieldp, skip=config.sample_skip,
-                cost_weights=weights, seed=config.seed, workers=config.workers,
+                cost_weights=weights, seed=config.seed,
             )
         elif proto == "secretsv":
             reports[proto] = run_secretsv(
                 rounds, test_sets, fieldp, weights, seed=config.seed,
-                batch_capacity=config.batch_cap or 512, workers=config.workers,
+                batch_capacity=config.batch_cap or 512,
             )
     return reports
 
@@ -259,8 +258,6 @@ def cmd_run(args) -> int:
     config = ExperimentConfig.from_json(config_text) if config_text else ExperimentConfig()
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    if args.workers is not None:
-        config = replace(config, workers=args.workers)
     if args.out is not None:
         config = replace(config, output_dir=args.out)
     errors = config.validate()
@@ -400,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the configured protocols and write reports")
     p_run.add_argument("--config", help="JSON config file (defaults used when omitted)")
     p_run.add_argument("--seed", type=int, help="override the config seed")
-    p_run.add_argument("--workers", type=int, help="round-level worker pool size")
     p_run.add_argument("--out", help="output directory")
     p_run.set_defaults(fn=cmd_run)
 

@@ -190,17 +190,6 @@ class CostMeter:
     def total_bytes(self) -> int:
         return sum(self.bytes_sent.values())
 
-    def merge(self, other: "CostMeter") -> None:
-        """Fold a per-worker meter into this one at a barrier point."""
-        self.hmult_c2c += other.hmult_c2c
-        self.hmult_c2p += other.hmult_c2p
-        self.hadd += other.hadd
-        self.hrot += other.hrot
-        self.enc += other.enc
-        self.dec += other.dec
-        for pair, nbytes in other.bytes_sent.items():
-            self.record_bytes(pair[0], pair[1], nbytes)
-
     def snapshot(self) -> "CostMeter":
         return CostMeter(
             self.hmult_c2c, self.hmult_c2p, self.hadd, self.hrot,

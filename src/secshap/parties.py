@@ -43,7 +43,6 @@ def client_name(i: int) -> str:
 class Party:
     name: str
     role: str  # "client" or "server"
-    bytes_in: int = 0
     bytes_out: int = 0
 
 
@@ -87,7 +86,6 @@ class Router:
         nbytes = payload_bytes(payload, self.he_params)
         self.meter.record_bytes(sender, receiver, nbytes)
         self.parties[sender].bytes_out += nbytes
-        self.parties[receiver].bytes_in += nbytes
         return payload
 
 

@@ -30,19 +30,15 @@ subsets and runs one stacked Beaver product per (chunk of subsets,
 batch, layer), each subset with its own triple; ``run_secsv`` with
 sample skipping passes one subset per call through the same code.
 
-Rounds are independent: each runs with its own meter, router, and
-noise stream seeded by the round index, so a worker pool of any size
-produces byte-identical reports.  Per-round meters merge at the
-barrier in round order.
+Rounds run in order, on the run's meter and router, each with its own
+noise, mask and triple streams seeded by the round index.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -189,22 +185,21 @@ def _distribute_keys(router: Router, tag: str, leader: int, clients, servers):
     return keys
 
 
-def _run_rounds(round_fn, rounds, workers: int):
-    if workers <= 1:
-        return [round_fn(rec) for rec in rounds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(round_fn, rounds))
+def workers_error(workers: int) -> str | None:
+    """Why ``workers`` is refused, or None.
+
+    Rounds run in order, so the deprecated ``workers`` keyword accepts 1 only.
+    """
+    if workers != 1:
+        return f"workers: rounds run in order on one thread; must be 1, got {workers}"
+    return None
 
 
-def _finish_report(protocol, clients, total, round_results, base_meter, weights,
+def _finish_report(protocol, clients, total, round_results, meter, weights,
                    started) -> ContributionReport:
-    """Merge per-round results (report, meter, decrypt actors) in round order."""
-    per_round = []
-    actors: list[str] = []
-    for report, meter, round_actors in round_results:
-        per_round.append(report)
-        base_meter.merge(meter)
-        actors.extend(round_actors)
+    """The run's report from its (round report, decrypt actors) pairs in round order."""
+    per_round = [report for report, _ in round_results]
+    actors = [actor for _, round_actors in round_results for actor in round_actors]
     fsv = fsv_aggregate([r.ssv for r in per_round])
     for i in clients:
         fsv.setdefault(i, 0.0)
@@ -214,7 +209,7 @@ def _finish_report(protocol, clients, total, round_results, base_meter, weights,
         total_samples=total,
         rounds=per_round,
         fsv=fsv,
-        meter=base_meter,
+        meter=meter,
         cost_weights=weights,
         decrypt_actors=tuple(actors),
         wall_seconds=time.perf_counter() - started,
@@ -261,30 +256,30 @@ def run_nssv(
     workers: int = 1,
 ) -> ContributionReport:
     """Plaintext ground truth: every subset model tested on everything."""
+    if unfit := workers_error(workers):
+        raise ProtocolError(unfit)
     started = time.perf_counter()
     _common_architecture(rounds)
     weights = cost_weights or CostWeights()
     clients = list(range(len(test_sets)))
     total = sum(ds.size for ds in test_sets)
 
-    setup_meter = CostMeter()
-    router = _new_router(setup_meter, HEParams(), clients, two_servers=False)
+    meter = CostMeter()
+    router = _new_router(meter, HEParams(), clients, two_servers=False)
     for i, ds in enumerate(test_sets):
         router.send(client_name(i), SERVER_P, [ds.features, ds.labels])
 
     def eval_round(record: RoundModels):
-        meter = CostMeter()
-        round_router = _new_router(meter, HEParams(), clients, two_servers=False)
         for i in record.selected:
-            round_router.send(client_name(i), SERVER_P, list(record.local_models[i].params))
+            router.send(client_name(i), SERVER_P, list(record.local_models[i].params))
         utilities = {
             subset: evaluate_model(record.aggregated(subset), test_sets)[1]
             for subset in subsets_ascending(record.selected)
         }
-        return _round_report(record, utilities), meter, []
+        return _round_report(record, utilities), []
 
-    results = _run_rounds(eval_round, rounds, workers)
-    return _finish_report("nssv", clients, total, results, setup_meter, weights, started)
+    results = [eval_round(record) for record in rounds]
+    return _finish_report("nssv", clients, total, results, meter, weights, started)
 
 
 # -- HESV ----------------------------------------------------------------------
@@ -300,6 +295,8 @@ def run_hesv(
     workers: int = 1,
 ) -> ContributionReport:
     """One-server protocol: encrypted models times encrypted batches."""
+    if unfit := workers_error(workers):
+        raise ProtocolError(unfit)
     started = time.perf_counter()
     arch = _common_architecture(rounds)
     he_params = he_params or HEParams()
@@ -309,9 +306,9 @@ def run_hesv(
     num_layers = len(arch)
     total = sum(ds.size for ds in test_sets)
 
-    setup_meter = CostMeter()
-    setup_ctx = HEContext(replace(he_params, seed=_round_seed(seed, 0)), setup_meter)
-    router = _new_router(setup_meter, he_params, clients, two_servers=False)
+    meter = CostMeter()
+    setup_ctx = HEContext(replace(he_params, seed=_round_seed(seed, 0)), meter)
+    router = _new_router(meter, he_params, clients, two_servers=False)
 
     leader = int(np.random.default_rng(seed).integers(n))
     keys = _distribute_keys(router, f"hesv-{seed}", leader, clients, [SERVER_P])
@@ -347,9 +344,7 @@ def run_hesv(
         router.send(client_name(i), SERVER_P, label_cts[b])
 
     def eval_round(record: RoundModels):
-        meter = CostMeter()
         ctx = HEContext(replace(he_params, seed=_round_seed(seed, record.round_index)), meter)
-        round_router = _new_router(meter, he_params, clients, two_servers=False)
         actors: list[str] = []
         players = sorted(record.selected)
 
@@ -360,7 +355,7 @@ def run_hesv(
                 params = np.stack([model.params[l] for model in models])
                 cts = squaring_prepare_model(params, plans[l], ctx, keys.public)
                 for p, owner in enumerate(owners):
-                    round_router.send(client_name(owner), SERVER_P, cts[p])
+                    router.send(client_name(owner), SERVER_P, cts[p])
                 layers.append(cts)
             return layers
 
@@ -390,14 +385,14 @@ def run_hesv(
                 )
                 assignment_offset += 1
             correct = _hesv_eval_subset(
-                ctx, round_router, keys, record.global_model, plans, aggregated_cts(subset),
+                ctx, router, keys, record.global_model, plans, aggregated_cts(subset),
                 data_cts, label_cts, valid, sequences, draw_layout, actors,
             )
             utilities[subset] = correct / total
-        return _round_report(record, utilities), meter, actors
+        return _round_report(record, utilities), actors
 
-    results = _run_rounds(eval_round, rounds, workers)
-    return _finish_report("hesv", clients, total, results, setup_meter, weights, started)
+    results = [eval_round(record) for record in rounds]
+    return _finish_report("hesv", clients, total, results, meter, weights, started)
 
 
 def _with_ones_rows(x: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -730,7 +725,7 @@ def run_secsv(
     field = field_params or FieldParams()
     arch = _common_architecture(rounds)
     he_params = he_params or HEParams()
-    unfit = (secsv_headroom_error(field.frac_bits)
+    unfit = (workers_error(workers) or secsv_headroom_error(field.frac_bits)
              or secsv_slot_error(he_params.slot_count, arch))
     if unfit:
         raise ProtocolError(unfit)
@@ -745,8 +740,8 @@ def run_secsv(
             f"with frac_bits={field.frac_bits}"
         )
 
-    setup_meter = CostMeter()
-    router = _new_router(setup_meter, he_params, clients, two_servers=True)
+    meter = CostMeter()
+    router = _new_router(meter, he_params, clients, two_servers=True)
     leader = int(np.random.default_rng(seed).integers(n))
     keys = _distribute_keys(router, f"secsv-{seed}", leader, clients, [SERVER_P, SERVER_A])
 
@@ -762,9 +757,7 @@ def run_secsv(
     ]
 
     def eval_round(record: RoundModels):
-        meter = CostMeter()
         ctx = HEContext(replace(he_params, seed=_round_seed(seed, record.round_index)), meter)
-        round_router = _new_router(meter, he_params, clients, two_servers=True)
         model_enc: dict = {}
 
         def upload_model(owner_name, model, store_key):
@@ -772,8 +765,8 @@ def run_secsv(
             for l in range(num_layers):
                 enc = encode_matrix(model.params[l], field)
                 cts = reducing_prepare_model(enc, plans[l], ctx, keys.public, width=m_cap)
-                round_router.send(owner_name, SERVER_P, cts)
-                round_router.send(owner_name, SERVER_A, cts)
+                router.send(owner_name, SERVER_P, cts)
+                router.send(owner_name, SERVER_A, cts)
                 enc_layers.append(enc)
             model_enc[store_key] = enc_layers
 
@@ -817,27 +810,24 @@ def run_secsv(
                 cts = reducing_field_matmul(agg[l], np.stack([share_p, share_a]), plan, ctx,
                                             keys.public)
                 ct_p, ct_a = cts[0], cts[1]
-                round_router.send(SERVER_A, SERVER_P, ct_a)
+                router.send(SERVER_A, SERVER_P, ct_a)
                 ct = ctx.he_add(ct_p, ct_a)
-                round_router.send(SERVER_P, receiver, ct)
+                router.send(SERVER_P, receiver, ct)
                 raw = ctx.decrypt_stack(ct, (plan.d_out, m_cap), (plan.d_out, m_cap),
                                         keys.private, actors=(receiver,))
                 out.append(raw[:, :cols])
             # aggregate model at 2f (weight times parameter), share at f
             return decode_matrix(np.stack(out), field, 3 * field.frac_bits)
 
-        report, actors = _two_server_round(
-            record, shared, m_cap, n, level, field, round_router,
+        return _two_server_round(
+            record, shared, m_cap, n, level, field, router,
             mask_rng(f"secsv-{seed}-round-{record.round_index}"),
             lambda subsets, widths: [aggregated(subset) for subset in subsets], linear, skip,
         )
-        return report, meter, actors
 
-    results = _run_rounds(eval_round, rounds, workers)
-    return _finish_report(
-        "secsv+skip" if skip else "secsv", clients, total, results,
-        setup_meter, weights, started,
-    )
+    results = [eval_round(record) for record in rounds]
+    return _finish_report("secsv+skip" if skip else "secsv", clients, total, results,
+                          meter, weights, started)
 
 
 # -- SecretSV ---------------------------------------------------------------------
@@ -862,9 +852,9 @@ def run_secretsv(
     depth.
     """
     field = field_params or FieldParams()
-    headroom = secretsv_headroom_error(field.frac_bits)
-    if headroom:
-        raise ProtocolError(headroom)
+    unfit = workers_error(workers) or secretsv_headroom_error(field.frac_bits)
+    if unfit:
+        raise ProtocolError(unfit)
     started = time.perf_counter()
     arch = _common_architecture(rounds)
     weights = cost_weights or CostWeights()
@@ -872,34 +862,28 @@ def run_secretsv(
     clients = list(range(n))
     num_layers = len(arch)
 
-    setup_meter = CostMeter()
-    router = _new_router(setup_meter, HEParams(), clients,
-                         two_servers=True, with_dealer=True)
+    meter = CostMeter()
+    router = _new_router(meter, HEParams(), clients, two_servers=True, with_dealer=True)
     leader = int(np.random.default_rng(seed).integers(n))
     shared = _share_test_data(test_sets, field, router, mask_rng(f"secretsv-{seed}-data"))
     total = shared.total
     m_cap = min(batch_capacity, total)
     per_round_budget = None if triple_budget is None else triple_budget // len(rounds)
-    scratch = threading.local()  # one arena per thread, shared by the rounds it runs
+    arena = _Arena()  # one per run, shared by its rounds
 
     def eval_round(record: RoundModels):
-        meter = CostMeter()
-        round_router = _new_router(meter, HEParams(), clients,
-                                   two_servers=True, with_dealer=True)
         share_rng = mask_rng(f"secretsv-{seed}-round-{record.round_index}")
-        if not hasattr(scratch, "arena"):
-            scratch.arena = _Arena()
         supply = TripleSupply(
             replace(field, seed=_round_seed(field.seed ^ seed, record.round_index)),
             budget=per_round_budget,
             on_bytes=lambda receiver, nbytes: meter.record_bytes("dealer", receiver, nbytes),
-            arena=scratch.arena,
+            arena=arena,
         )
         model_shares: dict = {}
 
         def upload_shares(owner_name, model, store_key):
             model_shares[store_key] = [
-                _split_and_distribute(round_router, field, owner_name, theta, share_rng)
+                _split_and_distribute(router, field, owner_name, theta, share_rng)
                 for theta in model.params
             ]
 
@@ -946,15 +930,12 @@ def run_secretsv(
         def linear(models, l, x, receivers):
             out = share_matmul(models[l], x, supply, field, meter=meter)
             for g, receiver in enumerate(receivers):
-                round_router.send(SERVER_P, receiver, out.s_prime[g])
-                round_router.send(SERVER_A, receiver, out.s_dprime[g])
+                router.send(SERVER_P, receiver, out.s_prime[g])
+                router.send(SERVER_A, receiver, out.s_dprime[g])
             return decode_matrix(reconstruct_int(out, field), field, field.frac_bits)
 
-        report, actors = _two_server_round(
-            record, shared, m_cap, n, level, field, round_router, share_rng,
-            aggregated_shares, linear,
-        )
-        return report, meter, actors
+        return _two_server_round(record, shared, m_cap, n, level, field, router, share_rng,
+                                 aggregated_shares, linear)
 
-    results = _run_rounds(eval_round, rounds, workers)
-    return _finish_report("secretsv", clients, total, results, setup_meter, weights, started)
+    results = [eval_round(record) for record in rounds]
+    return _finish_report("secretsv", clients, total, results, meter, weights, started)

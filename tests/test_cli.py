@@ -166,6 +166,16 @@ class TestCmdRun:
         config_path.write_text(json.dumps(tiny_config(clients=2)))
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "x")]) == 2
 
+    def test_workers_flag_gone_and_key_must_be_1(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--workers", "2", "--out", str(tmp_path / "x")])
+        assert exit_info.value.code == 2
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(tiny_config(workers=2)))
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "x")]) == 2
+        assert "config error: workers:" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_non_prime_exits_2_before_any_work(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(tiny_config(prime=2**61 + 1)))

@@ -297,13 +297,9 @@ class TestTrackedVariance:
 
 
 class TestMeter:
-    def test_merge_and_delta(self):
+    def test_snapshot_and_delta(self):
         a = CostMeter(hmult_c2c=2, hrot=1)
         a.record_bytes("p", "a", 100)
-        b = CostMeter(hmult_c2p=3)
-        b.record_bytes("p", "a", 50)
-        a.merge(b)
-        assert a.hmult_c2p == 3 and a.bytes_sent[("p", "a")] == 150
         snap = a.snapshot()
         a.hrot += 4
         assert a.delta(snap).hrot == 4

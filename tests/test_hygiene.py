@@ -230,5 +230,5 @@ def test_scan_finds_module_level_scratch():
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_level_scratch(path):
-    """Rounds run on threads: scratch buffers belong to a run, never to the module."""
+    """A buffer belongs to one run, never to the module."""
     assert module_level_scratch(path.read_text()) == []

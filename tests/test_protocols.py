@@ -14,7 +14,14 @@ from secshap.federation import (
     make_synthetic_dataset,
 )
 from secshap.cli import ExperimentConfig
-from secshap.hebackend import CipherVector, CostMeter, HEContext, HEParams, generate_keypair
+from secshap.hebackend import (
+    CipherVector,
+    CostMeter,
+    HEContext,
+    HEParams,
+    PrivateKey,
+    generate_keypair,
+)
 from secshap.kernels import plan_squaring
 from secshap.models import (
     LayerSpec,
@@ -26,7 +33,7 @@ from secshap.models import (
     random_model,
 )
 from secshap import protocols, sharing
-from secshap.parties import AssignmentError
+from secshap.parties import SERVER_A, SERVER_P, AssignmentError, Router
 from secshap.protocols import (
     ProtocolError,
     _hesv_draw_layout,
@@ -678,25 +685,39 @@ class TestCostDominance:
         assert hesv.weighted_cost >= 2 * secsv.weighted_cost
 
 
-class TestDeterminismAndWorkers:
-    def test_reports_identical_across_worker_counts(self, logistic_world):
+class TestDeterminism:
+    def test_workers_other_than_one_refused_before_any_work(self, logistic_world, monkeypatch):
+        # rounds run in order: every runner and validate() refuse workers=2
+        # with one message, before any key, share or HE work
         parts, history, _ = logistic_world
-        base = report_to_json(run_secsv(history, parts, HEParams(noise_stddev=1e-9),
-                                        FieldParams(), skip=True, seed=9, workers=1))
-        threaded = report_to_json(run_secsv(history, parts, HEParams(noise_stddev=1e-9),
-                                            FieldParams(), skip=True, seed=9, workers=4))
-        assert base == threaded
+        meters, calls = [], []
 
-    def test_secretsv_reports_identical_across_worker_counts(self, logistic_world):
-        # each round draws its own triples and keeps its own scratch arena
-        parts, history, _ = logistic_world
-        assert len(history) >= 2
-        base = report_to_json(run_secretsv(history, parts, FieldParams(), seed=9, workers=1))
-        threaded = report_to_json(run_secretsv(history, parts, FieldParams(), seed=9, workers=4))
-        assert base == threaded
+        def recording_meter():
+            meters.append(CostMeter())
+            return meters[-1]
+
+        monkeypatch.setattr(protocols, "CostMeter", recording_meter)
+        for name in ("generate_keypair", "split_matrix", "HEContext", "evaluate_model"):
+            monkeypatch.setattr(protocols, name, lambda *a, _n=name, **k: calls.append(_n))
+        runs = [
+            lambda: run_nssv(history, parts, workers=2),
+            lambda: run_hesv(history, parts, HEParams(), workers=2),
+            lambda: run_secsv(history, parts, HEParams(), FieldParams(), workers=2),
+            lambda: run_secretsv(history, parts, FieldParams(), workers=2),
+        ]
+        messages = []
+        for run in runs:
+            with pytest.raises(ProtocolError) as err:
+                run()
+            messages.append(str(err.value))
+        assert messages[0].startswith("workers:")
+        assert messages == [messages[0]] * len(runs)
+        assert ExperimentConfig(workers=2).validate() == [messages[0]]
+        assert calls == []
+        assert all(m.as_dict() == CostMeter().as_dict() for m in meters)
 
     def test_secretsv_rounds_share_one_arena_grown_once(self, monkeypatch):
-        # one thread runs all three rounds on one arena, sized at the first deal
+        # the run's rounds share one arena, sized at the first deal
         parts, history = small_world(rounds=3)
         assert len(history) == 3
         made, grown = [], []
@@ -714,7 +735,7 @@ class TestDeterminismAndWorkers:
 
         monkeypatch.setattr(sharing._Arena, "__init__", init)
         monkeypatch.setattr(sharing._Arena, "rewind", rewind)
-        run_secretsv(history, parts, FieldParams(), seed=9, workers=1)
+        run_secretsv(history, parts, FieldParams(), seed=9)
         assert len(made) == 1
         assert len(grown) <= 1
 
@@ -723,6 +744,33 @@ class TestDeterminismAndWorkers:
         a = report_to_json(run_hesv(history, parts, HEParams(noise_stddev=1e-9), seed=5))
         b = report_to_json(run_hesv(history, parts, HEParams(noise_stddev=1e-9), seed=5))
         assert a == b
+
+
+class TestKeyCustody:
+    def test_servers_and_dealer_never_sent_the_private_key(self, logistic_world, monkeypatch):
+        parts, history, _ = logistic_world
+        key_receivers = []
+        real_send = Router.send
+
+        def holds_private_key(payload):
+            if isinstance(payload, dict):
+                payload = list(payload.values())
+            if isinstance(payload, (list, tuple)):
+                return any(holds_private_key(p) for p in payload)
+            return isinstance(payload, PrivateKey)
+
+        def send(router, sender, receiver, payload):
+            if holds_private_key(payload):
+                key_receivers.append(receiver)
+            return real_send(router, sender, receiver, payload)
+
+        monkeypatch.setattr(Router, "send", send)
+        run_nssv(history, parts)
+        run_hesv(history, parts, HEParams(), seed=3)
+        run_secsv(history, parts, HEParams(), FieldParams(), skip=True, seed=3)
+        run_secretsv(history, parts, FieldParams(), seed=3)
+        assert key_receivers  # the leader hands the key pair to every other client
+        assert not {SERVER_P, SERVER_A, "dealer"} & set(key_receivers)
 
 
 class TestWeightedSum:
