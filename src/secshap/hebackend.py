@@ -271,7 +271,6 @@ class HEContext:
         self.meter = meter if meter is not None else CostMeter()
         self._noise_var = params.noise_stddev ** 2  # fresh noise added by each float op
         self._noise_rng = np.random.default_rng(params.seed)
-        self.decrypt_log: list[str] = []  # actor names, for role audits
 
     # -- key plumbing ---------------------------------------------------
 
@@ -355,7 +354,7 @@ class HEContext:
 
     def decrypt_stack(
         self, ct: CipherVector, live: tuple[int, int], block: tuple[int, int],
-        key: PrivateKey, draws: np.ndarray | None = None, actors=(),
+        key: PrivateKey, draws: np.ndarray | None = None,
     ) -> np.ndarray:
         """The live rows x cols entries of every ciphertext, shape (..., rows, cols).
 
@@ -364,7 +363,7 @@ class HEContext:
         cols', read row-major), and entry (r, c) gets the draw at
         r * cols' + c.  ``draws`` holds them laid out (..., rows' * cols')
         in stack order; without it they are drawn here, ciphertext by
-        ciphertext.  ``actors`` names the decryptor of each ciphertext.
+        ciphertext.
         """
         rows, cols = live
         if rows * cols > ct.width or rows > block[0] or cols > block[1]:
@@ -374,7 +373,6 @@ class HEContext:
                 f"private key {key.key_id} cannot decrypt ciphertext under {ct.key_id}"
             )
         self.meter.dec += ct.count
-        self.decrypt_log.extend(actors)
         lead = ct.slots.shape[:-1]
         slots = ct.slots[..., : rows * cols].reshape(lead + live)
         if ct.var is None:

@@ -345,7 +345,6 @@ def squaring_decrypt_stack(
     plan: MatMulPlan,
     ctx: HEContext,
     key: PrivateKey,
-    actors=(),
     draws: np.ndarray | None = None,
 ) -> np.ndarray:
     """The d_out x m products of a [..., j] stack of row bands, shape (..., d_out, m).
@@ -354,12 +353,11 @@ def squaring_decrypt_stack(
     decrypted as its full d'_out x s block would be: under noise it
     takes d'_out * s draws, and live entry (r, c) gets the one at
     r * s + c.  ``draws`` lays them out (..., j, d'_out * s); see
-    ``HEContext.decrypt_stack``.  ``actors`` names each band's decryptor.
+    ``HEContext.decrypt_stack``.
     """
     live = plan.live_rows()
     _check_stack(bands, (plan.j_blocks,), live * plan.m, "band")
-    out = ctx.decrypt_stack(bands, (live, plan.m), (plan.d_out_block, plan.s), key,
-                            draws=draws, actors=actors)
+    out = ctx.decrypt_stack(bands, (live, plan.m), (plan.d_out_block, plan.s), key, draws=draws)
     out = out.reshape(out.shape[:-3] + (plan.j_blocks * live, plan.m))
     return out[..., : plan.d_out, :]
 

@@ -2,9 +2,12 @@
 client-assignment rules for layer decryption.
 
 Parties are in-process actors; the router delivers payloads directly
-but sizes every message so per-pair traffic is exact.  Servers are
-never sent the HE private key; every decryption or reconstruction is
-logged with its actor, so an audit can check that only clients did it.
+but sizes every message so per-pair traffic is exact.  Every message of
+every protocol goes through ``Router.send``, the one place that meters
+bytes: the dealer's triple shares and the Beaver openings are sent there
+by ``sharing.share_matmul``.  Servers are never sent the HE private key;
+each protocol logs every decryption or reconstruction with its actor, so
+an audit can check that only clients did it.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ def client_name(i: int) -> str:
 @dataclass
 class Party:
     name: str
-    role: str  # "client" or "server"
     bytes_out: int = 0
 
 

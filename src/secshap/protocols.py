@@ -164,13 +164,13 @@ def _pooled_batches(owner_by_pos, ids_by_pos, positions, capacity, n_clients,
 def _new_router(meter: CostMeter, he_params: HEParams, clients,
                 two_servers: bool, with_dealer: bool = False) -> Router:
     router = Router(meter, he_params)
-    router.register(Party(SERVER_P, "server"))
+    router.register(Party(SERVER_P))
     if two_servers:
-        router.register(Party(SERVER_A, "server"))
+        router.register(Party(SERVER_A))
     if with_dealer:
-        router.register(Party("dealer", "server"))
+        router.register(Party("dealer"))
     for i in clients:
-        router.register(Party(client_name(i), "client"))
+        router.register(Party(client_name(i)))
     return router
 
 
@@ -449,7 +449,6 @@ def _hesv_eval_subset(ctx, router, keys, model, plans, agg_cts, data_cts, label_
             router.send(SERVER_P, who[l], bands[b])
         yhat = squaring_decrypt_stack(
             bands, plan, ctx, keys.private,
-            actors=[who[l] for who in names for _ in range(plan.j_blocks)],
             draws=None if noise is None else noise[layer_draws[l]],
         )
         if l < num_layers - 1:
@@ -464,7 +463,7 @@ def _hesv_eval_subset(ctx, router, keys, model, plans, agg_cts, data_cts, label_
     for b, who in enumerate(counters):
         router.send(SERVER_P, who, diff[b])
     plain = ctx.decrypt_stack(
-        diff, (1, valid.shape[1]), (1, valid.shape[1]), keys.private, actors=counters,
+        diff, (1, valid.shape[1]), (1, valid.shape[1]), keys.private,
         draws=None if noise is None else noise[label_draws],
     )
     counts = np.sum((np.abs(plain[:, 0]) < TOLERANCE) & valid, axis=1)
@@ -813,8 +812,7 @@ def run_secsv(
                 router.send(SERVER_A, SERVER_P, ct_a)
                 ct = ctx.he_add(ct_p, ct_a)
                 router.send(SERVER_P, receiver, ct)
-                raw = ctx.decrypt_stack(ct, (plan.d_out, m_cap), (plan.d_out, m_cap),
-                                        keys.private, actors=(receiver,))
+                raw = ctx.decrypt_stack(ct, (plan.d_out, m_cap), (plan.d_out, m_cap), keys.private)
                 out.append(raw[:, :cols])
             # aggregate model at 2f (weight times parameter), share at f
             return decode_matrix(np.stack(out), field, 3 * field.frac_bits)
@@ -876,7 +874,6 @@ def run_secretsv(
         supply = TripleSupply(
             replace(field, seed=_round_seed(field.seed ^ seed, record.round_index)),
             budget=per_round_budget,
-            on_bytes=lambda receiver, nbytes: meter.record_bytes("dealer", receiver, nbytes),
             arena=arena,
         )
         model_shares: dict = {}
@@ -928,7 +925,7 @@ def run_secretsv(
             return layers
 
         def linear(models, l, x, receivers):
-            out = share_matmul(models[l], x, supply, field, meter=meter)
+            out = share_matmul(models[l], x, supply, field, router=router)
             for g, receiver in enumerate(receivers):
                 router.send(SERVER_P, receiver, out.s_prime[g])
                 router.send(SERVER_A, receiver, out.s_dprime[g])

@@ -22,7 +22,10 @@ shared matrices at once, each product with its own Beaver triple.
 ``TripleSupply.deal`` draws the triples of a stack of evaluations from
 one block, laid out as one-by-one ``take`` calls would draw them, and sizes
 the scratch buffer (``_Arena``, supplies may share one) of its products and
-dealer; ``share_matmul`` never forms [f ; v_j] as one array.
+dealer; ``share_matmul`` never forms [f ; v_j] as one array.  Every
+message of a product, the dealer's triple shares and the servers'
+openings, goes through the ``Router.send`` that ``share_matmul`` is
+given, so the dealer's sends are metered there, not in the supply.
 """
 
 from __future__ import annotations
@@ -59,31 +62,6 @@ __all__ = [
 
 DEFAULT_PRIME = (1 << 61) - 1  # Mersenne prime, 61 bits
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for small in _MR_BASES:
-        if n % small == 0:
-            return n == small
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
 
 class CodecError(ValueError):
     """Secret outside the representable fixed-point range."""
@@ -100,8 +78,6 @@ class FieldParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not _is_probable_prime(self.prime):
-            raise ValueError(f"prime: {self.prime} is not prime")
         if self.prime != DEFAULT_PRIME:
             raise ValueError("prime: only 2**61 - 1 is supported")
         if self.frac_bits < 0:
@@ -337,13 +313,7 @@ M61 = _Mersenne61()
 
 def mask_rng(seed: int | str) -> np.random.Generator:
     """A mask stream for ``split_matrix``, seeded by any int or string."""
-    return _generator(random.Random(seed))
-
-
-def _generator(rng: np.random.Generator | random.Random) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng.getrandbits(64))
+    return np.random.default_rng(random.Random(seed).getrandbits(64))
 
 
 # -- codec ---------------------------------------------------------------
@@ -385,20 +355,17 @@ def decode_matrix(raw, field: FieldParams, scale_bits: int) -> np.ndarray:
 # -- splitting and reconstruction -----------------------------------------
 
 
-def split_matrix(
-    m: np.ndarray, field: FieldParams, rng: np.random.Generator | random.Random
-) -> SharePair:
+def split_matrix(m: np.ndarray, field: FieldParams, rng: np.random.Generator) -> SharePair:
     """Encode and share a real array; an integer array is refused.
 
-    Masks come from ``rng``, a numpy Generator; a ``random.Random``
-    seeds a fresh Generator per call.  Field elements that are already
-    encoded are shared with ``split_masked``.
+    Masks come from ``rng``.  Field elements that are already encoded are
+    shared with ``split_masked``.
     """
     if np.asarray(m).dtype.kind in "iuO":
         raise CodecError("split_matrix shares reals; share encoded field elements "
                          "with split_masked")
     enc = encode_matrix(m, field)
-    return split_masked(enc, M61.random(_generator(rng), enc.shape), field)
+    return split_masked(enc, M61.random(rng, enc.shape), field)
 
 
 def split_masked(enc: np.ndarray, mask: np.ndarray, field: FieldParams) -> SharePair:
@@ -418,27 +385,26 @@ class TripleSupply:
 
     One triple covers one matrix product; its cost in scalar
     multiplications is rows_a * cols_a * cols_b.  An optional budget
-    makes exhaustion testable.  Dealer traffic can be metered through
-    ``on_bytes(receiver, nbytes)``.
+    makes exhaustion testable.  The supply only computes; ``share_matmul``
+    sends each server its triple shares.
 
     ``take(shape_a, shape_b)`` hands out one triple, or a stack of
-    ``count`` for shapes (count, r, k) x (count, k, c); ``used`` and the
-    dealer bytes are charged as triples are taken.  Each triple draws u,
-    v, then the masks of u, v and w.  ``deal(count, shapes)`` draws
+    ``count`` for shapes (count, r, k) x (count, k, c); ``used`` is
+    charged as triples are taken.  Each triple draws u, v, then the masks
+    of u, v and w.  ``deal(count, shapes)`` draws
     ahead, from one block, the triples of ``count`` evaluations that each
     make the products ``shapes``, laid out as one-by-one takes would draw
     them; stacked takes then form them in the block, product by product.
     A budget fails where one-by-one takes would, with the same ``used``.
     """
 
-    def __init__(self, field: FieldParams, budget: int | None = None, on_bytes=None, arena=None):
+    def __init__(self, field: FieldParams, budget: int | None = None, arena=None):
         headroom = secretsv_headroom_error(field.frac_bits)
         if headroom:
             raise ValueError(headroom)
         self.field = field
         self.budget = budget
         self.used = 0
-        self.on_bytes = on_bytes
         self._rng = mask_rng(field.seed ^ 0x5EED)
         self._arena = arena or _Arena()  # scratch of the dealer and of share_matmul
         self._dealt: deque = deque()  # ((count, shape_a, shape_b), draws), in take order
@@ -485,10 +451,6 @@ class TripleSupply:
         cost = count * key[1][0] * key[1][1] * key[2][1]
         self._pending -= cost
         self.used += cost
-        if self.on_bytes is not None:
-            per_server = mask_u.nbytes + mask_v.nbytes + mask_w.nbytes
-            self.on_bytes("server_p", per_server)
-            self.on_bytes("server_a", per_server)
         # w = u @ v goes to a fresh w''; u'' and v'' overwrite u and v in the block
         pairs = [SharePair(mask_u, u), SharePair(mask_v, v), split_masked(
             M61._matmul(u, (v,), self._arena.alloc(mask_w.shape), self._arena), mask_w, self.field)]
@@ -554,18 +516,18 @@ def share_matmul(
     b: SharePair,
     supply: TripleSupply,
     field: FieldParams,
-    meter=None,
-    parties: tuple[str, str] = ("server_p", "server_a"),
+    router=None,
 ) -> SharePair:
     """Product of two shared matrices via one Beaver triple, then truncation.
 
     ``a`` may be a stack (count, r, k) of shared matrices; ``b`` is then
     a stack (count, k, c), or one (k, c) matrix every product shares.
-    Each product uses its own triple, taken as one stack.  Both servers
-    open masked differences (metered as exchanged bytes when ``meter``
-    is given) and combine them with their triple shares, with the
-    temporaries in the supply's arena.  The result is shared at the codec
-    scale again.
+    Each product uses its own triple, taken as one stack.  The dealer
+    sends each server its triple shares, both servers open masked
+    differences to each other (each message through ``router.send`` when
+    a router is given) and combine them with their triple shares, with
+    the temporaries in the supply's arena.  The result is shared at the
+    codec scale again.
     """
     shape_a = a.s_prime.shape
     shape_b = b.s_prime.shape
@@ -582,10 +544,11 @@ def share_matmul(
     # f = b - v are opened
     e = _opened(a, u, left[..., k:], arena)
     f = _opened(b, v, arena.alloc(lead + (k, c)), arena)
-    if meter is not None:
-        opened = e.nbytes + f.nbytes
-        meter.record_bytes(parties[0], parties[1], opened)
-        meter.record_bytes(parties[1], parties[0], opened)
+    if router is not None:
+        router.send("dealer", "server_p", (u.s_prime, v.s_prime, w.s_prime))
+        router.send("dealer", "server_a", (u.s_dprime, v.s_dprime, w.s_dprime))
+        router.send("server_p", "server_a", (e, f))
+        router.send("server_a", "server_p", (e, f))
 
     z = []
     for u_j, v_j, w_j in ((np.add(e, u.s_prime, out=arena.alloc(e.shape)), v.s_prime, w.s_prime),

@@ -74,7 +74,7 @@ class TestConfig:
 
     def test_non_prime_rejected_under_prime(self):
         config = replace(ExperimentConfig(), prime=2**61 + 1)
-        assert config.validate() == ["prime: 2305843009213693953 is not prime"]
+        assert config.validate() == ["prime: only 2**61 - 1 is supported"]
 
     def test_other_prime_rejected_under_prime(self):
         # 2^89 - 1 is prime, but 2^61 - 1 is the one field

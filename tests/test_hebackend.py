@@ -79,11 +79,6 @@ class TestEncryptDecrypt:
         out = ctx.decrypt_stack(ct, (2, 4), (2, 4), keys.private, draws=np.zeros(16))
         assert np.array_equal(out, np.ones((2, 2, 4)))
 
-    def test_decrypt_log_records_actor(self, ctx, keys):
-        ct = ctx.encrypt_slots([1], keys.public)
-        ctx.decrypt_stack(ct, (1, 1), (1, 1), keys.private, actors=("client2",))
-        assert ctx.decrypt_log == ["client2"]
-
     def test_integer_slots_are_exact(self, ctx, keys):
         # slots hold field elements mod the plaintext modulus p, exactly
         elems = [P - 1, P - 2, 1, 0, (1 << 60) + 12345]

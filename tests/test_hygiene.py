@@ -14,6 +14,8 @@
   and docstrings included, and comments do not count as callers.  The
   only exceptions are the references and fixtures in
   ``TEST_REFERENCES``, which tests check code against.
+- No module but ``parties.py`` uses ``.record_bytes``: every message
+  goes through ``Router.send``, the one place that meters traffic.
 """
 
 import ast
@@ -232,3 +234,25 @@ def test_scan_finds_module_level_scratch():
 def test_no_module_level_scratch(path):
     """A buffer belongs to one run, never to the module."""
     assert module_level_scratch(path.read_text()) == []
+
+
+def record_bytes_uses(source: str) -> list[str]:
+    """Lines that use an attribute ``.record_bytes``, called or passed on as a hook."""
+    return [f"line {line}" for line in sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "record_bytes")]
+
+
+def test_scan_finds_record_bytes_uses():
+    source = ("def record_bytes(sender, receiver, nbytes):\n"
+              "    pass\n"
+              "meter.record_bytes('dealer', 'server_p', 8)\n"
+              "router.send('dealer', 'server_p', 8)\n"
+              "hook = self.meter.record_bytes\n")
+    assert record_bytes_uses(source) == ["line 3", "line 5"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_router_meters_bytes(path):
+    """``Router.send`` is the one caller of ``CostMeter.record_bytes``."""
+    assert len(record_bytes_uses(path.read_text())) == (1 if path.name == "parties.py" else 0)

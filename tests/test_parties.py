@@ -50,8 +50,8 @@ class TestRouter:
     def test_bytes_metered_per_pair(self):
         meter = CostMeter()
         router = Router(meter, HEParams())
-        a = router.register(Party("client_0", "client"))
-        router.register(Party(SERVER_P, "server"))
+        a = router.register(Party("client_0"))
+        router.register(Party(SERVER_P))
         router.send("client_0", SERVER_P, np.zeros((2, 2)))
         router.send("client_0", SERVER_P, np.zeros((1, 1)))
         assert meter.bytes_sent == {("client_0", SERVER_P): 32 + 8}
@@ -60,9 +60,9 @@ class TestRouter:
     def test_total_equals_sum_of_messages(self):
         meter = CostMeter()
         router = Router(meter, HEParams())
-        router.register(Party("client_0", "client"))
-        router.register(Party(SERVER_P, "server"))
-        router.register(Party(SERVER_A, "server"))
+        router.register(Party("client_0"))
+        router.register(Party(SERVER_P))
+        router.register(Party(SERVER_A))
         sizes = []
         for k in range(1, 5):
             payload = np.zeros((k, k))
@@ -72,7 +72,7 @@ class TestRouter:
 
     def test_unknown_party(self):
         router = Router(CostMeter(), HEParams())
-        router.register(Party(SERVER_P, "server"))
+        router.register(Party(SERVER_P))
         with pytest.raises(KeyError):
             router.send("ghost", SERVER_P, 1)
 

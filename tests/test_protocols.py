@@ -773,6 +773,36 @@ class TestKeyCustody:
         assert not {SERVER_P, SERVER_A, "dealer"} & set(key_receivers)
 
 
+class TestTrafficLedger:
+    @pytest.mark.parametrize("protocol", ["nssv", "hesv", "secsv", "secretsv"])
+    def test_bytes_out_equal_the_meter_per_sender(self, logistic_world, monkeypatch, protocol):
+        # every message goes through Router.send, Beaver openings and dealer triples included
+        parts, history, _ = logistic_world
+        routers = []
+        real = protocols._new_router
+
+        def new_router(*args, **kwargs):
+            routers.append(real(*args, **kwargs))
+            return routers[-1]
+
+        monkeypatch.setattr(protocols, "_new_router", new_router)
+        run = {
+            "nssv": lambda: run_nssv(history, parts),
+            "hesv": lambda: run_hesv(history, parts, HEParams(), seed=3),
+            "secsv": lambda: run_secsv(history, parts, HEParams(), FieldParams(), skip=True,
+                                       seed=3),
+            "secretsv": lambda: run_secretsv(history, parts, FieldParams(), seed=3),
+        }[protocol]
+        report = run()
+        (router,) = routers
+        assert router.meter is report.meter
+        sent = dict.fromkeys(router.parties, 0)
+        for (sender, _), nbytes in report.meter.bytes_sent.items():
+            sent[sender] += nbytes
+        assert {name: party.bytes_out for name, party in router.parties.items()} == sent
+        assert sum(sent.values()) == report.meter.total_bytes() > 0
+
+
 class TestWeightedSum:
     @pytest.mark.parametrize("prime", [(1 << 61) - 1], ids=["m61"])
     @pytest.mark.parametrize("terms", range(1, 9))

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from secshap import sharing
+from secshap.hebackend import CostMeter, HEParams
 from secshap.matrix import ShapeError, matmul_oracle
+from secshap.parties import SERVER_A, SERVER_P, Party, Router
 from secshap.sharing import (
     M61,
     BeaverTriple,
@@ -30,6 +32,7 @@ from secshap.sharing import (
     decode_matrix,
     encode,
     encode_matrix,
+    mask_rng,
     reconstruct_int,
     secretsv_headroom_error,
     share_matmul,
@@ -43,6 +46,14 @@ FIELD = FieldParams()
 def open_shares(pair, field=FIELD):
     """The reals a pair of shares stands for, at the codec scale."""
     return decode_matrix(reconstruct_int(pair, field), field, field.frac_bits)
+
+
+def _metered_router():
+    """A router among the two servers and the dealer, on a fresh meter."""
+    router = Router(CostMeter(), HEParams())
+    for name in (SERVER_P, SERVER_A, "dealer"):
+        router.register(Party(name))
+    return router
 
 
 class TestFieldParams:
@@ -75,7 +86,7 @@ class TestCodec:
 
     def test_fractional_round_trip(self):
         x = 1.5
-        pair = split_matrix(np.array([[x]]), FIELD, random.Random(0))
+        pair = split_matrix(np.array([[x]]), FIELD, mask_rng(0))
         assert abs(open_shares(pair)[0, 0] - x) <= 2**-16
 
     def test_negative_values(self):
@@ -111,7 +122,7 @@ class TestSplitReconstruct:
         assert reconstruct_int(pair, FIELD).tolist() == [5, 5]
 
     def test_zero_secret(self):
-        pair = split_matrix(np.array([[0.0]]), FIELD, random.Random(1))
+        pair = split_matrix(np.array([[0.0]]), FIELD, mask_rng(1))
         assert open_shares(pair)[0, 0] == 0.0
 
     def test_exact_in_integer_field(self):
@@ -124,7 +135,7 @@ class TestSplitReconstruct:
     def test_split_matrix_refuses_field_elements(self, dtype):
         # an integer array is already encoded: sharing it again as reals would be wrong
         with pytest.raises(CodecError, match="split_masked"):
-            split_matrix(np.array([[1, 2]], dtype=dtype), FIELD, random.Random(2))
+            split_matrix(np.array([[1, 2]], dtype=dtype), FIELD, mask_rng(2))
 
     def test_reconstruct_and_truncate_at_the_share_edges(self):
         # shares (p - 1, p - 1) sum to 2p - 2, and (0, 0) to 0
@@ -139,7 +150,7 @@ class TestSplitReconstruct:
 
     def test_matrix_round_trip(self):
         m = np.random.default_rng(3).uniform(-4, 4, size=(3, 5))
-        pair = split_matrix(m, FIELD, random.Random(3))
+        pair = split_matrix(m, FIELD, mask_rng(3))
         assert np.max(np.abs(open_shares(pair) - m)) <= 2**-16
 
     def test_share_uniformity_proxy(self):
@@ -160,7 +171,7 @@ class TestShareMatmul:
         self.supply = TripleSupply(FIELD)
 
     def _share(self, m):
-        return split_matrix(m, FIELD, self.rng)
+        return split_matrix(m, FIELD, np.random.default_rng(self.rng.getrandbits(64)))
 
     def test_identity_times_matrix(self):
         b = np.array([[1.5, -2.0], [0.25, 3.0]])
@@ -191,11 +202,18 @@ class TestShareMatmul:
             share_matmul(a, b, small, FIELD)
 
     def test_dealer_bytes_metered(self):
-        seen = {}
-        supply = TripleSupply(FIELD, on_bytes=lambda who, n: seen.__setitem__(who, seen.get(who, 0) + n))
-        supply.take((2, 3), (3, 2))
-        expected = (6 + 6 + 4) * 8  # one uint64 per field element
-        assert seen == {"server_p": expected, "server_a": expected}
+        router = _metered_router()
+        a, b = self._share(np.ones((2, 3))), self._share(np.ones((3, 2)))
+        share_matmul(a, b, self.supply, FIELD, router=router)
+        dealt = (6 + 6 + 4) * 8  # u, v and w shares, one uint64 per field element
+        opened = (6 + 6) * 8  # e and f
+        assert router.meter.bytes_sent == {
+            ("dealer", SERVER_P): dealt, ("dealer", SERVER_A): dealt,
+            (SERVER_P, SERVER_A): opened, (SERVER_A, SERVER_P): opened,
+        }
+        assert {name: party.bytes_out for name, party in router.parties.items()} == {
+            SERVER_P: opened, SERVER_A: opened, "dealer": 2 * dealt,
+        }
 
     def test_truncation_error_grows_linearly_in_chain_length(self):
         # repeated multiplication by shares of the identity accumulates
@@ -265,13 +283,6 @@ EVALUATIONS = {
 }
 
 
-def _counting_supply(field, budget=None):
-    seen: dict = {}
-    supply = TripleSupply(field, budget=budget,
-                          on_bytes=lambda who, n: seen.__setitem__(who, seen.get(who, 0) + n))
-    return supply, seen
-
-
 class TestStackedShareMatmul:
     """A dealt stack of triples and stacked products equal one-by-one takes and products."""
 
@@ -296,30 +307,33 @@ class TestStackedShareMatmul:
     def test_equals_one_by_one(self, field, count, world, fill):
         shapes = EVALUATIONS[world]
         operands = self._operands(field, count, shapes, fill, shared_b=world == "wide")
-        stacked, stacked_bytes = _counting_supply(field)
-        single, single_bytes = _counting_supply(field)
+        stacked, single = TripleSupply(field), TripleSupply(field)
+        stacked_router, single_router = _metered_router(), _metered_router()
         stacked.deal(count, shapes)
-        outs = [share_matmul(a, b, stacked, field) for a, b in operands]
+        outs = [share_matmul(a, b, stacked, field, router=stacked_router) for a, b in operands]
         for g in range(count):  # the one-by-one order: evaluation, then product
             for (a, b), out in zip(operands, outs):
                 b_g = b if b.s_prime.ndim == 2 else SharePair(b.s_prime[g], b.s_dprime[g])
-                one = share_matmul(SharePair(a.s_prime[g], a.s_dprime[g]), b_g, single, field)
+                one = share_matmul(SharePair(a.s_prime[g], a.s_dprime[g]), b_g, single, field,
+                                   router=single_router)
                 assert out.s_prime.dtype == one.s_prime.dtype == np.uint64
                 assert out.s_prime[g].tolist() == one.s_prime.tolist()
                 assert out.s_dprime[g].tolist() == one.s_dprime.tolist()
         assert stacked.used == single.used
-        assert stacked_bytes == single_bytes
+        assert stacked_router.meter.bytes_sent == single_router.meter.bytes_sent
 
     def test_undealt_stack_is_drawn_on_take(self):
         # a stacked take with nothing dealt draws its own stack, in the same order
         a = SharePair(*(M61.random(np.random.default_rng(h), (3, 2, 5)) for h in (1, 2)))
         b = SharePair(*(M61.random(np.random.default_rng(h), (3, 5, 4)) for h in (3, 4)))
-        dealt, _ = _counting_supply(FIELD)
+        dealt, undealt = TripleSupply(FIELD), TripleSupply(FIELD)
+        dealt_router, undealt_router = _metered_router(), _metered_router()
         dealt.deal(3, [((2, 5), (5, 4))])
-        want = share_matmul(a, b, dealt, FIELD)
-        got = share_matmul(a, b, TripleSupply(FIELD), FIELD)
+        want = share_matmul(a, b, dealt, FIELD, router=dealt_router)
+        got = share_matmul(a, b, undealt, FIELD, router=undealt_router)
         assert got.s_prime.tolist() == want.s_prime.tolist()
         assert got.s_dprime.tolist() == want.s_dprime.tolist()
+        assert undealt_router.meter.bytes_sent == dealt_router.meter.bytes_sent
 
     def test_takes_follow_the_dealt_order(self):
         supply = TripleSupply(FIELD)
