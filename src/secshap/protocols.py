@@ -574,7 +574,8 @@ def _two_server_round(record: RoundModels, shared: _SharedData, m_cap: int, n: i
     Servers P and A hold shares of the pooled test data.
     ``evaluate(subsets, sample_ids)`` runs a list of subsets on one list
     of sample ids and returns each subset's correct ids.  It takes the
-    subsets in chunks of ``_chunk_size`` (bytes, ``_CHUNK_BYTES``); per chunk,
+    subsets in chunks of ``_chunk_size`` (bytes, ``_CHUNK_BYTES``; a call
+    with one subset is one chunk without consulting it); per chunk,
     ``models = aggregate(chunk, widths)`` gives the chunk's subset models,
     ready for batches of these widths.  Per batch and layer,
     ``linear(models, l, x, receivers)`` computes layer ``l`` of every
@@ -599,48 +600,48 @@ def _two_server_round(record: RoundModels, shared: _SharedData, m_cap: int, n: i
     players = sorted(record.selected)
     actors: list[str] = []
     assignments = itertools.count()  # one running offset per round
-    batch_cache: dict = {}  # sample-id tuple -> [(batch, column array)]
+    batch_cache: dict = {}  # sample-id tuple -> [(batch, column array, input shares)]
 
     def batches_for(sample_ids):
         key = tuple(sample_ids)
         if key not in batch_cache:
             positions = [shared.pos_of_id[s] for s in key]
-            batch_cache[key] = [
-                (batch, np.array(batch.columns))
-                for batch in _pooled_batches(shared.owner_by_pos, shared.ids_by_pos,
-                                             positions, m_cap, n)
-            ]
+            batch_cache[key] = []
+            for batch in _pooled_batches(shared.owner_by_pos, shared.ids_by_pos,
+                                         positions, m_cap, n):
+                cols = np.array(batch.columns)
+                inputs = (shared.x_prime[:, cols], shared.x_dprime[:, cols])
+                batch_cache[key].append((batch, cols, inputs))
         return batch_cache[key]
 
     def evaluate(subsets, sample_ids) -> list[set]:
         subsets = [frozenset(s) for s in subsets]
         batches = batches_for(sample_ids)
-        widths = [len(batch.ids) for batch, _ in batches]
+        widths = [len(batch.ids) for batch, _, _ in batches]
         # receivers[subset][batch][layer], assigned in the one-by-one order
         receivers = []
         for subset in subsets:
             owner = next(iter(subset)) if len(subset) == 1 else None
             per_batch = []
-            for batch, _ in batches:
+            for batch, _, _ in batches:
                 sequence = assign_decryptors(
                     players, num_layers, owner, batch.owners, level, next(assignments)
                 )
                 per_batch.append([client_name(i) for i in sequence[1:num_layers + 1]])
                 actors.extend(per_batch[-1])
             receivers.append(per_batch)
-        inputs = [(shared.x_prime[:, cols], shared.x_dprime[:, cols]) for _, cols in batches]
         sizes = [r * width for width in widths for r in rows]
         starts = list(itertools.accumulate(sizes, initial=0))
         correct = []
-        step = _chunk_size(arch, widths)
+        step = _chunk_size(arch, widths) if len(subsets) > 1 else 1
         for lo in range(0, len(subsets), step):
             chunk = subsets[lo:lo + step]
             models = aggregate(chunk, widths)
             masks = M61.random_block(share_rng, len(chunk), sizes)
             found = [set() for _ in chunk]
-            for b, (batch, cols) in enumerate(batches):
+            for b, (batch, cols, inputs) in enumerate(batches):
                 x = SharePair(*(np.broadcast_to(half, (len(chunk),) + half.shape)
-                                for half in inputs[b]))
+                                for half in inputs))
                 for l in range(num_layers):
                     who = [receivers[lo + g][b][l] for g in range(len(chunk))]
                     yhat = linear(models, l, x, who)

@@ -6,9 +6,14 @@ single-round values follow the classic weighted-marginal formula; the
 per-round vectors sum into final per-client contributions.
 
 The skip accelerator exploits one observation: a sample predicted
-correctly by both halves of any bipartition of S is very likely (for
-linear classifiers: certain) to be predicted correctly by the model
-aggregated from S, so it need not be evaluated again.
+correctly by both halves of any bipartition of S is very likely to be
+predicted correctly by the model aggregated from S, so it need not be
+evaluated again.  The rule is a heuristic.  For a linear classifier it
+is exact only when S's aggregate is an exact convex combination of its
+halves' aggregates, and the grid weights of ``RoundModels.weights_for``
+are not (ROADMAP item 2 holds the mend).  Its state is integers: a subset
+is its bitmask over the round's sorted players, and a set of correct
+samples a bitset over positions in the round's sample ids.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import numpy as np
 
 __all__ = [
     "UtilityTable",
-    "SkipState",
     "SampleSkipResult",
     "IncompleteTableError",
     "subsets_ascending",
@@ -79,17 +83,6 @@ class UtilityTable:
         return all(s in self.values for s in subsets_ascending(self.players))
 
 
-@dataclass
-class SkipState:
-    """Correctly-predicted sample ids per already-tested subset."""
-
-    round_index: int
-    correct_ids: dict = field(default_factory=dict)  # frozenset -> frozenset of ids
-
-    def record(self, subset, ids) -> None:
-        self.correct_ids[frozenset(subset)] = frozenset(ids)
-
-
 def ssv_exact(table: UtilityTable) -> dict[int, float]:
     """Exact per-client values for one round from a complete table."""
     players = sorted(table.players)
@@ -135,79 +128,92 @@ def fsv_error(estimate: dict[int, float], exact: dict[int, float]) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def find_skippable(subset, state: SkipState) -> frozenset:
-    """Ids safe to skip for the aggregate of ``subset``.
+def find_skippable(mask: int, correct: dict) -> int:
+    """Sample positions safe to skip for the aggregate of the players in ``mask``.
 
-    Union over every bipartition (S', S \\ S') with both halves already
-    recorded of the intersection of their correct-id sets.  Bipartitions
-    with an unrecorded half are silently ignored.
+    ``correct`` maps a player bitmask to the bitset of its correctly
+    predicted sample positions.  The result is the union, over every
+    bipartition (h, mask ^ h) with both halves recorded, of their
+    intersection; bipartitions with an unrecorded half are ignored.
+    Each bipartition is walked once, as the half h that holds the
+    lowest player.
     """
-    subset = frozenset(subset)
-    if len(subset) < 2:
+    if mask & (mask - 1) == 0:
         raise ValueError("skippable ids are defined for aggregates of >= 2 clients")
-    anchor = min(subset)
-    members = sorted(subset - {anchor})
-    skippable: frozenset = frozenset()
-    for r in range(len(members) + 1):
-        for combo in itertools.combinations(members, r):
-            half = frozenset(combo) | {anchor}
-            if half == subset:
-                continue
-            other = subset - half
-            if half in state.correct_ids and other in state.correct_ids:
-                skippable |= state.correct_ids[half] & state.correct_ids[other]
+    anchor = mask & -mask
+    rest = mask ^ anchor
+    skippable = 0
+    sub = rest
+    while sub:
+        sub = (sub - 1) & rest  # every proper submask of rest, 0 last
+        half = correct.get(sub | anchor)
+        if half is not None:
+            other = correct.get(rest ^ sub)
+            if other is not None:
+                skippable |= half & other
     return skippable
 
 
 @dataclass
 class SampleSkipResult:
     utilities: dict  # frozenset -> float, all non-empty subsets
-    state: SkipState
     skipped: dict  # frozenset -> number of skipped sample evaluations
     evaluated: dict  # frozenset -> number of securely evaluated samples
 
 
-def sample_skip_round(
-    round_index: int,
-    players,
-    sample_ids,
-    evaluate_hook,
-    total_samples: int | None = None,
-) -> SampleSkipResult:
+_FLAG_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bitset(positions, size: int) -> int:
+    """The int whose bit k is set for each k in ``positions`` (0 < size, all k < size)."""
+    flags = bytearray(b"0") * size
+    for k in positions:
+        flags[k] = ord("1")
+    return int(flags[::-1], 2)
+
+
+def _members(bits: int, items) -> tuple:
+    """The items at the set bits of ``bits``, in the order of ``items``."""
+    flags = bin(bits)[:1:-1].encode().translate(_FLAG_BYTES)  # flags[k] = bit k
+    return tuple(itertools.compress(items, flags))
+
+
+def sample_skip_round(round_index, players, sample_ids, evaluate_hook) -> SampleSkipResult:
     """Drive one round of subset testing with sample skipping.
 
     ``evaluate_hook(subset, ids)`` must evaluate the subset's aggregate
     model on exactly the given sample ids and return the correctly
     predicted ones.  Locals are tested on the full id list; aggregates
     (ascending size) only on ids no bipartition already settled.  A
-    fully skippable aggregate is not evaluated at all.
+    fully skippable aggregate is not evaluated at all.  Sample ids must
+    be unique; ids are mapped to bit positions only at the hook.
     """
     players = sorted(players)
-    sample_ids = list(sample_ids)
-    total = len(sample_ids) if total_samples is None else total_samples
-    state = SkipState(round_index)
+    sample_ids = tuple(sample_ids)
+    total = len(sample_ids)
+    position = {sid: k for k, sid in enumerate(sample_ids)}
+    if not total or len(position) < total:
+        raise ValueError(f"round {round_index}: sample_ids must be non-empty and unique, "
+                         f"got {total} ids of which {len(position)} distinct")
+    everything = (1 << total) - 1
+    bit = {p: 1 << k for k, p in enumerate(players)}
+    correct: dict[int, int] = {}  # player bitmask -> bitset of correct positions
     utilities: dict = {}
     skipped: dict = {}
     evaluated: dict = {}
-    for i in players:
-        subset = frozenset({i})
-        correct = frozenset(evaluate_hook(subset, tuple(sample_ids)))
-        state.record(subset, correct)
-        utilities[subset] = len(correct) / total
-        evaluated[subset] = len(sample_ids)
-        skipped[subset] = 0
     for subset in subsets_ascending(players):
-        if len(subset) < 2:
+        if not subset:
             continue
-        skip_ids = find_skippable(subset, state)
-        remaining = tuple(s for s in sample_ids if s not in skip_ids)
-        correct = frozenset(evaluate_hook(subset, remaining)) if remaining else frozenset()
-        full = correct | skip_ids
-        state.record(subset, full)
-        utilities[subset] = len(full) / total
+        mask = sum(bit[p] for p in subset)
+        skip = find_skippable(mask, correct) if len(subset) > 1 else 0
+        remaining = _members(everything ^ skip, sample_ids)
+        hits = evaluate_hook(subset, remaining) if remaining else ()
+        full = skip | _bitset(map(position.__getitem__, hits), total)
+        correct[mask] = full
+        utilities[subset] = full.bit_count() / total
         evaluated[subset] = len(remaining)
-        skipped[subset] = len(skip_ids)
-    return SampleSkipResult(utilities, state, skipped, evaluated)
+        skipped[subset] = skip.bit_count()
+    return SampleSkipResult(utilities, skipped, evaluated)
 
 
 def permutation_sampling_ssv(

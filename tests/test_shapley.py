@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,6 @@ from hypothesis import strategies as st
 from secshap.models import aggregate, arch_logistic, predict, random_model
 from secshap.shapley import (
     IncompleteTableError,
-    SampleSkipResult,
-    SkipState,
     UtilityTable,
     find_skippable,
     fsv_aggregate,
@@ -109,38 +109,58 @@ class TestFsv:
             fsv_error({1: 0.0}, {2: 0.0})
 
 
+def in_bits(players, ids, recorded):
+    """``recorded`` (player subset -> correct ids) as ``find_skippable`` takes it.
+
+    Returns the subset-to-bitmask map, the bitsets and the bitset-to-ids map.
+    """
+    bit = {p: 1 << k for k, p in enumerate(sorted(players))}
+    position = {sid: k for k, sid in enumerate(ids)}
+
+    def mask(subset):
+        return sum(bit[p] for p in subset)
+
+    def ids_of(bits):
+        return frozenset(sid for k, sid in enumerate(ids) if bits >> k & 1)
+
+    correct = {mask(half): sum(1 << position[sid] for sid in got)
+               for half, got in recorded.items()}
+    return mask, correct, ids_of
+
+
+def skippable_ids(subset, recorded, ids) -> frozenset:
+    """``find_skippable`` in ids."""
+    mask, correct, ids_of = in_bits(set(subset).union(*recorded), ids, recorded)
+    return ids_of(find_skippable(mask(subset), correct))
+
+
 class TestFindSkippable:
     def test_worked_three_client_example(self):
-        state = SkipState(0)
-        state.record({1}, {1, 2})
-        state.record({2, 3}, {1, 2})
-        state.record({2}, {2, 3})
-        state.record({1, 3}, {2, 3})
-        state.record({3}, {3, 4})
-        state.record({1, 2}, {3, 4})
-        got = find_skippable({1, 2, 3}, state)
+        recorded = {
+            (1,): {1, 2}, (2, 3): {1, 2},
+            (2,): {2, 3}, (1, 3): {2, 3},
+            (3,): {3, 4}, (1, 2): {3, 4},
+        }
+        got = skippable_ids({1, 2, 3}, recorded, [1, 2, 3, 4])
         assert got == frozenset({1, 2, 3, 4})
 
     def test_disjoint_sets_skip_nothing(self):
-        state = SkipState(0)
-        state.record({1}, {1})
-        state.record({2}, {2})
-        assert find_skippable({1, 2}, state) == frozenset()
+        recorded = {(1,): {1}, (2,): {2}}
+        assert skippable_ids({1, 2}, recorded, [1, 2]) == frozenset()
 
     def test_pair_is_single_bipartition(self):
-        state = SkipState(0)
-        state.record({1}, {1, 2, 3})
-        state.record({2}, {2, 3, 4})
-        assert find_skippable({1, 2}, state) == frozenset({2, 3})
+        recorded = {(1,): {1, 2, 3}, (2,): {2, 3, 4}}
+        assert skippable_ids({1, 2}, recorded, [1, 2, 3, 4]) == frozenset({2, 3})
 
     def test_missing_halves_ignored(self):
-        state = SkipState(0)
-        state.record({1}, {1})
-        assert find_skippable({1, 2}, state) == frozenset()
+        recorded = {(1,): {1}}
+        assert skippable_ids({1, 2}, recorded, [1]) == frozenset()
 
     def test_singletons_rejected(self):
         with pytest.raises(ValueError):
-            find_skippable({1}, SkipState(0))
+            find_skippable(0b1, {})
+        with pytest.raises(ValueError):
+            find_skippable(0, {})
 
 
 class TestSampleSkipRound:
@@ -198,6 +218,114 @@ class TestSampleSkipRound:
         assert res.skipped[pair] == 2
         assert res.evaluated[pair] == 2
         assert res.utilities[pair] == pytest.approx(0.5)
+
+    def test_duplicate_ids_rejected(self):
+        calls = []
+
+        def hook(subset, batch_ids):
+            calls.append(subset)
+            return set(batch_ids)
+
+        with pytest.raises(ValueError, match="sample_ids"):
+            sample_skip_round(0, [1, 2], [5, 6, 5], hook)
+        with pytest.raises(ValueError, match="sample_ids"):
+            sample_skip_round(0, [1, 2], [], hook)
+        assert calls == []
+
+
+# The frozenset algorithm that the bitmask one replaced, kept as the reference.
+
+def reference_find_skippable(subset, correct_ids) -> frozenset:
+    subset = frozenset(subset)
+    anchor = min(subset)
+    members = sorted(subset - {anchor})
+    skippable: frozenset = frozenset()
+    for r in range(len(members) + 1):
+        for combo in itertools.combinations(members, r):
+            half = frozenset(combo) | {anchor}
+            if half == subset:
+                continue
+            other = subset - half
+            if half in correct_ids and other in correct_ids:
+                skippable |= correct_ids[half] & correct_ids[other]
+    return skippable
+
+
+def reference_sample_skip_round(players, sample_ids, evaluate_hook):
+    players = sorted(players)
+    sample_ids = list(sample_ids)
+    total = len(sample_ids)
+    correct_ids: dict = {}
+    utilities: dict = {}
+    skipped: dict = {}
+    evaluated: dict = {}
+    for i in players:
+        subset = frozenset({i})
+        correct = frozenset(evaluate_hook(subset, tuple(sample_ids)))
+        correct_ids[subset] = correct
+        utilities[subset] = len(correct) / total
+        evaluated[subset] = len(sample_ids)
+        skipped[subset] = 0
+    for subset in subsets_ascending(players):
+        if len(subset) < 2:
+            continue
+        skip_ids = reference_find_skippable(subset, correct_ids)
+        remaining = tuple(s for s in sample_ids if s not in skip_ids)
+        correct = frozenset(evaluate_hook(subset, remaining)) if remaining else frozenset()
+        full = correct | skip_ids
+        correct_ids[subset] = full
+        utilities[subset] = len(full) / total
+        evaluated[subset] = len(remaining)
+        skipped[subset] = len(skip_ids)
+    return utilities, skipped, evaluated
+
+
+def random_skip_world(seed):
+    """Players (2-8 of 0..19), unique ids (0-300 of 0..9999), a correct-id set per subset."""
+    rng = np.random.default_rng(seed)
+    players = sorted(rng.choice(20, size=2 + seed % 7, replace=False).tolist())
+    ids = rng.choice(10_000, size=int(rng.integers(0, 301)), replace=False).tolist()
+    truth = {}
+    for subset in subsets_ascending(players)[1:]:
+        keep = rng.random(len(ids)) < rng.uniform(0.3, 1.0)
+        truth[subset] = frozenset(itertools.compress(ids, keep.tolist()))
+    return rng, players, ids, truth
+
+
+class TestSkipMatchesFrozensetReference:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_find_skippable_with_unrecorded_halves(self, seed):
+        rng, players, ids, truth = random_skip_world(seed)
+        recorded = {s: got for s, got in truth.items() if rng.random() < 0.8}
+        mask, correct, ids_of = in_bits(players, ids, recorded)
+        for subset in subsets_ascending(players):
+            if len(subset) >= 2:
+                assert (ids_of(find_skippable(mask(subset), correct))
+                        == reference_find_skippable(subset, recorded))
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_round_makes_the_same_hook_calls_and_counts(self, seed):
+        _, players, ids, truth = random_skip_world(seed)
+        calls = {"bits": [], "reference": []}
+
+        def hook_for(log):
+            def hook(subset, batch_ids):
+                log.append((subset, batch_ids))
+                return {s for s in batch_ids if s in truth[subset]}
+            return hook
+
+        if not ids:
+            with pytest.raises(ZeroDivisionError):
+                reference_sample_skip_round(players, ids, hook_for(calls["reference"]))
+            with pytest.raises(ValueError, match="sample_ids"):
+                sample_skip_round(0, players, ids, hook_for(calls["bits"]))
+            return
+        want = reference_sample_skip_round(players, ids, hook_for(calls["reference"]))
+        res = sample_skip_round(0, players, ids, hook_for(calls["bits"]))
+        assert (res.utilities, res.skipped, res.evaluated) == want
+        assert list(res.utilities) == list(want[0])
+        assert calls["bits"] == calls["reference"]
+        assert sum(res.skipped.values()) > 0 or len(ids) < 10
 
 
 class TestLinearAggregationRule:
