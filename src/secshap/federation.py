@@ -41,10 +41,11 @@ class TrainingError(RuntimeError):
 
 @dataclass(frozen=True)
 class ClientDataset:
-    """Feature matrix (d x m), labels, and globally unique sample ids.
+    """Feature matrix (d x m), labels, and sample ids unique within the dataset.
 
     All three are stored as read-only copies: float64 features, int64
-    labels and ids.
+    labels and ids.  Two datasets may share ids: the ids serve CSV
+    export, and no protocol relies on them being unique across datasets.
     """
 
     features: np.ndarray

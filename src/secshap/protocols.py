@@ -28,7 +28,10 @@ subset model and compute a linear layer.  The round has a subset axis
 (see ``_two_server_round``): ``run_secretsv`` passes all of a round's
 subsets and runs one stacked Beaver product per (chunk of subsets,
 batch, layer), each subset with its own triple; ``run_secsv`` with
-sample skipping passes one subset per call through the same code.
+sample skipping passes one subset per call through the same code.  In
+the round a sample is its column in the pooled test data, and a set of
+samples, from the skip accelerator down to the label check, is a bitset
+over these positions; sample ids never enter it.
 
 Rounds run in order, on the run's meter and router, each with its own
 noise, mask and triple streams seeded by the round index.
@@ -128,11 +131,10 @@ def _common_architecture(rounds: list[RoundModels]):
 @dataclass(frozen=True)
 class _Batch:
     columns: tuple[int, ...]  # positions into the collective column order
-    ids: tuple[int, ...]
     owners: frozenset
 
 
-def _pooled_batches(owner_by_pos, ids_by_pos, positions, capacity, n_clients,
+def _pooled_batches(owner_by_pos, positions, capacity, n_clients,
                     min_excluded: int = 2) -> list[_Batch]:
     """Greedy batches over the given column positions.
 
@@ -150,14 +152,12 @@ def _pooled_batches(owner_by_pos, ids_by_pos, positions, capacity, n_clients,
             len(cols) >= capacity
             or (owner not in owners and len(owners) >= max_owners)
         ):
-            batches.append(_Batch(tuple(cols), tuple(ids_by_pos[c] for c in cols),
-                                  frozenset(owners)))
+            batches.append(_Batch(tuple(cols), frozenset(owners)))
             cols, owners = [], set()
         cols.append(pos)
         owners.add(owner)
     if cols:
-        batches.append(_Batch(tuple(cols), tuple(ids_by_pos[c] for c in cols),
-                              frozenset(owners)))
+        batches.append(_Batch(tuple(cols), frozenset(owners)))
     return batches
 
 
@@ -483,19 +483,17 @@ class _SharedData:
     x_dprime: np.ndarray
     y_prime: np.ndarray  # M field elements
     y_dprime: np.ndarray
-    ids_by_pos: tuple[int, ...]
-    owner_by_pos: tuple[int, ...]
-    pos_of_id: dict
+    owner_by_pos: tuple[int, ...]  # the client of each column
 
     @property
     def total(self) -> int:
-        return len(self.ids_by_pos)
+        return len(self.owner_by_pos)
 
 
 def _share_test_data(test_sets, field: FieldParams, router: Router, rng) -> _SharedData:
     """Every client splits (features; 1) and labels; halves go to P and A."""
     xp_parts, xa_parts, yp_parts, ya_parts = [], [], [], []
-    ids, owners = [], []
+    owners = []
     for i, ds in enumerate(test_sets):
         pair = split_matrix(np.vstack([ds.features, np.ones((1, ds.size))]), field, rng)
         y_pair = split_matrix(ds.labels[None, :].astype(np.float64), field, rng)
@@ -507,16 +505,13 @@ def _share_test_data(test_sets, field: FieldParams, router: Router, rng) -> _Sha
         xa_parts.append(pair.s_dprime)
         yp_parts.append(y_pair.s_prime[0])
         ya_parts.append(y_pair.s_dprime[0])
-        ids.extend(int(s) for s in ds.ids)
         owners.extend([i] * ds.size)
     return _SharedData(
         x_prime=np.concatenate(xp_parts, axis=1),
         x_dprime=np.concatenate(xa_parts, axis=1),
         y_prime=np.concatenate(yp_parts),
         y_dprime=np.concatenate(ya_parts),
-        ids_by_pos=tuple(ids),
         owner_by_pos=tuple(owners),
-        pos_of_id={sid: pos for pos, sid in enumerate(ids)},
     )
 
 
@@ -537,20 +532,28 @@ def _split_and_distribute(router, field, owner_name, secret: np.ndarray, rng):
     return pair
 
 
-def _shared_label_check(router, field, y_sh: SharePair, shared: _SharedData, cols,
-                        batch_ids) -> list[set]:
-    """Servers compare predicted-label shares with truth shares; P learns ids.
+def _positions(bits: int) -> list[int]:
+    """The set bits of a bitset, ascending."""
+    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
 
-    ``y_sh`` holds a stack (count, 1, cols) of predicted labels; returns
-    the correct ids of each.
+
+def _shared_label_check(router, field, y_sh: SharePair, shared: _SharedData,
+                        cols) -> list[int]:
+    """Servers compare predicted-label shares with truth shares; P learns positions.
+
+    ``y_sh`` holds a stack (count, 1, cols) of predicted labels for the
+    pooled columns ``cols``; returns the bitset of correct positions of each.
     """
     p = field.prime
     tilde_a = M61.reduce(y_sh.s_dprime[:, 0] + (p - shared.y_dprime[cols]))
     for row in tilde_a:
         router.send(SERVER_A, SERVER_P, row)
     diff = M61.reduce(y_sh.s_prime[:, 0] + (p - shared.y_prime[cols]) + tilde_a)
-    hits = np.abs(decode_matrix(diff, field, field.frac_bits)) < TOLERANCE
-    return [set(itertools.compress(batch_ids, row)) for row in hits.tolist()]
+    flags = np.zeros((len(diff), shared.total), dtype=bool)
+    flags[:, cols] = np.abs(decode_matrix(diff, field, field.frac_bits)) < TOLERANCE
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(flags, axis=1, bitorder="little")]
 
 
 # A chunk's Beaver working set (dealt triples, deepest product's scratch), 3.5 MiB.
@@ -571,13 +574,14 @@ def _two_server_round(record: RoundModels, shared: _SharedData, m_cap: int, n: i
                       aggregate, linear, skip: bool = False):
     """One round of the two-server evaluation shared by SecSV and SecretSV.
 
-    Servers P and A hold shares of the pooled test data.
-    ``evaluate(subsets, sample_ids)`` runs a list of subsets on one list
-    of sample ids and returns each subset's correct ids.  It takes the
-    subsets in chunks of ``_chunk_size`` (bytes, ``_CHUNK_BYTES``; a call
-    with one subset is one chunk without consulting it); per chunk,
-    ``models = aggregate(chunk, widths)`` gives the chunk's subset models,
-    ready for batches of these widths.  Per batch and layer,
+    Servers P and A hold shares of the pooled test data, one column per
+    sample; a set of samples is a bitset over these column positions.
+    ``evaluate(subsets, bits)`` runs a list of subsets on the positions
+    in ``bits`` and returns each subset's bitset of correct positions.
+    It takes the subsets in chunks of ``_chunk_size`` (bytes,
+    ``_CHUNK_BYTES``; a call with one subset is one chunk without
+    consulting it); per chunk, ``models = aggregate(chunk, widths)``
+    gives the chunk's subset models, ready for batches of these widths.  Per batch and layer,
     ``linear(models, l, x, receivers)`` computes layer ``l`` of every
     model of the chunk on the shared inputs ``x`` (a stack over the
     chunk) and returns the plaintext outputs (chunk, rows, cols) the
@@ -600,24 +604,21 @@ def _two_server_round(record: RoundModels, shared: _SharedData, m_cap: int, n: i
     players = sorted(record.selected)
     actors: list[str] = []
     assignments = itertools.count()  # one running offset per round
-    batch_cache: dict = {}  # sample-id tuple -> [(batch, column array, input shares)]
+    total = shared.total
+    batch_cache: dict = {}  # position bitset -> [(batch, column array, input shares)]
 
-    def batches_for(sample_ids):
-        key = tuple(sample_ids)
-        if key not in batch_cache:
-            positions = [shared.pos_of_id[s] for s in key]
-            batch_cache[key] = []
-            for batch in _pooled_batches(shared.owner_by_pos, shared.ids_by_pos,
-                                         positions, m_cap, n):
+    def batches_for(bits):
+        if bits not in batch_cache:
+            batch_cache[bits] = []
+            for batch in _pooled_batches(shared.owner_by_pos, _positions(bits), m_cap, n):
                 cols = np.array(batch.columns)
                 inputs = (shared.x_prime[:, cols], shared.x_dprime[:, cols])
-                batch_cache[key].append((batch, cols, inputs))
-        return batch_cache[key]
+                batch_cache[bits].append((batch, cols, inputs))
+        return batch_cache[bits]
 
-    def evaluate(subsets, sample_ids) -> list[set]:
-        subsets = [frozenset(s) for s in subsets]
-        batches = batches_for(sample_ids)
-        widths = [len(batch.ids) for batch, _, _ in batches]
+    def evaluate(subsets, bits) -> list[int]:
+        batches = batches_for(bits)
+        widths = [len(batch.columns) for batch, _, _ in batches]
         # receivers[subset][batch][layer], assigned in the one-by-one order
         receivers = []
         for subset in subsets:
@@ -638,7 +639,7 @@ def _two_server_round(record: RoundModels, shared: _SharedData, m_cap: int, n: i
             chunk = subsets[lo:lo + step]
             models = aggregate(chunk, widths)
             masks = M61.random_block(share_rng, len(chunk), sizes)
-            found = [set() for _ in chunk]
+            found = [0] * len(chunk)
             for b, (batch, cols, inputs) in enumerate(batches):
                 x = SharePair(*(np.broadcast_to(half, (len(chunk),) + half.shape)
                                 for half in inputs))
@@ -656,23 +657,22 @@ def _two_server_round(record: RoundModels, shared: _SharedData, m_cap: int, n: i
                     for g, receiver in enumerate(who):
                         router.send(receiver, SERVER_P, x.s_prime[g])
                         router.send(receiver, SERVER_A, x.s_dprime[g])
-                hits = _shared_label_check(router, field, x, shared, cols, batch.ids)
-                for ids, new in zip(found, hits):
-                    ids |= new
+                hits = _shared_label_check(router, field, x, shared, cols)
+                found = [old | new for old, new in zip(found, hits)]
             correct.extend(found)
         return correct
 
-    all_ids = list(shared.ids_by_pos)
+    everything = (1 << total) - 1
     if skip:
-        result = sample_skip_round(record.round_index, players, all_ids,
-                                   lambda subset, ids: evaluate([subset], ids)[0])
+        result = sample_skip_round(record.round_index, players, total,
+                                   lambda subset, bits: evaluate([subset], bits)[0])
         utilities = dict(result.utilities)
-        utilities[frozenset()] = len(evaluate([frozenset()], all_ids)[0]) / shared.total
+        utilities[frozenset()] = evaluate([frozenset()], everything)[0].bit_count() / total
     else:
         result = None
         subsets = subsets_ascending(players)
-        utilities = {subset: len(ids) / shared.total
-                     for subset, ids in zip(subsets, evaluate(subsets, all_ids))}
+        utilities = {subset: bits.bit_count() / total
+                     for subset, bits in zip(subsets, evaluate(subsets, everything))}
     return _round_report(record, utilities, result), actors
 
 
@@ -774,8 +774,6 @@ def run_secsv(
             upload_model(client_name(i), record.local_models[i], i)
         upload_model(client_name(leader), record.global_model, "global")
 
-        agg_cache: dict = {}
-
         def aggregated(subset):
             """Per-layer field matrices of the subset aggregate.
 
@@ -784,8 +782,6 @@ def run_secsv(
             ciphertext, metered here; the folded values are computed once,
             as the d_out x d_in matrix that ``linear`` multiplies.
             """
-            if subset in agg_cache:
-                return agg_cache[subset]
             if not subset:
                 # the incoming global model, brought to the same
                 # weight-times-parameter scale as every aggregate
@@ -798,7 +794,6 @@ def run_secsv(
             for l in range(num_layers):
                 out.append(_weighted_sum(w_enc, [enc[l] for enc in members]))
                 ctx.charge_fold(plans[l].d_in, len(members), copies=2)
-            agg_cache[subset] = out
             return out
 
         def linear(aggs, l, x, receivers):

@@ -12,8 +12,9 @@ evaluated again.  The rule is a heuristic.  For a linear classifier it
 is exact only when S's aggregate is an exact convex combination of its
 halves' aggregates, and the grid weights of ``RoundModels.weights_for``
 are not (ROADMAP item 2 holds the mend).  Its state is integers: a subset
-is its bitmask over the round's sorted players, and a set of correct
-samples a bitset over positions in the round's sample ids.
+is its bitmask over the round's sorted players, and a set of samples a
+bitset over their positions 0..total-1, which is also what the
+evaluation hook takes and returns.
 """
 
 from __future__ import annotations
@@ -84,7 +85,11 @@ class UtilityTable:
 
 
 def ssv_exact(table: UtilityTable) -> dict[int, float]:
-    """Exact per-client values for one round from a complete table."""
+    """Exact per-client values for one round from a complete table.
+
+    The marginal terms read a list indexed by player bitmask (bit k for
+    the k-th sorted player), summed in the order of sizes and combinations.
+    """
     players = sorted(table.players)
     n = len(players)
     if not table.is_complete():
@@ -93,16 +98,20 @@ def ssv_exact(table: UtilityTable) -> dict[int, float]:
             f"utility table incomplete: missing {len(missing)} subsets, "
             f"first {sorted(missing[0])}"
         )
+    bit = {p: 1 << k for k, p in enumerate(players)}
+    value = [0.0] * (1 << n)
+    for s in subsets_ascending(players):
+        value[sum(bit[p] for p in s)] = table.values[s]
     fact = math.factorial
     out = {}
     for i in players:
-        others = [p for p in players if p != i]
+        others = [bit[p] for p in players if p != i]
         total = 0.0
-        for size in range(len(others) + 1):
+        for size in range(n):
             weight = fact(size) * fact(n - size - 1) / fact(n)
             for combo in itertools.combinations(others, size):
-                s = frozenset(combo)
-                total += weight * (table.get(s | {i}) - table.get(s))
+                s = sum(combo)
+                total += weight * (value[s | bit[i]] - value[s])
         out[i] = total
     return out
 
@@ -139,7 +148,7 @@ def find_skippable(mask: int, correct: dict) -> int:
     lowest player.
     """
     if mask & (mask - 1) == 0:
-        raise ValueError("skippable ids are defined for aggregates of >= 2 clients")
+        raise ValueError("skippable samples are defined for aggregates of >= 2 clients")
     anchor = mask & -mask
     rest = mask ^ anchor
     skippable = 0
@@ -161,40 +170,20 @@ class SampleSkipResult:
     evaluated: dict  # frozenset -> number of securely evaluated samples
 
 
-_FLAG_BYTES = bytes.maketrans(b"01", b"\0\1")
-
-
-def _bitset(positions, size: int) -> int:
-    """The int whose bit k is set for each k in ``positions`` (0 < size, all k < size)."""
-    flags = bytearray(b"0") * size
-    for k in positions:
-        flags[k] = ord("1")
-    return int(flags[::-1], 2)
-
-
-def _members(bits: int, items) -> tuple:
-    """The items at the set bits of ``bits``, in the order of ``items``."""
-    flags = bin(bits)[:1:-1].encode().translate(_FLAG_BYTES)  # flags[k] = bit k
-    return tuple(itertools.compress(items, flags))
-
-
-def sample_skip_round(round_index, players, sample_ids, evaluate_hook) -> SampleSkipResult:
+def sample_skip_round(round_index, players, total, evaluate_hook) -> SampleSkipResult:
     """Drive one round of subset testing with sample skipping.
 
-    ``evaluate_hook(subset, ids)`` must evaluate the subset's aggregate
-    model on exactly the given sample ids and return the correctly
-    predicted ones.  Locals are tested on the full id list; aggregates
-    (ascending size) only on ids no bipartition already settled.  A
-    fully skippable aggregate is not evaluated at all.  Sample ids must
-    be unique; ids are mapped to bit positions only at the hook.
+    The round's samples are the positions 0..total-1, and a set of them
+    is a bitset: bit k for position k.  ``evaluate_hook(subset, bits)``
+    must evaluate the subset's aggregate model on exactly the positions
+    in ``bits`` and return the bitset of the correctly predicted ones.
+    Locals are tested on every position; aggregates (ascending size)
+    only on positions no bipartition already settled.  A fully
+    skippable aggregate is not evaluated at all.
     """
+    if total < 1:
+        raise ValueError(f"round {round_index}: needs at least one sample, got total={total}")
     players = sorted(players)
-    sample_ids = tuple(sample_ids)
-    total = len(sample_ids)
-    position = {sid: k for k, sid in enumerate(sample_ids)}
-    if not total or len(position) < total:
-        raise ValueError(f"round {round_index}: sample_ids must be non-empty and unique, "
-                         f"got {total} ids of which {len(position)} distinct")
     everything = (1 << total) - 1
     bit = {p: 1 << k for k, p in enumerate(players)}
     correct: dict[int, int] = {}  # player bitmask -> bitset of correct positions
@@ -206,12 +195,11 @@ def sample_skip_round(round_index, players, sample_ids, evaluate_hook) -> Sample
             continue
         mask = sum(bit[p] for p in subset)
         skip = find_skippable(mask, correct) if len(subset) > 1 else 0
-        remaining = _members(everything ^ skip, sample_ids)
-        hits = evaluate_hook(subset, remaining) if remaining else ()
-        full = skip | _bitset(map(position.__getitem__, hits), total)
+        remaining = everything ^ skip
+        full = skip | (evaluate_hook(subset, remaining) if remaining else 0)
         correct[mask] = full
         utilities[subset] = full.bit_count() / total
-        evaluated[subset] = len(remaining)
+        evaluated[subset] = remaining.bit_count()
         skipped[subset] = skip.bit_count()
     return SampleSkipResult(utilities, skipped, evaluated)
 

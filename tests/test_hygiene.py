@@ -16,6 +16,9 @@
   ``TEST_REFERENCES``, which tests check code against.
 - No module but ``parties.py`` uses ``.record_bytes``: every message
   goes through ``Router.send``, the one place that meters traffic.
+- No module but ``federation.py`` uses ``.ids``: sample ids are unique
+  within one dataset only, so the protocols name a sample by its
+  position in the pooled test data, never by its id.
 """
 
 import ast
@@ -256,3 +259,25 @@ def test_scan_finds_record_bytes_uses():
 def test_only_the_router_meters_bytes(path):
     """``Router.send`` is the one caller of ``CostMeter.record_bytes``."""
     assert len(record_bytes_uses(path.read_text())) == (1 if path.name == "parties.py" else 0)
+
+
+def sample_id_uses(source: str) -> list[str]:
+    """Lines that use an attribute ``.ids``."""
+    return [f"line {line}" for line in sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "ids")]
+
+
+def test_scan_finds_sample_id_uses():
+    source = ("ids = [0, 1]\n"
+              "for sid in ds.ids:\n"
+              "    pass\n"
+              "order = {s: k for k, s in enumerate(shared.ids)}\n"
+              "widths = [len(batch.columns) for batch in batches]\n")
+    assert sample_id_uses(source) == ["line 2", "line 4"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_federation_reads_sample_ids(path):
+    """Sample ids stay in ``ClientDataset``: no protocol relies on them."""
+    assert bool(sample_id_uses(path.read_text())) == (path.name == "federation.py")

@@ -484,8 +484,7 @@ def _secretsv_layer_oracle(history, parts, field, seed, batch_capacity):
                                    two_servers=True, with_dealer=True)
     shared = protocols._share_test_data(parts, field, router,
                                         protocols.mask_rng(f"secretsv-{seed}-data"))
-    positions = [shared.pos_of_id[s] for s in shared.ids_by_pos]
-    batches = _pooled_batches(shared.owner_by_pos, shared.ids_by_pos, positions,
+    batches = _pooled_batches(shared.owner_by_pos, range(shared.total),
                               min(batch_capacity, shared.total), n)
     outputs = []
     for record in history:
@@ -673,6 +672,28 @@ class TestRandomWorlds:
             assert abs(got[subset] - u) * total <= 1 + 1e-9, subset
 
 
+class TestOverlappingSampleIds:
+    def test_two_server_rounds_equal_nssv_when_every_client_has_ids_0_to_m(self):
+        # ids are unique within a dataset only: here every client's test set
+        # has ids 0..39, and no protocol may mix up two clients' samples
+        d, c = 6, 2
+        parts = [make_synthetic_dataset(40, d, c, seed=10 + i, centers_seed=1)
+                 for i in range(4)]
+        assert all(ds.ids.tolist() == list(range(40)) for ds in parts)
+        train = [make_synthetic_dataset(80, d, c, seed=20 + i, centers_seed=1)
+                 for i in range(4)]
+        history = fedavg_train(train, arch_logistic(d, c), 1, seed=3)
+        truth = [r.utilities for r in run_nssv(history, parts).rounds]
+        he = HEParams(noise_stddev=0.0)
+        reports = [
+            run_secsv(history, parts, he, FieldParams(), skip=False, seed=1),
+            run_secsv(history, parts, he, FieldParams(), skip=True, seed=1),
+            run_secretsv(history, parts, FieldParams(), seed=1),
+        ]
+        for report in reports:
+            assert [r.utilities for r in report.rounds] == truth, report.protocol
+
+
 class TestCostDominance:
     def test_secsv_at_least_2x_cheaper_on_cnn_like(self):
         parts, history = small_world(
@@ -823,8 +844,7 @@ class TestWeightedSum:
 class TestPooledBatches:
     def test_capacity_and_owner_exclusion(self):
         owners = [0] * 4 + [1] * 4 + [2] * 4 + [3] * 4
-        ids = list(range(16))
-        batches = _pooled_batches(owners, ids, list(range(16)), capacity=10, n_clients=4)
+        batches = _pooled_batches(owners, range(16), capacity=10, n_clients=4)
         for batch in batches:
             assert len(batch.columns) <= 10
             assert len(batch.owners) <= 2  # leaves >= 2 clients outside
@@ -833,5 +853,5 @@ class TestPooledBatches:
 
     def test_single_owner_batches_fine(self):
         owners = [0] * 5
-        batches = _pooled_batches(owners, list(range(5)), list(range(5)), 3, 4)
+        batches = _pooled_batches(owners, range(5), 3, 4)
         assert [len(b.columns) for b in batches] == [3, 2]

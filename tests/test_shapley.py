@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -85,6 +86,40 @@ class TestSsvExact:
         assert ssv_exact(t)[0] == pytest.approx(0.0, abs=1e-12)
 
 
+# The frozenset-lookup ``ssv_exact`` that the bitmask one replaced, kept as the reference.
+
+def reference_ssv_exact(table) -> dict:
+    players = sorted(table.players)
+    n = len(players)
+    fact = math.factorial
+    out = {}
+    for i in players:
+        others = [p for p in players if p != i]
+        total = 0.0
+        for size in range(len(others) + 1):
+            weight = fact(size) * fact(n - size - 1) / fact(n)
+            for combo in itertools.combinations(others, size):
+                s = frozenset(combo)
+                total += weight * (table.get(s | {i}) - table.get(s))
+        out[i] = total
+    return out
+
+
+class TestSsvExactMatchesFrozensetReference:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bit_identical_on_random_tables(self, n):
+        # bit-identical, not approximate: the same float operations in the same order
+        rng = np.random.default_rng(n)
+        for _ in range(40):
+            players = sorted(rng.choice(50, size=n, replace=False).tolist())
+            t = random_table(rng, players)
+            for s in subsets_ascending(players)[::3]:
+                t.set(s, float(rng.normal(0.0, 10.0 ** rng.integers(-6, 4))))
+            got = ssv_exact(t)
+            assert got == reference_ssv_exact(t)
+            assert list(got) == players
+
+
 class TestFsv:
     def test_single_round_identity(self):
         assert fsv_aggregate([{1: 0.3, 2: 0.7}]) == {1: 0.3, 2: 0.7}
@@ -163,6 +198,15 @@ class TestFindSkippable:
             find_skippable(0, {})
 
 
+def members(bits) -> tuple:
+    """The set positions of a bitset, ascending."""
+    return tuple(k for k in range(bits.bit_length()) if bits >> k & 1)
+
+
+def bitset(positions) -> int:
+    return sum(1 << k for k in set(positions))
+
+
 class TestSampleSkipRound:
     def test_matches_full_evaluation_when_hook_is_consistent(self):
         # a fixed truth assignment per subset: the skip path must
@@ -182,25 +226,24 @@ class TestSampleSkipRound:
 
         calls = {}
 
-        def hook(subset, batch_ids):
-            calls[subset] = len(batch_ids)
+        def hook(subset, bits):
+            calls[subset] = bits.bit_count()
             truth = correct_for(subset)
-            return {s for s in batch_ids if s in truth}
+            return bitset(s for s in members(bits) if s in truth)
 
-        res = sample_skip_round(0, players, ids, hook)
+        res = sample_skip_round(0, players, len(ids), hook)
         for subset, v in res.utilities.items():
             assert v == len(correct_for(subset)) / 30 or len(subset) >= 2
 
     def test_fully_skippable_subset_not_evaluated(self):
         players = [1, 2]
-        ids = [0, 1]
         seen = []
 
-        def hook(subset, batch_ids):
-            seen.append((subset, tuple(batch_ids)))
-            return set(batch_ids)  # everything correct
+        def hook(subset, bits):
+            seen.append((subset, members(bits)))
+            return bits  # everything correct
 
-        res = sample_skip_round(0, players, ids, hook)
+        res = sample_skip_round(0, players, 2, hook)
         # the pair {1,2} is fully covered by the singleton intersection
         assert res.utilities[frozenset({1, 2})] == 1.0
         assert res.evaluated[frozenset({1, 2})] == 0
@@ -208,28 +251,27 @@ class TestSampleSkipRound:
 
     def test_skip_counts_recorded(self):
         players = [1, 2]
-        ids = [0, 1, 2, 3]
 
-        def hook(subset, batch_ids):
-            return {s for s in batch_ids if s < 2}  # samples 0,1 always correct
+        def hook(subset, bits):
+            return bits & 0b0011  # samples 0,1 always correct
 
-        res = sample_skip_round(0, players, ids, hook)
+        res = sample_skip_round(0, players, 4, hook)
         pair = frozenset({1, 2})
         assert res.skipped[pair] == 2
         assert res.evaluated[pair] == 2
         assert res.utilities[pair] == pytest.approx(0.5)
 
-    def test_duplicate_ids_rejected(self):
+    def test_no_samples_rejected(self):
         calls = []
 
-        def hook(subset, batch_ids):
+        def hook(subset, bits):
             calls.append(subset)
-            return set(batch_ids)
+            return bits
 
-        with pytest.raises(ValueError, match="sample_ids"):
-            sample_skip_round(0, [1, 2], [5, 6, 5], hook)
-        with pytest.raises(ValueError, match="sample_ids"):
-            sample_skip_round(0, [1, 2], [], hook)
+        with pytest.raises(ValueError, match="at least one sample"):
+            sample_skip_round(0, [1, 2], -1, hook)
+        with pytest.raises(ValueError, match="at least one sample"):
+            sample_skip_round(0, [1, 2], 0, hook)
         assert calls == []
 
 
@@ -305,23 +347,27 @@ class TestSkipMatchesFrozensetReference:
 
     @pytest.mark.parametrize("seed", range(60))
     def test_round_makes_the_same_hook_calls_and_counts(self, seed):
+        # the reference speaks ids, the round positions in ``ids``
         _, players, ids, truth = random_skip_world(seed)
+        position = {sid: k for k, sid in enumerate(ids)}
         calls = {"bits": [], "reference": []}
 
-        def hook_for(log):
-            def hook(subset, batch_ids):
-                log.append((subset, batch_ids))
-                return {s for s in batch_ids if s in truth[subset]}
-            return hook
+        def reference_hook(subset, batch_ids):
+            calls["reference"].append((subset, tuple(position[s] for s in batch_ids)))
+            return {s for s in batch_ids if s in truth[subset]}
+
+        def hook(subset, bits):
+            calls["bits"].append((subset, members(bits)))
+            return bitset(position[s] for s in truth[subset]) & bits
 
         if not ids:
             with pytest.raises(ZeroDivisionError):
-                reference_sample_skip_round(players, ids, hook_for(calls["reference"]))
-            with pytest.raises(ValueError, match="sample_ids"):
-                sample_skip_round(0, players, ids, hook_for(calls["bits"]))
+                reference_sample_skip_round(players, ids, reference_hook)
+            with pytest.raises(ValueError, match="at least one sample"):
+                sample_skip_round(0, players, len(ids), hook)
             return
-        want = reference_sample_skip_round(players, ids, hook_for(calls["reference"]))
-        res = sample_skip_round(0, players, ids, hook_for(calls["bits"]))
+        want = reference_sample_skip_round(players, ids, reference_hook)
+        res = sample_skip_round(0, players, len(ids), hook)
         assert (res.utilities, res.skipped, res.evaluated) == want
         assert list(res.utilities) == list(want[0])
         assert calls["bits"] == calls["reference"]
