@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -80,9 +80,15 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def validate(self) -> list[str]:
-        errors = []
+        # every rule below reads the int fields as integers, so a wrong type stops here
+        errors = [f"{f.name}: must be an integer, got {value!r}" for f in fields(self)
+                  if f.type in (int, "int") and type(value := getattr(self, f.name)) is not int]
+        if errors:
+            return errors
         if self.version != CONFIG_VERSION:
             errors.append(f"version: expected {CONFIG_VERSION}, got {self.version}")
+        if self.seed < 0:
+            errors.append(f"seed: must be non-negative, got {self.seed}")
         if self.clients < 4:
             errors.append("clients: secure protocols need at least 4 clients")
         if self.rounds < 1:
@@ -93,8 +99,8 @@ class ExperimentConfig:
             errors.append("alpha: Dirichlet concentration must be finite and positive")
         if not math.isfinite(self.learning_rate):
             errors.append("learning_rate: must be finite")
-        if not math.isfinite(self.separation):
-            errors.append("separation: must be finite")
+        if not (math.isfinite(self.separation) and self.separation >= 0):
+            errors.append("separation: must be finite and non-negative")
         if self.architecture == "mlp" and any(
             not isinstance(h, int) or h < 1 for h in self.hidden
         ):

@@ -24,7 +24,9 @@ B (d_in x m, the batch side) over the slotted backend:
   rotations, at the price of requiring the transforms to be computed
   where the operand is plaintext.  Over a prime field that sum is exact, so
   ``reducing_field_matmul`` gets the same slots from one field matrix
-  product and meters them at the same cost.
+  product and meters them at the same cost.  Being exact, it is linear in
+  the model: SecSV's first layer sums per-model products made once per round,
+  stored and metered as the kernel's by ``reducing_field_slots``.
 
 Each squaring step is one ``HEContext`` operation on a whole stack
 (the copy fold is one ``he_fold``), metered per ciphertext, so the
@@ -70,6 +72,7 @@ __all__ = [
     "reducing_prepare_batch",
     "reducing_matmul",
     "reducing_field_matmul",
+    "reducing_field_slots",
 ]
 
 BatchSide = Union[CipherVector, np.ndarray]
@@ -477,9 +480,15 @@ def reducing_field_matmul(
     b = np.asarray(b, dtype=np.uint64)
     if a.shape != (plan.d_out, plan.d_in) or b.shape[-2] != plan.d_in or b.shape[-1] > plan.m:
         raise PlanError(f"shapes {a.shape} x {b.shape} do not match plan")
-    lead = b.shape[:-2]
+    return reducing_field_slots(M61.matmul(a, b), plan, ctx, key)
+
+
+def reducing_field_slots(product: np.ndarray, plan: MatMulPlan, ctx: HEContext,
+                         key: PublicKey) -> CipherVector:
+    """``reducing_field_matmul``'s slots and cost for its product (..., d_out, cols), formed."""
+    lead = product.shape[:-2]
     out = np.zeros(lead + (plan.d_out, plan.m), dtype=np.uint64)
-    out[..., : b.shape[-1]] = M61.matmul(a, b)
+    out[..., : product.shape[-1]] = product
     return ctx.fold_int_slots(out.reshape(lead + (-1,)), key, terms=plan.d_in, copies=1,
                               width=plan.d_out * plan.m)
 

@@ -11,10 +11,10 @@
   the actor log stay per batch, in the per-batch order.
 - ``run_secsv``: two servers; models encrypted, test data additively
   shared, so every multiplication is ciphertext-plaintext and samples
-  from different clients share a batch.  Optional sample skipping.  Each
-  server's reducing product is evaluated as one exact field product
-  (``reducing_field_matmul``) and metered as the kernel's ciphertext
-  operations.
+  from different clients share a batch.  Optional sample skipping.  A
+  subset's first layer sums per-model products made once per round, exact
+  over Z_p; a later layer is one field product per server
+  (``reducing_field_matmul``); both are metered as fold, then multiply.
 - ``run_secretsv``: two servers, models and data both secret-shared;
   layers run on Beaver triples, which trades ciphertext arithmetic for
   dealer traffic and per-layer truncation error.
@@ -58,6 +58,7 @@ from .kernels import (
     plan_reducing,
     plan_squaring,
     reducing_field_matmul,
+    reducing_field_slots,
     reducing_prepare_model,
     squaring_decrypt_stack,
     squaring_matmul,
@@ -525,6 +526,14 @@ def _weighted_sum(weights, arrays):
     return M61.matmul(row, stacked).reshape(arrays[0].shape)
 
 
+def _small_weighted_sum(weights, arrays):
+    """``_weighted_sum`` for weights <= 2^17 (SecSV's, f <= 17) over fewer than 2^14 arrays:
+    the weighted sums of the elements' 32-bit words stay below 2^63, exact in uint64."""
+    w, x = np.array(weights, dtype=np.uint64), np.stack(arrays).reshape(len(arrays), -1)
+    lo, hi = w @ (x & 0xFFFFFFFF), w @ (x >> 32)
+    return M61.reduce(lo + ((hi << 32) & M61.p) + (hi >> 29)).reshape(arrays[0].shape)
+
+
 def _split_and_distribute(router, field, owner_name, secret: np.ndarray, rng):
     pair = split_matrix(secret, field, rng)
     router.send(owner_name, SERVER_P, pair.s_prime)
@@ -581,11 +590,11 @@ def _two_server_round(record: RoundModels, shared: _SharedData, m_cap: int, n: i
     It takes the subsets in chunks of ``_chunk_size`` (bytes,
     ``_CHUNK_BYTES``; a call with one subset is one chunk without
     consulting it); per chunk, ``models = aggregate(chunk, widths)``
-    gives the chunk's subset models, ready for batches of these widths.  Per batch and layer,
-    ``linear(models, l, x, receivers)`` computes layer ``l`` of every
-    model of the chunk on the shared inputs ``x`` (a stack over the
-    chunk) and returns the plaintext outputs (chunk, rows, cols) the
-    assigned receivers learn.  Each receiver applies the activation and
+    gives the chunk's subset models, ready for batches of these widths.  Per
+    batch and layer, ``linear(models, l, x, receivers, cols)`` computes layer
+    ``l`` of every model of the chunk on the shared inputs ``x`` (a stack over
+    the chunk) of the batch's columns ``cols`` and returns the plaintext outputs
+    (chunk, rows, cols) the assigned receivers learn.  Each receiver applies the activation and
     shares the next input again; after the last layer it shares the
     predicted labels, which the servers compare with the shared true
     labels.  Without skip one call holds every subset of the round; with
@@ -645,7 +654,7 @@ def _two_server_round(record: RoundModels, shared: _SharedData, m_cap: int, n: i
                                 for half in inputs))
                 for l in range(num_layers):
                     who = [receivers[lo + g][b][l] for g in range(len(chunk))]
-                    yhat = linear(models, l, x, who)
+                    yhat = linear(models, l, x, who, cols)
                     if l < num_layers - 1:
                         act = apply_activation(model, l, yhat)
                         plain = np.concatenate([act, np.ones_like(act[:, :1])], axis=1)
@@ -747,69 +756,68 @@ def run_secsv(
 
     shared = _share_test_data(test_sets, field, router, mask_rng(f"secsv-{seed}-data"))
     total = shared.total
+    shares = np.stack([shared.x_prime, shared.x_dprime])  # P's and A's, every pooled column
 
     slot_count = he_params.slot_count
     m_cap = min(slot_count // spec.out_size for spec in arch)
     m_cap = max(1, min(m_cap, total))
-    plans = [
-        plan_reducing(spec.out_size, spec.in_size + 1, m_cap, slot_count)
-        for spec in arch
-    ]
+    plans = [plan_reducing(spec.out_size, spec.in_size + 1, m_cap, slot_count) for spec in arch]
 
     def eval_round(record: RoundModels):
         ctx = HEContext(replace(he_params, seed=_round_seed(seed, record.round_index)), meter)
         model_enc: dict = {}
 
         def upload_model(owner_name, model, store_key):
-            enc_layers = []
-            for l in range(num_layers):
-                enc = encode_matrix(model.params[l], field)
-                cts = reducing_prepare_model(enc, plans[l], ctx, keys.public, width=m_cap)
+            model_enc[store_key] = [encode_matrix(theta, field) for theta in model.params]
+            for enc, plan in zip(model_enc[store_key], plans):
+                cts = reducing_prepare_model(enc, plan, ctx, keys.public, width=m_cap)
                 router.send(owner_name, SERVER_P, cts)
                 router.send(owner_name, SERVER_A, cts)
-                enc_layers.append(enc)
-            model_enc[store_key] = enc_layers
 
         for i in sorted(record.selected):
             upload_model(client_name(i), record.local_models[i], i)
         upload_model(client_name(leader), record.global_model, "global")
+        # each uploaded first layer times P's and A's shares, as they could from the upload
+        first = {key: M61.matmul(layers[0], shares) for key, layers in model_enc.items()}
 
         def aggregated(subset):
-            """Per-layer field matrices of the subset aggregate.
+            """The subset's weights and members (layer 0), then its aggregate's field matrices.
 
             Both servers fold their copies of every layer's d_in model
             ciphertexts: |S| scalar multiplies plus |S|-1 additions per
-            ciphertext, metered here; the folded values are computed once,
-            as the d_out x d_in matrix that ``linear`` multiplies.
+            ciphertext, metered here; the folded values of layers >= 1 are
+            computed once, as the d_out x d_in matrices ``linear`` multiplies.
             """
             if not subset:
                 # the incoming global model, brought to the same
                 # weight-times-parameter scale as every aggregate
-                w_enc, members = [encode(1.0, field)], [model_enc["global"]]
+                w_enc, members = [encode(1.0, field)], ["global"]
             else:
                 w = record.weights_for(subset)
-                w_enc = [encode(w[i], field) for i in sorted(subset)]
-                members = [model_enc[i] for i in sorted(subset)]
-            out = []
-            for l in range(num_layers):
-                out.append(_weighted_sum(w_enc, [enc[l] for enc in members]))
-                ctx.charge_fold(plans[l].d_in, len(members), copies=2)
-            return out
+                members = sorted(subset)
+                w_enc = [encode(w[i], field) for i in members]
+            for plan in plans:
+                ctx.charge_fold(plan.d_in, len(members), copies=2)
+            return [(w_enc, members)] + [_weighted_sum(w_enc, [model_enc[k][l] for k in members])
+                                         for l in range(1, num_layers)]
 
-        def linear(aggs, l, x, receivers):
+        def linear(aggs, l, x, receivers, cols):
             """Each subset's layer in turn: both servers' reducing products as one stack."""
             plan = plans[l]
-            cols = x.s_prime.shape[-1]
             out = []
             for agg, share_p, share_a, receiver in zip(aggs, x.s_prime, x.s_dprime, receivers):
-                cts = reducing_field_matmul(agg[l], np.stack([share_p, share_a]), plan, ctx,
-                                            keys.public)
-                ct_p, ct_a = cts[0], cts[1]
-                router.send(SERVER_A, SERVER_P, ct_a)
-                ct = ctx.he_add(ct_p, ct_a)
+                if l == 0:  # over Z_p, (sum_i w_i theta_i) x = sum_i w_i (theta_i x) exactly
+                    w_enc, members = agg[0]
+                    product = _small_weighted_sum(w_enc, [first[k][..., cols] for k in members])
+                    cts = reducing_field_slots(product, plan, ctx, keys.public)
+                else:
+                    cts = reducing_field_matmul(agg[l], np.stack([share_p, share_a]), plan, ctx,
+                                                keys.public)
+                router.send(SERVER_A, SERVER_P, cts[1])
+                ct = ctx.he_add(cts[0], cts[1])
                 router.send(SERVER_P, receiver, ct)
                 raw = ctx.decrypt_stack(ct, (plan.d_out, m_cap), (plan.d_out, m_cap), keys.private)
-                out.append(raw[:, :cols])
+                out.append(raw[:, :len(cols)])
             # aggregate model at 2f (weight times parameter), share at f
             return decode_matrix(np.stack(out), field, 3 * field.frac_bits)
 
@@ -920,7 +928,7 @@ def run_secretsv(
             supply.deal(len(subsets), _triple_shapes(arch, widths))
             return layers
 
-        def linear(models, l, x, receivers):
+        def linear(models, l, x, receivers, cols):
             out = share_matmul(models[l], x, supply, field, router=router)
             for g, receiver in enumerate(receivers):
                 router.send(SERVER_P, receiver, out.s_prime[g])

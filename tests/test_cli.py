@@ -118,6 +118,24 @@ class TestConfig:
         config = ExperimentConfig.from_json(json.dumps(tiny_config(**{name: bad})))
         assert [e for e in config.validate() if e.startswith(f"{name}:")]
 
+    @pytest.mark.parametrize("name", ["seed", "clients", "rounds", "features", "classes",
+                                      "test_samples", "train_samples", "local_epochs",
+                                      "grid_bits", "slot_count", "frac_bits", "batch_cap",
+                                      "ps_budget", "version", "prime", "workers"])
+    @pytest.mark.parametrize("bad", [6.5, 2.0, True, "4", None])
+    def test_integer_fields_must_be_ints(self, name, bad):
+        config = ExperimentConfig.from_json(json.dumps(tiny_config(**{name: bad})))
+        assert config.validate() == [f"{name}: must be an integer, got {bad!r}"]
+
+    def test_negative_seed_and_separation_rejected(self):
+        assert replace(ExperimentConfig(), seed=-1).validate() == [
+            "seed: must be non-negative, got -1"
+        ]
+        assert replace(ExperimentConfig(), separation=-1.0).validate() == [
+            "separation: must be finite and non-negative"
+        ]
+        assert replace(ExperimentConfig(), separation=0.0).validate() == []
+
     def test_cnn_like_shape_constraint(self):
         config = ExperimentConfig.from_json(json.dumps(tiny_config(architecture="cnn_like")))
         assert any("cnn_like" in e for e in config.validate())
@@ -165,6 +183,25 @@ class TestCmdRun:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(tiny_config(clients=2)))
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "x")]) == 2
+
+    def test_negative_seed_exits_2_before_any_work(self, tmp_path, capsys):
+        assert main(["run", "--seed", "-1", "--out", str(tmp_path / "x")]) == 2
+        assert "config error: seed:" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_negative_separation_exits_2_before_any_work(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"separation": -1.0}))
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "x")]) == 2
+        assert "config error: separation:" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_float_features_exit_2_before_any_work(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(tiny_config(features=6.5)))
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "x")]) == 2
+        assert "config error: features: must be an integer, got 6.5" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_workers_flag_gone_and_key_must_be_1(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_info:

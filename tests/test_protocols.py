@@ -38,6 +38,7 @@ from secshap.protocols import (
     ProtocolError,
     _hesv_draw_layout,
     _pooled_batches,
+    _small_weighted_sum,
     _weighted_sum,
     run_hesv,
     run_nssv,
@@ -53,6 +54,7 @@ from secshap.sharing import (
     TripleSupply,
     _truncate_shares,
     encode,
+    encode_matrix,
     reconstruct_int,
     share_matmul,
     split_matrix,
@@ -291,10 +293,20 @@ class TestSecsv:
             products.append(out.slots.dtype)
             return out
 
+        real_slots = protocols.reducing_field_slots
+
+        def spy_slots(product, *args, **kwargs):
+            # the first layer: its summed field product and the output slots
+            out = real_slots(product, *args, **kwargs)
+            dtypes.update((np.asarray(product).dtype, out.slots.dtype))
+            products.append(out.slots.dtype)
+            return out
+
         monkeypatch.setattr(HEContext, "he_mult", spy_mult)
         monkeypatch.setattr(HEContext, "he_dot", spy_dot)
         monkeypatch.setattr(protocols, "reducing_prepare_model", spy_prepare)
         monkeypatch.setattr(protocols, "reducing_field_matmul", spy_product)
+        monkeypatch.setattr(protocols, "reducing_field_slots", spy_slots)
         run_secsv(history, parts, HEParams(), FieldParams(), skip=True, seed=1)
         assert products and dtypes == {np.dtype(np.uint64)}
 
@@ -839,6 +851,116 @@ class TestWeightedSum:
         got = _weighted_sum(weights, arrays)
         assert got.dtype == np.uint64 and got.shape == (3, 5)
         assert got.tolist() == acc.tolist()
+
+
+def _field_operand(rng, shape):
+    # random elements, with about a third each forced to 0 and p - 1
+    arr = M61.random(rng, shape)
+    pick = rng.integers(0, 3, size=shape)
+    arr[pick == 1] = 0
+    arr[pick == 2] = M61.p - 1
+    return arr
+
+
+class TestSecsvFirstLayer:
+    """Layer 0 as a weighted sum of per-model products equals aggregate-then-multiply."""
+
+    @pytest.mark.parametrize("members", range(9), ids=lambda k: f"{k}-members" if k else "global")
+    def test_sum_of_products_equals_product_of_sum(self, members):
+        field = FieldParams(frac_bits=17)
+        top = encode(1.0, field)
+        rng = np.random.default_rng(members)
+        d_out, d_in, cols = 3, 7, 11
+        thetas = [_field_operand(rng, (d_out, d_in)) for _ in range(max(members, 1))]
+        x = _field_operand(rng, (2, d_in, cols))
+        # the empty subset takes the global model at weight encode(1.0)
+        weights = [int(w) for w in rng.integers(0, top + 1, size=members)] or [top]
+        weights[0] = top
+        got = _small_weighted_sum(weights, [M61.matmul(theta, x) for theta in thetas])
+        assert got.dtype == np.uint64 and got.shape == (2, d_out, cols)
+        assert np.array_equal(got, M61.matmul(_weighted_sum(weights, thetas), x))
+
+    def test_words_stay_exact_at_the_stated_limit(self):
+        # 2^14 - 1 terms of weight 2^17 times p - 1: the largest word sums allowed
+        terms = (1 << 14) - 1
+        got = _small_weighted_sum([1 << 17] * terms, [np.full(2, M61.p - 1, np.uint64)] * terms)
+        assert got.tolist() == [terms * (1 << 17) * (M61.p - 1) % M61.p] * 2
+
+    @pytest.mark.parametrize("skip", [False, True], ids=["skip-off", "skip-on"])
+    def test_run_outputs_equal_aggregate_then_multiply(self, skip, monkeypatch):
+        arch = arch_mlp(8, 3, [6])
+        parts, history = small_world(n=5, test_m=60, train_m=120, d=8, c=3, arch=arch,
+                                     rounds=2, seed=11)
+        field = FieldParams()
+        decrypted, checked, first_products = [], [], []
+        d_in = [spec.in_size + 1 for spec in arch]
+        metered = {"hmult_c2p": 0, "hadd": 0}  # fold every layer's ciphertexts, then multiply
+        real_decrypt = HEContext.decrypt_stack
+        real_round = protocols._two_server_round
+        real_product = protocols.reducing_field_matmul
+
+        def spy_decrypt(self, ct, *args, **kwargs):
+            decrypted.append(real_decrypt(self, ct, *args, **kwargs))
+            return decrypted[-1]
+
+        def spy_product(a, *args, **kwargs):
+            assert a.shape != arch[0].weight_shape  # layer 0 never multiplies an aggregate
+            return real_product(a, *args, **kwargs)
+
+        class CountingM61:
+            def __getattr__(self, name):
+                return getattr(M61, name)
+
+            def matmul(self, a, b):
+                if b.shape[:2] == (2, arch[0].in_size + 1):
+                    first_products.append(a.shape)
+                return M61.matmul(a, b)
+
+        def spy_round(record, shared, m_cap, n, level, field_, router, rng, aggregate, linear,
+                      skip=False):
+            theta = {i: encode_matrix(record.local_models[i].params[0], field)
+                     for i in record.selected}
+            theta[None] = encode_matrix(record.global_model.params[0], field)
+            chunks = []
+
+            def spy_aggregate(subsets, widths):
+                chunks.append(subsets)
+                for subset in subsets:
+                    terms = max(len(subset), 1)
+                    metered["hmult_c2p"] += 2 * terms * sum(d_in)
+                    metered["hadd"] += 2 * (terms - 1) * sum(d_in)
+                return aggregate(subsets, widths)
+
+            def spy_linear(models, l, x, receivers, cols):
+                start = len(decrypted)
+                out = linear(models, l, x, receivers, cols)
+                metered["hmult_c2p"] += len(models) * 2 * d_in[l]
+                metered["hadd"] += len(models) * (2 * (d_in[l] - 1) + 1)
+                for g, subset in enumerate(chunks[-1] if l == 0 else []):
+                    w = record.weights_for(subset) if subset else {None: 1.0}
+                    keys = sorted(subset) or [None]
+                    agg = _weighted_sum([encode(w[k], field) for k in keys],
+                                        [theta[k] for k in keys])
+                    old = M61.matmul(agg, np.stack([x.s_prime[g], x.s_dprime[g]]))
+                    assert np.array_equal(decrypted[start + g][:, :len(cols)],
+                                          M61.reduce(old[0] + old[1]))
+                    checked.append(subset)
+                return out
+
+            return real_round(record, shared, m_cap, n, level, field_, router, rng,
+                              spy_aggregate, spy_linear, skip)
+
+        monkeypatch.setattr(HEContext, "decrypt_stack", spy_decrypt)
+        monkeypatch.setattr(protocols, "_two_server_round", spy_round)
+        monkeypatch.setattr(protocols, "reducing_field_matmul", spy_product)
+        monkeypatch.setattr(protocols, "M61", CountingM61())
+        report = run_secsv(history, parts, HEParams(noise_stddev=0.0), field, skip=skip, seed=3)
+        assert frozenset() in checked
+        assert {name: getattr(report.meter, name) for name in metered} == metered
+        if not skip:
+            assert set(checked) == {s for r in history for s in subsets_ascending(r.selected)}
+        # one first-layer product per uploaded model and round
+        assert first_products == [arch[0].weight_shape] * sum(len(r.selected) + 1 for r in history)
 
 
 class TestPooledBatches:
