@@ -130,7 +130,7 @@ class ExperimentConfig:
         if self.grid_bits < 1 or self.grid_bits > self.frac_bits:
             errors.append("grid_bits: must be in [1, frac_bits]")
         products = secretsv_headroom_error(self.frac_bits)
-        if products:
+        if "secretsv" in self.protocols and products:
             errors.append(products)
         headroom = secsv_headroom_error(self.frac_bits)
         if "secsv" in self.protocols and headroom:

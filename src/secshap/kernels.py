@@ -23,10 +23,9 @@ B (d_in x m, the batch side) over the slotted backend:
   pairs, one ``he_dot``.  Costs exactly d_in multiplications and zero
   rotations, at the price of requiring the transforms to be computed
   where the operand is plaintext.  Over a prime field that sum is exact, so
-  ``reducing_field_matmul`` gets the same slots from one field matrix
-  product and meters them at the same cost.  Being exact, it is linear in
-  the model: SecSV's first layer sums per-model products made once per round,
-  stored and metered as the kernel's by ``reducing_field_slots``.
+  ``reducing_field_slots`` stores a field product A @ B, however it was
+  formed (SecSV sums its first layer's from per-model products), as the
+  kernel's slots and meters it at the kernel's cost.
 
 Each squaring step is one ``HEContext`` operation on a whole stack
 (the copy fold is one ``he_fold``), metered per ciphertext, so the
@@ -54,7 +53,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .hebackend import CipherVector, HEContext, PrivateKey, PublicKey
 from .matrix import pad_to, submatrix, transform
-from .sharing import M61
 
 __all__ = [
     "MatMulPlan",
@@ -71,7 +69,6 @@ __all__ = [
     "reducing_prepare_model",
     "reducing_prepare_batch",
     "reducing_matmul",
-    "reducing_field_matmul",
     "reducing_field_slots",
 ]
 
@@ -457,38 +454,23 @@ def reducing_matmul(
     return ctx.he_dot(model_cts, batch_side)
 
 
-def reducing_field_matmul(
-    a: np.ndarray,
-    b: np.ndarray,
-    plan: MatMulPlan,
-    ctx: HEContext,
-    key: PublicKey,
-) -> CipherVector:
-    """``reducing_matmul`` of field operands, as one exact field product.
+def reducing_field_slots(product: np.ndarray, plan: MatMulPlan, ctx: HEContext,
+                         key: PublicKey) -> CipherVector:
+    """``reducing_matmul``'s ciphertexts from the field product (..., d_out, cols) of its operands.
 
     Over Z_p the multiply-accumulate has no rounding: slot (j, k) of
     sum_o view_o(A) * view_o(B) is (A @ B mod p)[j, k] for k < m and 0 in
-    the padded columns (the ``delta_reference`` identity).  So one
-    ``matmul`` gives the d_out x plan.m slots, stored at that width as the
-    kernel's ciphertexts are, and metered as the kernel: d_in c2p products
-    and d_in - 1 additions.  ``a`` is the model operand the
-    servers hold encrypted, ``b`` the plaintext batch, or a stack of
-    batches that gives a stack of ciphertexts.  Real operands keep
+    the padded columns (the ``delta_reference`` identity).  So the product
+    A @ B of the model the servers hold encrypted and the plaintext batch,
+    or a stack of batches, gives the d_out x plan.m slots, stored at that
+    width as the kernel's ciphertexts are, and metered as the kernel: d_in
+    c2p products and d_in - 1 additions.  Real operands keep
     ``reducing_matmul``, whose float sums depend on the order of terms.
     """
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    if a.shape != (plan.d_out, plan.d_in) or b.shape[-2] != plan.d_in or b.shape[-1] > plan.m:
-        raise PlanError(f"shapes {a.shape} x {b.shape} do not match plan")
-    return reducing_field_slots(M61.matmul(a, b), plan, ctx, key)
-
-
-def reducing_field_slots(product: np.ndarray, plan: MatMulPlan, ctx: HEContext,
-                         key: PublicKey) -> CipherVector:
-    """``reducing_field_matmul``'s slots and cost for its product (..., d_out, cols), formed."""
+    if product.shape[-2] != plan.d_out or product.shape[-1] > plan.m:
+        raise PlanError(f"product shape {product.shape} does not match plan")
     lead = product.shape[:-2]
     out = np.zeros(lead + (plan.d_out, plan.m), dtype=np.uint64)
     out[..., : product.shape[-1]] = product
     return ctx.fold_int_slots(out.reshape(lead + (-1,)), key, terms=plan.d_in, copies=1,
                               width=plan.d_out * plan.m)
-

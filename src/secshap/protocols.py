@@ -13,8 +13,8 @@
   shared, so every multiplication is ciphertext-plaintext and samples
   from different clients share a batch.  Optional sample skipping.  A
   subset's first layer sums per-model products made once per round, exact
-  over Z_p; a later layer is one field product per server
-  (``reducing_field_matmul``); both are metered as fold, then multiply.
+  over Z_p; a later layer multiplies the subset's aggregate by both
+  servers' shares; ``reducing_field_slots`` meters both as fold, then multiply.
 - ``run_secretsv``: two servers, models and data both secret-shared;
   layers run on Beaver triples, which trades ciphertext arithmetic for
   dealer traffic and per-layer truncation error.
@@ -57,7 +57,6 @@ from .hebackend import (
 from .kernels import (
     plan_reducing,
     plan_squaring,
-    reducing_field_matmul,
     reducing_field_slots,
     reducing_prepare_model,
     squaring_decrypt_stack,
@@ -135,15 +134,14 @@ class _Batch:
     owners: frozenset
 
 
-def _pooled_batches(owner_by_pos, positions, capacity, n_clients,
-                    min_excluded: int = 2) -> list[_Batch]:
+def _pooled_batches(owner_by_pos, positions, capacity, n_clients) -> list[_Batch]:
     """Greedy batches over the given column positions.
 
     A batch never grows past the slot capacity, and its owner set always
-    leaves at least ``min_excluded`` clients outside so a label client
-    can be assigned.
+    leaves at least two clients outside so a label client can be
+    assigned outside the batch's owners.
     """
-    max_owners = max(1, n_clients - min_excluded)
+    max_owners = max(1, n_clients - 2)
     batches: list[_Batch] = []
     cols: list[int] = []
     owners: set = set()
@@ -516,24 +514,6 @@ def _share_test_data(test_sets, field: FieldParams, router: Router, rng) -> _Sha
     )
 
 
-def _weighted_sum(weights, arrays):
-    """Sum of w * x mod p over encoded weights and equal-shape field arrays.
-
-    One field product: the weight row times the stacked, flattened arrays.
-    """
-    row = np.array([weights], dtype=np.uint64)
-    stacked = np.stack(arrays).reshape(len(arrays), -1)
-    return M61.matmul(row, stacked).reshape(arrays[0].shape)
-
-
-def _small_weighted_sum(weights, arrays):
-    """``_weighted_sum`` for weights <= 2^17 (SecSV's, f <= 17) over fewer than 2^14 arrays:
-    the weighted sums of the elements' 32-bit words stay below 2^63, exact in uint64."""
-    w, x = np.array(weights, dtype=np.uint64), np.stack(arrays).reshape(len(arrays), -1)
-    lo, hi = w @ (x & 0xFFFFFFFF), w @ (x >> 32)
-    return M61.reduce(lo + ((hi << 32) & M61.p) + (hi >> 29)).reshape(arrays[0].shape)
-
-
 def _split_and_distribute(router, field, owner_name, secret: np.ndarray, rng):
     pair = split_matrix(secret, field, rng)
     router.send(owner_name, SERVER_P, pair.s_prime)
@@ -798,7 +778,7 @@ def run_secsv(
                 w_enc = [encode(w[i], field) for i in members]
             for plan in plans:
                 ctx.charge_fold(plan.d_in, len(members), copies=2)
-            return [(w_enc, members)] + [_weighted_sum(w_enc, [model_enc[k][l] for k in members])
+            return [(w_enc, members)] + [M61.weighted_sum(w_enc, [model_enc[k][l] for k in members])
                                          for l in range(1, num_layers)]
 
         def linear(aggs, l, x, receivers, cols):
@@ -808,11 +788,10 @@ def run_secsv(
             for agg, share_p, share_a, receiver in zip(aggs, x.s_prime, x.s_dprime, receivers):
                 if l == 0:  # over Z_p, (sum_i w_i theta_i) x = sum_i w_i (theta_i x) exactly
                     w_enc, members = agg[0]
-                    product = _small_weighted_sum(w_enc, [first[k][..., cols] for k in members])
-                    cts = reducing_field_slots(product, plan, ctx, keys.public)
+                    product = M61.weighted_sum(w_enc, [first[k][..., cols] for k in members])
                 else:
-                    cts = reducing_field_matmul(agg[l], np.stack([share_p, share_a]), plan, ctx,
-                                                keys.public)
+                    product = M61.matmul(agg[l], np.stack([share_p, share_a]))
+                cts = reducing_field_slots(product, plan, ctx, keys.public)
                 router.send(SERVER_A, SERVER_P, cts[1])
                 ct = ctx.he_add(cts[0], cts[1])
                 router.send(SERVER_P, receiver, ct)
@@ -904,8 +883,8 @@ def run_secretsv(
         def aggregated_shares(subsets, widths):
             """Per layer, the chunk's model shares as one stack; deals the chunk's triples.
 
-            The chunk's aggregates are one field product per share half:
-            its encoded weight rows (zero off each subset) times every
+            The chunk's aggregates are one ``M61.weighted_sum`` per share
+            half: its encoded weight rows (zero off each subset) times every
             member's flattened layers, then one truncation.  The empty
             subset takes the global model and a single member of weight 1
             its own shares, untruncated.
@@ -918,7 +897,7 @@ def run_secretsv(
                     weights[g, column[i]] = encode(w[i], field)
                 if not subset or list(w.values()) == [1.0]:
                     own[g] = min(subset, default="global")
-            agg = _truncate_shares(SharePair(*(M61.matmul(weights, members_flat[h])
+            agg = _truncate_shares(SharePair(*(M61.weighted_sum(weights, members_flat[h])
                                                for h in (0, 1))), field)
             for g, key in own.items():
                 agg.s_prime[g], agg.s_dprime[g] = flat[key]

@@ -171,7 +171,8 @@ class _Mersenne61:
     (``count`` runs of draws in one block, as consecutive ``random``
     calls), ``reduce`` (sums of canonical elements), ``mul``
     (entrywise), ``matmul`` (any uint64 operands, reduced or not, over
-    leading stack axes), ``from_rounded`` (integer-valued floats) and
+    leading stack axes), ``weighted_sum`` (small non-negative weights
+    times any uint64 terms), ``from_rounded`` (integer-valued floats) and
     ``signed``.
     """
 
@@ -297,6 +298,21 @@ class _Mersenne61:
         np.add.reduce(coeff, axis=-3, out=out)
         self._reduce_into(out, out, scratch[..., 0, :, :])
         arena.rewind(mark)
+
+    def weighted_sum(self, weights, x) -> np.ndarray:
+        """Exact weights @ x mod p: shape (..., terms) by (terms, ...), summed over the terms.
+
+        The weights are non-negative integers, each row summing below 2^31
+        (encoded FedAvg weights sum to at most 2^frac_bits + terms / 2);
+        x holds any uint64 values.  With x = x_0 + x_1 2^32 in 32-bit
+        words, the weighted word sums lo and hi stay below 2^63, and
+        hi 2^32 = ((hi << 32) & p) + (hi >> 29) mod p, so their sum stays
+        below 2^64 and one reduction makes it canonical.
+        """
+        w, x = np.asarray(weights, dtype=np.uint64), np.asarray(x, dtype=np.uint64)
+        words = x.reshape(len(x), -1)
+        lo, hi = w @ (words & 0xFFFFFFFF), w @ (words >> 32)
+        return self.reduce(lo + ((hi << 32) & self.p) + (hi >> 29)).reshape(w.shape[:-1] + x.shape[1:])
 
     def from_rounded(self, scaled: np.ndarray) -> np.ndarray:
         """Field elements of integer-valued floats below 2^63 in magnitude."""

@@ -7,6 +7,7 @@ import pytest
 
 from secshap.cli import ExperimentConfig, bench_shape, main
 from secshap.hebackend import CostWeights
+from secshap.sharing import secretsv_headroom_error
 
 
 def tiny_config(**overrides) -> dict:
@@ -71,6 +72,16 @@ class TestConfig:
         assert any(e.startswith("frac_bits:") for e in errors(18, ["nssv", "secsv"]))
         assert errors(17, ["nssv", "secsv"]) == []
         assert errors(18, ["nssv", "hesv", "secretsv"]) == []
+
+    def test_secretsv_headroom_checked_only_for_secretsv(self):
+        # secretsv's products need 2 * frac_bits + 9 prime bits; nssv and hesv use no field
+        def errors(protocols):
+            return ExperimentConfig.from_json(json.dumps(tiny_config(
+                frac_bits=27, protocols=protocols,
+            ))).validate()
+
+        assert errors(["nssv", "hesv"]) == []
+        assert errors(["secretsv"]) == [secretsv_headroom_error(27)]
 
     def test_non_prime_rejected_under_prime(self):
         config = replace(ExperimentConfig(), prime=2**61 + 1)

@@ -19,6 +19,8 @@
 - No module but ``federation.py`` uses ``.ids``: sample ids are unique
   within one dataset only, so the protocols name a sample by its
   position in the pooled test data, never by its id.
+- No module but ``sharing.py`` shifts by 29, 32 or 61 bits or masks with
+  ``0xFFFFFFFF``: word arithmetic on field elements lives with ``M61``.
 """
 
 import ast
@@ -281,3 +283,57 @@ def test_scan_finds_sample_id_uses():
 def test_only_federation_reads_sample_ids(path):
     """Sample ids stay in ``ClientDataset``: no protocol relies on them."""
     assert bool(sample_id_uses(path.read_text())) == (path.name == "federation.py")
+
+
+FIELD_SHIFTS = {29, 32, 61}  # 2^61 = 1 (mod p), 32-bit words, and 2^32 = 2^-29 (mod p)
+WORD_MASK = 0xFFFFFFFF
+WORD_OPS = {ast.LShift: "shift", ast.RShift: "shift", ast.BitAnd: "mask",
+            "left_shift": "shift", "right_shift": "shift", "bitwise_and": "mask"}
+
+
+def field_word_arithmetic(source: str) -> list[str]:
+    """Lines that shift by 29, 32 or 61 bits or mask with ``0xFFFFFFFF``.
+
+    Operators and augmented assignments count, and so do numpy's
+    ``left_shift``, ``right_shift`` and ``bitwise_and`` called with such
+    a constant.
+    """
+    def constant(node, values) -> bool:
+        return isinstance(node, ast.Constant) and node.value in values
+
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp):
+            op, operands = WORD_OPS.get(type(node.op)), [node.left, node.right]
+        elif isinstance(node, ast.AugAssign):
+            op, operands = WORD_OPS.get(type(node.op)), [node.target, node.value]
+        elif isinstance(node, ast.Call):
+            op = WORD_OPS.get(getattr(node.func, "attr", getattr(node.func, "id", None)))
+            operands = node.args[:2]
+        else:
+            continue
+        if len(operands) == 2 and (
+                op == "shift" and constant(operands[1], FIELD_SHIFTS)
+                or op == "mask" and any(constant(x, {WORD_MASK}) for x in operands)):
+            lines.add(node.lineno)
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_scan_finds_field_word_arithmetic():
+    source = ("lo, hi = w @ (x & 0xFFFFFFFF), w @ (x >> 32)\n"
+              "y = ((hi << 32) & p) + (hi >> 29)\n"
+              "x >>= 61\n"
+              "np.right_shift(x, 61, out=s)\n"
+              "mask = 0xFFFFFFFF & x\n"
+              "low = np.bitwise_and(x, 0xFFFFFFFF)\n"
+              "everything = (1 << total) - 1\n"
+              "budget = 7 << 19\n"
+              "low = x & 0xFF\n"
+              "np.left_shift(x, k, out=s)\n")
+    assert field_word_arithmetic(source) == [f"line {n}" for n in range(1, 7)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_field_word_arithmetic_only_in_sharing(path):
+    """Only ``sharing.py`` takes field elements apart into words or folds them by 2^61."""
+    assert bool(field_word_arithmetic(path.read_text())) == (path.name == "sharing.py")

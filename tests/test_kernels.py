@@ -10,7 +10,7 @@ from secshap.kernels import (
     delta_reference,
     plan_reducing,
     plan_squaring,
-    reducing_field_matmul,
+    reducing_field_slots,
     reducing_matmul,
     reducing_max_batch,
     reducing_prepare_batch,
@@ -427,8 +427,8 @@ class TestReducingKernel:
         assert ct.slots[:12].reshape(2, 6).tolist() == want.tolist()
 
 
-class TestReducingFieldMatmul:
-    """The one-product integer path against the views + he_dot kernel it replaces."""
+class TestReducingFieldSlots:
+    """The slots of one field product against the views + he_dot kernel they replace."""
 
     @staticmethod
     def field_operand(rng, shape):
@@ -449,7 +449,7 @@ class TestReducingFieldMatmul:
         before = ctx.meter.snapshot()
         want = reducing_matmul(model, batch, plan, ctx)
         mid = ctx.meter.snapshot()
-        got = reducing_field_matmul(a, b, plan, ctx, KEYS.public)
+        got = reducing_field_slots(M61.matmul(a, b), plan, ctx, KEYS.public)
         assert got.slots.dtype == want.slots.dtype == np.uint64
         assert np.array_equal(got.slots, want.slots)
         assert got.key_id == want.key_id and got.var is None
@@ -483,12 +483,14 @@ class TestReducingFieldMatmul:
             b = self.field_operand(rng, (d_in, 3))
         self.check_equals_kernel(a, b, 5, 16)
 
-    def test_batch_wider_than_plan_rejected(self):
+    @pytest.mark.parametrize("shape", [(3, 4), (1, 4), (2, 5), (2, 2, 5)],
+                             ids=["more-rows", "fewer-rows", "wider", "stack-wider"])
+    def test_product_outside_plan_rejected(self, shape):
         ctx = HEContext(HEParams(slot_count=64))
         plan = plan_reducing(2, 3, 4, 64)
-        a = np.ones((2, 3), dtype=np.uint64)
+        reducing_field_slots(np.ones((2, 2, 4), dtype=np.uint64), plan, ctx, KEYS.public)
         with pytest.raises(PlanError):
-            reducing_field_matmul(a, np.ones((3, 5), dtype=np.uint64), plan, ctx, KEYS.public)
+            reducing_field_slots(np.ones(shape, dtype=np.uint64), plan, ctx, KEYS.public)
 
 
 class TestNoiseTolerance:

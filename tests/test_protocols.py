@@ -38,8 +38,6 @@ from secshap.protocols import (
     ProtocolError,
     _hesv_draw_layout,
     _pooled_batches,
-    _small_weighted_sum,
-    _weighted_sum,
     run_hesv,
     run_nssv,
     run_secretsv,
@@ -279,24 +277,16 @@ class TestSecsv:
             return out
 
         real_prepare = protocols.reducing_prepare_model
-        real_product = protocols.reducing_field_matmul
         products = []
 
         def spy_prepare(operand, *args, **kwargs):
             dtypes.add(np.asarray(operand).dtype)
             return real_prepare(operand, *args, **kwargs)
 
-        def spy_product(a, b, *args, **kwargs):
-            # the layer products: both field operands and the output slots
-            out = real_product(a, b, *args, **kwargs)
-            dtypes.update((np.asarray(a).dtype, np.asarray(b).dtype, out.slots.dtype))
-            products.append(out.slots.dtype)
-            return out
-
         real_slots = protocols.reducing_field_slots
 
         def spy_slots(product, *args, **kwargs):
-            # the first layer: its summed field product and the output slots
+            # every layer: its field product and the output slots
             out = real_slots(product, *args, **kwargs)
             dtypes.update((np.asarray(product).dtype, out.slots.dtype))
             products.append(out.slots.dtype)
@@ -305,7 +295,6 @@ class TestSecsv:
         monkeypatch.setattr(HEContext, "he_mult", spy_mult)
         monkeypatch.setattr(HEContext, "he_dot", spy_dot)
         monkeypatch.setattr(protocols, "reducing_prepare_model", spy_prepare)
-        monkeypatch.setattr(protocols, "reducing_field_matmul", spy_product)
         monkeypatch.setattr(protocols, "reducing_field_slots", spy_slots)
         run_secsv(history, parts, HEParams(), FieldParams(), skip=True, seed=1)
         assert products and dtypes == {np.dtype(np.uint64)}
@@ -515,7 +504,7 @@ def _secretsv_layer_oracle(history, parts, field, seed, batch_capacity):
             else:
                 w_enc = [encode(w[i], field) for i in sorted(subset)]
                 theta = [_truncate_shares(SharePair(*(
-                    _weighted_sum(w_enc, [getattr(uploaded[i][l], half) for i in sorted(subset)])
+                    _weight_row_sum(w_enc, [getattr(uploaded[i][l], half) for i in sorted(subset)])
                     for half in ("s_prime", "s_dprime"))), field) for l in range(model.depth)]
             for batch in batches:
                 cols = np.array(batch.columns)
@@ -836,21 +825,11 @@ class TestTrafficLedger:
         assert sum(sent.values()) == report.meter.total_bytes() > 0
 
 
-class TestWeightedSum:
-    @pytest.mark.parametrize("prime", [(1 << 61) - 1], ids=["m61"])
-    @pytest.mark.parametrize("terms", range(1, 9))
-    def test_equals_entrywise_loop(self, prime, terms):
-        g = np.random.default_rng(terms)
-        weights = [int(w) for w in M61.random(g, (terms,))]
-        weights[0] = prime - 1
-        arrays = [M61.random(g, (3, 5)) for _ in range(terms)]
-        arrays[-1][0] = prime - 1
-        acc = 0
-        for w, x in zip(weights, arrays):
-            acc = M61.reduce(acc + M61.mul(w, x))
-        got = _weighted_sum(weights, arrays)
-        assert got.dtype == np.uint64 and got.shape == (3, 5)
-        assert got.tolist() == acc.tolist()
+def _weight_row_sum(weights, arrays):
+    """The reference weighted sum mod p: ``M61.matmul`` of the weight row by the flattened arrays."""
+    row = np.array([weights], dtype=np.uint64)
+    stacked = np.stack(arrays).reshape(len(arrays), -1)
+    return M61.matmul(row, stacked).reshape(arrays[0].shape)
 
 
 def _field_operand(rng, shape):
@@ -876,15 +855,19 @@ class TestSecsvFirstLayer:
         # the empty subset takes the global model at weight encode(1.0)
         weights = [int(w) for w in rng.integers(0, top + 1, size=members)] or [top]
         weights[0] = top
-        got = _small_weighted_sum(weights, [M61.matmul(theta, x) for theta in thetas])
+        got = M61.weighted_sum(weights, [M61.matmul(theta, x) for theta in thetas])
         assert got.dtype == np.uint64 and got.shape == (2, d_out, cols)
-        assert np.array_equal(got, M61.matmul(_weighted_sum(weights, thetas), x))
+        assert np.array_equal(got, M61.matmul(_weight_row_sum(weights, thetas), x))
 
     def test_words_stay_exact_at_the_stated_limit(self):
-        # 2^14 - 1 terms of weight 2^17 times p - 1: the largest word sums allowed
-        terms = (1 << 14) - 1
-        got = _small_weighted_sum([1 << 17] * terms, [np.full(2, M61.p - 1, np.uint64)] * terms)
-        assert got.tolist() == [terms * (1 << 17) * (M61.p - 1) % M61.p] * 2
+        # weights summing to 2^31 - 1 over 2^14 - 1 terms of full 32-bit words:
+        # the largest word sums allowed
+        terms, top = (1 << 14) - 1, (1 << 31) - 1
+        weights = [top // terms] * terms
+        weights[0] += top % terms
+        values = [(1 << 64) - 1, M61.p - 1]
+        got = M61.weighted_sum(weights, np.tile(np.array(values, dtype=np.uint64), (terms, 1)))
+        assert got.tolist() == [top * v % M61.p for v in values]
 
     @pytest.mark.parametrize("skip", [False, True], ids=["skip-off", "skip-on"])
     def test_run_outputs_equal_aggregate_then_multiply(self, skip, monkeypatch):
@@ -897,22 +880,17 @@ class TestSecsvFirstLayer:
         metered = {"hmult_c2p": 0, "hadd": 0}  # fold every layer's ciphertexts, then multiply
         real_decrypt = HEContext.decrypt_stack
         real_round = protocols._two_server_round
-        real_product = protocols.reducing_field_matmul
 
         def spy_decrypt(self, ct, *args, **kwargs):
             decrypted.append(real_decrypt(self, ct, *args, **kwargs))
             return decrypted[-1]
-
-        def spy_product(a, *args, **kwargs):
-            assert a.shape != arch[0].weight_shape  # layer 0 never multiplies an aggregate
-            return real_product(a, *args, **kwargs)
 
         class CountingM61:
             def __getattr__(self, name):
                 return getattr(M61, name)
 
             def matmul(self, a, b):
-                if b.shape[:2] == (2, arch[0].in_size + 1):
+                if a.shape[-2:] == arch[0].weight_shape or b.shape[-2] == arch[0].in_size + 1:
                     first_products.append(a.shape)
                 return M61.matmul(a, b)
 
@@ -939,8 +917,8 @@ class TestSecsvFirstLayer:
                 for g, subset in enumerate(chunks[-1] if l == 0 else []):
                     w = record.weights_for(subset) if subset else {None: 1.0}
                     keys = sorted(subset) or [None]
-                    agg = _weighted_sum([encode(w[k], field) for k in keys],
-                                        [theta[k] for k in keys])
+                    agg = _weight_row_sum([encode(w[k], field) for k in keys],
+                                          [theta[k] for k in keys])
                     old = M61.matmul(agg, np.stack([x.s_prime[g], x.s_dprime[g]]))
                     assert np.array_equal(decrypted[start + g][:, :len(cols)],
                                           M61.reduce(old[0] + old[1]))
@@ -952,14 +930,14 @@ class TestSecsvFirstLayer:
 
         monkeypatch.setattr(HEContext, "decrypt_stack", spy_decrypt)
         monkeypatch.setattr(protocols, "_two_server_round", spy_round)
-        monkeypatch.setattr(protocols, "reducing_field_matmul", spy_product)
         monkeypatch.setattr(protocols, "M61", CountingM61())
         report = run_secsv(history, parts, HEParams(noise_stddev=0.0), field, skip=skip, seed=3)
         assert frozenset() in checked
         assert {name: getattr(report.meter, name) for name in metered} == metered
         if not skip:
             assert set(checked) == {s for r in history for s in subsets_ascending(r.selected)}
-        # one first-layer product per uploaded model and round
+        # layer 0 never multiplies an aggregate: one first-layer product per uploaded
+        # model and round, n_selected + 1 per round
         assert first_products == [arch[0].weight_shape] * sum(len(r.selected) + 1 for r in history)
 
 

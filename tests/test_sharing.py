@@ -536,6 +536,34 @@ class TestMersenne61Ops:
         b[:4, 0] = edges
         assert M61.matmul(a, b).tolist() == ((_objects(a) @ _objects(b)) % P61).tolist()
 
+    @pytest.mark.parametrize("terms", range(1, 9))
+    def test_weighted_sum_equals_entrywise_loop(self, terms):
+        # weight rows summing up to 2^31 - 1, over any uint64 elements
+        top = (1 << 31) - 1
+        g = np.random.default_rng(terms)
+        weights = g.integers(0, top // terms + 1, size=(4, terms), dtype=np.uint64)
+        weights[0] = 0
+        weights[0, -1] = top  # one full weight
+        weights[1] = top // terms
+        weights[1, 0] += top % terms  # a row summing to exactly 2^31 - 1
+        x = g.integers(0, 1 << 64, size=(terms, 3, 5), dtype=np.uint64)
+        x[:, 0, :3] = [0, P61 - 1, (1 << 64) - 1]
+        x[-1, 1] = (1 << 64) - 1
+
+        def loop(row):
+            acc = np.zeros((3, 5), dtype=np.uint64)
+            for w, term in zip(row, x):
+                acc = M61.reduce(acc + M61.mul(w, term))
+            return acc.tolist()
+
+        for row in weights:  # vector weights
+            got = M61.weighted_sum(row, x)
+            assert got.dtype == np.uint64 and got.shape == (3, 5)
+            assert got.tolist() == loop(row)
+        got = M61.weighted_sum(weights, x)  # matrix weights
+        assert got.dtype == np.uint64 and got.shape == (4, 3, 5)
+        assert got.tolist() == [loop(row) for row in weights]
+
 
 class TestScratchArena:
     """Products that share one arena give every result exactly, and leave it alone."""
