@@ -47,6 +47,17 @@ from .shapley import fsv_error, permutation_sampling_ssv, fsv_aggregate
 CONFIG_VERSION = 1
 KNOWN_PROTOCOLS = ("nssv", "hesv", "secsv", "secretsv")
 ARCHITECTURES = ("logistic", "mlp", "cnn_like")
+# per declared field type: the values it takes (a bool is no number) and its name in errors
+_FIELD_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+                "bool": (bool, "true or false"), "str": (str, "a string"),
+                "list": (list, "a list")}
+_ENTRY_TYPES = {"protocols": ("str", "strings"), "hidden": ("int", "integers")}  # of list fields
+
+
+def _is_a(value, kind: str) -> bool:
+    """Whether ``value`` is of the declared config field type ``kind``."""
+    types = _FIELD_TYPES[kind][0]
+    return isinstance(value, types) and (kind == "bool" or type(value) is not bool)
 
 
 @dataclass
@@ -80,9 +91,15 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def validate(self) -> list[str]:
-        # every rule below reads the int fields as integers, so a wrong type stops here
-        errors = [f"{f.name}: must be an integer, got {value!r}" for f in fields(self)
-                  if f.type in (int, "int") and type(value := getattr(self, f.name)) is not int]
+        # every rule below reads each field as its declared type, so a wrong type stops here
+        errors = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            entry, entries = _ENTRY_TYPES.get(f.name, (None, None))
+            if not _is_a(value, f.type):
+                errors.append(f"{f.name}: must be {_FIELD_TYPES[f.type][1]}, got {value!r}")
+            elif entry and not all(_is_a(x, entry) for x in value):
+                errors.append(f"{f.name}: must be a list of {entries}, got {value!r}")
         if errors:
             return errors
         if self.version != CONFIG_VERSION:
@@ -101,9 +118,7 @@ class ExperimentConfig:
             errors.append("learning_rate: must be finite")
         if not (math.isfinite(self.separation) and self.separation >= 0):
             errors.append("separation: must be finite and non-negative")
-        if self.architecture == "mlp" and any(
-            not isinstance(h, int) or h < 1 for h in self.hidden
-        ):
+        if self.architecture == "mlp" and any(h < 1 for h in self.hidden):
             errors.append(f"hidden: layer sizes must be positive integers, got {self.hidden}")
         if self.architecture not in ARCHITECTURES:
             errors.append(f"architecture: unknown {self.architecture!r}, "

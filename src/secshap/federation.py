@@ -34,6 +34,9 @@ __all__ = [
     "save_dataset_csv",
 ]
 
+_PARTITION_DRAWS = 100  # Dirichlet draws before a partition with an empty client gives up
+_BATCH_SIZE = 32  # local SGD minibatch
+
 
 class TrainingError(RuntimeError):
     pass
@@ -115,7 +118,7 @@ def make_synthetic_dataset(
 
 
 def dirichlet_partition(
-    dataset: ClientDataset, n: int, alpha: float, seed: int = 0, max_retries: int = 100
+    dataset: ClientDataset, n: int, alpha: float, seed: int = 0
 ) -> list[ClientDataset]:
     """Split one pool into n client test sets with Dirichlet(alpha) label skew.
 
@@ -133,7 +136,7 @@ def dirichlet_partition(
     rng = np.random.default_rng(seed)
     labels = dataset.labels
     classes = np.unique(labels)
-    for _ in range(max_retries):
+    for _ in range(_PARTITION_DRAWS):
         assignment: list[list[int]] = [[] for _ in range(n)]
         for cls in classes:
             positions = np.flatnonzero(labels == cls)
@@ -150,7 +153,7 @@ def dirichlet_partition(
                 start += cnt
         if all(len(part) for part in assignment):
             return [dataset.subset(sorted(part)) for part in assignment]
-    raise TrainingError(f"could not find a non-degenerate partition in {max_retries} draws")
+    raise TrainingError(f"could not find a non-degenerate partition in {_PARTITION_DRAWS} draws")
 
 
 @dataclass(frozen=True)
@@ -175,11 +178,11 @@ class RoundModels:
         return aggregate(self.local_models, self.weights_for(members))
 
 
-def _sgd_epoch(params, layers, x, y, lr, batch_size, rng, num_classes):
+def _sgd_epoch(params, layers, x, y, lr, rng, num_classes):
     m = x.shape[1]
     order = rng.permutation(m)
-    for start in range(0, m, batch_size):
-        cols = order[start : start + batch_size]
+    for start in range(0, m, _BATCH_SIZE):
+        cols = order[start : start + _BATCH_SIZE]
         xb = x[:, cols]
         yb = y[cols]
         # forward with caches
@@ -223,7 +226,6 @@ def fedavg_train(
     local_epochs: int = 1,
     lr: float = 0.5,
     seed: int = 0,
-    batch_size: int = 32,
     grid_bits: int | None = 12,
 ) -> list[RoundModels]:
     """Standard FedAvg: broadcast, local SGD, size-weighted aggregate.
@@ -258,7 +260,7 @@ def fedavg_train(
             for _ in range(local_epochs):
                 params = _sgd_epoch(
                     params, arch, ds.features, ds.labels,
-                    lr, batch_size, client_rng, num_classes,
+                    lr, client_rng, num_classes,
                 )
             local = Model(arch, params)
             locals_[i] = quantize_model(local, grid_bits) if grid_bits is not None else local

@@ -81,7 +81,7 @@ from .sharing import (
     SharePair,
     TripleSupply,
     _Arena,
-    _beaver_bytes,
+    _dealt_parts,
     _truncate_shares,
     decode_matrix,
     encode,
@@ -545,8 +545,8 @@ def _shared_label_check(router, field, y_sh: SharePair, shared: _SharedData,
             for row in np.packbits(flags, axis=1, bitorder="little")]
 
 
-# A chunk's Beaver working set (dealt triples, deepest product's scratch), 3.5 MiB.
-_CHUNK_BYTES = 7 << 19
+# Bound on a chunk's dealt triple block, 1.625 MiB: 4 / 6 / 10 subsets on stock / deep / wide.
+_CHUNK_BYTES = 13 << 17
 
 
 def _triple_shapes(arch, widths) -> list:
@@ -555,7 +555,8 @@ def _triple_shapes(arch, widths) -> list:
 
 
 def _chunk_size(arch, widths) -> int:
-    return max(1, _CHUNK_BYTES // _beaver_bytes(_triple_shapes(arch, widths)))
+    dealt = 8 * sum(map(math.prod, _dealt_parts(_triple_shapes(arch, widths))))  # per subset
+    return max(1, _CHUNK_BYTES // dealt)
 
 
 def _two_server_round(record: RoundModels, shared: _SharedData, m_cap: int, n: int,
@@ -567,18 +568,18 @@ def _two_server_round(record: RoundModels, shared: _SharedData, m_cap: int, n: i
     sample; a set of samples is a bitset over these column positions.
     ``evaluate(subsets, bits)`` runs a list of subsets on the positions
     in ``bits`` and returns each subset's bitset of correct positions.
-    It takes the subsets in chunks of ``_chunk_size`` (bytes,
-    ``_CHUNK_BYTES``; a call with one subset is one chunk without
-    consulting it); per chunk, ``models = aggregate(chunk, widths)``
-    gives the chunk's subset models, ready for batches of these widths.  Per
-    batch and layer, ``linear(models, l, x, receivers, cols)`` computes layer
-    ``l`` of every model of the chunk on the shared inputs ``x`` (a stack over
-    the chunk) of the batch's columns ``cols`` and returns the plaintext outputs
-    (chunk, rows, cols) the assigned receivers learn.  Each receiver applies the activation and
-    shares the next input again; after the last layer it shares the
-    predicted labels, which the servers compare with the shared true
-    labels.  Without skip one call holds every subset of the round; with
-    skip, each call holds one subset.
+    It takes the subsets in chunks of ``_chunk_size``, as many as keep a
+    chunk's dealt triple block within ``_CHUNK_BYTES`` (one subset is one
+    chunk without consulting it).  Per chunk, ``models = aggregate(chunk,
+    widths)`` gives the chunk's models, ready for batches of these widths.
+    Per batch and layer, ``linear(models, l, x, receivers, cols)`` computes
+    layer ``l`` of every model of the chunk on the shared inputs ``x`` (a
+    stack over the chunk) of the batch's columns ``cols`` and returns the
+    plaintext outputs (chunk, rows, cols) the assigned receivers learn.
+    Each receiver applies the activation and shares the next input again;
+    after the last layer it shares the predicted labels, which the servers
+    compare with the shared true labels.  Without skip one call holds
+    every subset of the round; with skip, each call holds one subset.
 
     Decryptor offsets, messages, the actor log and utilities follow the
     one-subset-at-a-time order (subset, batch, layer), and a chunk's

@@ -209,32 +209,23 @@ def permutation_sampling_ssv(
     players,
     budget: int,
     rng: np.random.Generator | None = None,
-    exhaustive: bool = False,
 ) -> dict[int, float]:
-    """Monte-Carlo estimate: average marginal contribution over permutations.
+    """Monte-Carlo estimate: average marginal contribution over ``budget`` random permutations.
 
     ``utility`` maps a frozenset to a value (typically a table lookup).
-    With ``exhaustive`` every permutation is walked once and the result
-    is exact; otherwise ``budget`` random permutations are sampled.
     """
     players = sorted(players)
-    if not exhaustive and budget < 1:
+    if budget < 1:
         raise ValueError("budget must be >= 1")
     if rng is None:
         rng = np.random.default_rng(0)
     totals = {i: 0.0 for i in players}
-    if exhaustive:
-        perms = itertools.permutations(players)
-        count = math.factorial(len(players))
-    else:
-        perms = (rng.permutation(players) for _ in range(budget))
-        count = budget
-    for perm in perms:
+    for _ in range(budget):
         prefix: frozenset = frozenset()
         prev = utility(prefix)
-        for i in perm:
+        for i in rng.permutation(players):
             prefix = prefix | {int(i)}
             cur = utility(prefix)
             totals[int(i)] += cur - prev
             prev = cur
-    return {i: totals[i] / count for i in players}
+    return {i: totals[i] / budget for i in players}

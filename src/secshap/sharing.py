@@ -20,12 +20,12 @@ combine them.  ``M61`` holds that arithmetic.
 Products take leading stack axes: ``share_matmul`` multiplies a stack of
 shared matrices at once, each product with its own Beaver triple.
 ``TripleSupply.deal`` draws the triples of a stack of evaluations from
-one block, laid out as one-by-one ``take`` calls would draw them, and sizes
-the scratch buffer (``_Arena``, supplies may share one) of its products and
-dealer; ``share_matmul`` never forms [f ; v_j] as one array.  Every
-message of a product, the dealer's triple shares and the servers'
-openings, goes through the ``Router.send`` that ``share_matmul`` is
-given, so the dealer's sends are metered there, not in the supply.
+one block, laid out as one-by-one ``take`` calls would draw them, and grows
+the scratch buffer (``_Arena``, supplies may share one) to the deepest its
+earlier products reached; ``share_matmul`` never forms [f ; v_j] as one
+array.  Every message of a product, the dealer's triple shares and the
+servers' openings, goes through the ``Router.send`` that ``share_matmul``
+is given, so the dealer's sends are metered there, not in the supply.
 """
 
 from __future__ import annotations
@@ -129,10 +129,12 @@ class BeaverTriple:
 
 
 class _Arena:
-    """Scratch arrays bumped off one buffer: ``alloc`` hands out the next piece (a
-    fresh array past the buffer's end), ``rewind(mark, reserve=0)`` gives back the pieces
-    since ``mark = arena.top`` and, at 0, grows the buffer to the deepest top seen or
-    reserved.  Nothing that leaves a product may be a piece."""
+    """Scratch arrays bumped off one buffer: ``alloc`` hands out the next piece (a fresh
+    array past the buffer's end), ``rewind(mark)`` gives back the pieces since
+    ``mark = arena.top``, and ``fit()``, at top 0, grows the buffer to the deepest top
+    seen.  Nothing that leaves a product may be a piece.  Each ``TripleSupply.deal`` fits
+    it: ``run_secretsv``'s first chunk is its deepest (full chunks come first, rounds share
+    shapes) and runs on fresh pieces, so its buffer grows once per run."""
 
     def __init__(self):
         self._buf, self.top, self._deepest = np.empty(0, dtype=np.uint8), 0, 0
@@ -145,9 +147,11 @@ class _Arena:
         self._deepest = max(self._deepest, top)
         return np.empty(shape, dtype)
 
-    def rewind(self, mark: int, reserve: int = 0) -> None:
-        self.top, self._deepest = mark, max(self._deepest, reserve)
-        if mark == 0 and self._buf.size < self._deepest:
+    def rewind(self, mark: int) -> None:
+        self.top = mark
+
+    def fit(self) -> None:
+        if self._buf.size < self._deepest:
             self._buf = np.empty(self._deepest, dtype=np.uint8)
 
 
@@ -442,8 +446,7 @@ class TripleSupply:
                         f"triple budget exhausted: need {cost}, have {self.budget - committed}"
                     )
                 committed += cost
-        # per product: u, v, then the masks of u, v and w
-        parts = [part for a, b in shapes for part in (a, b, a, b, (a[0], b[1]))]
+        parts = _dealt_parts(shapes)
         sizes = [math.prod(part) for part in parts]
         block = M61.random_block(self._rng, count, sizes)
         starts = list(itertools.accumulate(sizes, initial=0))
@@ -451,7 +454,7 @@ class TripleSupply:
                  for at, size, part in zip(starts, sizes, parts)]
         self._dealt.extend(((count,) + s, draws[5 * j:5 * j + 5]) for j, s in enumerate(shapes))
         self._pending += count * sum(costs)
-        self._arena.rewind(self._arena.top, max(_product_bytes(count, a, b) for a, b in shapes))
+        self._arena.fit()
 
     def take(self, shape_a: tuple, shape_b: tuple) -> BeaverTriple:
         stacked = len(shape_a) == 3
@@ -504,27 +507,9 @@ def _splits_planes(r: int, inner: int, c: int) -> bool:
     return inner * c > 10 * r * (inner + c)
 
 
-def _product_bytes(count: int, shape_a: tuple, shape_b: tuple) -> int:
-    """Deepest arena top of ``share_matmul`` and its dealer on ``count`` stacked
-    products shape_a x shape_b (2-D shapes), each piece rounded up to 64 bytes."""
-    (r, k), c = shape_a, shape_b[1]
-    inner = min(2 * k, _MAX_INNER)
-    rc, rk, ri = 8 * r * c, 8 * r * k, 8 * r * inner
-    plane = 8 * c * (min(k, inner) if _splits_planes(r, inner, c) else 2 * inner)
-
-    def size(*nbytes):
-        return sum(-(-count * n // 64) * 64 for n in nbytes)
-    # e + u', both servers' results (and an inner chunk's), the kernel's product and
-    # limbs, then its coefficients and a float plane, or the limbs' temporaries
-    deepest = (size(rk, rc, rc, rc, rc * (2 * k > _MAX_INNER), 5 * rc, 10 * ri)
-               + max(size(5 * rc, plane), size(4 * ri, 5 * ri // 2)))
-    return size(2 * rk, 8 * k * c) + max(size(8 * k * c), deepest)  # left, f, f's opening
-
-
-def _beaver_bytes(shapes) -> int:
-    """One evaluation's Beaver working set: its dealt triples and its deepest product's scratch."""
-    dealt = sum(2 * r * k + 2 * k * c + r * c for (r, k), (_, c) in shapes)  # u, v, 3 masks
-    return 8 * dealt + max(_product_bytes(1, a, b) for a, b in shapes)
+def _dealt_parts(shapes) -> list:
+    """Shapes of one evaluation's dealt draws: per product u, v, then the masks of u, v and w."""
+    return [part for a, b in shapes for part in (a, b, a, b, (a[0], b[1]))]
 
 
 def share_matmul(

@@ -1,6 +1,7 @@
 import csv
 import json
-from dataclasses import replace
+import runpy
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,26 @@ class TestConfig:
         config = ExperimentConfig.from_json(json.dumps(tiny_config(**{name: bad})))
         assert config.validate() == [f"{name}: must be an integer, got {bad!r}"]
 
+    @pytest.mark.parametrize("name, kind", [(f.name, f.type) for f in fields(ExperimentConfig)])
+    def test_every_mistyped_field_is_named(self, name, kind):
+        bad = {"int": "4", "float": "0.5", "bool": "yes", "str": 3, "list": "nssv"}[kind]
+        config = ExperimentConfig.from_json(json.dumps(tiny_config(**{name: bad})))
+        errors = config.validate()
+        assert errors and all(e.startswith(f"{name}:") for e in errors), errors
+
+    @pytest.mark.parametrize("name, bad", [("protocols", ["nssv", 1]), ("hidden", [16, True]),
+                                           ("hidden", [2.0])])
+    def test_list_entries_must_have_their_type(self, name, bad):
+        config = ExperimentConfig.from_json(json.dumps(tiny_config(
+            **{"architecture": "mlp", "hidden": [4], name: bad})))
+        assert [e.split(",")[0] for e in config.validate()] == [
+            f"{name}: must be a list of {'strings' if name == 'protocols' else 'integers'}"]
+
+    def test_perfbench_workloads_validate(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+        for workload in runpy.run_path(str(path))["WORKLOADS"].values():
+            assert ExperimentConfig(**workload).validate() == []
+
     def test_negative_seed_and_separation_rejected(self):
         assert replace(ExperimentConfig(), seed=-1).validate() == [
             "seed: must be non-negative, got -1"
@@ -194,6 +215,13 @@ class TestCmdRun:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(tiny_config(clients=2)))
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "x")]) == 2
+
+    def test_mistyped_real_exits_2_before_any_work(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"alpha": "0.5"}))
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "x")]) == 2
+        assert "config error: alpha:" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_negative_seed_exits_2_before_any_work(self, tmp_path, capsys):
         assert main(["run", "--seed", "-1", "--out", str(tmp_path / "x")]) == 2

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -540,7 +541,8 @@ class TestSecretsvLayerOutputs:
         num_batches = len(widths)
         assert num_batches >= 2
         if chunk != "rule":  # chunks of `chunk` subsets
-            per_subset = sharing._beaver_bytes(protocols._triple_shapes(arch, widths))
+            shapes = protocols._triple_shapes(arch, widths)
+            per_subset = 8 * sum(map(math.prod, sharing._dealt_parts(shapes)))  # dealt bytes
             monkeypatch.setattr(protocols, "_CHUNK_BYTES", chunk * per_subset)
         stacks = []
         real = protocols.share_matmul
@@ -585,8 +587,8 @@ class TestSecretsvLayerOutputs:
 
 
 class TestBeaverWorkingSet:
-    """The chunk rule: as many subsets as keep a chunk's dealt triples plus its deepest
-    product's scratch within the byte budget."""
+    """The chunk rule: as many subsets as keep a chunk's dealt triple block within the
+    byte budget."""
 
     STOCK = (arch_logistic(48, 2), (131, 369))  # the stock run's layer and batch widths
 
@@ -609,14 +611,16 @@ class TestBeaverWorkingSet:
             for a, b in operands:
                 share_matmul(a, b, supply, field)
 
-        chunk()  # the first deal sizes the arena
+        chunk()  # on fresh pieces, which the next deal fits the arena to
+        chunk()
+        assert supply._arena._buf.nbytes > 0
         tracemalloc.start()
         try:
             chunk()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak + supply._arena._buf.nbytes < protocols._CHUNK_BYTES, peak
+        assert peak + supply._arena._buf.nbytes < 7 << 19, peak  # 3.5 MiB
 
 
 class TestRandomWorlds:
@@ -738,28 +742,33 @@ class TestDeterminism:
         assert calls == []
         assert all(m.as_dict() == CostMeter().as_dict() for m in meters)
 
-    def test_secretsv_rounds_share_one_arena_grown_once(self, monkeypatch):
-        # the run's rounds share one arena, sized at the first deal
-        parts, history = small_world(rounds=3)
-        assert len(history) == 3
+    @pytest.mark.parametrize("world", ["logistic", "mlp", "mlp, one subset per chunk"])
+    def test_secretsv_rounds_share_one_arena_grown_once(self, world, monkeypatch):
+        # the run's rounds share one arena; its first chunk, the deepest, sizes it
+        if world == "logistic":
+            parts, history = small_world(rounds=3)
+        else:
+            parts, history = small_world(arch=arch_mlp(12, 3, [6, 5]), rounds=2)
+        if world == "mlp, one subset per chunk":
+            monkeypatch.setattr(protocols, "_CHUNK_BYTES", 1)
         made, grown = [], []
-        real_init, real_rewind = sharing._Arena.__init__, sharing._Arena.rewind
+        real_init, real_fit = sharing._Arena.__init__, sharing._Arena.fit
 
         def init(arena):
             real_init(arena)
             made.append(arena)
 
-        def rewind(arena, mark, reserve=0):
+        def fit(arena):
             before = arena._buf
-            real_rewind(arena, mark, reserve)
+            real_fit(arena)
             if arena._buf is not before:
                 grown.append(arena._buf.nbytes)
 
         monkeypatch.setattr(sharing._Arena, "__init__", init)
-        monkeypatch.setattr(sharing._Arena, "rewind", rewind)
+        monkeypatch.setattr(sharing._Arena, "fit", fit)
         run_secretsv(history, parts, FieldParams(), seed=9)
         assert len(made) == 1
-        assert len(grown) <= 1
+        assert len(grown) == 1
 
     def test_same_seed_same_report(self, logistic_world):
         parts, history, _ = logistic_world

@@ -415,7 +415,14 @@ class TestPermutationSampling:
         rng = np.random.default_rng(6)
         t = random_table(rng, [1, 2, 3])
         exact = ssv_exact(t)
-        got = permutation_sampling_ssv(t.get, [1, 2, 3], budget=0, exhaustive=True)
+
+        class EveryOrder:  # a generator whose permutations are the 3! orders in turn
+            orders = itertools.permutations([1, 2, 3])
+
+            def permutation(self, players):
+                return np.array(next(self.orders))
+
+        got = permutation_sampling_ssv(t.get, [1, 2, 3], budget=6, rng=EveryOrder())
         for i in exact:
             assert got[i] == pytest.approx(exact[i], abs=1e-12)
 

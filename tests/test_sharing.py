@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from secshap import sharing
 from secshap.hebackend import CostMeter, HEParams
 from secshap.matrix import ShapeError, matmul_oracle
 from secshap.parties import SERVER_A, SERVER_P, Party, Router
@@ -26,7 +25,6 @@ from secshap.sharing import (
     _MAX_INNER,
     _TURNS,
     _Arena,
-    _product_bytes,
     _splits_planes,
     _truncate_shares,
     decode_matrix,
@@ -597,8 +595,10 @@ class TestScratchArena:
                 arena.rewind(0)
                 kept.append((a, b, got, got.copy()))
             if sweep == 0:
+                arena.fit()
                 grown = arena._buf
-        assert arena._buf is grown  # the second sweep fit the buffer the first one left
+        assert grown.nbytes > 0  # the first sweep ran on fresh pieces and measured them
+        assert arena._buf is grown  # the second sweep fit the buffer the first one measured
         for a, b, got, first in kept:
             assert np.array_equal(got, first)
             want = _objects(a) @ _objects(b) % P61
@@ -641,10 +641,13 @@ class TestScratchArena:
         # stock's products: a chunk of 4 models (2, 49) times its widest batch input (49, 369)
         g = np.random.default_rng(33)
         supply = TripleSupply(FIELD)
-        supply.deal(4, [((2, 49), (49, 369))] * 2)
         a, b = (SharePair(M61.random(g, shape), M61.random(g, shape))
                 for shape in ((4, 2, 49), (4, 49, 369)))
-        share_matmul(a, b, supply, FIELD)  # the first product sizes the arena
+        supply.deal(4, [((2, 49), (49, 369))] * 2)
+        share_matmul(a, b, supply, FIELD)  # on fresh pieces, which the next deal fits
+        share_matmul(a, b, supply, FIELD)
+        supply.deal(4, [((2, 49), (49, 369))])
+        assert supply._arena._buf.nbytes > 0
         tracemalloc.start()
         try:
             share_matmul(a, b, supply, FIELD)
@@ -676,21 +679,30 @@ class TestScratchArena:
         (1, 1, 1, 1), (3, 5, 70, 20), (2, 3, 200, 7), (2, 40, 130, 3),  # chunked inner axis
         (2, 1, 100, 50), (1, 2, 150, 300),  # split planes over chunks
     ])
-    def test_deal_sizes_the_arena_for_its_products(self, count, r, k, c, monkeypatch):
-        # the buffer grows once, at the deal, to exactly the products' deepest top
+    def test_second_deal_fits_the_arena_to_the_first_product(self, count, r, k, c):
+        # the buffer grows once, at the deal after the first product, to exactly its deepest top
         g = np.random.default_rng(34)
         supply = TripleSupply(FIELD)
-        supply.deal(count, [((r, k), (k, c))])
-        buf = supply._arena._buf
-        assert buf.nbytes == _product_bytes(count, (r, k), (k, c))
+        arena, tops = supply._arena, []
+        real_alloc = arena.alloc
+
+        def alloc(shape, dtype=np.uint64):
+            piece = real_alloc(shape, dtype)
+            tops.append(arena.top)
+            return piece
+
+        arena.alloc = alloc
         a, b = (SharePair(M61.random(g, shape), M61.random(g, shape))
                 for shape in ((count, r, k), (count, k, c)))
+        supply.deal(count, [((r, k), (k, c))])
         share_matmul(a, b, supply, FIELD)
-        assert supply._arena._buf is buf
-        monkeypatch.setattr(sharing, "_product_bytes", lambda *shapes: 0)
-        unreserved = TripleSupply(FIELD)  # its first product finds the deepest top
-        share_matmul(a, b, unreserved, FIELD)
-        assert unreserved._arena._deepest == buf.nbytes
+        assert arena._buf.nbytes == 0  # the first product ran on fresh pieces
+        deepest = max(tops)
+        supply.deal(count, [((r, k), (k, c))])
+        buf = arena._buf
+        assert buf.nbytes == deepest
+        share_matmul(a, b, supply, FIELD)
+        assert arena._buf is buf and max(tops) == deepest
 
 
 class TestDefaultFieldIsUint64:
