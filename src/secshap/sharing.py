@@ -11,21 +11,23 @@ are uint64: masks and triples come from one ``Generator.integers``
 block, sums reduce with the Mersenne fold (x & p) + (x >> 61) and one
 conditional subtraction, and a matrix product a @ b of any uint64
 operands is one float64 matrix product that stays exact: b splits into
-two 32-bit halves b_j through a ``uint32`` view, and
+two 32-bit words b_j through a ``uint32`` view (b's float planes), and
 a @ b = sum_j (a * 2**(32 j) mod p) @ b_j, where each turned copy of a
 splits into five 13-bit limbs; every coefficient stays below 2**53 up to
-an inner width of 2**7 (wider products add chunks), and rotations
-combine them.  ``M61`` holds that arithmetic.
+an inner width of 2**7 (wider products add chunks), and rotations fold
+them into residues.  ``M61`` holds that arithmetic.
 
 Products take leading stack axes: ``share_matmul`` multiplies a stack of
 shared matrices at once, each product with its own Beaver triple.
 ``TripleSupply.deal`` draws the triples of a stack of evaluations from
 one block, laid out as one-by-one ``take`` calls would draw them, and grows
 the scratch buffer (``_Arena``, supplies may share one) to the deepest its
-earlier products reached; ``share_matmul`` never forms [f ; v_j] as one
-array.  Every message of a product, the dealer's triple shares and the
-servers' openings, goes through the ``Router.send`` that ``share_matmul``
-is given, so the dealer's sends are metered there, not in the supply.
+earlier products reached.  ``share_matmul`` forms the dealer's w = u @ v
+along with both servers' products, and turns each of f, v' and v'' into
+float planes once.  Every message of a product, the dealer's triple
+shares and the servers' openings, goes through the ``Router.send`` that
+``share_matmul`` is given, so the dealer's sends are metered there, not
+in the supply.
 """
 
 from __future__ import annotations
@@ -118,11 +120,15 @@ class SharePair:
 
 @dataclass(frozen=True)
 class BeaverTriple:
-    """Shares of (u, v, w) with w = u @ v in the field."""
+    """Shares of u and v, and the mask w' of w = u @ v in the field.
+
+    w' is server P's share of w; ``share_matmul`` forms w and server A's
+    share w'' = w - w' as it multiplies.
+    """
 
     u: SharePair
     v: SharePair
-    w: SharePair
+    w_prime: np.ndarray
 
 
 # -- field arithmetic on arrays -----------------------------------------------
@@ -157,15 +163,20 @@ class _Arena:
 
 class _Fresh:
     """The arena of a one-off product: its pieces are fresh arrays, freed with their last view."""
-    top, alloc, rewind = 0, staticmethod(np.empty), staticmethod(lambda mark: None)
+    top, rewind = 0, staticmethod(lambda mark: None)
+
+    @staticmethod
+    def alloc(shape: tuple, dtype=np.uint64) -> np.ndarray:
+        return np.empty(shape, dtype)
 
 
 _LIMB_BITS = 13
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
-_LIMB_SHIFTS = np.arange(0, 5 * _LIMB_BITS, _LIMB_BITS, dtype=np.uint64)[:, None, None, None]
+_LIMB_SHIFTS = np.arange(0, 5 * _LIMB_BITS, _LIMB_BITS, dtype=np.uint64)[:, None, None]
 _TURNS = np.array([0, 32], dtype=np.uint64)[:, None]  # 2^(32 j), j = 0, 1
 _TURN_SHIFTS, _FOLD_SHIFTS = ((k, 61 - k) for k in (_TURNS, _LIMB_SHIFTS[..., 0]))  # (k, 61 - k)
-_MAX_INNER = 1 << 7  # 2^8 products of a 13-bit limb by a 32-bit half sum below 2^53
+_MAX_INNER = 1 << 7  # 2^8 products of a 13-bit limb by a 32-bit word sum below 2^53
+_SCRATCH_BYTES = 1 << 20  # a Beaver product's float64 scratch for one group of entries
 
 
 class _Mersenne61:
@@ -177,7 +188,10 @@ class _Mersenne61:
     (entrywise), ``matmul`` (any uint64 operands, reduced or not, over
     leading stack axes), ``weighted_sum`` (small non-negative weights
     times any uint64 terms), ``from_rounded`` (integer-valued floats) and
-    ``signed``.
+    ``signed``.  A product is three steps that ``share_matmul`` also takes
+    one by one: ``_limbs`` of the left operand and ``_planes`` of the
+    right one, whose float64 product gives the limb coefficients, and
+    ``_fold``, which turns coefficients into residues.
     """
 
     p = DEFAULT_PRIME
@@ -231,77 +245,81 @@ class _Mersenne61:
         """Exact a @ b mod p of uint64 operands (any values), over any leading stack axes."""
         lead_a, lead_b = a.shape[:-2], b.shape[:-2]
         lead = np.broadcast_shapes(lead_a, lead_b) if lead_a and lead_b else lead_a or lead_b
-        return self._matmul(a, (b,), np.empty(lead + (a.shape[-2], b.shape[-1]), np.uint64),
-                            _Fresh())
+        return self._matmul(a, b, np.empty(lead + (a.shape[-2], b.shape[-1]), np.uint64), _Fresh())
 
-    def _matmul(self, a: np.ndarray, blocks, out: np.ndarray, arena: _Arena) -> np.ndarray:
-        """``matmul`` by b's row ``blocks`` (one leading shape) into ``out``, via ``arena``."""
-        (r, k), c = a.shape[-2:], out.shape[-1]
-        split = len(blocks) > 1 and _splits_planes(r, min(k, _MAX_INNER), c)
-        if k <= _MAX_INNER:
-            self._matmul_chunk(a, blocks, out, arena, split)
+    def _matmul(self, a: np.ndarray, b: np.ndarray, out: np.ndarray, arena: _Arena) -> np.ndarray:
+        """``matmul`` into ``out`` via ``arena``, one float64 product per inner chunk of 2^7."""
+        (r, k), c = a.shape[-2:], b.shape[-1]
+        b = b if b.strides[-1] == 8 else np.ascontiguousarray(b)
+
+        def chunk(lo, hi, part):
+            mark, limbs = arena.top, self._limbs(a[..., lo:hi], arena)
+            product = arena.alloc(part.shape[:-2] + (r, 5, c), np.float64)
+            planes, rows = arena.top, b[..., lo:hi, :]
+            plane = self._planes(rows, arena.alloc(rows.shape[:-2] + (2 * rows.shape[-2], c),
+                                                   np.float64))
+            np.matmul(limbs, plane, out=product.reshape(part.shape[:-2] + (5 * r, c)))
+            arena.rewind(planes)
+            coeff = arena.alloc(product.shape)
+            np.copyto(coeff, product, casting="unsafe")
+            self._fold(coeff, part, product.view(np.uint64))
+            arena.rewind(mark)
+
+        return self._by_chunks(k, _MAX_INNER, chunk, out, arena)
+
+    def _by_chunks(self, k: int, width: int, chunk, out: np.ndarray, arena: _Arena) -> np.ndarray:
+        """``out`` = the sum mod p of ``chunk(lo, hi, part)``, each writing its residues to
+        ``part``, over the inner axis's chunks lo:hi of ``width``."""
+        if k <= width:
+            chunk(0, k, out)
             return out
-        mark, part = arena.top, arena.alloc(out.shape, np.uint64)
-        starts = list(itertools.accumulate((x.shape[-2] for x in blocks), initial=0))
-        for lo in range(0, k, _MAX_INNER):
-            hi = lo + _MAX_INNER
-            rows = [x[..., max(lo - at, 0):hi - at, :] for x, at in zip(blocks, starts)
-                    if at < hi and at + x.shape[-2] > lo]
-            self._matmul_chunk(a[..., lo:hi], rows, part if lo else out, arena, split)
+        mark, part = arena.top, arena.alloc(out.shape)
+        for lo in range(0, k, width):
+            chunk(lo, lo + width, part if lo else out)
             if lo:
                 out += part
                 self._reduce_into(out, out, part)
         arena.rewind(mark)
         return out
 
-    def _matmul_chunk(self, a: np.ndarray, blocks, out: np.ndarray, arena: _Arena, split) -> None:
-        """Exact product for inner width <= 2^7 into ``out``: float64 matmuls of limbs.
+    def _limbs(self, a: np.ndarray, arena: _Arena) -> np.ndarray:
+        """Float64 limbs (..., 5 r, 2 k) of any uint64 a (..., r, k), an arena piece.
 
-        b (its row ``blocks`` stacked) = b_0 + b_1 2^32 splits into two 32-bit
-        words, read through ``uint32`` views.  Then a @ b = a_0 @ b_0 + a_1 @ b_1
-        mod p, where a_j = ``_rotate(a, 32 j)`` < 2^62 is a residue of
-        a 2^(32 j), and a_j = sum_i a_ji 2^(13 i) splits into five 13-bit
-        limbs.  Row block i of [a_ji] (over columns j, then the inner index)
-        times [b_j] stacked is the coefficient c_i of 2^(13 i), each below
-        2 * 2^7 * 2^13 * 2^32 = 2^53; rotations by 13 i take them below
-        2^61, so their sum fits one reduction.  The float plane of [b_j]
-        holds both words, or with ``split`` one (word, block) at a time.
+        a_j = ``_rotate(a, 32 j)`` < 2^62 is a residue of a 2^(32 j), and
+        a_j = sum_i a_ji 2^(13 i) splits into five 13-bit limbs: row 5 rho + i,
+        column j k + kappa holds limb i of a_j[rho, kappa].  Times b's
+        ``_planes`` it gives, in row 5 rho + i, the coefficient c_i of
+        2^(13 i) in row rho of a @ b mod p; over an inner width of at most
+        2^7 each stays below 2 * 2^7 * 2^13 * 2^32 = 2^53, so float64 holds
+        it exactly.
         """
-        (r, k), c = a.shape[-2:], blocks[0].shape[-1]
-        mark, product = arena.top, arena.alloc(out.shape[:-2] + (5 * r, c), np.float64)
-        limbs = arena.alloc(a.shape[:-2] + (5 * r, 2 * k), np.float64)
-        temps, (turned, scratch) = arena.top, arena.alloc((2,) + a.shape[:-1] + (2, k), np.uint64)
+        lead, (r, k) = a.shape[:-2], a.shape[-2:]
+        limbs = arena.alloc(lead + (5 * r, 2 * k), np.float64)
+        temps, (turned, scratch) = arena.top, arena.alloc((2,) + a.shape[:-1] + (2, k))
         self._rotate(a[..., None, :], *_TURN_SHIFTS, turned, scratch)  # (..., r, 2, k)
-        shifted = arena.alloc(a.shape[:-2] + (5, r, 2, k), np.uint16)  # low 16 bits of each shift
-        np.right_shift(turned[..., None, :, :, :], _LIMB_SHIFTS, out=shifted, casting="unsafe")
+        shifted = arena.alloc(lead + (r, 5, 2, k), np.uint16)  # low 16 bits of each shift
+        np.right_shift(turned[..., None, :, :], _LIMB_SHIFTS, out=shifted, casting="unsafe")
         shifted &= _LIMB_MASK
         np.copyto(limbs, shifted.reshape(limbs.shape))
         arena.rewind(temps)
-        blocks = [x if x.strides[-1] == 8 else np.ascontiguousarray(x) for x in blocks]
-        lead, starts = blocks[0].shape[:-2], [0, *itertools.accumulate(x.shape[-2] for x in blocks)]
-        if not split:  # one matmul
-            plane = arena.alloc(lead + (2, k, c), np.float64)
-            for x, at in zip(blocks, starts):
-                words = x.view("<u4").reshape(x.shape + (2,)).swapaxes(-1, -2).swapaxes(-2, -3)
-                np.copyto(plane[..., at:at + x.shape[-2], :], words)
-            np.matmul(limbs, plane.reshape(lead + (2 * k, c)), out=product)
-            coeff = arena.alloc(out.shape[:-2] + (5, r, c), np.uint64)
-        else:  # the matmuls summed in float64, each below 2^53
-            coeff = arena.alloc(out.shape[:-2] + (5, r, c), np.uint64)
-            partial = coeff.view(np.float64).reshape(product.shape)  # until the fold
-            plane = arena.alloc(lead + (max(x.shape[-2] for x in blocks), c), np.float64)
-            for n, (j, (x, at)) in enumerate(itertools.product((0, 1), zip(blocks, starts))):
-                rows, at = plane[..., :x.shape[-2], :], j * k + at
-                np.copyto(rows, x.view("<u4")[..., j::2])
-                np.matmul(limbs[..., at:at + x.shape[-2]], rows, out=partial if n else product)
-                if n:
-                    product += partial
-        np.copyto(coeff.reshape(product.shape), product, casting="unsafe")
-        scratch = product.view(np.uint64).reshape(coeff.shape)
+        return limbs
+
+    @staticmethod
+    def _planes(b: np.ndarray, plane: np.ndarray) -> np.ndarray:
+        """b (..., k, c) as its 32-bit words b = b_0 + b_1 2^32 in float64, into ``plane``
+        (..., 2 k, c), row block j holding b_j; b's rows must be contiguous (a ``uint32`` view)."""
+        words = b.view("<u4").reshape(b.shape + (2,)).swapaxes(-1, -2).swapaxes(-2, -3)
+        np.copyto(plane.reshape(words.shape), words)
+        return plane
+
+    def _fold(self, coeff: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """Residues sum_i c_i 2^(13 i) (..., R, c) into ``out`` of limb coefficients
+        coeff (..., R, 5, c), any uint64: rotations by 13 i take each below
+        2^61 + 2^55, so the five sum below 2^64 and one reduction ends it.
+        coeff and scratch (coeff's shape) are clobbered."""
         self._rotate(coeff, *_FOLD_SHIFTS, coeff, scratch)
-        np.add.reduce(coeff, axis=-3, out=out)
-        self._reduce_into(out, out, scratch[..., 0, :, :])
-        arena.rewind(mark)
+        np.add.reduce(coeff, axis=-2, out=out)
+        return self._reduce_into(out, out, scratch[..., 0, :])
 
     def weighted_sum(self, weights, x) -> np.ndarray:
         """Exact weights @ x mod p: shape (..., terms) by (terms, ...), summed over the terms.
@@ -323,8 +341,15 @@ class _Mersenne61:
         return (scaled.astype(np.int64) % self.p).astype(np.uint64)
 
     def signed(self, x) -> np.ndarray:
-        """Representatives in (-p/2, p/2] of any integer array, as int64."""
-        e = (np.asarray(x) % self.p).astype(np.int64)
+        """Representatives in (-p/2, p/2] of any integer array, as int64.
+
+        Canonical uint64 residues, what ``reduce`` returns, skip the
+        per-element ``% p``.
+        """
+        x = np.asarray(x)
+        if x.dtype != np.uint64 or (x >= self.p).any():
+            x = x % self.p
+        e = x.astype(np.int64)
         return np.where(e > self.p // 2, e - self.p, e)
 
 
@@ -405,17 +430,18 @@ class TripleSupply:
 
     One triple covers one matrix product; its cost in scalar
     multiplications is rows_a * cols_a * cols_b.  An optional budget
-    makes exhaustion testable.  The supply only computes; ``share_matmul``
-    sends each server its triple shares.
+    makes exhaustion testable.  The supply only draws; ``share_matmul``
+    forms w = u @ v and sends each server its triple shares.
 
     ``take(shape_a, shape_b)`` hands out one triple, or a stack of
-    ``count`` for shapes (count, r, k) x (count, k, c); ``used`` is
-    charged as triples are taken.  Each triple draws u, v, then the masks
-    of u, v and w.  ``deal(count, shapes)`` draws
-    ahead, from one block, the triples of ``count`` evaluations that each
-    make the products ``shapes``, laid out as one-by-one takes would draw
-    them; stacked takes then form them in the block, product by product.
-    A budget fails where one-by-one takes would, with the same ``used``.
+    ``count`` for shapes (count, r, k) x (count, k, c): the shares of u
+    and v and the mask of w (a ``BeaverTriple``); ``used`` is charged as
+    triples are taken.  Each triple draws u, v, then the masks of u, v
+    and w.  ``deal(count, shapes)`` draws ahead, from one block, the
+    triples of ``count`` evaluations that each make the products
+    ``shapes``, laid out as one-by-one takes would draw them; stacked
+    takes then form their shares in the block, product by product.  A
+    budget fails where one-by-one takes would, with the same ``used``.
     """
 
     def __init__(self, field: FieldParams, budget: int | None = None, arena=None):
@@ -470,17 +496,16 @@ class TripleSupply:
         cost = count * key[1][0] * key[1][1] * key[2][1]
         self._pending -= cost
         self.used += cost
-        # w = u @ v goes to a fresh w''; u'' and v'' overwrite u and v in the block
-        pairs = [SharePair(mask_u, u), SharePair(mask_v, v), split_masked(
-            M61._matmul(u, (v,), self._arena.alloc(mask_w.shape), self._arena), mask_w, self.field)]
+        # u'' and v'' overwrite u and v in the block
         for x, mask in ((u, mask_u), (v, mask_v)):
             x, mask = x.reshape(count, -1), mask.reshape(count, -1)  # rows numpy updates in place
             x -= mask
             x += self.field.prime
             M61._reduce_into(x, x, self._arena.alloc(x.shape))
         self._arena.rewind(0)
-        return BeaverTriple(*(pairs if stacked else
-                              (SharePair(x.s_prime[0], x.s_dprime[0]) for x in pairs)))
+        if stacked:
+            return BeaverTriple(SharePair(mask_u, u), SharePair(mask_v, v), mask_w)
+        return BeaverTriple(SharePair(mask_u[0], u[0]), SharePair(mask_v[0], v[0]), mask_w[0])
 
 
 def _truncate_shares(pair: SharePair, field: FieldParams) -> SharePair:
@@ -491,25 +516,60 @@ def _truncate_shares(pair: SharePair, field: FieldParams) -> SharePair:
 
 
 def _opened(x: SharePair, mask: SharePair, out: np.ndarray, arena: _Arena) -> np.ndarray:
-    """x - mask from both servers' shares, x' + x'' + 2p - m' - m'' in one reduction, to ``out``."""
-    mark, scratch = arena.top, arena.alloc(out.shape)
-    np.add(x.s_prime, x.s_dprime, out=out)
-    np.subtract(2 * M61.p, mask.s_prime, out=scratch)
-    scratch -= mask.s_dprime
-    out += scratch
-    M61._reduce_into(out, out, scratch)
+    """x - mask from both servers' shares into ``out``, unreduced below 4p:
+    2p - m' - m'' + (x' + x''), x's sum formed once however many masks it meets."""
+    mark = arena.top
+    np.subtract(2 * M61.p, mask.s_prime, out=out)
+    out -= mask.s_dprime
+    out += np.add(x.s_prime, x.s_dprime, out=arena.alloc(x.s_prime.shape))
     arena.rewind(mark)
     return out
-
-
-def _splits_planes(r: int, inner: int, c: int) -> bool:
-    """Split b's float planes by (word, block) where a word's outweighs limbs and coefficients."""
-    return inner * c > 10 * r * (inner + c)
 
 
 def _dealt_parts(shapes) -> list:
     """Shapes of one evaluation's dealt draws: per product u, v, then the masks of u, v and w."""
     return [part for a, b in shapes for part in (a, b, a, b, (a[0], b[1]))]
+
+
+def _group_size(r: int, k: int, c: int) -> int:
+    """Entries of a stacked Beaver product that go through ``_beaver_chunk`` at once: as
+    many as keep its float64 limbs, planes and coefficients within ``_SCRATCH_BYTES``."""
+    k = min(k, _MAX_INNER // 2)
+    return max(1, _SCRATCH_BYTES // (8 * (40 * r * k + 20 * r * c + 2 * k * c)))
+
+
+def _beaver_chunk(left: np.ndarray, f: np.ndarray, v: SharePair, out: np.ndarray,
+                  arena: _Arena) -> None:
+    """[z' ; z'' ; w] (..., 3 r, c) of one inner chunk, of width at most 2^6, into ``out``,
+    before w' and w'' are added in.
+
+    ``left`` (..., 2, 2 r, k) holds [e + u' ; u''] and [e ; u], and one
+    plane piece holds the float planes of f, then of v', then of v''.  The
+    limbs of [e + u' ; u''] times f's planes give both servers' f terms;
+    the limbs of e and of u times the planes of v' and of v'' give e v',
+    u v', e v'' and u v''.  Each output sums the float64 coefficients of
+    two products, each below 2^52 at this width, so the sums stay exact
+    below 2^53, and one fold covers all 3 r rows.
+    """
+    lead, (r, k), c = f.shape[:-2], (left.shape[-2] // 2, left.shape[-1]), f.shape[-1]
+    mark, limbs = arena.top, M61._limbs(left, arena)  # (..., 2, 10 r, 2 k)
+    e_limbs, u_limbs = limbs[..., 1, :5 * r, :], limbs[..., 1, 5 * r:, :]
+    acc = arena.alloc(lead + (3, 5 * r, c), np.float64)  # coefficients of z', z'' and w
+    product = arena.alloc(lead + (5 * r, c), np.float64)
+    planes, plane = arena.top, arena.alloc(lead + (2 * k, c), np.float64)
+    np.matmul(limbs[..., 0, :, :], M61._planes(f, plane),
+              out=acc[..., :2, :, :].reshape(lead + (10 * r, c)))  # (e + u') f and u'' f
+    M61._planes(v.s_prime, plane)
+    acc[..., 0, :, :] += np.matmul(e_limbs, plane, out=product)
+    np.matmul(u_limbs, plane, out=acc[..., 2, :, :])
+    M61._planes(v.s_dprime, plane)
+    acc[..., 1, :, :] += np.matmul(e_limbs, plane, out=product)
+    acc[..., 2, :, :] += np.matmul(u_limbs, plane, out=product)
+    arena.rewind(planes)
+    coeff = arena.alloc(lead + (3 * r, 5, c))
+    np.copyto(coeff, acc.reshape(coeff.shape), casting="unsafe")
+    M61._fold(coeff, out, acc.view(np.uint64).reshape(coeff.shape))
+    arena.rewind(mark)
 
 
 def share_matmul(
@@ -523,41 +583,55 @@ def share_matmul(
 
     ``a`` may be a stack (count, r, k) of shared matrices; ``b`` is then
     a stack (count, k, c), or one (k, c) matrix every product shares.
-    Each product uses its own triple, taken as one stack.  The dealer
-    sends each server its triple shares, both servers open masked
-    differences to each other (each message through ``router.send`` when
-    a router is given) and combine them with their triple shares, with
-    the temporaries in the supply's arena.  The result is shared at the
-    codec scale again.
+    Each product uses its own triple, taken as one stack.  Both servers
+    open e = a - u and f = b - v to each other; then
+    z' = (e + u') f + e v' + w' at P and z'' = u'' f + e v'' + w'' at A,
+    where the dealer's w = u v' + u v'' (exact over Z_p, so the w of
+    u @ v) gives A's share w'' = w - w'.  Each operand turns into float
+    planes once: one product [e + u' ; u''] f gives both servers' f
+    terms, and one set of limbs of [e ; u] meets v' and v''.  Every
+    message, the dealer's triple shares and the openings, goes through
+    ``router.send`` when a router is given; the temporaries live in the
+    supply's arena.  The result is shared at the codec scale again.
     """
     shape_a = a.s_prime.shape
     shape_b = b.s_prime.shape
     if shape_a[-1] != shape_b[-2]:
         raise ShapeError(f"cannot multiply shared {shape_a} by {shape_b}")
     triple = supply.take(shape_a, shape_a[:-2] + shape_b[-2:])
-    u, v, w = triple.u, triple.v, triple.w
+    u, v, w_prime = triple.u, triple.v, triple.w_prime
     arena, (r, k), c, lead = supply._arena, shape_a[-2:], shape_b[-1], u.s_prime.shape[:-2]
-    # z' = [e + u' | e] @ [f ; v'] + w' at P and z'' = [u'' | e] @ [f ; v''] + w'' at A,
-    # each one product over both halves of its inner axis, [f ; v_j] as two row blocks
-    left = arena.alloc(lead + (r, 2 * k))
+    left = arena.alloc(lead + (2, 2 * r, k))  # [e + u' ; u''] and [e ; u]
 
     # each server masks its shares locally; the differences e = a - u and
     # f = b - v are opened
-    e = _opened(a, u, left[..., k:], arena)
+    e = _opened(a, u, left[..., 1, :r, :], arena)
     f = _opened(b, v, arena.alloc(lead + (k, c)), arena)
+    np.add(e, u.s_prime, out=left[..., 0, :r, :])
+    left[..., 0, r:, :] = u.s_dprime
+    np.add(u.s_prime, u.s_dprime, out=left[..., 1, r:, :])
+    step = _group_size(r, k, c)
+    groups = [slice(at, at + step) for at in range(0, lead[0], step)] if lead else [...]
+
+    def chunk(lo, hi, part):
+        for g in groups:
+            _beaver_chunk(left[g][..., lo:hi], f[g][..., lo:hi, :], SharePair(
+                v.s_prime[g][..., lo:hi, :], v.s_dprime[g][..., lo:hi, :]), part[g], arena)
+
+    zw = M61._by_chunks(k, _MAX_INNER // 2, chunk, arena.alloc(lead + (3 * r, c)), arena)
+    z, w = zw[..., :2 * r, :], zw[..., 2 * r:, :]
+    scratch = arena.alloc(z.shape)
+    w += M61.p
+    w -= w_prime
+    w_dprime = M61._reduce_into(w, w, scratch[..., r:, :])
+    z[..., :r, :] += w_prime
+    z[..., r:, :] += w_dprime
+    M61._reduce_into(z, z, scratch)
     if router is not None:
-        router.send("dealer", "server_p", (u.s_prime, v.s_prime, w.s_prime))
-        router.send("dealer", "server_a", (u.s_dprime, v.s_dprime, w.s_dprime))
+        router.send("dealer", "server_p", (u.s_prime, v.s_prime, w_prime))
+        router.send("dealer", "server_a", (u.s_dprime, v.s_dprime, w_dprime))
         router.send("server_p", "server_a", (e, f))
         router.send("server_a", "server_p", (e, f))
-
-    z = []
-    for u_j, v_j, w_j in ((np.add(e, u.s_prime, out=arena.alloc(e.shape)), v.s_prime, w.s_prime),
-                          (u.s_dprime, v.s_dprime, w.s_dprime)):
-        left[..., :k] = u_j
-        half = M61._matmul(left, (f, v_j), arena.alloc(lead + (r, c)), arena)
-        half += w_j
-        z.append(M61._reduce_into(half, half, arena.alloc(half.shape)))
-    out = _truncate_shares(SharePair(*z), field)
+    out = _truncate_shares(SharePair(z[..., :r, :], z[..., r:, :]), field)
     arena.rewind(0)
     return out

@@ -13,7 +13,6 @@ from secshap.matrix import ShapeError, matmul_oracle
 from secshap.parties import SERVER_A, SERVER_P, Party, Router
 from secshap.sharing import (
     M61,
-    BeaverTriple,
     CodecError,
     FieldParams,
     SharePair,
@@ -25,7 +24,6 @@ from secshap.sharing import (
     _MAX_INNER,
     _TURNS,
     _Arena,
-    _splits_planes,
     _truncate_shares,
     decode_matrix,
     encode,
@@ -52,6 +50,42 @@ def _metered_router():
     for name in (SERVER_P, SERVER_A, "dealer"):
         router.register(Party(name))
     return router
+
+
+def _dealing_router():
+    """A metered router that keeps a copy of the dealer's last send to each server.
+
+    ``router.dealt[SERVER_P]`` is (u', v', w') and ``router.dealt[SERVER_A]``
+    is (u'', v'', w''), copied as sent.
+    """
+    router = _metered_router()
+    router.dealt = {}
+    send = router.send
+
+    def spy(sender, receiver, payload):
+        if sender == "dealer":
+            router.dealt[receiver] = tuple(np.array(x, copy=True) for x in payload)
+        return send(sender, receiver, payload)
+
+    router.send = spy
+    return router
+
+
+def _entry(dealt, i):
+    """Entry i of a stack of dealt shares, or the shares of a single product (i None)."""
+    return {server: shares if i is None else tuple(x[i] for x in shares)
+            for server, shares in dealt.items()}
+
+
+def _assert_dealt_w_is_u_v(dealt):
+    """w = u @ v in exact integers, rebuilt from the dealer's two sends, entry by entry."""
+    (u1, v1, w1), (u2, v2, w2) = (dealt[SERVER_P], dealt[SERVER_A])
+    assert all(x.dtype == np.uint64 for x in (u1, v1, w1, u2, v2, w2))
+    for x in (u1, v1, w1, u2, v2, w2):
+        assert int(x.max(initial=0)) < P61  # every dealt share is a canonical residue
+    u, v, w = ((_objects(x) + _objects(y)) % P61 for x, y in ((u1, u2), (v1, v2), (w1, w2)))
+    for i in np.ndindex(u.shape[:-2]):
+        assert w[i].tolist() == ((u[i] @ v[i]) % P61).tolist()
 
 
 class TestFieldParams:
@@ -109,6 +143,24 @@ class TestCodec:
         for past in (edge + 1, prime - edge - 1):
             with pytest.raises(CodecError, match="^fixed-point overflow"):
                 decode_matrix(np.array([[0, past]], dtype=dtype), field, frac_bits)
+
+
+    @pytest.mark.parametrize("kind", ["canonical", "unreduced", "int64"])
+    def test_signed_representatives(self, kind):
+        # canonical uint64 residues skip the reduction; any other integer array takes it
+        p = FIELD.prime
+        values = [0, 1, p // 2, p // 2 + 1, p - 1] + M61.random(np.random.default_rng(7),
+                                                                 (20,)).tolist()
+        raw = {
+            "canonical": np.array(values, dtype=np.uint64),
+            "unreduced": np.array([v + p * (i % 8) for i, v in enumerate(values)],
+                                  dtype=np.uint64),  # up to v + 7p, below 2^64
+            "int64": np.array([v - p * (i % 2) for i, v in enumerate(values)], dtype=np.int64),
+        }[kind]
+        got = M61.signed(raw)
+        assert got.dtype == np.int64
+        assert got.tolist() == [v - p if v > p // 2 else v for v in values]
+        assert decode_matrix(raw[:2], FIELD, 0).tolist() == [0.0, 1.0]
 
 
 class TestSplitReconstruct:
@@ -213,6 +265,23 @@ class TestShareMatmul:
             SERVER_P: opened, SERVER_A: opened, "dealer": 2 * dealt,
         }
 
+    @pytest.mark.parametrize("count", [None, 3], ids=["single", "stacked"])
+    @pytest.mark.parametrize("r, k, c", [(2, 49, 369), (3, 100, 5)])
+    def test_traffic_per_party_pair(self, count, r, k, c):
+        # dealer -> each server: u, v and w shares; each server -> the other: e and f
+        lead = () if count is None else (count,)
+        g = np.random.default_rng(k)
+        a, b = (SharePair(M61.random(g, lead + shape), M61.random(g, lead + shape))
+                for shape in ((r, k), (k, c)))
+        router = _metered_router()
+        share_matmul(a, b, TripleSupply(FIELD), FIELD, router=router)
+        n = count or 1
+        dealt, opened = 8 * n * (r * k + k * c + r * c), 8 * n * (r * k + k * c)
+        assert router.meter.bytes_sent == {
+            ("dealer", SERVER_P): dealt, ("dealer", SERVER_A): dealt,
+            (SERVER_P, SERVER_A): opened, (SERVER_A, SERVER_P): opened,
+        }
+
     def test_truncation_error_grows_linearly_in_chain_length(self):
         # repeated multiplication by shares of the identity accumulates
         # at most ~one truncation ulp per step
@@ -229,17 +298,17 @@ class TestShareMatmul:
         assert errors[-1] <= 6 * 3 * 2**-15
 
 
-def _reference_share_matmul(a, b, triple, field):
+def _reference_share_matmul(a, b, dealt, field):
     """Output shares of the textbook Beaver formulas, in exact Python ints.
 
     z' = e@f + u'@f + e@v' + w' at P and z'' = u''@f + e@v'' + w'' at A,
-    then the local truncation.
+    then the local truncation; ``dealt`` holds the dealer's sends to P and
+    to A (see ``_dealing_router``).
     """
     p, shift = field.prime, field.frac_bits
-    (a1, a2), (b1, b2), (u1, u2), (v1, v2), (w1, w2) = (
-        (np.asarray(x.s_prime, dtype=object), np.asarray(x.s_dprime, dtype=object))
-        for x in (a, b, triple.u, triple.v, triple.w)
-    )
+    (a1, a2), (b1, b2) = ((_objects(x.s_prime), _objects(x.s_dprime)) for x in (a, b))
+    (u1, v1, w1), (u2, v2, w2) = ((_objects(x) for x in dealt[server])
+                                  for server in (SERVER_P, SERVER_A))
     e = (a1 - u1 + a2 - u2) % p
     f = (b1 - v1 + b2 - v2) % p
     z_prime = (e @ f + u1 @ f + e @ v1 + w1) % p
@@ -251,9 +320,14 @@ class TestShareMatmulShares:
     """Each server's output share, not only their sum, is pinned."""
 
     @pytest.mark.parametrize("field", [FIELD], ids=["m61"])
-    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 49, 31), (3, 7, 1), (8, 49, 256)])
+    @pytest.mark.parametrize("shape", [
+        (1, 1, 1), (2, 49, 31), (3, 7, 1), (8, 49, 256),  # one inner chunk (k <= 64)
+        (2, 100, 31),  # two inner chunks (64 < k <= 128)
+        (2, 200, 7),  # four inner chunks (k > 128)
+    ])
     @pytest.mark.parametrize("fill", ["random", "max"])
     def test_shares_match_reference(self, field, shape, fill):
+        # the all-(p - 1) fill opens e and f at their largest unreduced values
         r, k, c = shape
         g = np.random.default_rng(r * 1000 + k * 10 + c)
         shapes = [(r, k), (r, k), (k, c), (k, c)]
@@ -262,12 +336,12 @@ class TestShareMatmulShares:
         else:
             halves = [M61.random(g, s) for s in shapes]
         a, b = SharePair(*halves[:2]), SharePair(*halves[2:])
-        # a second supply with the same seed hands out the same triple
-        out = share_matmul(a, b, TripleSupply(field), field)
-        triple = TripleSupply(field).take((r, k), (k, c))
+        router = _dealing_router()
+        out = share_matmul(a, b, TripleSupply(field), field, router=router)
+        _assert_dealt_w_is_u_v(router.dealt)
         assert out.s_prime.dtype == out.s_dprime.dtype == np.uint64
         assert (out.s_prime.tolist(), out.s_dprime.tolist()) == \
-            _reference_share_matmul(a, b, triple, field)
+            _reference_share_matmul(a, b, router.dealt, field)
 
 
 # the products one subset makes, batch by batch and layer by layer, in
@@ -500,8 +574,12 @@ class TestMersenne61Ops:
         # a coefficient sums halves * _MAX_INNER products of a limb by a half,
         # and float64 holds every integer below 2^53 exactly
         assert halves * _MAX_INNER * _LIMB_MASK * (2**32 - 1) < 2**53
+        # a Beaver chunk of width _MAX_INNER // 2 sums two such products per output
+        assert 2 * halves * (_MAX_INNER // 2) * _LIMB_MASK * (2**32 - 1) < 2**53
         # the rotated coefficients, each below 2^61, sum without wrapping a uint64
         assert limbs * 2**61 < 2**64
+        # so do those of any uint64 coefficient: rotating by 13 i adds below 2^(13 i + 3)
+        assert limbs * (2**61 + 2**(_LIMB_BITS * (limbs - 1) + 3)) < 2**64
 
     def test_matmul_broadcasts_a_shared_operand(self):
         g = np.random.default_rng(25)
@@ -590,7 +668,7 @@ class TestScratchArena:
             for a, b in products:
                 out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
                                + (a.shape[-2], b.shape[-1]), dtype=np.uint64)
-                got = M61._matmul(a, (b,), out, arena)
+                got = M61._matmul(a, b, out, arena)
                 assert arena.top == 0  # the product gave back every temporary
                 arena.rewind(0)
                 kept.append((a, b, got, got.copy()))
@@ -606,7 +684,8 @@ class TestScratchArena:
 
     def test_shares_and_triples_survive_later_products(self):
         # one supply, so one arena, through big, small, broadcast and wide products;
-        # a twin supply with the same seed hands out the same triples
+        # a twin supply with the same seed hands out the same triples, and the
+        # dealer's sends are kept as sent
         supply, twin = TripleSupply(FIELD), TripleSupply(FIELD)
         g = np.random.default_rng(32)
         kept = []
@@ -615,24 +694,25 @@ class TestScratchArena:
                 b = b[0]  # one (k, c) matrix that every product of the stack shares
             a_pair = SharePair(M61.reduce(a), M61.random(g, a.shape))
             b_pair = SharePair(M61.reduce(b), M61.random(g, b.shape))
-            out = share_matmul(a_pair, b_pair, supply, FIELD)
+            router = _dealing_router()
+            out = share_matmul(a_pair, b_pair, supply, FIELD, router=router)
             triple = twin.take(a.shape, a.shape[:-2] + b.shape[-2:])
-            halves = [h for x in (triple.u, triple.v, triple.w) for h in (x.s_prime, x.s_dprime)]
-            kept.append((a_pair, b_pair, triple, out, [h.copy() for h in halves],
+            halves = [triple.u.s_prime, triple.u.s_dprime, triple.v.s_prime, triple.v.s_dprime,
+                      triple.w_prime]
+            kept.append((a_pair, b_pair, router.dealt, halves, [h.copy() for h in halves], out,
                          (out.s_prime.copy(), out.s_dprime.copy())))
-        for a_pair, b_pair, triple, out, halves, (s_prime, s_dprime) in kept:
-            assert all(np.array_equal(h, x) for h, x in zip(halves, (
-                triple.u.s_prime, triple.u.s_dprime, triple.v.s_prime, triple.v.s_dprime,
-                triple.w.s_prime, triple.w.s_dprime)))
+        for a_pair, b_pair, dealt, halves, copies, out, (s_prime, s_dprime) in kept:
+            assert all(np.array_equal(h, x) for h, x in zip(copies, halves))
+            (u1, v1, w1), (u2, v2, _) = dealt[SERVER_P], dealt[SERVER_A]
+            assert all(np.array_equal(h, x) for h, x in zip(halves, (u1, u2, v1, v2, w1)))
+            _assert_dealt_w_is_u_v(dealt)
             assert np.array_equal(out.s_prime, s_prime) and np.array_equal(out.s_dprime, s_dprime)
             if out.s_prime.ndim == 2:
-                want = _reference_share_matmul(a_pair, b_pair, triple, FIELD)
+                want = _reference_share_matmul(a_pair, b_pair, dealt, FIELD)
             else:
                 stacks = [_reference_share_matmul(
                     *(SharePair(x.s_prime[i], x.s_dprime[i]) if x.s_prime.ndim == 3 else x
-                      for x in (a_pair, b_pair)),
-                    BeaverTriple(*(SharePair(x.s_prime[i], x.s_dprime[i])
-                                   for x in (triple.u, triple.v, triple.w))), FIELD)
+                      for x in (a_pair, b_pair)), _entry(dealt, i), FIELD)
                           for i in range(out.s_prime.shape[0])]
                 want = ([z[0] for z in stacks], [z[1] for z in stacks])
             assert (out.s_prime.tolist(), out.s_dprime.tolist()) == want
@@ -658,20 +738,17 @@ class TestScratchArena:
 
     @pytest.mark.parametrize("count, r, k, c", [
         (3, 2, 49, 369), (2, 1, 100, 50), (1, 2, 150, 300), (2, 5, 49, 200)])
-    def test_split_planes_give_the_textbook_shares(self, count, r, k, c):
-        # b's float planes one (word, block) at a time, chunked or not, and a shared b
-        assert _splits_planes(r, min(2 * k, _MAX_INNER), c)
+    def test_broadcast_b_gives_the_textbook_shares(self, count, r, k, c):
+        # one (k, c) matrix b that every product of the stack shares, chunked or not
         g = np.random.default_rng(36)
-        supply, twin = TripleSupply(FIELD), TripleSupply(FIELD)
         a = SharePair(M61.random(g, (count, r, k)), M61.random(g, (count, r, k)))
         b = SharePair(M61.random(g, (k, c)), M61.random(g, (k, c)))
-        out = share_matmul(a, b, supply, FIELD)
-        triple = twin.take((count, r, k), (count, k, c))
+        router = _dealing_router()
+        out = share_matmul(a, b, TripleSupply(FIELD), FIELD, router=router)
+        _assert_dealt_w_is_u_v(router.dealt)
         for i in range(count):
             want = _reference_share_matmul(
-                SharePair(a.s_prime[i], a.s_dprime[i]), b,
-                BeaverTriple(*(SharePair(x.s_prime[i], x.s_dprime[i])
-                               for x in (triple.u, triple.v, triple.w))), FIELD)
+                SharePair(a.s_prime[i], a.s_dprime[i]), b, _entry(router.dealt, i), FIELD)
             assert (out.s_prime[i].tolist(), out.s_dprime[i].tolist()) == want
 
     @pytest.mark.parametrize("count, r, k, c", [
@@ -715,9 +792,13 @@ class TestDefaultFieldIsUint64:
         assert enc.tolist() == [[encode(x, FIELD) for x in row] for row in m]
 
     def test_triples_are_uint64_and_consistent(self):
+        # what take hands out is uint64, and so is what the dealer sends, with w = u @ v
         triple = TripleSupply(FIELD).take((2, 3), (3, 4))
-        halves = [getattr(t, h) for t in (triple.u, triple.v, triple.w)
-                  for h in ("s_prime", "s_dprime")]
+        halves = [triple.u.s_prime, triple.u.s_dprime, triple.v.s_prime, triple.v.s_dprime,
+                  triple.w_prime]
         assert all(x.dtype == np.uint64 for x in halves)
-        u, v, w = (_objects(reconstruct_int(t, FIELD)) for t in (triple.u, triple.v, triple.w))
-        assert w.tolist() == ((u @ v) % P61).tolist()
+        g = np.random.default_rng(6)
+        a, b = (SharePair(M61.random(g, s), M61.random(g, s)) for s in ((2, 3), (3, 4)))
+        router = _dealing_router()
+        share_matmul(a, b, TripleSupply(FIELD), FIELD, router=router)
+        _assert_dealt_w_is_u_v(router.dealt)
