@@ -176,7 +176,7 @@ _LIMB_SHIFTS = np.arange(0, 5 * _LIMB_BITS, _LIMB_BITS, dtype=np.uint64)[:, None
 _TURNS = np.array([0, 32], dtype=np.uint64)[:, None]  # 2^(32 j), j = 0, 1
 _TURN_SHIFTS, _FOLD_SHIFTS = ((k, 61 - k) for k in (_TURNS, _LIMB_SHIFTS[..., 0]))  # (k, 61 - k)
 _MAX_INNER = 1 << 7  # 2^8 products of a 13-bit limb by a 32-bit word sum below 2^53
-_SCRATCH_BYTES = 1 << 20  # a Beaver product's float64 scratch for one group of entries
+_SCRATCH_BYTES = 1 << 20  # float64 budget of one group of a stacked Beaver product
 
 
 class _Mersenne61:
@@ -305,11 +305,16 @@ class _Mersenne61:
         return limbs
 
     @staticmethod
-    def _planes(b: np.ndarray, plane: np.ndarray) -> np.ndarray:
+    def _planes(b: np.ndarray, plane: np.ndarray, add: bool = False) -> np.ndarray:
         """b (..., k, c) as its 32-bit words b = b_0 + b_1 2^32 in float64, into ``plane``
-        (..., 2 k, c), row block j holding b_j; b's rows must be contiguous (a ``uint32`` view)."""
+        (..., 2 k, c), row block j holding b_j, or added to the words there; b's rows must be
+        contiguous (a ``uint32`` view)."""
         words = b.view("<u4").reshape(b.shape + (2,)).swapaxes(-1, -2).swapaxes(-2, -3)
-        np.copyto(plane.reshape(words.shape), words)
+        target = plane.reshape(words.shape)
+        if add:
+            np.add(target, words, out=target)
+        else:
+            np.copyto(target, words)
         return plane
 
     def _fold(self, coeff: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -532,8 +537,16 @@ def _dealt_parts(shapes) -> list:
 
 
 def _group_size(r: int, k: int, c: int) -> int:
-    """Entries of a stacked Beaver product that go through ``_beaver_chunk`` at once: as
-    many as keep its float64 limbs, planes and coefficients within ``_SCRATCH_BYTES``."""
+    """Entries of a stacked Beaver product that go through ``_beaver_chunk`` at once.
+
+    As many as keep one group's float64 pieces within ``_SCRATCH_BYTES``:
+    per entry 40 r k words of limbs, 20 r c of coefficients and a 2 k c
+    plane.  That budgets the kernel's largest pieces; it does not bound its
+    peak, since ``_limbs``' uint64 temporaries (26 r k words an entry) come
+    before them and the fold's uint64 coefficients (15 r c) after the plane.
+    Wide batches (stock's) need groups for the plane, tall layers (deep's)
+    for the limbs.
+    """
     k = min(k, _MAX_INNER // 2)
     return max(1, _SCRATCH_BYTES // (8 * (40 * r * k + 20 * r * c + 2 * k * c)))
 
@@ -543,32 +556,31 @@ def _beaver_chunk(left: np.ndarray, f: np.ndarray, v: SharePair, out: np.ndarray
     """[z' ; z'' ; w] (..., 3 r, c) of one inner chunk, of width at most 2^6, into ``out``,
     before w' and w'' are added in.
 
-    ``left`` (..., 2, 2 r, k) holds [e + u' ; u''] and [e ; u], and one
-    plane piece holds the float planes of f, then of v', then of v''.  The
-    limbs of [e + u' ; u''] times f's planes give both servers' f terms;
-    the limbs of e and of u times the planes of v' and of v'' give e v',
-    u v', e v'' and u v''.  Each output sums the float64 coefficients of
-    two products, each below 2^52 at this width, so the sums stay exact
-    below 2^53, and one fold covers all 3 r rows.
+    ``left`` (..., 2, 2 r, k) holds [e + u' ; u''] and [u ; e], and one
+    plane piece holds the float planes of f, then of v', then of v' + v''.
+    The limbs of [e + u' ; u''] times f's planes give both servers' f
+    terms, those of e times v''s planes give e v', and those of [u ; e]
+    times the planes of v' + v'' give w = u (v' + v'') and e (v' + v''),
+    which less e v' is e v''.  Every coefficient stays below 2^53 at this
+    width (the word sums of v' + v'' are below 2^33), so float64 sums and
+    differences of them are exact, and one fold covers all 3 r rows.
     """
     lead, (r, k), c = f.shape[:-2], (left.shape[-2] // 2, left.shape[-1]), f.shape[-1]
     mark, limbs = arena.top, M61._limbs(left, arena)  # (..., 2, 10 r, 2 k)
-    e_limbs, u_limbs = limbs[..., 1, :5 * r, :], limbs[..., 1, 5 * r:, :]
-    acc = arena.alloc(lead + (3, 5 * r, c), np.float64)  # coefficients of z', z'' and w
-    product = arena.alloc(lead + (5 * r, c), np.float64)
+    acc = arena.alloc(lead + (4, 5 * r, c), np.float64)  # z', z'', w, e (v' + v'')
     planes, plane = arena.top, arena.alloc(lead + (2 * k, c), np.float64)
     np.matmul(limbs[..., 0, :, :], M61._planes(f, plane),
               out=acc[..., :2, :, :].reshape(lead + (10 * r, c)))  # (e + u') f and u'' f
-    M61._planes(v.s_prime, plane)
-    acc[..., 0, :, :] += np.matmul(e_limbs, plane, out=product)
-    np.matmul(u_limbs, plane, out=acc[..., 2, :, :])
-    M61._planes(v.s_dprime, plane)
-    acc[..., 1, :, :] += np.matmul(e_limbs, plane, out=product)
-    acc[..., 2, :, :] += np.matmul(u_limbs, plane, out=product)
+    e_v = np.matmul(limbs[..., 1, 5 * r:, :], M61._planes(v.s_prime, plane), out=acc[..., 3, :, :])
+    acc[..., 0, :, :] += e_v
+    acc[..., 1, :, :] -= e_v
+    np.matmul(limbs[..., 1, :, :], M61._planes(v.s_dprime, plane, add=True),
+              out=acc[..., 2:, :, :].reshape(lead + (10 * r, c)))
+    acc[..., 1, :, :] += acc[..., 3, :, :]
     arena.rewind(planes)
     coeff = arena.alloc(lead + (3 * r, 5, c))
-    np.copyto(coeff, acc.reshape(coeff.shape), casting="unsafe")
-    M61._fold(coeff, out, acc.view(np.uint64).reshape(coeff.shape))
+    np.copyto(coeff, acc[..., :3, :, :].reshape(coeff.shape), casting="unsafe")
+    M61._fold(coeff, out, acc.view(np.uint64)[..., :3, :, :].reshape(coeff.shape))
     arena.rewind(mark)
 
 
@@ -586,10 +598,10 @@ def share_matmul(
     Each product uses its own triple, taken as one stack.  Both servers
     open e = a - u and f = b - v to each other; then
     z' = (e + u') f + e v' + w' at P and z'' = u'' f + e v'' + w'' at A,
-    where the dealer's w = u v' + u v'' (exact over Z_p, so the w of
+    where the dealer's w = u (v' + v'') (exact over Z_p, so the w of
     u @ v) gives A's share w'' = w - w'.  Each operand turns into float
     planes once: one product [e + u' ; u''] f gives both servers' f
-    terms, and one set of limbs of [e ; u] meets v' and v''.  Every
+    terms, and e v'' is e (v' + v'') less e v', made with w.  Every
     message, the dealer's triple shares and the openings, goes through
     ``router.send`` when a router is given; the temporaries live in the
     supply's arena.  The result is shared at the codec scale again.
@@ -601,15 +613,15 @@ def share_matmul(
     triple = supply.take(shape_a, shape_a[:-2] + shape_b[-2:])
     u, v, w_prime = triple.u, triple.v, triple.w_prime
     arena, (r, k), c, lead = supply._arena, shape_a[-2:], shape_b[-1], u.s_prime.shape[:-2]
-    left = arena.alloc(lead + (2, 2 * r, k))  # [e + u' ; u''] and [e ; u]
+    left = arena.alloc(lead + (2, 2 * r, k))  # [e + u' ; u''] and [u ; e]
 
     # each server masks its shares locally; the differences e = a - u and
     # f = b - v are opened
-    e = _opened(a, u, left[..., 1, :r, :], arena)
+    e = _opened(a, u, left[..., 1, r:, :], arena)
     f = _opened(b, v, arena.alloc(lead + (k, c)), arena)
     np.add(e, u.s_prime, out=left[..., 0, :r, :])
     left[..., 0, r:, :] = u.s_dprime
-    np.add(u.s_prime, u.s_dprime, out=left[..., 1, r:, :])
+    np.add(u.s_prime, u.s_dprime, out=left[..., 1, :r, :])
     step = _group_size(r, k, c)
     groups = [slice(at, at + step) for at in range(0, lead[0], step)] if lead else [...]
 

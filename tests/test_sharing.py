@@ -574,8 +574,10 @@ class TestMersenne61Ops:
         # a coefficient sums halves * _MAX_INNER products of a limb by a half,
         # and float64 holds every integer below 2^53 exactly
         assert halves * _MAX_INNER * _LIMB_MASK * (2**32 - 1) < 2**53
-        # a Beaver chunk of width _MAX_INNER // 2 sums two such products per output
+        # a Beaver chunk of width _MAX_INNER // 2 sums two such products per output,
+        # and its planes of v' + v'' hold word sums below 2^33
         assert 2 * halves * (_MAX_INNER // 2) * _LIMB_MASK * (2**32 - 1) < 2**53
+        assert halves * (_MAX_INNER // 2) * _LIMB_MASK * 2 * (2**32 - 1) < 2**53
         # the rotated coefficients, each below 2^61, sum without wrapping a uint64
         assert limbs * 2**61 < 2**64
         # so do those of any uint64 coefficient: rotating by 13 i adds below 2^(13 i + 3)
