@@ -539,13 +539,14 @@ def _dealt_parts(shapes) -> list:
 def _group_size(r: int, k: int, c: int) -> int:
     """Entries of a stacked Beaver product that go through ``_beaver_chunk`` at once.
 
-    As many as keep one group's float64 pieces within ``_SCRATCH_BYTES``:
-    per entry 40 r k words of limbs, 20 r c of coefficients and a 2 k c
-    plane.  That budgets the kernel's largest pieces; it does not bound its
-    peak, since ``_limbs``' uint64 temporaries (26 r k words an entry) come
-    before them and the fold's uint64 coefficients (15 r c) after the plane.
-    Wide batches (stock's) need groups for the plane, tall layers (deep's)
-    for the limbs.
+    A tuning choice, not a bound on the kernel's peak: as many entries as
+    keep its three float64 pieces, per entry 40 r k words of limbs, 20 r c
+    of accumulators and a 2 k c plane, within ``_SCRATCH_BYTES``; ``_limbs``'
+    uint64 temporaries and the fold's uint64 coefficients come on top.  In
+    one group, a warm ``run_secretsv``'s tracemalloc peak on perfbench's
+    stock / deep / wide reads 5.1 / 9.6 / 5.3 MiB; in these groups (stock 2-5
+    entries, deep 1-16, wide 4-15) 4.1 / 5.0 / 3.8 MiB.  Wide batches group
+    for the plane, tall layers for the limbs.
     """
     k = min(k, _MAX_INNER // 2)
     return max(1, _SCRATCH_BYTES // (8 * (40 * r * k + 20 * r * c + 2 * k * c)))
