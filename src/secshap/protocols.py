@@ -28,7 +28,8 @@ subset model and compute a linear layer.  The round has a subset axis
 (see ``_two_server_round``): ``run_secretsv`` passes all of a round's
 subsets and runs one stacked Beaver product per (chunk of subsets,
 batch, layer), each subset with its own triple; ``run_secsv`` with
-sample skipping passes one subset per call through the same code.  In
+sample skipping passes one cardinality level per call, whose subsets
+that need the same samples share chunks through the same code.  In
 the round a sample is its column in the pooled test data, and a set of
 samples, from the skip accelerator down to the label check, is a bitset
 over these positions; sample ids never enter it.
@@ -546,6 +547,7 @@ def _shared_label_check(router, field, y_sh: SharePair, shared: _SharedData,
 
 
 # Bound on a chunk's dealt triple block, 1.625 MiB: 4 / 6 / 10 subsets on stock / deep / wide.
+# SecSV's chunks follow the same rule but deal no triples.
 _CHUNK_BYTES = 13 << 17
 
 
@@ -566,20 +568,22 @@ def _two_server_round(record: RoundModels, shared: _SharedData, m_cap: int, n: i
 
     Servers P and A hold shares of the pooled test data, one column per
     sample; a set of samples is a bitset over these column positions.
-    ``evaluate(subsets, bits)`` runs a list of subsets on the positions
-    in ``bits`` and returns each subset's bitset of correct positions.
-    It takes the subsets in chunks of ``_chunk_size``, as many as keep a
-    chunk's dealt triple block within ``_CHUNK_BYTES`` (one subset is one
-    chunk without consulting it).  Per chunk, ``models = aggregate(chunk,
-    widths)`` gives the chunk's models, ready for batches of these widths.
-    Per batch and layer, ``linear(models, l, x, receivers, cols)`` computes
+    ``evaluate(subsets, bitsets)`` runs each subset on the positions in
+    its bitset and returns each subset's bitset of correct positions.
+    Each maximal run of consecutive subsets with one bitset shares its
+    batches and goes in chunks of ``_chunk_size``, as many as keep a
+    chunk's dealt triple block within ``_CHUNK_BYTES``.  Per chunk,
+    ``models = aggregate(chunk, widths)`` gives the chunk's models, ready
+    for batches of these widths.  Per batch and layer,
+    ``linear(models, l, x, receivers, cols)`` computes
     layer ``l`` of every model of the chunk on the shared inputs ``x`` (a
     stack over the chunk) of the batch's columns ``cols`` and returns the
     plaintext outputs (chunk, rows, cols) the assigned receivers learn.
     Each receiver applies the activation and shares the next input again;
     after the last layer it shares the predicted labels, which the servers
     compare with the shared true labels.  Without skip one call holds
-    every subset of the round; with skip, each call holds one subset.
+    every subset of the round on every position; with skip, each call
+    holds one cardinality level, and the empty subset runs last.
 
     Decryptor offsets, messages, the actor log and utilities follow the
     one-subset-at-a-time order (subset, batch, layer), and a chunk's
@@ -606,7 +610,13 @@ def _two_server_round(record: RoundModels, shared: _SharedData, m_cap: int, n: i
                 batch_cache[bits].append((batch, cols, inputs))
         return batch_cache[bits]
 
-    def evaluate(subsets, bits) -> list[int]:
+    def evaluate(subsets, bitsets) -> list[int]:
+        correct = []
+        for bits, run in itertools.groupby(zip(subsets, bitsets), key=lambda pair: pair[1]):
+            correct.extend(evaluate_run([subset for subset, _ in run], bits))
+        return correct
+
+    def evaluate_run(subsets, bits) -> list[int]:
         batches = batches_for(bits)
         widths = [len(batch.columns) for batch, _, _ in batches]
         # receivers[subset][batch][layer], assigned in the one-by-one order
@@ -624,7 +634,7 @@ def _two_server_round(record: RoundModels, shared: _SharedData, m_cap: int, n: i
         sizes = [r * width for width in widths for r in rows]
         starts = list(itertools.accumulate(sizes, initial=0))
         correct = []
-        step = _chunk_size(arch, widths) if len(subsets) > 1 else 1
+        step = _chunk_size(arch, widths)
         for lo in range(0, len(subsets), step):
             chunk = subsets[lo:lo + step]
             models = aggregate(chunk, widths)
@@ -654,15 +664,14 @@ def _two_server_round(record: RoundModels, shared: _SharedData, m_cap: int, n: i
 
     everything = (1 << total) - 1
     if skip:
-        result = sample_skip_round(record.round_index, players, total,
-                                   lambda subset, bits: evaluate([subset], bits)[0])
+        result = sample_skip_round(record.round_index, players, total, evaluate)
         utilities = dict(result.utilities)
-        utilities[frozenset()] = evaluate([frozenset()], everything)[0].bit_count() / total
+        utilities[frozenset()] = evaluate([frozenset()], [everything])[0].bit_count() / total
     else:
         result = None
         subsets = subsets_ascending(players)
-        utilities = {subset: bits.bit_count() / total
-                     for subset, bits in zip(subsets, evaluate(subsets, everything))}
+        utilities = {subset: bits.bit_count() / total for subset, bits
+                     in zip(subsets, evaluate(subsets, [everything] * len(subsets)))}
     return _round_report(record, utilities, result), actors
 
 

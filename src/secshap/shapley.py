@@ -171,15 +171,17 @@ class SampleSkipResult:
 
 
 def sample_skip_round(round_index, players, total, evaluate_hook) -> SampleSkipResult:
-    """Drive one round of subset testing with sample skipping.
+    """Drive one round of subset testing with sample skipping, a level at a time.
 
     The round's samples are the positions 0..total-1, and a set of them
-    is a bitset: bit k for position k.  ``evaluate_hook(subset, bits)``
-    must evaluate the subset's aggregate model on exactly the positions
-    in ``bits`` and return the bitset of the correctly predicted ones.
-    Locals are tested on every position; aggregates (ascending size)
-    only on positions no bipartition already settled.  A fully
-    skippable aggregate is not evaluated at all.
+    is a bitset: bit k for position k.  Locals are tested on every
+    position; aggregates only on positions no bipartition already
+    settled.  A subset's skip set reads only smaller subsets, so each
+    cardinality is one call: ``evaluate_hook(subsets, bitsets)`` gets the
+    level's subsets that have positions left (``subsets_ascending``
+    order), each with its bitset, and must return, per subset, the
+    bitset of its correctly predicted positions among exactly those.  A
+    fully skippable aggregate is not evaluated at all.
     """
     if total < 1:
         raise ValueError(f"round {round_index}: needs at least one sample, got total={total}")
@@ -190,17 +192,26 @@ def sample_skip_round(round_index, players, total, evaluate_hook) -> SampleSkipR
     utilities: dict = {}
     skipped: dict = {}
     evaluated: dict = {}
-    for subset in subsets_ascending(players):
-        if not subset:
-            continue
-        mask = sum(bit[p] for p in subset)
-        skip = find_skippable(mask, correct) if len(subset) > 1 else 0
-        remaining = everything ^ skip
-        full = skip | (evaluate_hook(subset, remaining) if remaining else 0)
-        correct[mask] = full
-        utilities[subset] = full.bit_count() / total
-        evaluated[subset] = remaining.bit_count()
-        skipped[subset] = skip.bit_count()
+    for size, level in itertools.groupby(subsets_ascending(players)[1:], key=len):
+        masks = {subset: sum(bit[p] for p in subset) for subset in level}
+        skips = {subset: find_skippable(mask, correct) if size > 1 else 0
+                 for subset, mask in masks.items()}
+        asked = [subset for subset, skip in skips.items() if skip != everything]
+        bitsets = [everything ^ skips[subset] for subset in asked]
+        found = evaluate_hook(asked, bitsets) if asked else []
+        if len(found) != len(asked):
+            raise ValueError(f"round {round_index}, cardinality {size}: the hook returned "
+                             f"{len(found)} bitsets for {len(asked)} subsets")
+        if any(got & ~bits for got, bits in zip(found, bitsets)):
+            raise ValueError(f"round {round_index}, cardinality {size}: the hook returned "
+                             "positions it was not asked for")
+        hits = dict(zip(asked, found))
+        for subset, skip in skips.items():
+            full = skip | hits.get(subset, 0)
+            correct[masks[subset]] = full
+            utilities[subset] = full.bit_count() / total
+            evaluated[subset] = (everything ^ skip).bit_count()
+            skipped[subset] = skip.bit_count()
     return SampleSkipResult(utilities, skipped, evaluated)
 
 

@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +16,7 @@ from secshap.federation import (
     fedavg_train,
     make_synthetic_dataset,
 )
-from secshap.cli import ExperimentConfig
+from secshap.cli import ExperimentConfig, _prepare_experiment
 from secshap.hebackend import (
     CipherVector,
     CostMeter,
@@ -675,6 +677,94 @@ class TestRandomWorlds:
         assert got.keys() == truth.keys()
         for subset, u in truth.items():
             assert abs(got[subset] - u) * total <= 1 + 1e-9, subset
+
+
+def _secsv_observed(history, parts, he, seed, one_subset_per_call=False):
+    """``run_secsv(skip=True)``'s report JSON, meter, actors and multiset of decrypted blocks.
+
+    With ``one_subset_per_call`` the skip round's level hook is split back
+    into one evaluation call per subset.
+    """
+    blocks = Counter()
+    real_decrypt = HEContext.decrypt_stack
+    real_skip_round = protocols.sample_skip_round
+
+    def spy_decrypt(self, ct, *args, **kwargs):
+        out = real_decrypt(self, ct, *args, **kwargs)
+        blocks[out.shape, out.tobytes()] += 1
+        return out
+
+    def one_by_one(round_index, players, total, evaluate):
+        return real_skip_round(round_index, players, total, lambda subsets, bitsets: [
+            evaluate([subset], [bits])[0] for subset, bits in zip(subsets, bitsets)])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(HEContext, "decrypt_stack", spy_decrypt)
+        if one_subset_per_call:
+            mp.setattr(protocols, "sample_skip_round", one_by_one)
+        report = run_secsv(history, parts, he, FieldParams(), skip=True, seed=seed)
+    return report_to_json(report), report.meter.as_dict(), report.decrypt_actors, blocks
+
+
+class TestSkipLevels:
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([4, 5, 6]),
+        hidden=st.sampled_from([[], [6]]),
+        noise=st.sampled_from([0.0, 1e-9]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_stacked_levels_equal_one_subset_per_call(self, n, hidden, noise, seed):
+        arch = arch_mlp(8, 3, hidden) if hidden else arch_logistic(8, 3)
+        parts, history = small_world(n=n, test_m=60, train_m=120, d=8, c=3, arch=arch,
+                                     rounds=2, seed=seed)
+        he = HEParams(noise_stddev=noise)
+        stacked = _secsv_observed(history, parts, he, seed)
+        assert stacked == _secsv_observed(history, parts, he, seed, one_subset_per_call=True)
+
+    def test_one_aggregate_call_per_run_of_equal_bitsets(self, monkeypatch):
+        # the stock world, with a chunk budget no run outgrows
+        config = ExperimentConfig()
+        parts, history = _prepare_experiment(config)
+        aggregated = Counter()  # round -> aggregate calls
+        levels = []  # (round, subsets, runs of equal bitsets, aggregate calls)
+        real_skip_round = protocols.sample_skip_round
+        real_round = protocols._two_server_round
+
+        def spy_skip_round(round_index, players, total, evaluate):
+            def level(subsets, bitsets):
+                before = aggregated[round_index]
+                out = evaluate(subsets, bitsets)
+                levels.append((round_index, len(subsets), len(list(itertools.groupby(bitsets))),
+                               aggregated[round_index] - before))
+                return out
+
+            return real_skip_round(round_index, players, total, level)
+
+        def spy_round(record, *args):
+            *head, aggregate, linear, skip = args
+
+            def spy_aggregate(subsets, widths):
+                aggregated[record.round_index] += 1
+                return aggregate(subsets, widths)
+
+            return real_round(record, *head, spy_aggregate, linear, skip)
+
+        monkeypatch.setattr(protocols, "_CHUNK_BYTES", 1 << 40)
+        monkeypatch.setattr(protocols, "sample_skip_round", spy_skip_round)
+        monkeypatch.setattr(protocols, "_two_server_round", spy_round)
+        run_secsv(history, parts, HEParams(slot_count=config.slot_count), FieldParams(),
+                  skip=True, seed=config.seed)
+        assert [calls for _, _, runs, calls in levels] == [runs for _, _, runs, _ in levels]
+        # each round's singletons share its first call; the empty subset takes one more
+        firsts = {}
+        for entry in levels:
+            firsts.setdefault(entry[0], entry)
+        assert list(firsts.values()) == [(r.round_index, len(r.selected), 1, 1) for r in history]
+        for r in history:
+            assert aggregated[r.round_index] == 1 + sum(
+                runs for round_index, _, runs, _ in levels if round_index == r.round_index)
+        assert sum(count for _, count, _, _ in levels) > sum(runs for _, _, runs, _ in levels)
 
 
 class TestOverlappingSampleIds:

@@ -207,6 +207,11 @@ def bitset(positions) -> int:
     return sum(1 << k for k in set(positions))
 
 
+def level_hook(per_subset):
+    """A level hook that answers each of its subsets with ``per_subset(subset, bits)``, in turn."""
+    return lambda subsets, bitsets: [per_subset(s, bits) for s, bits in zip(subsets, bitsets)]
+
+
 class TestSampleSkipRound:
     def test_matches_full_evaluation_when_hook_is_consistent(self):
         # a fixed truth assignment per subset: the skip path must
@@ -231,7 +236,7 @@ class TestSampleSkipRound:
             truth = correct_for(subset)
             return bitset(s for s in members(bits) if s in truth)
 
-        res = sample_skip_round(0, players, len(ids), hook)
+        res = sample_skip_round(0, players, len(ids), level_hook(hook))
         for subset, v in res.utilities.items():
             assert v == len(correct_for(subset)) / 30 or len(subset) >= 2
 
@@ -243,7 +248,7 @@ class TestSampleSkipRound:
             seen.append((subset, members(bits)))
             return bits  # everything correct
 
-        res = sample_skip_round(0, players, 2, hook)
+        res = sample_skip_round(0, players, 2, level_hook(hook))
         # the pair {1,2} is fully covered by the singleton intersection
         assert res.utilities[frozenset({1, 2})] == 1.0
         assert res.evaluated[frozenset({1, 2})] == 0
@@ -255,11 +260,51 @@ class TestSampleSkipRound:
         def hook(subset, bits):
             return bits & 0b0011  # samples 0,1 always correct
 
-        res = sample_skip_round(0, players, 4, hook)
+        res = sample_skip_round(0, players, 4, level_hook(hook))
         pair = frozenset({1, 2})
         assert res.skipped[pair] == 2
         assert res.evaluated[pair] == 2
         assert res.utilities[pair] == pytest.approx(0.5)
+
+    def test_each_level_handed_over_once_without_its_fully_skippable_subsets(self):
+        # {1} and {2} get everything right, so {1, 2} and then {1, 2, 3} are fully skippable
+        truth = {frozenset({1}): 0b1111, frozenset({2}): 0b1111, frozenset({3}): 0b0011,
+                 frozenset({1, 3}): 0b1111, frozenset({2, 3}): 0b0111}
+        calls = []
+
+        def hook(subsets, bitsets):
+            calls.append(list(zip(subsets, bitsets)))
+            return [truth[s] & bits for s, bits in zip(subsets, bitsets)]
+
+        res = sample_skip_round(0, [1, 2, 3], 4, hook)
+        assert calls == [
+            [(frozenset({1}), 0b1111), (frozenset({2}), 0b1111), (frozenset({3}), 0b1111)],
+            [(frozenset({1, 3}), 0b1100), (frozenset({2, 3}), 0b1100)],
+        ]
+        assert res.evaluated[frozenset({1, 2})] == res.evaluated[frozenset({1, 2, 3})] == 0
+        assert res.utilities == {s: 1.0 for s in res.utilities} | {
+            frozenset({3}): 0.5, frozenset({2, 3}): 0.75}
+
+    @pytest.mark.parametrize("cardinality", [1, 2])
+    def test_hook_returning_the_wrong_count_rejected(self, cardinality):
+        def hook(subsets, bitsets):
+            return bitsets[:-1] if len(subsets[0]) == cardinality else [0] * len(subsets)
+
+        with pytest.raises(ValueError, match=f"round 3, cardinality {cardinality}: "
+                                             "the hook returned 2 bitsets for 3 subsets"):
+            sample_skip_round(3, [1, 2, 3], 4, hook)
+
+    @pytest.mark.parametrize("cardinality", [1, 2])
+    def test_hook_returning_positions_it_was_not_asked_for_rejected(self, cardinality):
+        # the singletons get 0b0011 right, so each pair is asked for 0b1100 only
+        extra = 0b10000 if cardinality == 1 else 0b0011
+
+        def hook(subsets, bitsets):
+            return [0b0011 | extra * (len(s) == cardinality) for s in subsets]
+
+        with pytest.raises(ValueError, match=f"round 7, cardinality {cardinality}: "
+                                             ".* positions it was not asked for"):
+            sample_skip_round(7, [1, 2, 3], 4, hook)
 
     def test_no_samples_rejected(self):
         calls = []
@@ -360,17 +405,25 @@ class TestSkipMatchesFrozensetReference:
             calls["bits"].append((subset, members(bits)))
             return bitset(position[s] for s in truth[subset]) & bits
 
+        levels = []  # the subset sizes handed over in each hook call
+
+        def per_level(subsets, bitsets):
+            levels.append({len(s) for s in subsets})
+            return level_hook(hook)(subsets, bitsets)
+
         if not ids:
             with pytest.raises(ZeroDivisionError):
                 reference_sample_skip_round(players, ids, reference_hook)
             with pytest.raises(ValueError, match="at least one sample"):
-                sample_skip_round(0, players, len(ids), hook)
+                sample_skip_round(0, players, len(ids), per_level)
             return
         want = reference_sample_skip_round(players, ids, reference_hook)
-        res = sample_skip_round(0, players, len(ids), hook)
+        res = sample_skip_round(0, players, len(ids), per_level)
         assert (res.utilities, res.skipped, res.evaluated) == want
         assert list(res.utilities) == list(want[0])
         assert calls["bits"] == calls["reference"]
+        # one call per cardinality that has subsets to evaluate, in ascending size
+        assert levels == [{size} for size in sorted({len(s) for s, _ in calls["reference"]})]
         assert sum(res.skipped.values()) > 0 or len(ids) < 10
 
 
