@@ -12,7 +12,8 @@ term at a time into buffers allocated once per call, and ``he_fold``,
 the sum of ``copies`` rotated copies of one ciphertext, of which it
 returns only the top copy (the first ``shift`` slots, the ones no
 rotation wraps onto) while metering the whole rotate-and-add chain; all
-of them broadcast over the stack axes.  Indexing a stack is free.  This is a *simulation*: no
+of them broadcast over the stack axes.  Indexing a stack, or stacking
+stacks (``stack_ciphertexts``), is free.  This is a *simulation*: no
 lattice arithmetic, no actual security.  What it does provide, exactly,
 is
 
@@ -73,6 +74,7 @@ __all__ = [
     "BackendError",
     "generate_keypair",
     "ciphertext_bytes",
+    "stack_ciphertexts",
 ]
 
 PlainOperand = Union[np.ndarray, float, int, Sequence]
@@ -162,6 +164,13 @@ class CipherVector:
                 var = np.broadcast_to(var, self.slots.shape)
             var = var[index]
         return CipherVector(slots, self.key_id, var)
+
+
+def stack_ciphertexts(stacks: Sequence[CipherVector]) -> CipherVector:
+    """Equally shaped stacks under one key as one stack on a new axis 0; meters nothing."""
+    var = None if stacks[0].var is None else np.stack(
+        [np.broadcast_to(ct.var, ct.slots.shape) for ct in stacks])
+    return CipherVector(np.stack([ct.slots for ct in stacks]), stacks[0].key_id, var)
 
 
 def ciphertext_bytes(params: HEParams) -> int:

@@ -82,6 +82,9 @@ class Router:
         return party
 
     def send(self, sender: str, receiver: str, payload):
+        if not (isinstance(sender, str) and isinstance(receiver, str)):
+            role, name = ("receiver", receiver) if isinstance(sender, str) else ("sender", sender)
+            raise TypeError(f"{role} must be one party's name, a str; got {type(name).__name__}")
         if sender not in self.parties or receiver not in self.parties:
             missing = sender if sender not in self.parties else receiver
             raise KeyError(f"unknown party {missing}")

@@ -3,12 +3,14 @@
 - ``run_nssv``: plaintext evaluation of every subset model; the ground
   truth the secure protocols are compared against.
 - ``run_hesv``: one server, everything encrypted; squaring kernel with
-  ciphertext-ciphertext multiplications; per-client batches only.  Each
-  subset runs layer by layer over all its batches at once: one
-  ``squaring_matmul``, one stacked decryption whose noise is one block
-  of draws laid out batch by batch, and one activation and re-encryption
-  per layer, then one label check.  Messages, decryptor assignments and
-  the actor log stay per batch, in the per-batch order.
+  ciphertext-ciphertext multiplications; per-client batches only.
+  Consecutive subsets run as a chunk, layer by layer over all batches:
+  each subset's aggregate and ``squaring_matmul`` on its own, then one
+  stacked decryption and activation per layer and one label check for
+  the chunk.  Each step sends one message per party pair; decryptor
+  assignments, the actor log and the noise draws keep the (subset,
+  batch) order, so per-pair bytes and every decrypted value are those
+  of one subset at a time.
 - ``run_secsv``: two servers; models encrypted, test data additively
   shared, so every multiplication is ciphertext-plaintext and samples
   from different clients share a batch.  Optional sample skipping.  A
@@ -54,6 +56,7 @@ from .hebackend import (
     HEContext,
     HEParams,
     generate_keypair,
+    stack_ciphertexts,
 )
 from .kernels import (
     plan_reducing,
@@ -241,6 +244,11 @@ def _round_report(record: RoundModels, utilities, skip_result=None) -> RoundRepo
     )
 
 
+# Bound on a chunk's dealt triple block, 1.625 MiB: 4 / 6 / 10 subsets on stock / deep / wide
+# (SecSV's chunks follow it but deal no triples), and on HESV's stacked state: 38 / 5 / 61.
+_CHUNK_BYTES = 13 << 17
+
+
 def _round_seed(base: int, round_index: int) -> int:
     return (base * 1_000_003 + round_index * 7919) % 2**31
 
@@ -294,7 +302,7 @@ def run_hesv(
     seed: int = 0,
     workers: int = 1,
 ) -> ContributionReport:
-    """One-server protocol: encrypted models times encrypted batches."""
+    """One-server protocol: encrypted models times encrypted batches, in chunks of subsets."""
     if unfit := workers_error(workers):
         raise ProtocolError(unfit)
     started = time.perf_counter()
@@ -327,6 +335,7 @@ def run_hesv(
     widths = np.array([hi - lo for _, lo, hi in batch_ranges])
     valid = np.arange(m_cap) < widths[:, None]  # [batch, column] inside the batch
     draw_layout = _hesv_draw_layout(plans, widths)
+    step = _hesv_chunk_size(plans, len(widths), draw_layout[0])
 
     # test data uploaded once: the transformed-and-encrypted first-layer
     # inputs of every (client, batch) as one [o, batch, k] stack, so layer
@@ -363,32 +372,29 @@ def run_hesv(
         global_cts = [cts[0] for cts in upload([leader], [record.global_model])]
         position = {i: p for p, i in enumerate(players)}
 
-        def aggregated_cts(subset):
+        def aggregate(subset, l):
             if not subset:
-                return global_cts
+                return global_cts[l]
             w = record.weights_for(subset)
             members = sorted(subset)
-            # the members' entries of each layer's owner axis, in place: no copy
-            return [
-                ctx.he_dot(cts, [w[i] for i in members], terms=[position[i] for i in members])
-                for cts in player_cts
-            ]
+            # the members' entries of the layer's owner axis, in place: no copy
+            return ctx.he_dot(player_cts[l], [w[i] for i in members],
+                              terms=[position[i] for i in members])
 
-        assignment_offset = 0
+        offsets = itertools.count()  # one running decryptor offset per round
         utilities = {}
-        for subset in subsets_ascending(players):
-            owner = next(iter(subset)) if len(subset) == 1 else None
-            sequences = []
-            for i, _, _ in batch_ranges:
-                sequences.append(
-                    assign_decryptors(players, num_layers, owner, {i}, level, assignment_offset)
-                )
-                assignment_offset += 1
-            correct = _hesv_eval_subset(
-                ctx, router, keys, record.global_model, plans, aggregated_cts(subset),
-                data_cts, label_cts, valid, sequences, draw_layout, actors,
-            )
-            utilities[subset] = correct / total
+        subsets = subsets_ascending(players)
+        for lo in range(0, len(subsets), step):
+            chunk = subsets[lo:lo + step]
+            sequences = []  # [subset][batch], in the one-subset-at-a-time order
+            for subset in chunk:
+                owner = next(iter(subset)) if len(subset) == 1 else None
+                sequences.append([assign_decryptors(players, num_layers, owner, {i}, level,
+                                                    next(offsets)) for i, _, _ in batch_ranges])
+            correct = _hesv_eval_chunk(ctx, router, keys, record.global_model, plans, aggregate,
+                                       chunk, data_cts, label_cts, valid, sequences, draw_layout,
+                                       actors)
+            utilities.update((subset, c / total) for subset, c in zip(chunk, correct))
         return _round_report(record, utilities), actors
 
     results = [eval_round(record) for record in rounds]
@@ -411,6 +417,8 @@ def _hesv_draw_layout(plans, widths: np.ndarray):
     Returns the block size, a [batch, j, d'_out * s] index array per
     layer and a [batch, m] one for the labels; a label column past the
     batch's width repeats one of the batch's draws, and is discarded.
+    A chunk of subsets draws its subsets' blocks, one after another, in
+    one call.
     """
     band = [plan.d_out_block * plan.s for plan in plans]
     per_layer = [plan.j_blocks * size for plan, size in zip(plans, band)]
@@ -425,53 +433,68 @@ def _hesv_draw_layout(plans, widths: np.ndarray):
     return int(per_batch.sum()), layers, starts[:, None] + offset + columns
 
 
-def _hesv_eval_subset(ctx, router, keys, model, plans, agg_cts, data_cts, label_cts,
-                      valid, sequences, draw_layout, decrypt_actors) -> int:
-    """All batches of one subset at once: each layer, decrypt, activate; then the label check.
+def _hesv_chunk_size(plans, batches: int, draws: int) -> int:
+    """Subsets per chunk: a subset's bands, outputs and labels per batch, and its ``draws``."""
+    per_batch = 1 + sum(plan.j_blocks * plan.live_rows() + plan.d_out for plan in plans)
+    return max(1, _CHUNK_BYTES // (8 * (draws + batches * plans[0].m * per_batch)))
 
-    Every layer is one ``squaring_matmul`` and one stacked decryption
-    over the batches; the subset's decryption noise is one block of draws
-    in ``_hesv_draw_layout``'s per-batch order.  Messages and the actor
-    log stay per batch.
+
+def _send_by_client(router, clients: np.ndarray, inbound: bool, pick) -> None:
+    """One message between server P and each client i in ``clients``: ``pick(clients == i)``."""
+    for i in np.unique(clients).tolist():
+        pair = (client_name(i), SERVER_P) if inbound else (SERVER_P, client_name(i))
+        router.send(*pair, pick(clients == i))
+
+
+def _hesv_eval_chunk(ctx, router, keys, model, plans, aggregate, subsets, data_cts, label_cts,
+                     valid, sequences, draw_layout, decrypt_actors) -> list[int]:
+    """Consecutive subsets on all batches: each layer, decrypt, activate; then the label check.
+
+    Per layer, each subset's ``aggregate(subset, l)``, re-encrypted inputs
+    (layers >= 1) and ``squaring_matmul`` are its own, one subset at a
+    time; the bands' decryption, the activation and the label check are
+    stacked over the chunk, and its noise is one draw of its subsets'
+    ``_hesv_draw_layout`` blocks in turn.  Each step sends one message
+    per party pair with the pair's (subset, batch) entries.  Returns
+    each subset's count of correct samples.
     """
     num_layers = model.depth
     total, layer_draws, label_draws = draw_layout
-    noise = ctx.draw_noise(total)
-    names = [[client_name(seq[l + 1]) for l in range(num_layers)] for seq in sequences]
-    sides = data_cts
+    noise = ctx.draw_noise(len(subsets) * total)
+    noise = None if noise is None else noise.reshape(len(subsets), total)
+    # who[subset, batch, l]: layer l's decryptor, and at l = L the label counter
+    who = np.array(sequences)[..., 1:]
     for l, plan in enumerate(plans):
-        if l > 0:
-            sides = squaring_prepare_batch(_with_ones_rows(act, valid), plan, ctx, keys.public)
-            for b, who in enumerate(names):
-                router.send(who[l - 1], SERVER_P, sides[:, b])
-        bands = squaring_matmul(agg_cts[l], sides, plan, ctx)
-        for b, who in enumerate(names):
-            router.send(SERVER_P, who[l], bands[b])
+        bands = []
+        for g, subset in enumerate(subsets):
+            sides = data_cts
+            if l > 0:
+                sides = squaring_prepare_batch(_with_ones_rows(act[g], valid), plan, ctx,
+                                               keys.public)
+                _send_by_client(router, who[g, :, l - 1], True, lambda mask: sides[:, mask])
+            bands.append(squaring_matmul(aggregate(subset, l), sides, plan, ctx))
+        bands = stack_ciphertexts(bands)
+        _send_by_client(router, who[..., l], False, bands.__getitem__)
         yhat = squaring_decrypt_stack(
             bands, plan, ctx, keys.private,
-            draws=None if noise is None else noise[layer_draws[l]],
+            draws=None if noise is None else noise[:, layer_draws[l]],
         )
         if l < num_layers - 1:
             act = apply_activation(model, l, yhat)
     labels = np.where(valid, np.argmax(yhat, axis=-2), 0).astype(float)
     label_ct = ctx.encrypt_slots(labels, keys.public, width=valid.shape[1])
-    for b, who in enumerate(names):
-        router.send(who[-1], SERVER_P, label_ct[b])
+    _send_by_client(router, who[..., -2], True, label_ct.__getitem__)
     # difference of predicted and true labels, counted by the last assignee
     diff = ctx.he_add(ctx.he_mult(label_ct, -1.0), label_cts)
-    counters = [client_name(seq[num_layers + 1]) for seq in sequences]
-    for b, who in enumerate(counters):
-        router.send(SERVER_P, who, diff[b])
+    _send_by_client(router, who[..., -1], False, diff.__getitem__)
     plain = ctx.decrypt_stack(
         diff, (1, valid.shape[1]), (1, valid.shape[1]), keys.private,
-        draws=None if noise is None else noise[label_draws],
+        draws=None if noise is None else noise[:, label_draws],
     )
-    counts = np.sum((np.abs(plain[:, 0]) < TOLERANCE) & valid, axis=1)
-    for who, cnt, counter in zip(names, counts, counters):
-        router.send(counter, SERVER_P, int(cnt))
-        decrypt_actors.extend(who)
-        decrypt_actors.append(counter)
-    return int(counts.sum())
+    counts = np.sum((np.abs(plain[..., 0, :]) < TOLERANCE) & valid, axis=-1, dtype=np.int64)
+    _send_by_client(router, who[..., -1], True, counts.__getitem__)
+    decrypt_actors.extend(map(client_name, who.ravel().tolist()))
+    return counts.sum(axis=1).tolist()
 
 
 # -- two-server data sharing ---------------------------------------------------
@@ -544,11 +567,6 @@ def _shared_label_check(router, field, y_sh: SharePair, shared: _SharedData,
     flags[:, cols] = np.abs(decode_matrix(diff, field, field.frac_bits)) < TOLERANCE
     return [int.from_bytes(row.tobytes(), "little")
             for row in np.packbits(flags, axis=1, bitorder="little")]
-
-
-# Bound on a chunk's dealt triple block, 1.625 MiB: 4 / 6 / 10 subsets on stock / deep / wide.
-# SecSV's chunks follow the same rule but deal no triples.
-_CHUNK_BYTES = 13 << 17
 
 
 def _triple_shapes(arch, widths) -> list:

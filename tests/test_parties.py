@@ -76,6 +76,22 @@ class TestRouter:
         with pytest.raises(KeyError):
             router.send("ghost", SERVER_P, 1)
 
+    @pytest.mark.parametrize("sender, receiver, role", [
+        (["client_0"], SERVER_P, "sender"),
+        (("client_0",), SERVER_P, "sender"),
+        ("client_0", [SERVER_P], "receiver"),
+        ("client_0", (SERVER_P,), "receiver"),
+    ])
+    def test_non_string_party_rejected(self, sender, receiver, role):
+        meter = CostMeter()
+        router = Router(meter, HEParams())
+        router.register(Party("client_0"))
+        router.register(Party(SERVER_P))
+        with pytest.raises(TypeError, match=f"^{role} must be one party's name"):
+            router.send(sender, receiver, 1)
+        assert meter.bytes_sent == {}
+        assert all(party.bytes_out == 0 for party in router.parties.values())
+
 
 class TestValidateAssignment:
     def test_valid_round_robin_n4(self):

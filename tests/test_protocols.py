@@ -209,6 +209,117 @@ class TestHesvNoiseOrder:
         assert np.array_equal(new.draw_noise(3), old.draw_noise(3))  # same draws consumed
 
 
+def _hesv_observed(history, parts, he, seed):
+    """``run_hesv``'s report JSON, meter, bytes out per party, actors and decrypted values.
+
+    The values are every decrypted block in (subset, batch, layer) order,
+    the label check's after the layers'.  Also returns the chunk count.
+    """
+    calls, routers = [], []
+    real_decrypt = HEContext.decrypt_stack
+    real_router = protocols._new_router
+
+    def spy_decrypt(self, *args, **kwargs):
+        calls.append(real_decrypt(self, *args, **kwargs))
+        return calls[-1]
+
+    def new_router(*args, **kwargs):
+        routers.append(real_router(*args, **kwargs))
+        return routers[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(HEContext, "decrypt_stack", spy_decrypt)
+        mp.setattr(protocols, "_new_router", new_router)
+        report = run_hesv(history, parts, he, seed=seed)
+    steps = history[0].global_model.depth + 1  # a chunk's decryptions: its layers, its labels
+    values = []
+    for start in range(0, len(calls), steps):
+        chunk = calls[start:start + steps]
+        values.extend(out[g, b].tolist() for g in range(len(chunk[0]))
+                      for b in range(chunk[0].shape[1]) for out in chunk)
+    (router,) = routers
+    observed = (report_to_json(report), report.meter.as_dict(),
+                {name: party.bytes_out for name, party in router.parties.items()},
+                report.decrypt_actors, values)
+    return observed, len(calls) // steps
+
+
+class TestHesvChunks:
+    """HESV evaluates consecutive subsets as one chunk; nothing observable moves."""
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-3])
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([4, 5, 6]),
+        hidden=st.sampled_from([[], [6], [6, 4]]),
+        slot_count=st.sampled_from([256, 2048]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_chunks_change_no_value(self, noise, n, hidden, slot_count, seed):
+        arch = arch_mlp(8, 3, hidden) if hidden else arch_logistic(8, 3)
+        parts, history = small_world(n=n, test_m=60, train_m=120, d=8, c=3, arch=arch,
+                                     rounds=1, seed=seed)
+        he = HEParams(slot_count=slot_count, noise_stddev=noise)
+        chunked, chunks = _hesv_observed(history, parts, he, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocols, "_CHUNK_BYTES", 1)  # one subset per chunk
+            single, singles = _hesv_observed(history, parts, he, seed)
+        assert singles == 2 ** n > chunks
+        names = ("report", "meter", "bytes_out", "decrypt_actors", "decrypted values")
+        for name, got, want in zip(names, chunked, single):
+            assert got == want, name
+
+    @pytest.mark.parametrize("workload, chunks, sends", [
+        ("stock", 3, 111),  # one subset at a time: 96 evaluations, 5,427 sends
+        ("deep", 7, 549),  # one subset at a time: 32 evaluations, 2,087 sends
+    ])
+    def test_one_message_per_party_pair_per_step(self, workload, chunks, sends, monkeypatch):
+        config = ExperimentConfig()
+        if workload == "deep":
+            config = replace(config, architecture="mlp", hidden=[32, 16], classes=4, rounds=1,
+                             test_samples=100)
+        parts, history = _prepare_experiment(config)
+        steps = []  # the (sender, receiver) pairs of each chunk step's messages
+        counts = Counter()
+        real_send = Router.send
+
+        def send(self, sender, receiver, payload):
+            counts["send"] += 1
+            if counts["_hesv_eval_chunk"] > counts["chunks done"]:
+                steps[-1].append((sender, receiver))
+            return real_send(self, sender, receiver, payload)
+
+        def step_boundary(owner, name):
+            # a chunk, each subset's squaring product and each decryption end a step
+            real = getattr(owner, name)
+
+            def spy(*args, **kwargs):
+                counts[name] += 1
+                steps.append([])
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    steps.append([])
+                    counts["chunks done"] += name == "_hesv_eval_chunk"
+            monkeypatch.setattr(owner, name, spy)
+
+        monkeypatch.setattr(Router, "send", send)
+        step_boundary(protocols, "_hesv_eval_chunk")
+        step_boundary(protocols, "squaring_matmul")
+        step_boundary(HEContext, "decrypt_stack")
+        run_hesv(history, parts, HEParams(config.slot_count, config.noise_stddev, config.seed),
+                 seed=config.seed)
+        depth = history[0].global_model.depth
+        assert counts["_hesv_eval_chunk"] == chunks
+        assert counts["decrypt_stack"] == chunks * (depth + 1)
+        assert counts["send"] == sends
+        for pairs in steps:
+            assert len(pairs) == len(set(pairs)), pairs
+        # every step of a chunk sends to or from server P
+        assert {SERVER_P} >= {party for pairs in steps for pair in pairs
+                              for party in pair if not party.startswith("client_")}
+
+
 @pytest.fixture(scope="module")
 def secsv_pair(logistic_world):
     parts, history, nssv = logistic_world
